@@ -30,7 +30,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,9 +57,6 @@ __all__ = [
     "classify_pseudo_ep",
     "combined_constraints",
     "combined_H",
-    "phase_guard",
-    "combined_guard",
-    "crossing_labeler",
     "CellClass",
     "GridSpec",
     "BoundaryPoint",
@@ -246,44 +243,6 @@ def combined_H(system: ConstrainedSystem, x, p) -> tuple[float, tuple[np.ndarray
     return h, (gx, gp)
 
 
-def phase_guard(system: ConstrainedSystem, phase: Phase, p) -> Callable[[np.ndarray], float]:
-    """Scalar guard H_phase(x) for event detection."""
-    constraints = system.phases[phase].constraints
-    p = np.asarray(p, dtype=float)
-
-    def guard(x: np.ndarray) -> float:
-        h = 1.0
-        for c in constraints:
-            h *= c.value(x, p)
-        return h
-
-    return guard
-
-
-def combined_guard(system: ConstrainedSystem, p) -> Callable[[np.ndarray], float]:
-    """Scalar guard over the union of fault and post constraints."""
-    kept, _ = combined_constraints(system)
-    p = np.asarray(p, dtype=float)
-
-    def guard(x: np.ndarray) -> float:
-        h = 1.0
-        for c in kept:
-            h *= c.value(x, p)
-        return h
-
-    return guard
-
-
-def crossing_labeler(constraints: Sequence[Constraint], p) -> Callable[[np.ndarray], str]:
-    """Names the constraint closest to zero at a crossing state."""
-    p = np.asarray(p, dtype=float)
-
-    def label(x: np.ndarray) -> str:
-        return min(constraints, key=lambda c: abs(c.value(x, p))).name
-
-    return label
-
-
 # ── stability region sampling ─────────────────────────────────────────────────
 
 
@@ -358,20 +317,16 @@ def classify_grid_point(
     opts: IntegrationOptions = _GRID_OPTS,
     sep_radius: float = _GRID_SEP_RADIUS,
 ) -> CellClass:
-    """STABLE, HITS_BOUNDARY or DIVERGES verdict for one start point."""
-    x0 = np.asarray(x0, dtype=float)
-    # The product guard is blind to points violating an even number of
-    # constraints at once, so feasibility of the start is checked per
-    # constraint.
-    if any(c.value(x0, p) <= 0.0 for c in system.phases[Phase.POST_FAULT].constraints):
-        return CellClass.HITS_BOUNDARY
-    guard = phase_guard(system, Phase.POST_FAULT, p)
+    """STABLE, HITS_BOUNDARY or DIVERGES verdict for one start point.
+
+    A start with any post-fault constraint non-positive hits the
+    boundary at t = 0; otherwise the run decides: a crossing of any
+    constraint, entry into the SEP ball, or neither.
+    """
     events = EventConfig(
-        boundary=guard,
-        terminal_on_crossing=True,
+        constraints=system.phases[Phase.POST_FAULT].constraints,
         sep_target=np.asarray(x_sep, dtype=float),
         sep_radius=sep_radius,
-        terminal_on_sep=True,
     )
     try:
         traj = integrate(system, Phase.POST_FAULT, x0, p, opts, events)
@@ -522,9 +477,9 @@ def sample_stability_region(
     """Classify every grid point of the post-fault system.
 
     A point is STABLE when its trajectory converges to the post-fault
-    SEP without leaving the feasible region, HITS_BOUNDARY when the
-    feasibility product crosses zero first (or the point starts
-    infeasible), DIVERGES otherwise.  ``jobs > 1`` distributes rows
+    SEP without leaving the feasible region, HITS_BOUNDARY when some
+    constraint reaches zero first (or the point starts infeasible),
+    DIVERGES otherwise.  ``jobs > 1`` distributes rows
     over worker processes; ``system_factory`` must then be a picklable
     (callable, args) pair that rebuilds the system.
     """

@@ -33,13 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import (
-    combined_constraints,
-    combined_guard,
-    crossing_labeler,
-    eval_H,
-    phase_guard,
-)
+from .boundary import combined_constraints, eval_H
 from .errors import (
     BracketCollapse,
     InconclusiveRun,
@@ -172,14 +166,16 @@ def classify_post_fault(
 ) -> PostFaultClassification:
     """Stable/unstable verdict for the post-fault run from one clearing state.
 
-    A clearing state on or past the boundary (normalised feasibility
-    product at or below ``clearing_feasibility_tol``, or any individual
-    constraint non-positive) is unstable with t1 = 0 and needs no
-    integration.  Otherwise the run is watched for a boundary crossing,
-    for field-norm minima below ``field_norm_threshold`` away from the
-    SEP, and for entry into the SEP ball.  Convergence beats captures
-    seen on the way; a run that ends far from the SEP with no crossing
-    and no capture is inconclusive.
+    A clearing state within ``clearing_feasibility_tol`` of the boundary
+    (normalised feasibility product at or below it) is unstable with
+    t1 = 0, labelled with its smallest constraint, and needs no
+    integration.  Otherwise the run is watched for a crossing of any
+    post-fault constraint (immediate, t1 = 0, when the clearing state
+    already violates one), for field-norm minima below
+    ``field_norm_threshold`` away from the SEP, and for entry into the
+    SEP ball.  Convergence beats captures seen on the way; a run that
+    ends far from the SEP with no crossing and no capture is
+    inconclusive.
     """
     p = np.asarray(p, dtype=float)
     x_cl = np.asarray(x_cl, dtype=float)
@@ -188,22 +184,17 @@ def classify_post_fault(
     h_norm = math.inf
     if constraints:
         h_norm = eval_H(system, Phase.POST_FAULT, x_cl, p) / h_ref
-        if h_norm <= opts.clearing_feasibility_tol or any(
-            c.value(x_cl, p) <= 0.0 for c in constraints
-        ):
-            label = crossing_labeler(constraints, p)(x_cl)
+        if h_norm <= opts.clearing_feasibility_tol:
+            label = min(constraints, key=lambda c: c.value(x_cl, p)).name
             return PostFaultClassification(
                 stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(),
                 crossing_label=label, h_at_clearing=h_norm,
             )
 
     events = EventConfig(
-        boundary=phase_guard(system, Phase.POST_FAULT, p) if constraints else None,
-        terminal_on_crossing=True,
-        label_crossing=crossing_labeler(constraints, p) if constraints else None,
+        constraints=constraints,
         sep_target=x_sep_post,
         sep_radius=opts.sep_radius,
-        terminal_on_sep=True,
         track_norm_minima=True,
         norm_min_threshold=opts.field_norm_threshold,
     )
@@ -254,11 +245,7 @@ def classify_post_fault(
 
 
 def _run_fault(system, p, x0, opts: CctOptions, horizon: float) -> Trajectory:
-    events = EventConfig(
-        boundary=combined_guard(system, p),
-        terminal_on_crossing=True,
-        label_crossing=crossing_labeler(combined_constraints(system)[0], p),
-    )
+    events = EventConfig(constraints=combined_constraints(system)[0])
     return integrate(
         system, Phase.FAULT_ON, x0, p,
         replace(opts.integration, t_max=horizon), events,
@@ -298,12 +285,12 @@ def compute_cct(
     x_sep_pre = _stable_equilibrium(system, Phase.PRE_FAULT, p, guess)
     x_sep_post = _stable_equilibrium(system, Phase.POST_FAULT, p, x_sep_pre)
 
-    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
-    if not (h_ref > 0.0) or combined_guard(system, p)(x_sep_pre) <= 0.0:
+    if not all(c.value(x_sep_pre, p) > 0.0 for c in combined_constraints(system)[0]):
         raise NoFiniteCct(
             "the pre-fault equilibrium is not strictly feasible; "
             "no positive clearing time exists"
         )
+    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
 
     cls_zero = classify_post_fault(system, p, x_sep_pre, x_sep_post, h_ref, opts)
     if not cls_zero.stable:

@@ -66,13 +66,13 @@ from .validate import (
 
 _INTEGRATION_KEYS = {
     "rel_tol", "abs_tol", "t_max", "max_step", "first_step",
-    "event_refine_tol", "sample_stride",
+    "event_refine_tol",
 }
 _CCT_KEYS = {
     "bisection_tol", "max_iterations", "sep_radius",
     "clearing_feasibility_tol", "field_norm_threshold", "horizon_doublings",
 }
-_INT_VALUED = {"max_iterations", "horizon_doublings", "sample_stride"}
+_INT_VALUED = {"max_iterations", "horizon_doublings"}
 _TOP_KEYS = {
     "system", "sens_params", "sweep", "grid", "tolerances",
     "out_dir", "quantities", "sep_guess", "reverify",
@@ -350,7 +350,6 @@ def cmd_cct(cfg: RunConfig, verify: bool) -> int:
         EventConfig(
             sep_target=result.x_sep_post,
             sep_radius=cfg.opts.sep_radius,
-            terminal_on_sep=True,
         ),
     )
     n = system.n

@@ -9,8 +9,12 @@ assumed.
 
 Three kinds of events can be watched while integrating:
 
-* sign changes of a scalar guard (a feasibility product), localized by
-  bisection on the interpolated state down to ``event_refine_tol``;
+* exits from the feasible region: each constraint margin is evaluated
+  at every step end, and the earliest root among the margins that went
+  non-positive is localized by bisection of that margin on the
+  interpolated state down to ``event_refine_tol``.  Watching each
+  margin, not their product, also sees a step that crosses an even
+  number of margins at once;
 * entry into a ball around a target equilibrium while the field norm is
   decreasing (the "converged" verdict used by stability classification);
 * local minima of the field norm along the trajectory, refined by a
@@ -29,14 +33,14 @@ a single step-size control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import NumericalBlowup, OutOfRange, StiffnessFailure
-from .model import ConstrainedSystem, Phase, eval_f
+from .model import ConstrainedSystem, Constraint, Phase, _check_dims
 
 __all__ = [
     "IntegrationOptions",
@@ -82,7 +86,6 @@ class IntegrationOptions:
     max_step: float = 0.25
     first_step: Optional[float] = None
     event_refine_tol: float = 1e-10
-    sample_stride: int = 1
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "abs_tol", "t_max", "max_step", "event_refine_tol"):
@@ -91,8 +94,6 @@ class IntegrationOptions:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         if self.first_step is not None and not 0.0 < self.first_step <= self.max_step:
             raise ValueError(f"first_step must lie in (0, max_step], got {self.first_step}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
 
 
 class EventKind(Enum):
@@ -116,19 +117,17 @@ class Event:
 class EventConfig:
     """What to watch for during a run.
 
-    ``boundary`` is a scalar guard evaluated on the state; its sign
-    changes become ConstraintCrossing events.  ``label_crossing`` may
-    name the constraint responsible (stored in the event info).
-    ``norm_min_threshold`` drops field-norm minima above the threshold;
-    None keeps them all.
+    A run ends with a CONSTRAINT_CROSSING event as soon as one of
+    ``constraints`` is non-positive: at the start, or at the earliest
+    root inside a step.  The event info names that constraint.  Entry
+    into the ball of ``sep_radius`` around ``sep_target`` while the
+    field norm decreases also ends the run.  ``norm_min_threshold``
+    drops field-norm minima above the threshold; None keeps them all.
     """
 
-    boundary: Optional[Callable[[np.ndarray], float]] = None
-    terminal_on_crossing: bool = True
-    label_crossing: Optional[Callable[[np.ndarray], str]] = None
+    constraints: tuple[Constraint, ...] = ()
     sep_target: Optional[np.ndarray] = None
     sep_radius: float = 1e-3
-    terminal_on_sep: bool = True
     track_norm_minima: bool = False
     norm_min_threshold: Optional[float] = None
 
@@ -228,42 +227,33 @@ def _dp_step(rhs, t: float, y: np.ndarray, f0: np.ndarray, h: float):
 class _Run:
     """Mutable bookkeeping for one engine run."""
 
-    __slots__ = ("times", "states", "derivs", "events", "since_stored")
+    __slots__ = ("times", "states", "derivs", "events")
 
     def __init__(self, t0: float, y0: np.ndarray, f0: np.ndarray):
         self.times = [t0]
         self.states = [y0.copy()]
         self.derivs = [f0.copy()]
         self.events: list[Event] = []
-        self.since_stored = 0
 
-    def store(self, t: float, y: np.ndarray, f: np.ndarray, stride: int, force: bool) -> None:
-        self.since_stored += 1
-        if force or self.since_stored >= stride:
-            self.times.append(t)
-            self.states.append(y.copy())
-            self.derivs.append(f.copy())
-            self.since_stored = 0
+    def store(self, t: float, y: np.ndarray, f: np.ndarray) -> None:
+        self.times.append(t)
+        self.states.append(y.copy())
+        self.derivs.append(f.copy())
 
 
-def _refine_crossing(guard, n_state, tol, t0, y0, f0, t1, y1, f1, g0, g1):
-    """Bisect the sign change of the guard inside one accepted step."""
+def _refine_crossing(margin, tol, t0, y0, f0, t1, y1, f1):
+    """Bisect the root of one margin, positive at t0, inside one accepted step."""
     lo, hi = t0, t1
-    g_lo = g0
-    y_mid, t_mid = y1, t1
     for _ in range(_MAX_EVENT_BISECTIONS):
         if hi - lo <= tol:
             break
         t_mid = 0.5 * (lo + hi)
-        y_mid = _hermite(t_mid, t0, y0, f0, t1, y1, f1)
-        g_mid = guard(y_mid[:n_state])
-        if (g_lo > 0.0) == (g_mid > 0.0):
-            lo, g_lo = t_mid, g_mid
+        if margin(_hermite(t_mid, t0, y0, f0, t1, y1, f1)) > 0.0:
+            lo = t_mid
         else:
             hi = t_mid
     t_mid = 0.5 * (lo + hi)
-    y_mid = _hermite(t_mid, t0, y0, f0, t1, y1, f1)
-    return t_mid, y_mid
+    return t_mid, _hermite(t_mid, t0, y0, f0, t1, y1, f1)
 
 
 def _refine_norm_min(norm_at, t_lo: float, t_hi: float, tol: float):
@@ -287,8 +277,14 @@ def _refine_norm_min(norm_at, t_lo: float, t_hi: float, tol: float):
     return t_star, min(fc, fd)
 
 
-def _engine(rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int, events: Optional[EventConfig]):
-    """Adaptive loop shared by plain and variational integration."""
+def _engine(
+    rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
+    events: Optional[EventConfig], p: Optional[np.ndarray] = None,
+):
+    """Adaptive loop shared by plain and variational integration.
+
+    ``p`` is the parameter vector handed to the watched constraints.
+    """
     t = 0.0
     t_end = opts.t_max
     y = np.asarray(y0, dtype=float).copy()
@@ -297,33 +293,30 @@ def _engine(rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int, events:
         raise NumericalBlowup(f"vector field is not finite at the initial state {y[:n_state]}")
     run = _Run(t, y, f)
 
-    watch_boundary = events is not None and events.boundary is not None
+    constraints = events.constraints if events is not None else ()
     watch_sep = events is not None and events.sep_target is not None
     watch_minima = events is not None and events.track_norm_minima
-    g_prev = None
     terminal = False
 
-    def record_crossing(t_ev: float, y_ev: np.ndarray) -> None:
-        info = {"guard": float(events.boundary(y_ev[:n_state]))}
-        if events.label_crossing is not None:
-            info["constraint"] = events.label_crossing(y_ev[:n_state])
+    def record_crossing(t_ev: float, y_ev: np.ndarray, k: int) -> None:
+        info = {"constraint": constraints[k].name}
         run.events.append(Event(t_ev, EventKind.CONSTRAINT_CROSSING, y_ev[:n_state].copy(), info))
 
-    if watch_boundary:
-        g_prev = events.boundary(y[:n_state])
-        if g_prev <= 0.0:
-            # Starting on or outside the boundary counts as an immediate hit.
-            record_crossing(t, y)
-            if events.terminal_on_crossing:
-                terminal = True
+    if constraints:
+        # Starting on or outside the boundary counts as an immediate hit
+        # of the most violated constraint.
+        values = [c.value(y[:n_state], p) for c in constraints]
+        k = values.index(min(values))
+        if values[k] <= 0.0:
+            record_crossing(t, y, k)
+            terminal = True
     norm_prev = float(np.linalg.norm(f[:n_state]))
     if watch_sep and not terminal:
         if float(np.linalg.norm(y[:n_state] - events.sep_target)) <= events.sep_radius:
             run.events.append(
                 Event(t, EventKind.CONVERGED_TO_SEP, y[:n_state].copy(), {"distance": 0.0})
             )
-            if events.terminal_on_sep:
-                terminal = True
+            terminal = True
 
     # Rolling window of the last accepted points for minima detection.
     window: list[tuple[float, np.ndarray, np.ndarray, float]] = [(t, y.copy(), f.copy(), norm_prev)]
@@ -336,7 +329,8 @@ def _engine(rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int, events:
                 return float(np.linalg.norm(rhs(t_q, y_q)[:n_state]))
         raise AssertionError("query left the interpolation window")
 
-    h = _initial_step(rhs, t, y, f, opts, t_end)
+    # A run that ends at its start takes no step.
+    h = 0.0 if terminal else _initial_step(rhs, t, y, f, opts, t_end)
     just_rejected = False
     nonfinite_reject = False
 
@@ -372,20 +366,25 @@ def _engine(rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int, events:
         step_end_t, step_end_y, step_end_f = t_new, y_new, f_new
         cap = None  # terminal crossing time, if any
 
-        if watch_boundary:
-            g_new = events.boundary(y_new[:n_state])
-            if (g_prev > 0.0) != (g_new > 0.0):
-                t_ev, y_ev = _refine_crossing(
-                    events.boundary, n_state, opts.event_refine_tol,
-                    t, y, f, t_new, y_new, f_new, g_prev, g_new,
+        x_new = y_new[:n_state]
+        crossed = [k for k, c in enumerate(constraints) if c.value(x_new, p) <= 0.0]
+        if crossed:
+            # Each margin that went non-positive is bisected on its own;
+            # the earliest root decides.
+            roots = {
+                k: _refine_crossing(
+                    lambda y_q: constraints[k].value(y_q[:n_state], p), opts.event_refine_tol,
+                    t, y, f, t_new, y_new, f_new,
                 )
-                record_crossing(t_ev, y_ev)
-                if events.terminal_on_crossing:
-                    terminal = True
-                    cap = t_ev
-                    step_end_t, step_end_y = t_ev, y_ev
-                    step_end_f = rhs(t_ev, y_ev)
-            g_prev = g_new
+                for k in crossed
+            }
+            k = min(roots, key=lambda j: roots[j][0])
+            t_ev, y_ev = roots[k]
+            record_crossing(t_ev, y_ev, k)
+            terminal = True
+            cap = t_ev
+            step_end_t, step_end_y = t_ev, y_ev
+            step_end_f = rhs(t_ev, y_ev)
 
         norm_new = float(np.linalg.norm(step_end_f[:n_state]))
         window.append((step_end_t, step_end_y.copy(), step_end_f.copy(), norm_new))
@@ -425,11 +424,9 @@ def _engine(rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int, events:
                         {"distance": dist},
                     )
                 )
-                if events.terminal_on_sep:
-                    terminal = True
+                terminal = True
 
-        force = terminal or step_end_t >= t_end
-        run.store(step_end_t, step_end_y, step_end_f, opts.sample_stride, force)
+        run.store(step_end_t, step_end_y, step_end_f)
         t, y, f = step_end_t, step_end_y, step_end_f
         norm_prev = norm_new
         h = h_next
@@ -456,15 +453,13 @@ def integrate(
     events: Optional[EventConfig] = None,
 ) -> Trajectory:
     """Integrate one phase from x0 over [0, t_max], watching for events."""
-    f0 = eval_f(system, phase, x0, p)  # validates dimensions
-    del f0
+    x0, p = _check_dims(system, x0, p)
     dyn = system.phases[phase]
-    p = np.asarray(p, dtype=float)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return dyn.f(y, p)
 
-    times, states, derivs, evs = _engine(rhs, np.asarray(x0, float), opts, system.n, events)
+    times, states, derivs, evs = _engine(rhs, x0, opts, system.n, events, p)
     return Trajectory(times=times, states=states, derivs=derivs, events=evs)
 
 
@@ -480,9 +475,8 @@ def integrate_with_sensitivities(
     The augmented vector is [x, Phi_x (row-major), Phi_p (row-major)];
     one shared error control covers all blocks.
     """
-    eval_f(system, phase, x0, p)  # validates dimensions
+    x0, p = _check_dims(system, x0, p)
     dyn = system.phases[phase]
-    p = np.asarray(p, dtype=float)
     n = system.n
     n_p = system.n_params
     nx = n * n
@@ -498,7 +492,7 @@ def integrate_with_sensitivities(
         out[n + nx :] = (jx @ phi_p + dyn.jac_p(x, p)).ravel()
         return out
 
-    y0 = np.concatenate([np.asarray(x0, float), np.eye(n).ravel(), np.zeros(n * n_p)])
+    y0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n_p)])
     times, states, derivs, _ = _engine(rhs, y0, opts, n, None)
     traj = Trajectory(
         times=times, states=states[:, :n], derivs=derivs[:, :n], events=()

@@ -383,37 +383,20 @@ def smib_system(params: SmibParams) -> ConstrainedSystem:
 # ── Declarative systems ──────────────────────────────────────────────────────
 
 
-def _lambdify_vector(args, exprs, length: int):
+def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
+    """Numpy callable g(x, p) of a sympy expression.
+
+    With ``shape`` None the expression is scalar and g returns a Python
+    float; otherwise it is a matrix and g returns a float array of that
+    shape.
+    """
     import sympy as sp
 
-    fn = sp.lambdify(args, sp.Matrix(exprs), modules="numpy")
-
-    def g(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(x, p), dtype=float).reshape(length)
-
-    return g
-
-
-def _lambdify_matrix(args, mat, shape: tuple[int, int]):
-    import sympy as sp
-
-    fn = sp.lambdify(args, sp.Matrix(mat), modules="numpy")
-
-    def g(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.asarray(fn(x, p), dtype=float).reshape(shape)
-
-    return g
-
-
-def _lambdify_scalar(args, expr):
-    import sympy as sp
-
-    fn = sp.lambdify(args, expr, modules="numpy")
-
-    def g(x: np.ndarray, p: np.ndarray) -> float:
-        return float(fn(x, p))
-
-    return g
+    if shape is None:
+        fn = sp.lambdify(args, expr, modules="numpy")
+        return lambda x, p: float(fn(x, p))
+    fn = sp.lambdify(args, sp.Matrix(expr), modules="numpy")
+    return lambda x, p: np.asarray(fn(x, p), dtype=float).reshape(shape)
 
 
 def system_from_expressions(
@@ -487,17 +470,17 @@ def system_from_expressions(
             constraints.append(
                 Constraint(
                     name=str(cname),
-                    value=_lambdify_scalar(args, expr),
-                    grad_x=_lambdify_vector(args, gx, n),
-                    grad_p=_lambdify_vector(args, gp, n_p),
-                    hess_xx=_lambdify_matrix(args, hxx, (n, n)),
-                    hess_xp=_lambdify_matrix(args, hxp, (n, n_p)),
+                    value=_lambdify(args, expr),
+                    grad_x=_lambdify(args, gx, (n,)),
+                    grad_p=_lambdify(args, gp, (n_p,)),
+                    hess_xx=_lambdify(args, hxx, (n, n)),
+                    hess_xp=_lambdify(args, hxp, (n, n_p)),
                 )
             )
         built[phase] = PhaseDynamics(
-            f=_lambdify_vector(args, f_exprs, n),
-            jac_x=_lambdify_matrix(args, jx, (n, n)),
-            jac_p=_lambdify_matrix(args, jp, (n, n_p)),
+            f=_lambdify(args, f_exprs, (n,)),
+            jac_x=_lambdify(args, jx, (n, n)),
+            jac_p=_lambdify(args, jp, (n, n_p)),
             constraints=tuple(constraints),
         )
     return ConstrainedSystem(n=n, param_names=tuple(str(s) for s in params), phases=built)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boundary import combined_constraints, combined_guard, crossing_labeler, eval_H
+from .boundary import combined_constraints, eval_H
 from .cct import (
     CctOptions,
     InstabilityMode,
@@ -250,17 +250,14 @@ def scan_cct(
     )
     x_sep_pre = _stable_sep(system, Phase.PRE_FAULT, p, guess)
     x_sep_post = _stable_sep(system, Phase.POST_FAULT, p, x_sep_pre)
-    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
-    if not (h_ref > 0.0) or combined_guard(system, p)(x_sep_pre) <= 0.0:
-        raise NoFiniteCct("the pre-fault equilibrium is not strictly feasible")
-
     kept, _ = combined_constraints(system)
-    events = EventConfig(
-        boundary=combined_guard(system, p),
-        terminal_on_crossing=True,
-        label_crossing=crossing_labeler(kept, p),
+    if not all(c.value(x_sep_pre, p) > 0.0 for c in kept):
+        raise NoFiniteCct("the pre-fault equilibrium is not strictly feasible")
+    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
+
+    traj = integrate(
+        system, Phase.FAULT_ON, x_sep_pre, p, opts.integration, EventConfig(constraints=kept)
     )
-    traj = integrate(system, Phase.FAULT_ON, x_sep_pre, p, opts.integration, events)
     hit = traj.first_event(EventKind.CONSTRAINT_CROSSING)
 
     if hit is not None:

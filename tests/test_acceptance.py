@@ -34,7 +34,6 @@ from cctsens import (
     find_equilibrium,
     integrate,
     integrate_with_sensitivities,
-    phase_guard,
     sample_stability_region,
     scan_cct,
     sep_sensitivity,
@@ -328,11 +327,9 @@ def test_a9_stability_grid_consistency_and_inertia_trend():
             mask = grid.stable_mask()
             extents[inertia] = int(mask[:, row].sum())
             events = EventConfig(
-                boundary=phase_guard(system, Phase.POST_FAULT, params.p0),
-                terminal_on_crossing=True,
+                constraints=system.phases[Phase.POST_FAULT].constraints,
                 sep_target=grid.sep,
                 sep_radius=sep_radius,
-                terminal_on_sep=True,
             )
             for i in range(spec.n1):
                 for j in range(spec.n2):

@@ -17,15 +17,12 @@ from cctsens import (
     classify_pseudo_ep,
     combined_H,
     combined_constraints,
-    combined_guard,
-    crossing_labeler,
     eval_H,
     eval_H_dot,
     eval_H_dot_gradients,
     eval_H_gradients,
     eval_H_hessians,
     eval_f,
-    phase_guard,
     sample_stability_region,
     smib_system,
     system_from_expressions,
@@ -289,26 +286,6 @@ class TestCombinedBoundary:
         )
         with pytest.raises(EmptyCombinedBoundary):
             combined_H(sys2, np.array([0.1]), np.array([1.0]))
-
-
-class TestGuards:
-    def test_phase_guard_equals_h(self):
-        guard = phase_guard(_SYS, Phase.POST_FAULT, _P)
-        for x in (np.array([0.3, 0.4]), np.array([2.0, 0.0]), np.array([2.5, 0.0])):
-            assert guard(x) == pytest.approx(
-                eval_H(_SYS, Phase.POST_FAULT, x, _P), abs=1e-15
-            )
-
-    def test_combined_guard_equals_combined_h(self):
-        guard = combined_guard(_SYS, _P)
-        x = np.array([1.2, -0.3])
-        assert guard(x) == pytest.approx(combined_H(_SYS, x, _P)[0], abs=1e-15)
-
-    def test_labeler_names_nearest_zero(self):
-        kept, _ = combined_constraints(_SYS)
-        label = crossing_labeler(kept, _P)
-        assert label(np.array([1.999, 0.2])) == "angle_limit"
-        assert label(np.array([0.5, 1.501])) == "speed_limit"
 
 
 @pytest.fixture(scope="module")

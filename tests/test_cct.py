@@ -108,6 +108,15 @@ class TestFaultBoundaryMode:
     def test_crossing_label(self, mode1_result):
         assert mode1_result.crossing_label == "speed_limit"
 
+    def test_hit_seen_when_one_step_passes_both_limits(self):
+        # The angle limit is reached at 1.8177 and the speed limit at
+        # 1.8309, inside one step of the sustained-fault run.
+        params = SmibParams(p_mech=0.47111, inertia=0.294804, delta_max=1.673151, omega_max=0.9)
+        res = compute_cct(smib_system(params), params.p0, CctOptions(bisection_tol=1e-4))
+        t_angle = _fault_angle_hit_time(0.47111, 0.294804, 1.673151)
+        assert res.fault_hit_time == pytest.approx(t_angle, abs=1e-6)
+        assert res.bracket_history[0] == (0.0, res.fault_hit_time)
+
     def test_no_interior_instability(self, mode1_result):
         assert not mode1_result.interior_unstable
         assert mode1_result.x_T is None and mode1_result.T is None

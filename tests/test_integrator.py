@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cctsens.errors import NumericalBlowup, OutOfRange, StiffnessFailure
+from cctsens.errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
 from cctsens.integrator import (
     EventConfig,
     EventKind,
@@ -105,17 +105,6 @@ def test_state_at_out_of_range():
         state_at(traj, -0.2)
 
 
-def test_sample_stride_thins_output_but_keeps_ends():
-    dense = integrate(_SYS, Phase.POST_FAULT, np.array([0.7, 0.1]), _P0, IntegrationOptions(t_max=2.0))
-    thin = integrate(
-        _SYS, Phase.POST_FAULT, np.array([0.7, 0.1]), _P0,
-        IntegrationOptions(t_max=2.0, sample_stride=5),
-    )
-    assert len(thin.times) < len(dense.times)
-    assert thin.times[0] == 0.0 and thin.final_time == 2.0
-    assert np.allclose(thin.final_state, dense.final_state, atol=1e-12)
-
-
 # ── variational equations ─────────────────────────────────────────────────────
 
 
@@ -191,52 +180,64 @@ def test_flow_composition_identity():
 # ── events ────────────────────────────────────────────────────────────────────
 
 
-def _product_guard(p):
-    def guard(x):
-        return (p[2] - x[0]) * (p[3] - x[1])
-
-    return guard
+# Every phase of the machine model carries the same two limits.
+_LIMITS = _SYS.phases[Phase.POST_FAULT].constraints
 
 
 def test_crossing_event_matches_closed_form_hit_time():
     p = np.array([0.5, 0.1, 2.0, 0.7])
     x0 = np.array([math.asin(0.5), 0.0])
-    ev = EventConfig(boundary=_product_guard(p), terminal_on_crossing=True)
+    ev = EventConfig(constraints=_LIMITS)
     traj = integrate(_SYS, Phase.FAULT_ON, x0, p, IntegrationOptions(t_max=5.0), ev)
     hit = traj.first_event(EventKind.CONSTRAINT_CROSSING)
     t_exact = -(0.1 / 0.5) * math.log(1.0 - 0.5 * 0.7 / 0.5)
     assert hit is not None
     assert abs(hit.time - t_exact) <= 1e-8
-    assert abs(_product_guard(p)(hit.state)) <= 1e-8, "guard not zero at the refined event"
+    assert abs(p[3] - hit.state[1]) <= 1e-8, "speed margin not zero at the refined event"
     assert traj.final_time == hit.time, "terminal crossing must truncate the run"
 
 
 def test_crossing_label_names_the_constraint():
     p = np.array([0.5, 0.1, 2.0, 0.7])
-    constraints = _SYS.phases[Phase.FAULT_ON].constraints
-
-    def label(x):
-        return min(constraints, key=lambda c: abs(c.value(x, p))).name
-
-    ev = EventConfig(boundary=_product_guard(p), terminal_on_crossing=True, label_crossing=label)
+    ev = EventConfig(constraints=_LIMITS)
     traj = integrate(
         _SYS, Phase.FAULT_ON, np.array([math.asin(0.5), 0.0]), p, IntegrationOptions(t_max=5.0), ev
     )
     assert traj.events[0].info["constraint"] == "speed_limit"
 
 
+def test_step_crossing_two_margins_reports_the_first():
+    """A step past both margins leaves their product positive; the exit must still be seen."""
+    ramp = system_from_expressions(
+        ["x", "y"], ["a"],
+        {ph: {"f": ["a", "a"], "h": {"hx": "1 - x", "hy": "1.01 - y"}}
+         for ph in ("pre", "fault", "post")},
+    )
+    ev = EventConfig(constraints=ramp.phases[Phase.POST_FAULT].constraints)
+    traj = integrate(
+        ramp, Phase.POST_FAULT, np.zeros(2), np.array([1.0]), IntegrationOptions(t_max=3.0), ev
+    )
+    assert traj.events[0].kind is EventKind.CONSTRAINT_CROSSING
+    assert traj.events[0].info["constraint"] == "hx"
+    assert abs(traj.events[0].time - 1.0) <= 1e-8
+    assert traj.final_time == traj.events[0].time
+
+
 def test_infeasible_start_is_an_immediate_crossing():
     p = np.array([0.5, 0.1, 2.0, 0.7])
-    ev = EventConfig(boundary=_product_guard(p), terminal_on_crossing=True)
-    traj = integrate(_SYS, Phase.POST_FAULT, np.array([0.5, 0.9]), p, IntegrationOptions(t_max=5.0), ev)
-    assert traj.events[0].kind is EventKind.CONSTRAINT_CROSSING
-    assert traj.events[0].time == 0.0
-    assert len(traj.times) == 1
+    ev = EventConfig(constraints=_LIMITS)
+    # Past the speed limit only, then past both limits (product positive).
+    for x0, label in (([0.5, 0.9], "speed_limit"), ([2.5, 0.9], "angle_limit")):
+        traj = integrate(_SYS, Phase.POST_FAULT, np.array(x0), p, IntegrationOptions(t_max=5.0), ev)
+        assert traj.events[0].kind is EventKind.CONSTRAINT_CROSSING
+        assert traj.events[0].time == 0.0
+        assert traj.events[0].info["constraint"] == label
+        assert len(traj.times) == 1
 
 
 def test_converged_to_sep_event():
     eq = find_equilibrium(_SYS, Phase.POST_FAULT, _P0, np.zeros(2))
-    ev = EventConfig(sep_target=eq.x, sep_radius=1e-3, terminal_on_sep=True)
+    ev = EventConfig(sep_target=eq.x, sep_radius=1e-3)
     traj = integrate(_SYS, Phase.POST_FAULT, np.array([0.9, 0.3]), _P0, IntegrationOptions(t_max=20.0), ev)
     conv = traj.first_event(EventKind.CONVERGED_TO_SEP)
     assert conv is not None
@@ -246,7 +247,7 @@ def test_converged_to_sep_event():
 
 def test_sep_start_inside_ball_converges_at_zero():
     eq = find_equilibrium(_SYS, Phase.POST_FAULT, _P0, np.zeros(2))
-    ev = EventConfig(sep_target=eq.x, sep_radius=1e-3, terminal_on_sep=True)
+    ev = EventConfig(sep_target=eq.x, sep_radius=1e-3)
     traj = integrate(_SYS, Phase.POST_FAULT, eq.x + 1e-5, _P0, IntegrationOptions(t_max=5.0), ev)
     assert traj.events[0].kind is EventKind.CONVERGED_TO_SEP
     assert traj.events[0].time == 0.0
@@ -291,7 +292,7 @@ def test_norm_min_threshold_filters_events():
 
 
 def test_horizon_event_when_nothing_fires():
-    ev = EventConfig(boundary=_product_guard(_P0), terminal_on_crossing=True)
+    ev = EventConfig(constraints=_LIMITS)
     traj = integrate(_SYS, Phase.POST_FAULT, np.array([0.6, 0.1]), _P0, IntegrationOptions(t_max=0.2), ev)
     assert traj.events[-1].kind is EventKind.HORIZON_REACHED
     assert traj.events[-1].time == 0.2
@@ -314,12 +315,17 @@ def test_nonfinite_field_raises_blowup():
         integrate(_GROW, Phase.PRE_FAULT, np.array([1e200]), np.array([1.0]), IntegrationOptions(t_max=1.0))
 
 
+def test_wrong_state_length_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        integrate(_SYS, Phase.POST_FAULT, np.zeros(3), _P0)
+    with pytest.raises(DimensionMismatch):
+        integrate_with_sensitivities(_SYS, Phase.POST_FAULT, np.zeros(3), _P0)
+
+
 def test_options_validation():
     with pytest.raises(ValueError):
         IntegrationOptions(rel_tol=-1e-8)
     with pytest.raises(ValueError):
         IntegrationOptions(t_max=0.0)
-    with pytest.raises(ValueError):
-        IntegrationOptions(sample_stride=0)
     with pytest.raises(ValueError):
         IntegrationOptions(first_step=1.0, max_step=0.5)
