@@ -34,11 +34,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CctError, EmptyCombinedBoundary, NumericalBlowup, StiffnessFailure
-from .integrator import EventConfig, EventKind, IntegrationOptions, integrate
+from .errors import (
+    CctError,
+    EmptyCombinedBoundary,
+    NoEquilibriumFound,
+    NumericalBlowup,
+    StiffnessFailure,
+)
+from .integrator import EventConfig, EventKind, IntegrationOptions, integrate, integrate_lanes
 from .model import (
     ConstrainedSystem,
     Constraint,
+    EquilibriumClass,
     Phase,
     eval_f,
     eval_jacobians,
@@ -59,6 +66,8 @@ __all__ = [
     "combined_H",
     "CellClass",
     "GridSpec",
+    "classify_grid_points",
+    "classify_grid_point",
     "BoundaryPoint",
     "SrGrid",
     "sample_stability_region",
@@ -309,6 +318,40 @@ _GRID_OPTS = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, t_max=20.0, max_step
 _GRID_SEP_RADIUS = 1e-2
 
 
+def classify_grid_points(
+    system: ConstrainedSystem,
+    p: np.ndarray,
+    x0s: np.ndarray,
+    x_sep: np.ndarray,
+    opts: IntegrationOptions = _GRID_OPTS,
+    sep_radius: float = _GRID_SEP_RADIUS,
+) -> list[CellClass]:
+    """STABLE, HITS_BOUNDARY or DIVERGES verdict for each row of ``x0s``.
+
+    All points run as lanes of one lockstep integration of the
+    post-fault phase.  A start with any post-fault constraint
+    non-positive hits the boundary at t = 0; otherwise the run decides:
+    a crossing of any constraint, entry into the SEP ball, or neither.
+    A lane whose state blows up or whose step underflows diverges.
+    """
+    events = EventConfig(
+        constraints=system.phases[Phase.POST_FAULT].constraints,
+        sep_target=np.asarray(x_sep, dtype=float),
+        sep_radius=sep_radius,
+    )
+    classes = []
+    for traj in integrate_lanes(system, Phase.POST_FAULT, x0s, p, opts, events):
+        if isinstance(traj, (NumericalBlowup, StiffnessFailure)):
+            classes.append(CellClass.DIVERGES)
+        elif traj.first_event(EventKind.CONSTRAINT_CROSSING) is not None:
+            classes.append(CellClass.HITS_BOUNDARY)
+        elif traj.first_event(EventKind.CONVERGED_TO_SEP) is not None:
+            classes.append(CellClass.STABLE)
+        else:
+            classes.append(CellClass.DIVERGES)
+    return classes
+
+
 def classify_grid_point(
     system: ConstrainedSystem,
     p: np.ndarray,
@@ -317,39 +360,18 @@ def classify_grid_point(
     opts: IntegrationOptions = _GRID_OPTS,
     sep_radius: float = _GRID_SEP_RADIUS,
 ) -> CellClass:
-    """STABLE, HITS_BOUNDARY or DIVERGES verdict for one start point.
-
-    A start with any post-fault constraint non-positive hits the
-    boundary at t = 0; otherwise the run decides: a crossing of any
-    constraint, entry into the SEP ball, or neither.
-    """
-    events = EventConfig(
-        constraints=system.phases[Phase.POST_FAULT].constraints,
-        sep_target=np.asarray(x_sep, dtype=float),
-        sep_radius=sep_radius,
-    )
-    try:
-        traj = integrate(system, Phase.POST_FAULT, x0, p, opts, events)
-    except (NumericalBlowup, StiffnessFailure):
-        return CellClass.DIVERGES
-    if traj.first_event(EventKind.CONSTRAINT_CROSSING) is not None:
-        return CellClass.HITS_BOUNDARY
-    if traj.first_event(EventKind.CONVERGED_TO_SEP) is not None:
-        return CellClass.STABLE
-    return CellClass.DIVERGES
+    """Verdict for one start point: ``classify_grid_points`` with one lane."""
+    x0 = np.asarray(x0, dtype=float)
+    return classify_grid_points(system, p, x0[None], x_sep, opts, sep_radius)[0]
 
 
 def _classify_rows(factory, factory_args, p, spec, opts, sep_radius, x_sep, rows):
+    """Classes of the given grid rows, all cells in one lockstep run."""
     system = factory(*factory_args)
-    x1, x2 = spec.x1, spec.x2
-    out = []
-    for i in rows:
-        row = [
-            classify_grid_point(system, p, np.array([x1[i], x2[j]]), x_sep, opts, sep_radius)
-            for j in range(spec.n2)
-        ]
-        out.append((i, row))
-    return out
+    rows = list(rows)
+    starts = np.column_stack([np.repeat(spec.x1[rows], spec.n2), np.tile(spec.x2, len(rows))])
+    classes = classify_grid_points(system, p, starts, x_sep, opts, sep_radius)
+    return [(i, classes[r * spec.n2 : (r + 1) * spec.n2]) for r, i in enumerate(rows)]
 
 
 def _scan_zero_crossings(values: np.ndarray, coords: np.ndarray):
@@ -479,15 +501,23 @@ def sample_stability_region(
     A point is STABLE when its trajectory converges to the post-fault
     SEP without leaving the feasible region, HITS_BOUNDARY when some
     constraint reaches zero first (or the point starts infeasible),
-    DIVERGES otherwise.  ``jobs > 1`` distributes rows
-    over worker processes; ``system_factory`` must then be a picklable
-    (callable, args) pair that rebuilds the system.
+    DIVERGES otherwise.  All cells run as lanes of one lockstep
+    integration (``classify_grid_points``).  ``jobs > 1`` splits the
+    rows over worker processes, each running its rows as one lockstep
+    integration; ``system_factory`` must then be a picklable (callable,
+    args) pair that rebuilds the system.  Raises NoEquilibriumFound when
+    the equilibrium found from ``sep_guess`` is not stable.
     """
     if system.n != 2:
         raise CctError("stability-region grids are only supported for planar systems")
     p = np.asarray(p, dtype=float)
     guess = np.zeros(2) if sep_guess is None else np.asarray(sep_guess, dtype=float)
-    x_sep = find_equilibrium(system, Phase.POST_FAULT, p, guess).x
+    sep = find_equilibrium(system, Phase.POST_FAULT, p, guess)
+    if sep.classification is not EquilibriumClass.STABLE:
+        raise NoEquilibriumFound(
+            f"post-phase equilibrium near {guess} is {sep.classification.value}, not stable"
+        )
+    x_sep = sep.x
 
     classes = np.empty((spec.n1, spec.n2), dtype=object)
     if jobs > 1 and system_factory is not None:

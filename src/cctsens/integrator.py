@@ -21,6 +21,15 @@ Three kinds of events can be watched while integrating:
   golden-section search on the interpolant (how near-misses of other
   equilibria are measured).
 
+One engine runs K starts ("lanes") in lockstep: every iteration takes
+one Dormand-Prince step of every live lane with its own step size, and
+each lane keeps its own time, step control, events and end.  A lane's
+arithmetic does not depend on the others (its stage sums are the same
+vector-matrix products whatever K is), so ``integrate_lanes`` gives each
+start the trajectory ``integrate`` gives it alone, bit for bit.
+``integrate`` is the one-lane run.  A lane whose state goes non-finite
+or whose step underflows stops with that error; the other lanes run on.
+
 ``integrate_with_sensitivities`` integrates the variational equations
 
     Phi_x' = (df/dx) Phi_x,   Phi_x(0) = I
@@ -35,11 +44,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalBlowup, OutOfRange, StiffnessFailure
+from .errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
 from .model import ConstrainedSystem, Constraint, Phase, _check_dims
 
 __all__ = [
@@ -50,12 +60,12 @@ __all__ = [
     "Trajectory",
     "SensitivityBundle",
     "integrate",
+    "integrate_lanes",
     "integrate_with_sensitivities",
     "state_at",
 ]
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (the field is autonomous, so no nodes).
 _A = (
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
@@ -69,6 +79,12 @@ _A = (
 _B = _A[5]
 # Difference between the fifth- and fourth-order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+# Stage i, and the stages before i, of a stage array with or without a
+# lane axis in front (prebuilt: an index tuple written out is parsed anew
+# on every use).
+_STAGE = tuple((Ellipsis, i, slice(None)) for i in range(7))
+_FIRST = tuple((Ellipsis, slice(None, i), slice(None)) for i in range(8))
 
 _MAX_EVENT_BISECTIONS = 60
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -123,6 +139,8 @@ class EventConfig:
     into the ball of ``sep_radius`` around ``sep_target`` while the
     field norm decreases also ends the run.  ``norm_min_threshold``
     drops field-norm minima above the threshold; None keeps them all.
+    In a lockstep run every lane watches the same events and records
+    its own; one lane's event ends that lane only.
     """
 
     constraints: tuple[Constraint, ...] = ()
@@ -192,53 +210,70 @@ def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1):
     )
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(v))))
+def _rms_rows(v: np.ndarray) -> list[float]:
+    """Root mean square of each row.
+
+    ``np.add.reduce`` over a row divided by its length is what
+    ``np.mean`` computes for that row alone, so a lane's value does not
+    depend on the other lanes.
+    """
+    return np.sqrt(np.add.reduce(np.square(v), axis=1) / float(v.shape[1])).tolist()
 
 
-def _initial_step(rhs, t0, y0, f0, opts: IntegrationOptions, t_span: float) -> float:
+def _all_finite(v: np.ndarray) -> bool:
+    # count_nonzero is a plain C call; ndarray.all goes through Python.
+    return np.count_nonzero(np.isfinite(v)) == v.size
+
+
+def _norm_rows(v: np.ndarray) -> list[float]:
+    """Euclidean norm of each row, equal to ``np.linalg.norm`` of that row.
+
+    A lone row takes the cheaper 1-D product; both are the same dot product.
+    """
+    if len(v) == 1:
+        return [math.sqrt(v[0] @ v[0])]
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel().tolist()
+
+
+def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> list[float]:
+    """First step size of each lane (Hairer, Norsett & Wanner's estimate)."""
     if opts.first_step is not None:
-        return min(opts.first_step, t_span)
+        return [min(opts.first_step, t_span)] * len(y0)
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, t_span)
-    f1 = rhs(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, opts.max_step, t_span)
+    d0 = _rms_rows(y0 / scale)
+    d1 = _rms_rows(f0 / scale)
+    h0 = [
+        min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b, t_span)
+        for a, b in zip(d0, d1)
+    ]
+    f1 = field(y0 + np.array(h0)[:, None] * f0)
+    steps = []
+    for a, b, r, h in zip(d0, d1, _rms_rows((f1 - f0) / scale), h0):
+        # h is 0 when the scaled field overflows; the lane then stops on
+        # step underflow.
+        d = max(b, r / h if h else math.inf)
+        h1 = max(1e-6, h * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
+        steps.append(min(100 * h, h1, opts.max_step, t_span))
+    return steps
 
 
-def _dp_step(rhs, t: float, y: np.ndarray, f0: np.ndarray, h: float):
-    """One Dormand-Prince step; returns (y_new, f_new, error_vector)."""
-    k = np.empty((7, y.size))
-    k[0] = f0
+def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h):
+    """One Dormand-Prince step; returns (y_new, f_new, error_vector).
+
+    ``y`` and ``f0`` are one state of shape (m,) with a float step ``h``,
+    or lane-major states of shape (K, m) with the (K, 1) column of step
+    sizes; ``rhs(y, p)`` takes states of that shape.  The stages are
+    stored lane-major, shape (K, 7, m), so each lane's weighted sums are
+    the vector-matrix products of a lone state.
+    """
+    k = np.empty(y.shape[:-1] + (7, y.shape[-1]))
+    k[_STAGE[0]] = f0
     for i in range(5):
-        k[i + 1] = rhs(t + _C[i + 1] * h, y + h * (_A[i] @ k[: i + 1]))
-    y_new = y + h * (_B @ k[:6])
-    k[6] = rhs(t + h, y_new)
-    return y_new, k[6], h * (_E @ k)
-
-
-class _Run:
-    """Mutable bookkeeping for one engine run."""
-
-    __slots__ = ("times", "states", "derivs", "events")
-
-    def __init__(self, t0: float, y0: np.ndarray, f0: np.ndarray):
-        self.times = [t0]
-        self.states = [y0.copy()]
-        self.derivs = [f0.copy()]
-        self.events: list[Event] = []
-
-    def store(self, t: float, y: np.ndarray, f: np.ndarray) -> None:
-        self.times.append(t)
-        self.states.append(y.copy())
-        self.derivs.append(f.copy())
+        k[_STAGE[i + 1]] = rhs(y + h * np.matmul(_A[i], k[_FIRST[i + 1]]), p)
+    y_new = y + h * np.matmul(_B, k[_FIRST[6]])
+    k[_STAGE[6]] = rhs(y_new, p)
+    # f_new is copied out so that storing it does not keep every stage alive.
+    return y_new, k[_STAGE[6]].copy(), h * np.matmul(_E, k)
 
 
 def _refine_crossing(margin, tol, t0, y0, f0, t1, y1, f1):
@@ -277,171 +312,294 @@ def _refine_norm_min(norm_at, t_lo: float, t_hi: float, tol: float):
     return t_star, min(fc, fd)
 
 
+def _window_state(window, t_q: float) -> np.ndarray:
+    """Interpolated state at t_q inside a window of accepted points."""
+    for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
+        if ta <= t_q <= tb:
+            return _hermite(t_q, ta, ya, fa, tb, yb, fb)
+    raise AssertionError("query left the interpolation window")
+
+
 def _engine(
     rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
-    events: Optional[EventConfig], p: Optional[np.ndarray] = None,
-):
-    """Adaptive loop shared by plain and variational integration.
+    events: Optional[EventConfig], p: np.ndarray,
+) -> list:
+    """Lockstep adaptive loop over the rows (lanes) of ``y0``.
 
-    ``p`` is the parameter vector handed to the watched constraints.
+    ``rhs(y, p)`` maps a state of shape (m,) to its derivative, and a
+    column batch of shape (m, K) to shape (m, K); ``p`` also goes to the
+    watched constraints.  Each lane keeps its own time, step size,
+    step-control flags and events, and ends on its own, so its result is
+    what a run of that lane alone gives.  Returns one Trajectory per
+    lane, or the NumericalBlowup or StiffnessFailure that stopped it.
     """
-    t = 0.0
-    t_end = opts.t_max
-    y = np.asarray(y0, dtype=float).copy()
-    f = rhs(t, y)
-    if not np.all(np.isfinite(f)):
-        raise NumericalBlowup(f"vector field is not finite at the initial state {y[:n_state]}")
-    run = _Run(t, y, f)
-
+    y = np.array(y0, dtype=float)
+    n_lanes = len(y)
+    t_end, max_step = opts.t_max, opts.max_step
+    abs_tol, rel_tol, refine_tol = opts.abs_tol, opts.rel_tol, opts.event_refine_tol
     constraints = events.constraints if events is not None else ()
-    watch_sep = events is not None and events.sep_target is not None
+    sep = events.sep_target if events is not None else None
     watch_minima = events is not None and events.track_norm_minima
-    terminal = False
+    watch_norm = sep is not None or watch_minima
 
-    def record_crossing(t_ev: float, y_ev: np.ndarray, k: int) -> None:
-        info = {"constraint": constraints[k].name}
-        run.events.append(Event(t_ev, EventKind.CONSTRAINT_CROSSING, y_ev[:n_state].copy(), info))
+    def lanes_rhs(z, q):
+        return rhs(z.T, q).T
 
-    if constraints:
-        # Starting on or outside the boundary counts as an immediate hit
-        # of the most violated constraint.
-        values = [c.value(y[:n_state], p) for c in constraints]
-        k = values.index(min(values))
-        if values[k] <= 0.0:
-            record_crossing(t, y, k)
-            terminal = True
-    norm_prev = float(np.linalg.norm(f[:n_state]))
-    if watch_sep and not terminal:
-        if float(np.linalg.norm(y[:n_state] - events.sep_target)) <= events.sep_radius:
-            run.events.append(
-                Event(t, EventKind.CONVERGED_TO_SEP, y[:n_state].copy(), {"distance": 0.0})
+    def field(z):
+        # A lone lane is evaluated as one state, which is cheaper than a
+        # batch of one.
+        return rhs(z[0], p)[None] if len(z) == 1 else lanes_rhs(z, p)
+
+    def margins(z):
+        # One list of lane margins per constraint.
+        if len(z) == 1:
+            x = z[0, :n_state]
+            return [[c.value(x, p)] for c in constraints]
+        x = z[:, :n_state].T
+        return [c.value(x, p).tolist() for c in constraints]
+
+    out: list = [None] * n_lanes
+    lane_events: list[list[Event]] = [[] for _ in range(n_lanes)]
+
+    def record(lane: int, t_ev: float, kind: EventKind, y_ev: np.ndarray, info: dict) -> None:
+        lane_events[lane].append(Event(t_ev, kind, y_ev[:n_state].copy(), info))
+
+    f = field(y)
+    # Accepted rows, one block per iteration in each list.
+    row_lanes, row_times, row_states, row_derivs = [range(n_lanes)], [[0.0] * n_lanes], [y], [f]
+
+    ids = list(range(n_lanes))
+    if not _all_finite(f):
+        ok = np.isfinite(f).all(axis=1)
+        for j in np.flatnonzero(~ok).tolist():
+            out[j] = NumericalBlowup(
+                f"vector field is not finite at the initial state {y[j, :n_state]}"
             )
-            terminal = True
+        ids = np.flatnonzero(ok).tolist()
+        y, f = y[ids], f[ids]
 
-    # Rolling window of the last accepted points for minima detection.
-    window: list[tuple[float, np.ndarray, np.ndarray, float]] = [(t, y.copy(), f.copy(), norm_prev)]
+    # A run ends at its start on or outside the boundary (as a hit of the
+    # most violated constraint) or inside the SEP ball, and takes no step.
+    done = set()
+    if constraints and ids:
+        vals = margins(y)
+        for a, j in enumerate(ids):
+            lane_vals = [v[a] for v in vals]
+            k = lane_vals.index(min(lane_vals))
+            if lane_vals[k] <= 0.0:
+                record(j, 0.0, EventKind.CONSTRAINT_CROSSING, y[a],
+                       {"constraint": constraints[k].name})
+                done.add(a)
+    norm_prev = _norm_rows(f[:, :n_state]) if watch_norm and ids else [None] * len(ids)
+    if sep is not None and ids:
+        for a, dist in enumerate(_norm_rows(y[:, :n_state] - sep)):
+            if a not in done and dist <= events.sep_radius:
+                record(ids[a], 0.0, EventKind.CONVERGED_TO_SEP, y[a], {"distance": 0.0})
+                done.add(a)
+    if done:
+        keep = [a for a in range(len(ids)) if a not in done]
+        ids, norm_prev = [ids[a] for a in keep], [norm_prev[a] for a in keep]
+        y, f = y[keep], f[keep]
+        done = set()
 
-    def norm_between(t_q: float) -> float:
-        # Interpolate within the window and measure the field there.
-        for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
-            if ta <= t_q <= tb:
-                y_q = _hermite(t_q, ta, ya, fa, tb, yb, fb)
-                return float(np.linalg.norm(rhs(t_q, y_q)[:n_state]))
-        raise AssertionError("query left the interpolation window")
+    L = len(ids)
+    t = [0.0] * L
+    h = _initial_steps(field, y, f, opts, t_end) if L else []
+    just_rejected = [False] * L
+    nonfinite_reject = [False] * L
+    # Rolling window of each lane's last accepted points for minima detection.
+    windows = [[(0.0, y[a], f[a], norm_prev[a])] for a in range(L)]
 
-    # A run that ends at its start takes no step.
-    h = 0.0 if terminal else _initial_step(rhs, t, y, f, opts, t_end)
-    just_rejected = False
-    nonfinite_reject = False
+    while ids:
+        for a in range(len(ids)):
+            if a in done:
+                continue
+            h[a] = min(h[a], max_step, t_end - t[a])
+            if h[a] < 4e-14 * max(1.0, abs(t[a])):
+                if nonfinite_reject[a]:
+                    err = NumericalBlowup(f"state became non-finite near t = {t[a]:.6g}")
+                else:
+                    err = StiffnessFailure(f"step size underflowed to {h[a]:.3e} at t = {t[a]:.6g}")
+                out[ids[a]] = err
+                done.add(a)
+        if done:
+            # Drop the lanes that ended or failed.
+            keep = [a for a in range(len(ids)) if a not in done]
+            ids, t, h, just_rejected, nonfinite_reject, norm_prev, windows = (
+                [col[a] for a in keep]
+                for col in (ids, t, h, just_rejected, nonfinite_reject, norm_prev, windows)
+            )
+            y, f = y[keep], f[keep]
+            done = set()
+            if not ids:
+                break
+        L = len(ids)
 
-    while t < t_end and not terminal:
-        h = min(h, opts.max_step, t_end - t)
-        h_min = 4e-14 * max(1.0, abs(t))
-        if h < h_min:
-            if nonfinite_reject:
-                raise NumericalBlowup(f"state became non-finite near t = {t:.6g}")
-            raise StiffnessFailure(f"step size underflowed to {h:.3e} at t = {t:.6g}")
-        y_new, f_new, err = _dp_step(rhs, t, y, f, h)
-        if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(err)):
-            nonfinite_reject = True
-            just_rejected = True
-            h *= 0.25
+        if L == 1:
+            # A lone lane steps as one state: the same sums, fewer numpy calls.
+            y_new, f_new, err = _dp_step(rhs, p, y[0], f[0], h[0])
+            y_new, f_new, err = y_new[None], f_new[None], err[None]
+        else:
+            y_new, f_new, err = _dp_step(lanes_rhs, p, y, f, np.array(h)[:, None])
+        if _all_finite(y_new) and _all_finite(err):
+            finite = None
+            err_norm = _rms_rows(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
+        else:
+            mask = np.isfinite(y_new).all(axis=1) & np.isfinite(err).all(axis=1)
+            finite = mask.tolist()
+            err_norm = [math.inf] * L
+            sub = np.flatnonzero(mask)
+            if sub.size:
+                scale = abs_tol + rel_tol * np.maximum(np.abs(y[sub]), np.abs(y_new[sub]))
+                for a, e in zip(sub.tolist(), _rms_rows(err[sub] / scale)):
+                    err_norm[a] = e
+
+        acc = []
+        t_step = []
+        for a in range(L):
+            if finite is not None and not finite[a]:
+                nonfinite_reject[a] = True
+                just_rejected[a] = True
+                h[a] *= 0.25
+                continue
+            e = err_norm[a]
+            if e > 1.0:
+                nonfinite_reject[a] = False
+                just_rejected[a] = True
+                h[a] *= max(0.2, 0.9 * e ** -0.2)
+                continue
+            factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+            if just_rejected[a]:
+                factor = min(factor, 1.0)
+            just_rejected[a] = False
+            nonfinite_reject[a] = False
+            acc.append(a)
+            t_step.append(t[a] + h[a])
+            h[a] *= factor
+        if not acc:
             continue
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = _rms(err / scale)
-        if err_norm > 1.0:
-            nonfinite_reject = False
-            just_rejected = True
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
-            continue
 
-        t_new = t + h
-        factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
-        if just_rejected:
-            factor = min(factor, 1.0)
-        just_rejected = False
-        nonfinite_reject = False
-        h_next = h * factor
-
-        step_end_t, step_end_y, step_end_f = t_new, y_new, f_new
-        cap = None  # terminal crossing time, if any
-
-        x_new = y_new[:n_state]
-        crossed = [k for k, c in enumerate(constraints) if c.value(x_new, p) <= 0.0]
-        if crossed:
-            # Each margin that went non-positive is bisected on its own;
-            # the earliest root decides.
-            roots = {
-                k: _refine_crossing(
-                    lambda y_q: constraints[k].value(y_q[:n_state], p), opts.event_refine_tol,
-                    t, y, f, t_new, y_new, f_new,
-                )
-                for k in crossed
-            }
-            k = min(roots, key=lambda j: roots[j][0])
-            t_ev, y_ev = roots[k]
-            record_crossing(t_ev, y_ev, k)
-            terminal = True
-            cap = t_ev
-            step_end_t, step_end_y = t_ev, y_ev
-            step_end_f = rhs(t_ev, y_ev)
-
-        norm_new = float(np.linalg.norm(step_end_f[:n_state]))
-        window.append((step_end_t, step_end_y.copy(), step_end_f.copy(), norm_new))
-        if len(window) > 3:
-            window.pop(0)
-
-        if watch_minima and len(window) == 3:
-            (t_a, _, _, n_a), (t_b, _, _, n_b), (t_c, _, _, n_c) = window
-            if n_b < n_a and n_b < n_c:
-                hi = t_c if cap is None else min(t_c, cap)
-                t_star, v_star = _refine_norm_min(
-                    norm_between, t_a, hi, opts.event_refine_tol
-                )
-                if events.norm_min_threshold is None or v_star <= events.norm_min_threshold:
-                    y_star = None
-                    for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
-                        if ta <= t_star <= tb:
-                            y_star = _hermite(t_star, ta, ya, fa, tb, yb, fb)
-                            break
-                    run.events.append(
-                        Event(
-                            t_star,
-                            EventKind.FIELD_NORM_LOCAL_MIN,
-                            y_star[:n_state].copy(),
-                            {"f_norm": v_star},
-                        )
+        full = len(acc) == L
+        ys = y_new if full else y_new[acc]
+        fs = f_new if full else f_new[acc]
+        vals = margins(ys) if constraints else ()
+        norms = _norm_rows(fs[:, :n_state]) if watch_norm else [None] * len(acc)
+        dists = _norm_rows(ys[:, :n_state] - sep) if sep is not None else None
+        for i, a in enumerate(acc):
+            lane = ids[a]
+            t1 = t_step[i]
+            terminal = False
+            crossed = [k for k, v in enumerate(vals) if v[i] <= 0.0]
+            if crossed:
+                # Each margin that went non-positive is bisected on its own;
+                # the earliest root decides, and the step ends there.
+                roots = {
+                    k: _refine_crossing(
+                        lambda y_q, c=constraints[k]: c.value(y_q[:n_state], p),
+                        refine_tol, t[a], y[a], f[a], t1, ys[i], fs[i],
                     )
-
-        if watch_sep and not terminal:
-            dist = float(np.linalg.norm(step_end_y[:n_state] - events.sep_target))
-            if dist <= events.sep_radius and norm_new < norm_prev:
-                run.events.append(
-                    Event(
-                        step_end_t,
-                        EventKind.CONVERGED_TO_SEP,
-                        step_end_y[:n_state].copy(),
-                        {"distance": dist},
-                    )
-                )
+                    for k in crossed
+                }
+                k = min(roots, key=lambda j: roots[j][0])
+                t1, ys[i] = roots[k]
+                record(lane, t1, EventKind.CONSTRAINT_CROSSING, ys[i],
+                       {"constraint": constraints[k].name})
                 terminal = True
+                fs[i] = rhs(ys[i], p)
+                if watch_norm:
+                    norms[i] = _norm_rows(fs[i : i + 1, :n_state])[0]
 
-        run.store(step_end_t, step_end_y, step_end_f)
-        t, y, f = step_end_t, step_end_y, step_end_f
-        norm_prev = norm_new
-        h = h_next
+            if watch_minima:
+                window = windows[a]
+                window.append((t1, ys[i], fs[i], norms[i]))
+                if len(window) > 3:
+                    window.pop(0)
+                if len(window) == 3:
+                    (t_a, _, _, n_a), (_, _, _, n_b), (t_c, _, _, n_c) = window
+                    if n_b < n_a and n_b < n_c:
+                        t_star, v_star = _refine_norm_min(
+                            lambda t_q: float(np.linalg.norm(rhs(_window_state(window, t_q), p)[:n_state])),
+                            t_a, t_c, refine_tol,
+                        )
+                        if events.norm_min_threshold is None or v_star <= events.norm_min_threshold:
+                            record(lane, t_star, EventKind.FIELD_NORM_LOCAL_MIN,
+                                   _window_state(window, t_star), {"f_norm": v_star})
 
-    if events is not None and not terminal:
-        run.events.append(
-            Event(t, EventKind.HORIZON_REACHED, y[:n_state].copy(), {})
-        )
-    run.events.sort(key=lambda ev: ev.time)
-    return (
-        np.array(run.times),
-        np.array(run.states),
-        np.array(run.derivs),
-        tuple(run.events),
-    )
+            if sep is not None and not terminal:
+                if dists[i] <= events.sep_radius and norms[i] < norm_prev[a]:
+                    record(lane, t1, EventKind.CONVERGED_TO_SEP, ys[i], {"distance": dists[i]})
+                    terminal = True
+
+            t[a] = t_step[i] = t1
+            norm_prev[a] = norms[i]
+            if not (terminal or t1 < t_end):
+                if events is not None:
+                    record(lane, t1, EventKind.HORIZON_REACHED, ys[i], {})
+                terminal = True
+            if terminal:
+                done.add(a)
+
+        row_lanes.append(ids if full else [ids[a] for a in acc])
+        row_times.append(t_step)
+        row_states.append(ys)
+        row_derivs.append(fs)
+        if full:
+            y, f = ys, fs
+        else:
+            y, f = y.copy(), f.copy()
+            y[acc], f[acc] = ys, fs
+
+    # Split the accepted rows into per-lane trajectories.  Each list of
+    # blocks is dropped once merged, and the arrays are sorted one at a
+    # time, so about one extra copy of the rows is alive at any point.
+    lane_of = np.fromiter(chain.from_iterable(row_lanes), dtype=np.intp)
+    times = np.fromiter(chain.from_iterable(row_times), dtype=float)
+    del row_lanes, row_times
+    states = np.concatenate(row_states)
+    del row_states
+    derivs = np.concatenate(row_derivs)
+    del row_derivs
+    ends = [len(times)]
+    if n_lanes > 1:
+        order = np.argsort(lane_of, kind="stable")
+        times = times[order]
+        states = states[order]
+        derivs = derivs[order]
+        ends = np.cumsum(np.bincount(lane_of, minlength=n_lanes)).tolist()
+    start = 0
+    for j, end in enumerate(ends):
+        if out[j] is None:
+            lane_events[j].sort(key=lambda ev: ev.time)
+            out[j] = Trajectory(
+                times=times[start:end], states=states[start:end],
+                derivs=derivs[start:end], events=tuple(lane_events[j]),
+            )
+        start = end
+    return out
+
+
+def integrate_lanes(
+    system: ConstrainedSystem,
+    phase: Phase,
+    x0s: np.ndarray,
+    p: np.ndarray,
+    opts: IntegrationOptions = IntegrationOptions(),
+    events: Optional[EventConfig] = None,
+) -> list:
+    """Integrate one phase from every row of ``x0s`` in one lockstep run.
+
+    Each lane's Trajectory is the one ``integrate`` returns for that
+    start, bit for bit.  A lane that stops with NumericalBlowup or
+    StiffnessFailure gets that error in its place; the other lanes run
+    on.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != system.n:
+        raise DimensionMismatch(f"start points have shape {x0s.shape}, expected (K, {system.n})")
+    if not len(x0s):
+        return []
+    _, p = _check_dims(system, x0s[0], p)
+    return _engine(system.phases[phase].f, x0s, opts, system.n, events, p)
 
 
 def integrate(
@@ -452,15 +610,15 @@ def integrate(
     opts: IntegrationOptions = IntegrationOptions(),
     events: Optional[EventConfig] = None,
 ) -> Trajectory:
-    """Integrate one phase from x0 over [0, t_max], watching for events."""
+    """Integrate one phase from x0 over [0, t_max], watching for events.
+
+    This is the one-lane run of the lockstep engine.
+    """
     x0, p = _check_dims(system, x0, p)
-    dyn = system.phases[phase]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return dyn.f(y, p)
-
-    times, states, derivs, evs = _engine(rhs, x0, opts, system.n, events, p)
-    return Trajectory(times=times, states=states, derivs=derivs, events=evs)
+    (traj,) = _engine(system.phases[phase].f, x0[None], opts, system.n, events, p)
+    if isinstance(traj, Exception):
+        raise traj
+    return traj
 
 
 def integrate_with_sensitivities(
@@ -473,7 +631,7 @@ def integrate_with_sensitivities(
     """Integrate the phase together with its variational equations.
 
     The augmented vector is [x, Phi_x (row-major), Phi_p (row-major)];
-    one shared error control covers all blocks.
+    one shared error control covers all blocks.  This run has one lane.
     """
     x0, p = _check_dims(system, x0, p)
     dyn = system.phases[phase]
@@ -481,7 +639,7 @@ def integrate_with_sensitivities(
     n_p = system.n_params
     nx = n * n
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
         x = y[:n]
         phi_x = y[n : n + nx].reshape(n, n)
         phi_p = y[n + nx :].reshape(n, n_p)
@@ -493,10 +651,11 @@ def integrate_with_sensitivities(
         return out
 
     y0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n_p)])
-    times, states, derivs, _ = _engine(rhs, y0, opts, n, None)
-    traj = Trajectory(
-        times=times, states=states[:, :n], derivs=derivs[:, :n], events=()
-    )
+    (full,) = _engine(rhs, y0[None], opts, n, None, p)
+    if isinstance(full, Exception):
+        raise full
+    times, states = full.times, full.states
+    traj = Trajectory(times=times, states=states[:, :n], derivs=full.derivs[:, :n], events=())
     m = len(times)
     bundle = SensitivityBundle(
         times=times,

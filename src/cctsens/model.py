@@ -327,9 +327,7 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
 
     def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.array(
-            [x[1], (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]]
-        )
+        return np.array([x[1], (p[0] - b * np.sin(x[0]) - d * x[1]) / p[1]])
 
     def jac_x(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.array(
@@ -386,17 +384,33 @@ def smib_system(params: SmibParams) -> ConstrainedSystem:
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
-    With ``shape`` None the expression is scalar and g returns a Python
-    float; otherwise it is a matrix and g returns a float array of that
-    shape.
+    With ``shape`` None the expression is scalar: g returns a Python
+    float for a state of shape (n,) and an array of shape (K,) for a
+    column batch of shape (n, K).  Otherwise it is a matrix and g
+    returns a float array of ``shape``, or ``shape + (K,)`` for a batch;
+    constant entries are broadcast over the batch.
     """
     import sympy as sp
 
     if shape is None:
         fn = sp.lambdify(args, expr, modules="numpy")
-        return lambda x, p: float(fn(x, p))
-    fn = sp.lambdify(args, sp.Matrix(expr), modules="numpy")
-    return lambda x, p: np.asarray(fn(x, p), dtype=float).reshape(shape)
+
+        def scalar(x, p):
+            if np.ndim(x) < 2:
+                return float(fn(x, p))
+            return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
+
+        return scalar
+    fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy")
+
+    def matrix(x, p):
+        if np.ndim(x) < 2:
+            return np.array(fn(x, p), dtype=float).reshape(shape)
+        lanes = np.shape(x)[1:]
+        entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
+        return np.array(entries, dtype=float).reshape(shape + lanes)
+
+    return matrix
 
 
 def system_from_expressions(

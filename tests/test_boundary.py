@@ -10,6 +10,7 @@ from cctsens import (
     EmptyCombinedBoundary,
     GridSpec,
     IntegrationOptions,
+    NoEquilibriumFound,
     Phase,
     PseudoEpKind,
     SmibParams,
@@ -368,6 +369,17 @@ class TestStabilityRegionGrid:
             seq.classes[i, j] is par.classes[i, j]
             for i in range(6) for j in range(5)
         )
+
+    def test_unstable_sep_guess_is_rejected(self):
+        # Newton from the saddle's own location stays there; a grid around
+        # a saddle would call every cell diverging or hitting the boundary.
+        params = SmibParams(0.5, 0.2, 2.9, 1.5)
+        spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-1.0, x2_max=1.0, n1=3, n2=3)
+        with pytest.raises(NoEquilibriumFound, match="unstable"):
+            sample_stability_region(
+                smib_system(params), params.p0, spec,
+                sep_guess=(math.pi - math.asin(0.5), 0.0),
+            )
 
     def test_rejects_non_planar_system(self):
         sys3 = system_from_expressions(

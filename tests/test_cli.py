@@ -221,6 +221,20 @@ class TestSrGrid:
         assert "semi_saddle" in kinds
         assert any(k.startswith("separatrix_") for k in kinds)
 
+    def test_saddle_sep_guess_exits_one(self, tmp_path):
+        doc = {
+            "system": {"kind": "smib", "p_mech": 0.5, "inertia": 0.2,
+                       "delta_max": 2.9, "omega_max": 1.5},
+            "sep_guess": [math.pi - math.asin(0.5), 0.0],
+            "grid": {"x1_min": -0.5, "x1_max": 2.5, "x2_min": -1.0, "x2_max": 1.0,
+                     "n1": 3, "n2": 3},
+        }
+        out = tmp_path / "out"
+        assert main(["sr-grid", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"]["type"] == "NoEquilibriumFound"
+        assert not (out / "grid_classes.csv").exists()
+
     def test_missing_grid_block(self, tmp_path):
         path = write_config(tmp_path, {"system": _SMIB})
         assert main(["sr-grid", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -17,6 +17,7 @@ from cctsens.integrator import (
     EventKind,
     IntegrationOptions,
     integrate,
+    integrate_lanes,
     integrate_with_sensitivities,
     state_at,
 )
@@ -296,6 +297,78 @@ def test_horizon_event_when_nothing_fires():
     traj = integrate(_SYS, Phase.POST_FAULT, np.array([0.6, 0.1]), _P0, IntegrationOptions(t_max=0.2), ev)
     assert traj.events[-1].kind is EventKind.HORIZON_REACHED
     assert traj.events[-1].time == 0.2
+
+
+# ── lanes ───────────────────────────────────────────────────────────────────
+
+# The machine model plus a third state z' = log(1 + z): it stays at 0 from
+# z = 0, and from z = -0.5 it runs into the domain edge of the logarithm.
+_MACHINE_Z = system_from_expressions(
+    ["d", "w", "z"], ["Pm", "M", "dmax", "wmax"],
+    {ph: {"f": ["w", "(Pm - sin(d) - 0.5*w)/M", "log(1 + z)"],
+          "h": {"angle_limit": "dmax - d", "speed_limit": "wmax - w"}}
+     for ph in ("pre", "fault", "post")},
+)
+
+
+def _same_run(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return (
+        np.array_equal(a.times, b.times)
+        and np.array_equal(a.states, b.states)
+        and np.array_equal(a.derivs, b.derivs)
+        and len(a.events) == len(b.events)
+        and all(
+            x.time == y.time and x.kind is y.kind
+            and np.array_equal(x.state, y.state) and x.info == y.info
+            for x, y in zip(a.events, b.events)
+        )
+    )
+
+
+def test_lanes_equal_their_one_lane_runs():
+    p = np.array([0.5, 0.1, 3.0, 1.95])
+    uep = math.pi - math.asin(0.5)
+    ev = EventConfig(
+        constraints=_MACHINE_Z.phases[Phase.POST_FAULT].constraints,
+        sep_target=np.array([math.asin(0.5), 0.0, 0.0]), sep_radius=1e-2,
+        track_norm_minima=True, norm_min_threshold=0.05,
+    )
+    starts = np.array([
+        [2.5, 1.5, 0.0],           # crosses the angle limit inside a step
+        [0.6, 0.05, 0.0],          # enters the SEP ball
+        [uep - 0.3, 1.89051, 0.0],  # creeps past the unstable equilibrium
+        [0.5, 2.5, 0.0],           # starts past the speed limit
+        [0.6, 0.05, -0.5],         # its field goes non-finite
+    ])
+    opts = IntegrationOptions(t_max=6.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lanes = integrate_lanes(_MACHINE_Z, Phase.POST_FAULT, starts, p, opts, ev)
+        singles = []
+        for x0 in starts:
+            try:
+                singles.append(integrate(_MACHINE_Z, Phase.POST_FAULT, x0, p, opts, ev))
+            except NumericalBlowup as exc:
+                singles.append(exc)
+    for k, (lane, single) in enumerate(zip(lanes, singles)):
+        assert _same_run(lane, single), f"lane {k} differs from its one-lane run"
+
+    cross, sep, creep, outside, blowup = lanes
+    hit = cross.events[0]
+    assert hit.kind is EventKind.CONSTRAINT_CROSSING and hit.info["constraint"] == "angle_limit"
+    assert cross.times[-2] < hit.time == cross.final_time
+    assert [e.kind for e in sep.events] == [EventKind.CONVERGED_TO_SEP]
+    assert creep.first_event(EventKind.FIELD_NORM_LOCAL_MIN) is not None
+    assert outside.events[0].time == 0.0 and len(outside.times) == 1
+    assert isinstance(blowup, NumericalBlowup)
+    assert "non-finite near t" in str(blowup)
+
+
+def test_lanes_take_an_empty_batch_and_check_shapes():
+    assert integrate_lanes(_SYS, Phase.POST_FAULT, np.zeros((0, 2)), _P0) == []
+    with pytest.raises(DimensionMismatch):
+        integrate_lanes(_SYS, Phase.POST_FAULT, np.zeros(2), _P0)
 
 
 # ── failure modes ─────────────────────────────────────────────────────────────

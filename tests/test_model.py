@@ -289,3 +289,36 @@ def test_expression_constraint_second_derivatives():
     assert np.allclose(c.grad_x(x, p), [-2 * 2.0 * 0.7 - (-0.3), -0.7], atol=1e-14)
     assert np.allclose(c.hess_xx(x, p), [[-4.0, -1.0], [-1.0, 0.0]], atol=1e-14)
     assert np.allclose(c.hess_xp(x, p), [[-1.4], [0.0]], atol=1e-14)
+
+
+def test_expression_system_evaluates_column_batches():
+    """(n, K) states give (n, K) fields and (K,) margins; constants broadcast."""
+    phases = {
+        ph: {"f": ["x2", "0"], "h": {"lid": "1 - x1", "floor": "2"}}
+        for ph in ("pre", "fault", "post")
+    }
+    sys_ = system_from_expressions(["x1", "x2"], ["a"], phases)
+    dyn = sys_.phases[Phase.POST_FAULT]
+    p = np.array([1.0])
+    xs = np.array([[0.1, 0.5, 2.0], [-1.0, 0.0, 3.0]])
+    f = dyn.f(xs, p)
+    assert f.shape == (2, 3)
+    assert np.array_equal(f, [[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+    lid, floor = (c.value(xs, p) for c in dyn.constraints)
+    assert lid.shape == floor.shape == (3,)
+    assert np.array_equal(lid, [0.9, 0.5, -1.0]) and np.array_equal(floor, [2.0, 2.0, 2.0])
+    # One state still gives an (n,) field and float margins.
+    assert dyn.f(xs[:, 1], p).shape == (2,)
+    assert isinstance(dyn.constraints[0].value(xs[:, 1], p), float)
+    assert isinstance(dyn.constraints[1].value(xs[:, 1], p), float)
+
+
+def test_machine_field_evaluates_column_batches():
+    xs = np.array([[0.2, 1.1, -0.4], [0.3, -0.7, 1.2]])
+    for phase in Phase:
+        f = _SYS.phases[phase].f(xs, _P0)
+        assert f.shape == (2, 3)
+        for k in range(3):
+            assert np.array_equal(f[:, k], eval_f(_SYS, phase, xs[:, k], _P0))
+    margins = [c.value(xs, _P0) for c in _SYS.phases[Phase.POST_FAULT].constraints]
+    assert all(m.shape == (3,) for m in margins)
