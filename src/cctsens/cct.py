@@ -46,6 +46,7 @@ from .integrator import (
     IntegrationOptions,
     Trajectory,
     integrate,
+    integrate_lanes,
     state_at,
 )
 from .model import ConstrainedSystem, EquilibriumClass, Phase, find_equilibrium
@@ -56,6 +57,7 @@ __all__ = [
     "PostFaultClassification",
     "CriticalResult",
     "classify_post_fault",
+    "classify_post_faults",
     "clearing_outcome",
     "compute_cct",
 ]
@@ -156,50 +158,13 @@ def _stable_equilibrium(system, phase, p, guess) -> np.ndarray:
     return res.x
 
 
-def classify_post_fault(
-    system: ConstrainedSystem,
-    p: np.ndarray,
-    x_cl: np.ndarray,
-    x_sep_post: np.ndarray,
-    h_ref: float,
-    opts: CctOptions,
-) -> PostFaultClassification:
-    """Stable/unstable verdict for the post-fault run from one clearing state.
+def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
+    """Verdict of one post-fault run, or the InconclusiveRun it ends in.
 
-    A clearing state within ``clearing_feasibility_tol`` of the boundary
-    (normalised feasibility product at or below it) is unstable with
-    t1 = 0, labelled with its smallest constraint, and needs no
-    integration.  Otherwise the run is watched for a crossing of any
-    post-fault constraint (immediate, t1 = 0, when the clearing state
-    already violates one), for field-norm minima below
-    ``field_norm_threshold`` away from the SEP, and for entry into the
-    SEP ball.  Convergence beats captures seen on the way; a run that
-    ends far from the SEP with no crossing and no capture is
-    inconclusive.
+    Convergence without a crossing is stable; otherwise the earlier of
+    a crossing and a capture away from the SEP decides.  A run with
+    none of the three is stable only if it ends loosely near the SEP.
     """
-    p = np.asarray(p, dtype=float)
-    x_cl = np.asarray(x_cl, dtype=float)
-    constraints = system.phases[Phase.POST_FAULT].constraints
-
-    h_norm = math.inf
-    if constraints:
-        h_norm = eval_H(system, Phase.POST_FAULT, x_cl, p) / h_ref
-        if h_norm <= opts.clearing_feasibility_tol:
-            label = min(constraints, key=lambda c: c.value(x_cl, p)).name
-            return PostFaultClassification(
-                stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(),
-                crossing_label=label, h_at_clearing=h_norm,
-            )
-
-    events = EventConfig(
-        constraints=constraints,
-        sep_target=x_sep_post,
-        sep_radius=opts.sep_radius,
-        track_norm_minima=True,
-        norm_min_threshold=opts.field_norm_threshold,
-    )
-    traj = integrate(system, Phase.POST_FAULT, x_cl, p, opts.integration, events)
-
     crossing = traj.first_event(EventKind.CONSTRAINT_CROSSING)
     converged = traj.first_event(EventKind.CONVERGED_TO_SEP) is not None
     loose = _LOOSE_FACTOR * opts.sep_radius
@@ -237,11 +202,94 @@ def classify_post_fault(
     end_dist = float(np.linalg.norm(traj.final_state - x_sep_post))
     if end_dist <= loose:
         return PostFaultClassification(stable=True, h_at_clearing=h_norm)
-    raise InconclusiveRun(
+    return InconclusiveRun(
         f"post-fault run from {x_cl} ended {end_dist:.3g} from the SEP at "
         f"t={traj.final_time:.3g} with no crossing, capture, or convergence; "
         "raise t_max or loosen thresholds"
     )
+
+
+def classify_post_faults(
+    system: ConstrainedSystem,
+    p: np.ndarray,
+    x_cls: np.ndarray,
+    x_sep_post: np.ndarray,
+    h_ref: float,
+    opts: CctOptions,
+) -> list:
+    """Stable/unstable verdict for the post-fault run from each clearing state.
+
+    A clearing state within ``clearing_feasibility_tol`` of the boundary
+    (normalised feasibility product at or below it) is unstable with
+    t1 = 0, labelled with its smallest constraint, and needs no
+    integration.  The other states run as lanes of one lockstep
+    integration, each watched for a crossing of any post-fault
+    constraint (immediate, t1 = 0, when the clearing state already
+    violates one), for field-norm minima below ``field_norm_threshold``
+    away from the SEP, and for entry into the SEP ball.  Convergence
+    beats captures seen on the way; a run that ends far from the SEP
+    with no crossing and no capture is inconclusive.
+
+    Returns, per state, its PostFaultClassification or the
+    NumericalBlowup, StiffnessFailure or InconclusiveRun that the
+    one-state ``classify_post_fault`` would raise.
+    """
+    p = np.asarray(p, dtype=float)
+    x_cls = np.asarray(x_cls, dtype=float)
+    constraints = system.phases[Phase.POST_FAULT].constraints
+
+    out: list = [None] * len(x_cls)
+    h_norms = [math.inf] * len(x_cls)
+    run = []
+    for i, x_cl in enumerate(x_cls):
+        if constraints:
+            h_norms[i] = eval_H(system, Phase.POST_FAULT, x_cl, p) / h_ref
+            if h_norms[i] <= opts.clearing_feasibility_tol:
+                label = min(constraints, key=lambda c: c.value(x_cl, p)).name
+                out[i] = PostFaultClassification(
+                    stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(),
+                    crossing_label=label, h_at_clearing=h_norms[i],
+                )
+                continue
+        run.append(i)
+    if not run:
+        return out
+
+    events = EventConfig(
+        constraints=constraints,
+        sep_target=x_sep_post,
+        sep_radius=opts.sep_radius,
+        track_norm_minima=True,
+        norm_min_threshold=opts.field_norm_threshold,
+    )
+    trajs = integrate_lanes(
+        system, Phase.POST_FAULT, x_cls[run], p, opts.integration, events
+    )
+    for i, traj in zip(run, trajs):
+        out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(
+            traj, x_cls[i], x_sep_post, h_norms[i], opts
+        )
+    return out
+
+
+def classify_post_fault(
+    system: ConstrainedSystem,
+    p: np.ndarray,
+    x_cl: np.ndarray,
+    x_sep_post: np.ndarray,
+    h_ref: float,
+    opts: CctOptions,
+) -> PostFaultClassification:
+    """Verdict for one clearing state: ``classify_post_faults`` with one lane.
+
+    Raises the NumericalBlowup, StiffnessFailure or InconclusiveRun that
+    the batch returns in the state's place.
+    """
+    x_cl = np.asarray(x_cl, dtype=float)
+    (cls,) = classify_post_faults(system, p, x_cl[None], x_sep_post, h_ref, opts)
+    if isinstance(cls, Exception):
+        raise cls
+    return cls
 
 
 def _run_fault(system, p, x0, opts: CctOptions, horizon: float) -> Trajectory:

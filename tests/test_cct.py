@@ -8,7 +8,7 @@ the oracles for the fault-boundary mode.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from cctsens import (
     NoFiniteCct,
     SmibParams,
     classify_post_fault,
+    classify_post_faults,
     clearing_outcome,
     compute_cct,
     smib_system,
@@ -262,6 +263,49 @@ class TestClassifyPostFault:
                 self._SYS, _P2.p0, np.array([1.2, 0.6]), self._SEP,
                 self._H_REF, opts,
             )
+
+    def test_lanes_equal_their_one_lane_verdicts(self):
+        sys3 = smib_system(_P3)
+        h_ref = (50.0 - math.asin(0.5)) * 50.0
+        # Captures come after t = 14; t_max = 16 leaves the start nearest
+        # the saddle still wandering.
+        opts = replace(_OPTS3, integration=IntegrationOptions(t_max=16.0))
+        starts = np.array([
+            self._SEP + [0.2, 0.1],  # converges
+            [50.0 - 1e-9, 0.5],      # inside the band: t1 = 0, no run
+            [49.5, 5.0],             # crosses the angle limit
+            [2.62, 0.0],             # inconclusive at t_max
+            [2.7, 0.0],              # captured away from the SEP
+        ])
+        batch = classify_post_faults(sys3, _P3.p0, starts, self._SEP, h_ref, opts)
+        assert len(batch) == len(starts)
+        for x, got in zip(starts, batch):
+            try:
+                want = classify_post_fault(sys3, _P3.p0, x, self._SEP, h_ref, opts)
+            except InconclusiveRun as exc:
+                want = exc
+            assert type(got) is type(want)
+            if isinstance(want, Exception):
+                assert str(got) == str(want)
+                continue
+            for field in fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, np.ndarray):
+                    assert np.array_equal(a, b), field.name
+                else:
+                    assert a == b, field.name
+        kinds = [
+            "error" if isinstance(c, Exception)
+            else "stable" if c.stable
+            else "band" if c.t1 == 0.0
+            else "crossing" if c.T == c.t1
+            else "capture"
+            for c in batch
+        ]
+        assert kinds == ["stable", "band", "crossing", "error", "capture"]
+        assert classify_post_faults(
+            sys3, _P3.p0, np.empty((0, 2)), self._SEP, h_ref, opts
+        ) == []
 
 
 class TestClearingOutcome:

@@ -12,8 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cctsens.validate as validate_mod
 from cctsens import (
     CctOptions,
+    InconclusiveRun,
     InstabilityMode,
     ModeChangedAcrossStep,
     NoFiniteCct,
@@ -188,13 +190,63 @@ class TestScanCct:
     def test_non_monotone_pattern_is_reported(self, monkeypatch):
         pattern = iter([True, False, True, True, True])
 
-        def fake_classify(system, p, x, x_sep, h_ref, opts):
-            return PostFaultClassification(stable=next(pattern))
+        def fake_classify(system, p, x_cls, x_sep, h_ref, opts):
+            return [PostFaultClassification(stable=next(pattern)) for _ in x_cls]
 
-        monkeypatch.setattr("cctsens.validate.classify_post_fault", fake_classify)
+        monkeypatch.setattr("cctsens.validate.classify_post_faults", fake_classify)
         with pytest.warns(RuntimeWarning, match="not monotone"):
             scanned = scan_cct(_SYS1, _P1.p0, 0.03, verify_monotone=True)
         assert scanned == pytest.approx(0.045)
+
+    def test_lane_errors_surface_in_scan_order(self, monkeypatch):
+        # The five points at step 0.03 form one block: points 0 and 1
+        # recover, point 2 is the first unstable one, and one lane fails.
+        def failing_at(bad):
+            seen = []
+
+            def fake_classify(system, p, x_cls, x_sep, h_ref, opts):
+                out = []
+                for _ in x_cls:
+                    j = len(seen)
+                    seen.append(j)
+                    out.append(
+                        InconclusiveRun(f"lane {j}") if j == bad
+                        else PostFaultClassification(stable=j < 2)
+                    )
+                return out
+
+            return fake_classify
+
+        target = "cctsens.validate.classify_post_faults"
+        monkeypatch.setattr(target, failing_at(3))
+        assert scan_cct(_SYS1, _P1.p0, 0.03) == pytest.approx(0.075)
+        monkeypatch.setattr(target, failing_at(1))
+        with pytest.raises(InconclusiveRun, match="lane 1"):
+            scan_cct(_SYS1, _P1.p0, 0.03)
+        # A full scan reaches every point.
+        monkeypatch.setattr(target, failing_at(3))
+        with pytest.raises(InconclusiveRun, match="lane 3"):
+            scan_cct(_SYS1, _P1.p0, 0.03, verify_monotone=True)
+
+    def test_jobs_without_factory_stop_at_first_unstable(self, monkeypatch):
+        # Without a factory the scan runs in process, so more jobs must not
+        # make it classify the 400 points past its first unstable one.
+        params = SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0)
+        system = smib_system(params)
+        real = validate_mod.classify_post_faults
+        counts = []
+
+        def counting(system, p, x_cls, x_sep, h_ref, opts):
+            counts[-1] += len(x_cls)
+            return real(system, p, x_cls, x_sep, h_ref, opts)
+
+        monkeypatch.setattr("cctsens.validate.classify_post_faults", counting)
+        results = []
+        for jobs in (1, 2):
+            counts.append(0)
+            results.append(scan_cct(system, params.p0, 0.05, jobs=jobs))
+        assert results[0] == results[1]
+        assert counts[1] == counts[0] < 400
 
 
 class TestOracleSuite:
