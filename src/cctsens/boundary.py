@@ -21,7 +21,9 @@ The module also builds the union boundary of the fault and post-fault
 phases (duplicate constraint names are kept once, from the post side)
 and samples stability regions of the post-fault system on a rectangular
 grid, annotating the constraint boundary with its point classification,
-refined semi-saddles, and backward-orbit samples through them.
+refined semi-saddles, and backward-orbit samples through them.  Each
+backward orbit runs only until it leaves the grid window: the window
+edges are watched as constraint margins, so the run ends there.
 """
 
 from __future__ import annotations
@@ -411,12 +413,13 @@ def _boundary_samples(system, p, spec, constraint: Constraint):
     ]
     pts = []
     x1, x2 = spec.x1, spec.x2
-    for i, a in enumerate(x1):
-        vals = np.array([constraint.value(np.array([a, b]), p) for b in x2])
+    # Each grid row and column is one column batch of the constraint.
+    for a in x1:
+        vals = constraint.value(np.array([np.full(len(x2), a), x2]), p)
         for b_root in _scan_zero_crossings(vals, x2):
             pts.append(np.array([a, b_root]))
-    for j, b in enumerate(x2):
-        vals = np.array([constraint.value(np.array([a, b]), p) for a in x1])
+    for b in x2:
+        vals = constraint.value(np.array([x1, np.full(len(x1), b)]), p)
         for a_root in _scan_zero_crossings(vals, x1):
             pts.append(np.array([a_root, b]))
     refined = []
@@ -452,8 +455,37 @@ def _refine_semi_saddle(system, p, constraint, x_a, x_b, iters: int = 80):
     return _project_to_constraint(constraint, 0.5 * (lo + hi), p)
 
 
+def _window_edges(spec: GridSpec, n_params: int) -> tuple[Constraint, ...]:
+    """The grid window's edges as margins, non-positive only strictly outside.
+
+    Each bound is moved out by one ulp, so a point exactly on an edge
+    counts as inside the closed window.
+    """
+    x1_lo, x1_hi = np.nextafter(spec.x1_min, -np.inf), np.nextafter(spec.x1_max, np.inf)
+    x2_lo, x2_hi = np.nextafter(spec.x2_min, -np.inf), np.nextafter(spec.x2_max, np.inf)
+    grad_p = np.zeros(n_params)
+
+    def edge(name, value, grad_x):
+        grad_x = np.array(grad_x)
+        return Constraint(name, value, lambda x, q: grad_x, lambda x, q: grad_p)
+
+    return (
+        edge("x1_min", lambda x, q: x[0] - x1_lo, [1.0, 0.0]),
+        edge("x1_max", lambda x, q: x1_hi - x[0], [-1.0, 0.0]),
+        edge("x2_min", lambda x, q: x[1] - x2_lo, [0.0, 1.0]),
+        edge("x2_max", lambda x, q: x2_hi - x[1], [0.0, -1.0]),
+    )
+
+
 def _manifold_samples(system, p, x_saddle, spec, opts):
-    """Backward orbit through a semi-saddle, clipped to the window."""
+    """Backward orbit through a semi-saddle, inside the closed window.
+
+    The reversed post-fault field runs from the saddle until the first
+    accepted step that ends outside the window, which ends the run as a
+    crossing of that edge; the refined crossing point is dropped, so
+    every kept sample lies inside.  A saddle outside the window gives
+    just itself.  A run that fails is retried at shorter horizons.
+    """
     dyn = system.phases[Phase.POST_FAULT]
 
     reversed_system = ConstrainedSystem(
@@ -466,23 +498,21 @@ def _manifold_samples(system, p, x_saddle, spec, opts):
             for ph in Phase
         },
     )
+    events = EventConfig(constraints=_window_edges(spec, system.n_params))
     for horizon in (6.0, 2.5, 1.0, 0.4):
         try:
             traj = integrate(
                 reversed_system, Phase.POST_FAULT, x_saddle, p,
-                replace(opts, t_max=horizon),
+                replace(opts, t_max=horizon), events,
             )
         except (NumericalBlowup, StiffnessFailure):
             continue
-        pts = traj.states
-        inside = (
-            (pts[:, 0] >= spec.x1_min) & (pts[:, 0] <= spec.x1_max)
-            & (pts[:, 1] >= spec.x2_min) & (pts[:, 1] <= spec.x2_max)
-        )
-        if not inside.any():
-            return traj.states[:1]
-        stop = int(np.argmin(inside)) if not inside.all() else len(pts)
-        return pts[:stop][::-1]  # chronological order, ending at the saddle
+        crossing = traj.first_event(EventKind.CONSTRAINT_CROSSING)
+        if crossing is None:
+            return traj.states[::-1]  # chronological order, ending at the saddle
+        if crossing.time == 0.0:
+            return traj.states[:1]  # the saddle itself lies outside
+        return traj.states[-2::-1]  # without the refined crossing point
     return np.asarray([x_saddle])
 
 

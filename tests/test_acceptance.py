@@ -243,6 +243,7 @@ def test_a6_mode_switch_is_diagnosed():
             fd_cct_slope(system, params.p0, 1, eps=half)
 
 
+@pytest.mark.slow
 def test_a7_bisection_agrees_with_dense_scan():
     with _budget(120.0):
         cases = [
@@ -310,6 +311,7 @@ def test_a8_classification_matches_displacement_integration():
             assert abs(verdict.h_dot) <= verdict.threshold
 
 
+@pytest.mark.slow
 def test_a9_stability_grid_consistency_and_inertia_trend():
     with _budget(300.0):
         spec = GridSpec(-1.5, 3.5, -2.5, 2.5, 100, 100)

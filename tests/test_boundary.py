@@ -1,13 +1,16 @@
 """Boundary geometry: H, its derivatives, classification, grids."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cctsens import (
     CellClass,
+    ConstrainedSystem,
     EmptyCombinedBoundary,
+    EventKind,
     GridSpec,
     IntegrationOptions,
     NoEquilibriumFound,
@@ -24,11 +27,13 @@ from cctsens import (
     eval_H_gradients,
     eval_H_hessians,
     eval_f,
+    integrate,
     sample_stability_region,
     smib_system,
     system_from_expressions,
     transformed_field,
 )
+from cctsens.boundary import _boundary_samples, _project_to_constraint, _scan_zero_crossings
 
 _PARAMS = SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5)
 _SYS = smib_system(_PARAMS)
@@ -289,6 +294,28 @@ class TestCombinedBoundary:
             combined_H(sys2, np.array([0.1]), np.array([1.0]))
 
 
+def _pointwise_boundary_samples(system, p, spec, constraint):
+    """Loop reference for ``_boundary_samples``: one margin call per grid point."""
+    others = [
+        c for c in system.phases[Phase.POST_FAULT].constraints if c.name != constraint.name
+    ]
+    pts = []
+    for a in spec.x1:
+        vals = np.array([constraint.value(np.array([a, b]), p) for b in spec.x2])
+        pts += [np.array([a, b]) for b in _scan_zero_crossings(vals, spec.x2)]
+    for b in spec.x2:
+        vals = np.array([constraint.value(np.array([a, b]), p) for a in spec.x1])
+        pts += [np.array([a, b]) for a in _scan_zero_crossings(vals, spec.x1)]
+    refined = [_project_to_constraint(constraint, x, p) for x in pts]
+    refined = [x for x in refined if all(o.value(x, p) >= -1e-10 for o in others)]
+    refined.sort(key=lambda x: (x[0], x[1]))
+    deduped = []
+    for x in refined:
+        if not deduped or np.linalg.norm(x - deduped[-1]) > 1e-9:
+            deduped.append(x)
+    return deduped
+
+
 @pytest.fixture(scope="module")
 def grid():
     spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0,
@@ -370,6 +397,24 @@ class TestStabilityRegionGrid:
             for i in range(6) for j in range(5)
         )
 
+    # numpy rounds powers differently for one state and for a batch, so an
+    # expression margin may move a sample by about an ulp.
+    @pytest.mark.parametrize("system,p,atol", [
+        (_SYS, _P, 0.0),
+        (_CURVED, np.array([1.0, 0.5]), 1e-14),
+    ])
+    def test_batched_boundary_samples_match_pointwise_reference(self, system, p, atol):
+        spec = GridSpec(x1_min=-1.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        n_samples = 0
+        for c in system.phases[Phase.POST_FAULT].constraints:
+            batched = _boundary_samples(system, p, spec, c)
+            reference = _pointwise_boundary_samples(system, p, spec, c)
+            assert len(batched) == len(reference)
+            for x, x_ref in zip(batched, reference):
+                np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=atol)
+            n_samples += len(batched)
+        assert n_samples
+
     def test_unstable_sep_guess_is_rejected(self):
         # Newton from the saddle's own location stays there; a grid around
         # a saddle would call every cell diverging or hitting the boundary.
@@ -395,6 +440,112 @@ class TestStabilityRegionGrid:
         spec = GridSpec(x1_min=0, x1_max=1, x2_min=0, x2_max=1, n1=2, n2=2)
         with pytest.raises(CctError):
             sample_stability_region(sys3, np.array([1.0]), spec)
+
+
+# A weakly damped oscillator: its backward orbits spiral out slowly, so
+# they can stay inside a small window for the whole manifold horizon.
+_DAMPED = system_from_expressions(
+    state=["x1", "x2"],
+    params=["a"],
+    phases={
+        "pre": {"f": ["x2", "-x1 - a*x2"]},
+        "fault": {"f": ["x2", "0"]},
+        "post": {"f": ["x2", "-x1 - a*x2"], "h": {"lid": "1 - x1"}},
+    },
+)
+_DAMPED_P = np.array([0.05])
+_MANIFOLD_OPTS = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, t_max=20.0, max_step=0.5)
+_MANIFOLD_HORIZON = 6.0
+
+
+def _full_backward_orbit(system, p, x_saddle):
+    """The reversed post-fault field from the saddle to the full horizon, no events."""
+    dyn = system.phases[Phase.POST_FAULT]
+    reversed_dyn = replace(dyn, f=lambda x, q: -np.asarray(dyn.f(x, q)))
+    reversed_system = ConstrainedSystem(
+        n=system.n, param_names=system.param_names,
+        phases={ph: reversed_dyn for ph in Phase},
+    )
+    opts = replace(_MANIFOLD_OPTS, t_max=_MANIFOLD_HORIZON)
+    return integrate(reversed_system, Phase.POST_FAULT, x_saddle, p, opts).states
+
+
+def _manifold_oracle(system, p, x_saddle, spec):
+    """Full backward orbit cut at its first sample outside the closed window."""
+    x = _full_backward_orbit(system, p, x_saddle)
+    inside = (
+        (spec.x1_min <= x[:, 0]) & (x[:, 0] <= spec.x1_max)
+        & (spec.x2_min <= x[:, 1]) & (x[:, 1] <= spec.x2_max)
+    )
+    stop = len(x) if inside.all() else int(np.argmin(inside))
+    return x[:stop][::-1]
+
+
+def _checked_manifolds(system, p, spec):
+    """Each manifold of the grid against its oracle; returns (grid, oracles)."""
+    grid = sample_stability_region(system, p, spec, opts=_MANIFOLD_OPTS)
+    assert grid.semi_saddles and len(grid.manifolds) == len(grid.semi_saddles)
+    oracles = [_manifold_oracle(system, p, bp.x, spec) for bp in grid.semi_saddles]
+    for poly, oracle in zip(grid.manifolds, oracles):
+        assert np.array_equal(poly, oracle)
+    return grid, oracles
+
+
+class TestManifolds:
+    def test_orbit_leaving_the_window_equals_its_oracle(self):
+        spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        grid, oracles = _checked_manifolds(_SYS, _P, spec)
+        for bp, oracle in zip(grid.semi_saddles, oracles):
+            assert 1 < len(oracle) < len(_full_backward_orbit(_SYS, _P, bp.x))
+
+    def test_orbit_inside_up_to_the_horizon_equals_its_oracle(self):
+        spec = GridSpec(x1_min=-2.0, x1_max=2.0, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        grid, oracles = _checked_manifolds(_DAMPED, _DAMPED_P, spec)
+        (bp,), (oracle,) = grid.semi_saddles, oracles
+        assert len(oracle) == len(_full_backward_orbit(_DAMPED, _DAMPED_P, bp.x))
+
+    def test_sample_on_the_window_edge_counts_as_inside(self):
+        # Each edge is the extreme x1 the orbit samples; an open edge test
+        # would cut the manifold at that sample.
+        wide = GridSpec(x1_min=-2.0, x1_max=2.0, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        _, (oracle,) = _checked_manifolds(_DAMPED, _DAMPED_P, wide)
+        for name, bound in (("x1_max", oracle[:, 0].max()), ("x1_min", oracle[:, 0].min())):
+            spec = replace(wide, **{name: float(bound)})
+            _, (on_edge,) = _checked_manifolds(_DAMPED, _DAMPED_P, spec)
+            assert bound in on_edge[:, 0]
+        # The angle semi-saddle at x1 = 2 starts its orbit on the edge.
+        spec = GridSpec(x1_min=-0.5, x1_max=2.0, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        grid, oracles = _checked_manifolds(_SYS, _P, spec)
+        angle = [k for k, bp in enumerate(grid.semi_saddles) if bp.constraint == "angle_limit"]
+        assert angle and all(grid.semi_saddles[k].x[0] == 2.0 for k in angle)
+        assert all(len(oracles[k]) > 1 for k in angle)
+
+    def test_semi_saddle_outside_the_window_is_its_own_manifold(self):
+        # The disk's tangency at x1 = -1 is refined to a point left of the window.
+        spec = GridSpec(x1_min=-0.9, x1_max=1.2, x2_min=-0.7, x2_max=0.8, n1=9, n2=9)
+        grid = sample_stability_region(_CURVED, np.array([1.0, 0.5]), spec, opts=_MANIFOLD_OPTS)
+        outside = [
+            (bp, poly) for bp, poly in zip(grid.semi_saddles, grid.manifolds)
+            if bp.x[0] < spec.x1_min
+        ]
+        assert outside
+        for bp, poly in outside:
+            assert np.array_equal(poly, bp.x[None])
+
+    def test_backward_runs_stop_at_the_window(self, monkeypatch):
+        runs = []
+
+        def recording_integrate(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr("cctsens.boundary.integrate", recording_integrate)
+        spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        grid = sample_stability_region(_SYS, _P, spec, opts=_MANIFOLD_OPTS)
+        assert grid.manifolds and len(runs) == len(grid.manifolds)
+        for traj, poly in zip(runs, grid.manifolds):
+            assert len(traj.states) <= len(poly) + 1
+            assert traj.events[-1].kind is EventKind.CONSTRAINT_CROSSING
 
 
 class TestGridSpecValidation:
