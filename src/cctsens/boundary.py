@@ -13,7 +13,7 @@ drift of H along the flow,
                          Hdot > 0  entering            (unstable side),
                          Hdot = 0  tangent             (semi-saddle).
 
-All derivatives of H come from the product rule over the per-constraint
+The gradient of H comes from the product rule over the per-constraint
 values and gradients; exclusion products are formed explicitly so that
 zeros on the boundary are handled exactly.
 
@@ -22,8 +22,10 @@ phases (duplicate constraint names are kept once, from the post side)
 and samples stability regions of the post-fault system on a rectangular
 grid, annotating the constraint boundary with its point classification,
 refined semi-saddles, and backward-orbit samples through them.  Each
-backward orbit runs only until it leaves the grid window: the window
-edges are watched as constraint margins, so the run ends there.
+constraint's samples are chained along its curve, and a semi-saddle is
+refined wherever Hdot changes sign between neighbours on the chain.
+Each backward orbit runs only until it leaves the grid window: the
+window edges are watched as constraint margins, so the run ends there.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .model import (
     EquilibriumClass,
     Phase,
     eval_f,
-    eval_jacobians,
     find_equilibrium,
 )
 
@@ -59,9 +60,7 @@ __all__ = [
     "PseudoEpClass",
     "eval_H",
     "eval_H_gradients",
-    "eval_H_hessians",
     "eval_H_dot",
-    "eval_H_dot_gradients",
     "transformed_field",
     "classify_pseudo_ep",
     "combined_constraints",
@@ -113,11 +112,6 @@ def _exclusion_products(values: np.ndarray) -> np.ndarray:
     return prefix[:m] * suffix[1:]
 
 
-def _pair_exclusion(values: np.ndarray, k: int, j: int) -> float:
-    keep = [v for i, v in enumerate(values) if i not in (k, j)]
-    return float(np.prod(keep)) if keep else 1.0
-
-
 def _product_and_gradients(constraints, x, p, n, n_p):
     values = _constraint_values(constraints, x, p)
     h = float(np.prod(values)) if len(values) else 1.0
@@ -144,50 +138,10 @@ def eval_H_gradients(system: ConstrainedSystem, phase: Phase, x, p) -> tuple[np.
     return gx, gp
 
 
-def eval_H_hessians(system: ConstrainedSystem, phase: Phase, x, p) -> tuple[np.ndarray, np.ndarray]:
-    """(d2H/dx2, d2H/dxdp); needs per-constraint second derivatives."""
-    constraints = system.phases[phase].constraints
-    n, n_p = system.n, system.n_params
-    values = _constraint_values(constraints, x, p)
-    excl = _exclusion_products(values) if len(values) else np.empty(0)
-    hxx = np.zeros((n, n))
-    hxp = np.zeros((n, n_p))
-    gxs = [np.asarray(c.grad_x(x, p), dtype=float) for c in constraints]
-    gps = [np.asarray(c.grad_p(x, p), dtype=float) for c in constraints]
-    for k, c in enumerate(constraints):
-        if c.hess_xx is None or c.hess_xp is None:
-            raise CctError(
-                f"constraint {c.name!r} lacks second derivatives; "
-                "they are required for boundary curvature"
-            )
-        hxx += excl[k] * np.asarray(c.hess_xx(x, p), dtype=float)
-        hxp += excl[k] * np.asarray(c.hess_xp(x, p), dtype=float)
-        for j in range(len(constraints)):
-            if j == k:
-                continue
-            pkj = _pair_exclusion(values, k, j)
-            hxx += pkj * np.outer(gxs[k], gxs[j])
-            hxp += pkj * np.outer(gxs[k], gps[j])
-    return hxx, hxp
-
-
 def eval_H_dot(system: ConstrainedSystem, phase: Phase, x, p) -> float:
     """Drift of H along the flow, (dH/dx) f."""
     gx, _ = eval_H_gradients(system, phase, x, p)
     return float(gx @ eval_f(system, phase, x, p))
-
-
-def eval_H_dot_gradients(system: ConstrainedSystem, phase: Phase, x, p) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of Hdot = (dH/dx) f with respect to x and p.
-
-    d Hdot/dx = (d2H/dx2) f + (df/dx)^T dH/dx
-    d Hdot/dp = (d2H/dxdp)^T f + (df/dp)^T dH/dx
-    """
-    gx, _ = eval_H_gradients(system, phase, x, p)
-    hxx, hxp = eval_H_hessians(system, phase, x, p)
-    f = eval_f(system, phase, x, p)
-    jx, jp = eval_jacobians(system, phase, x, p)
-    return hxx @ f + jx.T @ gx, hxp.T @ f + jp.T @ gx
 
 
 def transformed_field(system: ConstrainedSystem, phase: Phase, x, p) -> np.ndarray:
@@ -427,12 +381,45 @@ def _boundary_samples(system, p, spec, constraint: Constraint):
         x = _project_to_constraint(constraint, x, p)
         if all(o.value(x, p) >= -1e-10 for o in others):
             refined.append(x)
-    refined.sort(key=lambda x: (x[0], x[1]))
-    deduped = []
-    for x in refined:
-        if not deduped or np.linalg.norm(x - deduped[-1]) > 1e-9:
-            deduped.append(x)
-    return deduped
+    return _along_curve(refined)
+
+
+def _along_curve(points):
+    """Points chained along their curve, dropping near-duplicates (1e-9).
+
+    The chain starts at the lowest (x1, x2) and grows at whichever end
+    lies nearer to a remaining point (the tail on a tie), so neighbours
+    in the list are neighbours on the curve; it jumps only between
+    separate pieces.
+    """
+    pts = sorted(points, key=lambda x: (x[0], x[1]))
+    if not pts:
+        return []
+    xy = np.array(pts)
+    chain, rest = [0], np.arange(1, len(pts))
+    while len(rest):
+        # Row 0 holds the distances from the tail, row 1 those from the head.
+        d = np.linalg.norm(xy[rest] - xy[[chain[-1], chain[0]]][:, None], axis=2)
+        end, k = np.unravel_index(np.argmin(d), d.shape)
+        if d[end, k] > 1e-9:
+            chain.insert(len(chain) if end == 0 else 0, rest[k])
+        rest = np.delete(rest, k)
+    return [pts[k] for k in chain]
+
+
+def _is_loop(samples, spec: GridSpec) -> bool:
+    """Whether a chain of boundary samples closes on itself.
+
+    Its ends must lie within one grid-cell diagonal, as neighbours on a
+    curve do, and some sample must lie farther from the start than the
+    end does, which on a line none does.
+    """
+    if len(samples) < 3:
+        return False
+    dist = np.linalg.norm(np.array(samples) - samples[0], axis=1)
+    cell = math.hypot((spec.x1_max - spec.x1_min) / (spec.n1 - 1),
+                      (spec.x2_max - spec.x2_min) / (spec.n2 - 1))
+    return dist[-1] <= cell and dist[-1] < dist.max()
 
 
 def _refine_semi_saddle(system, p, constraint, x_a, x_b, iters: int = 80):
@@ -583,9 +570,10 @@ def sample_stability_region(
             BoundaryPoint(x=x, constraint=c.name, kind=cl.kind, h_dot=cl.h_dot)
             for x, cl in zip(samples, classified)
         )
-        for k in range(len(samples) - 1):
-            if (classified[k].h_dot > 0.0) != (classified[k + 1].h_dot > 0.0):
-                x_ss = _refine_semi_saddle(system, p, c, samples[k], samples[k + 1])
+        for k in range(len(samples) - 1 + _is_loop(samples, spec)):
+            l = (k + 1) % len(samples)  # the last pair of a loop closes it
+            if (classified[k].h_dot > 0.0) != (classified[l].h_dot > 0.0):
+                x_ss = _refine_semi_saddle(system, p, c, samples[k], samples[l])
                 cl = classify_pseudo_ep(system, Phase.POST_FAULT, x_ss, p, boundary_tol=1e-6)
                 semi_saddles.append(
                     BoundaryPoint(x=x_ss, constraint=c.name, kind=cl.kind, h_dot=cl.h_dot)

@@ -158,6 +158,27 @@ def _stable_equilibrium(system, phase, p, guess) -> np.ndarray:
     return res.x
 
 
+def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x_sep_pre, x_sep_post, h_ref): both stable equilibria and the reference margin.
+
+    The pre-fault SEP is sought from ``opts.sep_guess`` (the origin by
+    default) and the post-fault SEP from it.  Raises NoFiniteCct unless
+    every combined constraint is strictly positive at the pre-fault SEP.
+    """
+    guess = (
+        np.zeros(system.n) if opts.sep_guess is None
+        else np.asarray(opts.sep_guess, dtype=float)
+    )
+    x_sep_pre = _stable_equilibrium(system, Phase.PRE_FAULT, p, guess)
+    x_sep_post = _stable_equilibrium(system, Phase.POST_FAULT, p, x_sep_pre)
+    if not all(c.value(x_sep_pre, p) > 0.0 for c in combined_constraints(system)[0]):
+        raise NoFiniteCct(
+            "the pre-fault equilibrium is not strictly feasible; "
+            "no positive clearing time exists"
+        )
+    return x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
+
+
 def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
     """Verdict of one post-fault run, or the InconclusiveRun it ends in.
 
@@ -326,19 +347,7 @@ def compute_cct(
     if opts is None:
         opts = CctOptions()
     p = np.asarray(p, dtype=float)
-    guess = (
-        np.zeros(system.n) if opts.sep_guess is None
-        else np.asarray(opts.sep_guess, dtype=float)
-    )
-    x_sep_pre = _stable_equilibrium(system, Phase.PRE_FAULT, p, guess)
-    x_sep_post = _stable_equilibrium(system, Phase.POST_FAULT, p, x_sep_pre)
-
-    if not all(c.value(x_sep_pre, p) > 0.0 for c in combined_constraints(system)[0]):
-        raise NoFiniteCct(
-            "the pre-fault equilibrium is not strictly feasible; "
-            "no positive clearing time exists"
-        )
-    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
+    x_sep_pre, x_sep_post, h_ref = _operating_point(system, p, opts)
 
     cls_zero = classify_post_fault(system, p, x_sep_pre, x_sep_post, h_ref, opts)
     if not cls_zero.stable:
@@ -478,22 +487,15 @@ def clearing_outcome(
     A fault segment that reaches the combined boundary before
     ``t_clear`` makes the clearing unstable outright (t1 = 0 at the
     hit state); otherwise the post-fault run from the interpolated
-    clearing state decides.
+    clearing state decides.  Raises NoFiniteCct when the pre-fault
+    equilibrium is not strictly feasible.
     """
     if opts is None:
         opts = CctOptions()
     if t_clear < 0.0:
         raise ValueError("t_clear must be non-negative")
     p = np.asarray(p, dtype=float)
-    guess = (
-        np.zeros(system.n) if opts.sep_guess is None
-        else np.asarray(opts.sep_guess, dtype=float)
-    )
-    x_sep_pre = _stable_equilibrium(system, Phase.PRE_FAULT, p, guess)
-    x_sep_post = _stable_equilibrium(system, Phase.POST_FAULT, p, x_sep_pre)
-    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
-    if not (h_ref > 0.0):
-        raise NoFiniteCct("the pre-fault equilibrium is not strictly feasible")
+    x_sep_pre, x_sep_post, h_ref = _operating_point(system, p, opts)
     if t_clear == 0.0:
         return classify_post_fault(system, p, x_sep_pre, x_sep_post, h_ref, opts)
     fault_traj = _run_fault(system, p, x_sep_pre, opts, t_clear)

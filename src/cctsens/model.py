@@ -87,9 +87,9 @@ class EquilibriumClass(Enum):
 class Constraint:
     """One scalar inequality h(x, p) > 0.
 
-    ``grad_x``/``grad_p`` return the row of first derivatives; the
-    Hessian callables may be None for systems that never enter the
-    mode-2 sensitivity path (which needs second derivatives of h).
+    ``grad_x``/``grad_p`` return the row of first derivatives.  The
+    Hessian callables may be None: only the constraint that a mode-2
+    result names needs second derivatives, for its graze conditions.
     """
 
     name: str

@@ -13,9 +13,11 @@ constraint, h_k(x_cr, p) = 0.  Differentiating gives one scalar
 condition, solved for dt_cl/dp.
 
 Mode 2 (post-fault grazing): the post-fault flow from the clearing
-state touches the boundary tangentially at time T, so both H = 0 and
-Hdot = 0 hold at x_T(p) = phi^post(T(p), x_cr(p), p).  Differentiating
-both gives a 2x2 system in (dt_cl/dp, dT/dp).
+state touches the limiting constraint h_k tangentially at time T, so
+both h_k = 0 and its drift (grad_x h_k) f = 0 hold at
+x_T(p) = phi^post(T(p), x_cr(p), p).  Differentiating both gives a 2x2
+system in (dt_cl/dp, dT/dp).  Only h_k enters: every other limit is
+inactive at the graze and has no say in the critical time.
 
 Mode 3 has no boundary interaction to differentiate and is rejected.
 
@@ -32,17 +34,11 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import (
-    PseudoEpKind,
-    classify_pseudo_ep,
-    combined_constraints,
-    eval_H_dot_gradients,
-    eval_H_gradients,
-)
+from .boundary import PseudoEpKind, classify_pseudo_ep, combined_constraints
 from .cct import CriticalResult, InstabilityMode
-from .errors import DegenerateGeometry, TangentialIntersection, UnsupportedMode
+from .errors import CctError, DegenerateGeometry, TangentialIntersection, UnsupportedMode
 from .integrator import IntegrationOptions, integrate_with_sensitivities
-from .model import ConstrainedSystem, Phase, eval_f, sep_sensitivity
+from .model import ConstrainedSystem, Constraint, Phase, eval_f, eval_jacobians, sep_sensitivity
 
 __all__ = [
     "FaultSensitivityMatrices",
@@ -138,6 +134,13 @@ def post_matrices(
     )
 
 
+def _limiting_constraint(constraints, result: CriticalResult) -> Constraint:
+    for c in constraints:
+        if c.name == result.crossing_label:
+            return c
+    raise ValueError(f"unknown limiting constraint {result.crossing_label!r}")
+
+
 def _clearing_shift(fm: FaultSensitivityMatrices) -> np.ndarray:
     """dx_cr/dp at frozen t_cl: initial-condition motion plus direct."""
     return fm.m1 @ fm.m4 + fm.m3
@@ -159,11 +162,7 @@ def cct_sensitivity_mode1(
     p = np.asarray(p, dtype=float)
     if result.mode is not InstabilityMode.FAULT_BOUNDARY:
         raise ValueError(f"fault-boundary formula applied to mode {int(result.mode)}")
-    kept, _ = combined_constraints(system)
-    by_name = {c.name: c for c in kept}
-    if result.crossing_label not in by_name:
-        raise ValueError(f"unknown active constraint {result.crossing_label!r}")
-    c = by_name[result.crossing_label]
+    c = _limiting_constraint(combined_constraints(system)[0], result)
 
     fm = fault_matrices(system, p, result, opts)
     m5 = np.asarray(c.grad_x(result.x_cr, p), dtype=float)
@@ -178,6 +177,31 @@ def cct_sensitivity_mode1(
     return (m6 - m5 @ _clearing_shift(fm)) / denom
 
 
+def _graze_rows(
+    c: Constraint, x, p, f: np.ndarray, jac_x: np.ndarray, jac_p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """x- and p-gradients of h and of its drift hdot = (grad_x h) f, as rows.
+
+    ``f``, ``jac_x`` and ``jac_p`` are the field and its Jacobians at x:
+
+        d hdot/dx = hess_xx f + jac_x^T grad_x h
+        d hdot/dp = hess_xp^T f + jac_p^T grad_x h
+    """
+    if c.hess_xx is None or c.hess_xp is None:
+        raise CctError(
+            f"constraint {c.name!r} lacks second derivatives; "
+            "they are required for the graze conditions"
+        )
+    gx = np.asarray(c.grad_x(x, p), dtype=float)
+    gp = np.asarray(c.grad_p(x, p), dtype=float)
+    hxx = np.asarray(c.hess_xx(x, p), dtype=float)
+    hxp = np.asarray(c.hess_xp(x, p), dtype=float)
+    return (
+        np.vstack([gx, hxx @ f + jac_x.T @ gx]),
+        np.vstack([gp, hxp.T @ f + jac_p.T @ gx]),
+    )
+
+
 def cct_sensitivity_mode2(
     system: ConstrainedSystem,
     p: np.ndarray,
@@ -187,18 +211,25 @@ def cct_sensitivity_mode2(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dt_cl/dp, dT/dp) when the critical post-fault run grazes.
 
-    Solves the stacked conditions H(x_T, p) = 0 and Hdot(x_T, p) = 0
-    for the two scalar unknowns.  The mismatch of the stored x_T from a
+    Solves the stacked graze conditions h_k(x_T, p) = 0 and
+    (grad_x h_k) f(x_T, p) = 0 of the post-fault constraint h_k that
+    ``result.crossing_label`` names for the two scalar unknowns.  A
+    graze state that also lies on another post-fault constraint (within
+    1e-6 h_ref) is a corner, where the critical time has a kink, and
+    raises DegenerateGeometry.  The mismatch of the stored x_T from a
     clean tangency scales like sqrt(bisection_tol); a warning points at
     the bracket when the graze looks too one-sided to trust.
     """
     p = np.asarray(p, dtype=float)
     if result.mode is not InstabilityMode.POST_FAULT_CROSSING:
         raise ValueError(f"grazing formula applied to mode {int(result.mode)}")
+    constraints = system.phases[Phase.POST_FAULT].constraints
+    c = _limiting_constraint(constraints, result)
 
+    on_boundary = 1e-6 * result.h_ref
     graze = classify_pseudo_ep(
         system, Phase.POST_FAULT, result.x_T, p,
-        boundary_tol=1e-6 * result.h_ref, tangency_tol=tangency_warn_tol,
+        boundary_tol=on_boundary, tangency_tol=tangency_warn_tol,
     )
     if graze.kind is not PseudoEpKind.SEMI_SADDLE:
         warnings.warn(
@@ -211,10 +242,15 @@ def cct_sensitivity_mode2(
 
     fm = fault_matrices(system, p, result, opts)
     pm = post_matrices(system, p, result, opts)
-    gx_h, gp_h = eval_H_gradients(system, Phase.POST_FAULT, result.x_T, p)
-    gx_hd, gp_hd = eval_H_dot_gradients(system, Phase.POST_FAULT, result.x_T, p)
-    o4 = np.vstack([gx_h, gx_hd])
-    o5 = -np.vstack([gp_h, gp_hd])
+    for o in constraints:
+        if o is not c and abs(o.value(result.x_T, p)) <= on_boundary:
+            raise DegenerateGeometry(
+                f"graze state lies on {c.name!r} and on {o.name!r}; the "
+                "critical time has a kink where the limiting constraint switches"
+            )
+    jx, jp = eval_jacobians(system, Phase.POST_FAULT, result.x_T, p)
+    o4, o4_p = _graze_rows(c, result.x_T, p, pm.o2, jx, jp)
+    o5 = -o4_p
 
     a = o4 @ np.column_stack([pm.o1 @ fm.m2, pm.o2])
     svals = np.linalg.svd(a, compute_uv=False)

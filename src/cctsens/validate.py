@@ -27,29 +27,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boundary import combined_constraints, eval_H
 from .cct import (
     CctOptions,
     InstabilityMode,
+    _operating_point,
+    _run_fault,
     classify_post_fault,  # not called here; bench/spans.py patches this import site
     classify_post_faults,
     compute_cct,
 )
-from .errors import (
-    ModeChangedAcrossStep,
-    NoEquilibriumFound,
-    NoFiniteCct,
-    UnsupportedMode,
-)
+from .errors import ModeChangedAcrossStep, NoFiniteCct, UnsupportedMode
 from .integrator import (
-    EventConfig,
     EventKind,
     IntegrationOptions,
     integrate,
     integrate_with_sensitivities,
     state_at,
 )
-from .model import ConstrainedSystem, EquilibriumClass, Phase, find_equilibrium
+from .model import ConstrainedSystem, Phase
+from .model import find_equilibrium  # not called here; bench/spans.py patches this import site
 
 _REL_FLOOR = 1e-12
 _FD_REL_STEP = 1e-4
@@ -216,15 +212,6 @@ def fd_trajectory_sensitivity(
     return phi_x, phi_p_col
 
 
-def _stable_sep(system: ConstrainedSystem, phase: Phase, p, guess) -> np.ndarray:
-    res = find_equilibrium(system, phase, p, guess)
-    if res.classification is not EquilibriumClass.STABLE:
-        raise NoEquilibriumFound(
-            f"{phase.value} equilibrium near {guess} is {res.classification.value}"
-        )
-    return res.x
-
-
 def _classify_blocks(system, p, traj, times, x_sep, h_ref, opts, full):
     """Stable flag of clearing at each of ``times``, in ascending blocks.
 
@@ -275,20 +262,8 @@ def scan_cct(
     if opts is None:
         opts = CctOptions()
     p = np.asarray(p, dtype=float)
-    guess = (
-        np.zeros(system.n) if opts.sep_guess is None
-        else np.asarray(opts.sep_guess, dtype=float)
-    )
-    x_sep_pre = _stable_sep(system, Phase.PRE_FAULT, p, guess)
-    x_sep_post = _stable_sep(system, Phase.POST_FAULT, p, x_sep_pre)
-    kept, _ = combined_constraints(system)
-    if not all(c.value(x_sep_pre, p) > 0.0 for c in kept):
-        raise NoFiniteCct("the pre-fault equilibrium is not strictly feasible")
-    h_ref = eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
-
-    traj = integrate(
-        system, Phase.FAULT_ON, x_sep_pre, p, opts.integration, EventConfig(constraints=kept)
-    )
+    x_sep_pre, x_sep_post, h_ref = _operating_point(system, p, opts)
+    traj = _run_fault(system, p, x_sep_pre, opts, opts.integration.t_max)
     hit = traj.first_event(EventKind.CONSTRAINT_CROSSING)
 
     if hit is not None:

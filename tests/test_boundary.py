@@ -23,17 +23,22 @@ from cctsens import (
     combined_constraints,
     eval_H,
     eval_H_dot,
-    eval_H_dot_gradients,
     eval_H_gradients,
-    eval_H_hessians,
     eval_f,
+    eval_jacobians,
     integrate,
     sample_stability_region,
     smib_system,
     system_from_expressions,
     transformed_field,
 )
-from cctsens.boundary import _boundary_samples, _project_to_constraint, _scan_zero_crossings
+from cctsens.boundary import (
+    _along_curve,
+    _boundary_samples,
+    _project_to_constraint,
+    _scan_zero_crossings,
+)
+from cctsens.sensitivity import _graze_rows
 
 _PARAMS = SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5)
 _SYS = smib_system(_PARAMS)
@@ -51,8 +56,8 @@ def _fd_grad(fn, z, eps=1e-6):
     return g
 
 
-# A system with curved constraints, so product-rule second derivatives
-# carry nontrivial per-constraint Hessians as well as cross terms.
+# A system with curved constraints, so the graze rows of each margin
+# carry nontrivial Hessians.
 _CURVED = system_from_expressions(
     state=["x1", "x2"],
     params=["a", "b"],
@@ -68,6 +73,32 @@ _CURVED = system_from_expressions(
         },
     },
 )
+
+_CURVED_MARGINS = _CURVED.phases[Phase.POST_FAULT].constraints  # disk, band
+
+
+def _curved_rows(c, x, p):
+    """Graze rows of one margin of the curved system under its own field."""
+    jx, jp = eval_jacobians(_CURVED, Phase.POST_FAULT, x, p)
+    return _graze_rows(c, x, p, eval_f(_CURVED, Phase.POST_FAULT, x, p), jx, jp)
+
+
+def _margin_drift(c, x, p):
+    return float(_curved_rows(c, x, p)[0][0] @ eval_f(_CURVED, Phase.POST_FAULT, x, p))
+
+
+def _margin_hessians(c, x, p):
+    """(hess_xx, hess_xp) read off the graze rows, which are linear in the field.
+
+    Under the unit field e_i with zero Jacobians the drift rows are
+    hess_xx e_i and hess_xp^T e_i: column i of hess_xx and row i of hess_xp.
+    """
+    zx, zp = np.zeros((2, 2)), np.zeros((2, 2))
+    probes = [_graze_rows(c, x, p, e, zx, zp) for e in np.eye(2)]
+    return (
+        np.column_stack([rows_x[1] for rows_x, _ in probes]),
+        np.vstack([rows_p[1] for _, rows_p in probes]),
+    )
 
 
 class TestEvalH:
@@ -123,21 +154,18 @@ class TestGradientsAndHessians:
         (np.array([-0.2, 0.6]), np.array([1.1, 0.7])),
     ])
     def test_hessians_match_finite_differences(self, x, p):
-        hxx, hxp = eval_H_hessians(_CURVED, Phase.POST_FAULT, x, p)
-        for i in range(2):
-            row_fd = _fd_grad(
-                lambda z: eval_H_gradients(_CURVED, Phase.POST_FAULT, z, p)[0][i], x
-            )
-            np.testing.assert_allclose(hxx[i], row_fd, rtol=0, atol=5e-8)
-            cross_fd = _fd_grad(
-                lambda q: eval_H_gradients(_CURVED, Phase.POST_FAULT, x, q)[0][i], p
-            )
-            np.testing.assert_allclose(hxp[i], cross_fd, rtol=0, atol=5e-8)
+        for c in _CURVED_MARGINS:
+            hxx, hxp = _margin_hessians(c, x, p)
+            for i in range(2):
+                row_fd = _fd_grad(lambda z: _curved_rows(c, z, p)[0][0, i], x)
+                np.testing.assert_allclose(hxx[i], row_fd, rtol=0, atol=5e-8)
+                cross_fd = _fd_grad(lambda q: _curved_rows(c, x, q)[0][0, i], p)
+                np.testing.assert_allclose(hxp[i], cross_fd, rtol=0, atol=5e-8)
 
     def test_hessian_symmetry(self):
-        hxx, _ = eval_H_hessians(_CURVED, Phase.POST_FAULT,
-                                 np.array([0.3, -0.4]), np.array([0.8, 1.2]))
-        np.testing.assert_allclose(hxx, hxx.T, atol=1e-14)
+        for c in _CURVED_MARGINS:
+            hxx, _ = _margin_hessians(c, np.array([0.3, -0.4]), np.array([0.8, 1.2]))
+            np.testing.assert_allclose(hxx, hxx.T, atol=1e-14)
 
 
 class TestHDot:
@@ -165,11 +193,12 @@ class TestHDot:
         (np.array([-0.3, 0.9]), np.array([0.9, 0.4])),
     ])
     def test_hdot_gradients_match_finite_differences(self, x, p):
-        dx, dp = eval_H_dot_gradients(_CURVED, Phase.POST_FAULT, x, p)
-        dx_fd = _fd_grad(lambda z: eval_H_dot(_CURVED, Phase.POST_FAULT, z, p), x)
-        dp_fd = _fd_grad(lambda q: eval_H_dot(_CURVED, Phase.POST_FAULT, x, q), p)
-        np.testing.assert_allclose(dx, dx_fd, rtol=0, atol=2e-7)
-        np.testing.assert_allclose(dp, dp_fd, rtol=0, atol=2e-7)
+        for c in _CURVED_MARGINS:
+            rows_x, rows_p = _curved_rows(c, x, p)
+            dx_fd = _fd_grad(lambda z: _margin_drift(c, z, p), x)
+            dp_fd = _fd_grad(lambda q: _margin_drift(c, x, q), p)
+            np.testing.assert_allclose(rows_x[1], dx_fd, rtol=0, atol=2e-7)
+            np.testing.assert_allclose(rows_p[1], dp_fd, rtol=0, atol=2e-7)
 
 
 class TestTransformedField:
@@ -307,13 +336,7 @@ def _pointwise_boundary_samples(system, p, spec, constraint):
         vals = np.array([constraint.value(np.array([a, b]), p) for a in spec.x1])
         pts += [np.array([a, b]) for a in _scan_zero_crossings(vals, spec.x1)]
     refined = [_project_to_constraint(constraint, x, p) for x in pts]
-    refined = [x for x in refined if all(o.value(x, p) >= -1e-10 for o in others)]
-    refined.sort(key=lambda x: (x[0], x[1]))
-    deduped = []
-    for x in refined:
-        if not deduped or np.linalg.norm(x - deduped[-1]) > 1e-9:
-            deduped.append(x)
-    return deduped
+    return _along_curve([x for x in refined if all(o.value(x, p) >= -1e-10 for o in others)])
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +395,53 @@ class TestStabilityRegionGrid:
         np.testing.assert_allclose(locs["speed_limit"], [delta_star, 1.5], atol=1e-8)
         for bp in grid.semi_saddles:
             assert bp.kind is PseudoEpKind.SEMI_SADDLE
+
+    # The disk's samples form: an open arc (1); a loop whose two chain ends
+    # are neighbours, next to a short arc left of the window that holds the
+    # tangency at x1 = -1 (2); an arc whose lowest (x1, x2) sample lies
+    # inside it, next to that tangency (3).
+    @pytest.mark.parametrize("window", [
+        (-0.9, 1.2, -0.7, 0.8), (-0.99, 1.2, -0.7, 0.8), (-1.2, 1.2, -0.8, 0.2),
+    ])
+    def test_curved_semi_saddles_are_its_tangencies(self, window):
+        # The oracle walks the disk x1 = cos t, x2 = sqrt(b) sin t inside the
+        # window and finds the drift's sign changes, at (+-1, 0) and about
+        # (+-0.63, -+0.55).  Samples sorted by (x1, x2) interleave the disk's
+        # two branches, which refined a semi-saddle at every branch switch.
+        p = np.array([1.0, 0.5])
+        spec = GridSpec(*window, n1=9, n2=9)
+        grid = sample_stability_region(_CURVED, p, spec)
+        t = np.linspace(-0.5 * math.pi, 1.5 * math.pi, 4000)  # seam at the bottom
+        disk = np.column_stack([np.cos(t), math.sqrt(p[1]) * np.sin(t)])
+        inside = (
+            (disk[:, 0] >= spec.x1_min) & (disk[:, 0] <= spec.x1_max)
+            & (disk[:, 1] >= spec.x2_min) & (disk[:, 1] <= spec.x2_max)
+        )
+        rising = [eval_H_dot(_CURVED, Phase.POST_FAULT, x, p) > 0.0 for x in disk]
+        tangencies = [
+            0.5 * (disk[k] + disk[k + 1]) for k in range(len(disk) - 1)
+            if inside[k] and inside[k + 1] and rising[k] != rising[k + 1]
+        ]
+        assert len(tangencies) == 3
+        assert len(grid.manifolds) == len(grid.semi_saddles)
+        outside = [
+            bp.x for bp in grid.semi_saddles
+            if not (spec.x1_min <= bp.x[0] <= spec.x1_max and spec.x2_min <= bp.x[1] <= spec.x2_max)
+        ]
+        assert len(grid.semi_saddles) == 3 + len(outside)
+        for x in tangencies:
+            near = [bp for bp in grid.semi_saddles if np.linalg.norm(bp.x - x) < 2e-3]
+            assert len(near) == 1 and near[0].kind is PseudoEpKind.SEMI_SADDLE
+        for x in outside:
+            np.testing.assert_allclose(x, [-1.0, 0.0], atol=1e-8)
+
+    def test_straight_limit_is_not_a_loop(self):
+        # Three samples on the speed line, in cells far taller than wide:
+        # the line's ends lie within a cell diagonal, yet it has one
+        # semi-saddle, not a second one from closing the line on itself.
+        spec = GridSpec(x1_min=-0.6, x1_max=0.1, x2_min=-2.0, x2_max=2.0, n1=3, n2=3)
+        grid = sample_stability_region(_SYS, _P, spec)
+        assert [bp.constraint for bp in grid.semi_saddles] == ["speed_limit"]
 
     def test_manifold_per_semi_saddle(self, grid):
         assert len(grid.manifolds) == len(grid.semi_saddles)
@@ -521,8 +591,10 @@ class TestManifolds:
         assert all(len(oracles[k]) > 1 for k in angle)
 
     def test_semi_saddle_outside_the_window_is_its_own_manifold(self):
-        # The disk's tangency at x1 = -1 is refined to a point left of the window.
-        spec = GridSpec(x1_min=-0.9, x1_max=1.2, x2_min=-0.7, x2_max=0.8, n1=9, n2=9)
+        # The disk leaves the window for a short arc through its tangency at
+        # x1 = -1; the samples on either side of that arc are neighbours, so
+        # the tangency is refined to a point left of the window.
+        spec = GridSpec(x1_min=-0.99, x1_max=1.2, x2_min=-0.7, x2_max=0.8, n1=9, n2=9)
         grid = sample_stability_region(_CURVED, np.array([1.0, 0.5]), spec, opts=_MANIFOLD_OPTS)
         outside = [
             (bp, poly) for bp, poly in zip(grid.semi_saddles, grid.manifolds)

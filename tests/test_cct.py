@@ -323,6 +323,14 @@ class TestClearingOutcome:
         with pytest.raises(ValueError):
             clearing_outcome(smib_system(_P2), _P2.p0, -0.1)
 
+    @pytest.mark.parametrize("t_clear", [0.0, 0.3])
+    def test_operating_point_past_both_limits_has_no_clearing_time(self, t_clear):
+        # Both margins are negative at the SEP, so their product is
+        # positive; each margin must be checked on its own.
+        params = SmibParams(p_mech=0.5, inertia=0.5, delta_max=0.4, omega_max=-0.1)
+        with pytest.raises(NoFiniteCct):
+            clearing_outcome(smib_system(params), params.p0, t_clear)
+
 
 class TestFailurePaths:
     def test_no_drive_means_no_finite_critical_time(self):

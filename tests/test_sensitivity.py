@@ -185,6 +185,25 @@ class TestMode2:
         with pytest.raises(ValueError):
             cct_sensitivity_mode2(_SYS1, _P1.p0, mode1_result)
 
+    @pytest.mark.parametrize("inertia,active", [
+        (0.35, [-4.012413240078731, 1.0772725645801842, 1.0764803848906148]),
+        (0.5, [-4.350789973366892, 0.9446371381801507, 1.1372917880103106]),
+        (0.6, [-4.565074730012399, 0.8720563502068879, 1.1783449584709793]),
+    ])
+    def test_inactive_limit_slope_is_exactly_zero(self, inertia, active):
+        # At the default bracket the stored graze state still drifts
+        # across the angle limit; the conditions of that limit alone
+        # give the speed limit no say in the critical time.
+        params = SmibParams(p_mech=0.5, inertia=inertia, delta_max=1.6, omega_max=0.9)
+        system = smib_system(params)
+        result = compute_cct(system, params.p0)
+        assert result.mode is InstabilityMode.POST_FAULT_CROSSING
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dt_cl, _ = cct_sensitivity_mode2(system, params.p0, result)
+        assert dt_cl[3] == 0.0
+        np.testing.assert_allclose(dt_cl[:3], active, rtol=1e-9, atol=0)
+
     def test_corner_graze_is_degenerate(self, mode2_result):
         # At the constraint corner both margins vanish and the product
         # gradient collapses to zero.
