@@ -67,10 +67,7 @@ from .boundary import (
     combined_H,
     combined_constraints,
     eval_H,
-    eval_H_dot,
-    eval_H_gradients,
     sample_stability_region,
-    transformed_field,
 )
 from .sensitivity import (
     FaultSensitivityMatrices,

@@ -1,21 +1,19 @@
 """Feasibility boundary geometry.
 
-The feasible region of a phase is the set where every constraint is
-positive; its boundary is the zero set of the product
+The feasible region of a phase is the set where every constraint margin
+h_k is positive; its boundary is made of the zero sets of the margins.
+A point on h_k = 0 is classified by the sign of that margin's drift
+along the flow,
 
-    H(x, p) = prod_k h_k(x, p).
+    hdot_k = (grad_x h_k) f :   hdot_k < 0  leaving the region  (stable side),
+                                hdot_k > 0  entering            (unstable side),
+                                hdot_k = 0  tangent             (semi-saddle).
 
-Points on that boundary behave like equilibria of the transformed field
-H f (it vanishes there), and they are classified by the sign of the
-drift of H along the flow,
-
-    Hdot = (dH/dx) f :   Hdot < 0  leaving the region  (stable side),
-                         Hdot > 0  entering            (unstable side),
-                         Hdot = 0  tangent             (semi-saddle).
-
-The gradient of H comes from the product rule over the per-constraint
-values and gradients; exclusion products are formed explicitly so that
-zeros on the boundary are handled exactly.
+Off the corners where two margins vanish, this is the sign of the drift
+of the product H = prod_k h_k, since there Hdot = (prod_{j != k} h_j)
+hdot_k with a positive factor.  Nothing differentiates H: ``eval_H``
+and ``combined_H`` give its value, which sets the reference margin
+h_ref and is written to trajectory files.
 
 The module also builds the union boundary of the fault and post-fault
 phases (duplicate constraint names are kept once, from the post side)
@@ -23,9 +21,10 @@ and samples stability regions of the post-fault system on a rectangular
 grid, annotating the constraint boundary with its point classification,
 refined semi-saddles, and backward-orbit samples through them.  Each
 constraint's samples are chained along its curve, and a semi-saddle is
-refined wherever Hdot changes sign between neighbours on the chain.
-Each backward orbit runs only until it leaves the grid window: the
-window edges are watched as constraint margins, so the run ends there.
+refined wherever that constraint's drift changes sign between
+neighbours on the chain.  Each backward orbit runs only until it leaves
+the grid window: the window edges are watched as constraint margins, so
+the run ends there.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ __all__ = [
     "PseudoEpKind",
     "PseudoEpClass",
     "eval_H",
-    "eval_H_gradients",
-    "eval_H_dot",
-    "transformed_field",
     "classify_pseudo_ep",
     "combined_constraints",
     "combined_H",
@@ -74,9 +70,9 @@ __all__ = [
     "sample_stability_region",
 ]
 
-# Default |H| tolerance for deciding a point sits on the boundary.
+# Default |h_k| tolerance for deciding a point sits on the boundary.
 _BOUNDARY_TOL = 1e-8
-# Default tangency tolerance, scaled by |dH/dx| |f| before use.
+# Default tangency tolerance, scaled by |grad_x h_k| |f| before use.
 _TANGENCY_TOL = 1e-6
 
 
@@ -89,7 +85,11 @@ class PseudoEpKind(Enum):
 
 @dataclass(frozen=True)
 class PseudoEpClass:
-    """Point classification on (or off) the feasibility boundary."""
+    """Classification of a point against one constraint's zero set.
+
+    ``h_value`` is that margin h_k at the point and ``h_dot`` its drift
+    (grad_x h_k) f.
+    """
 
     kind: PseudoEpKind
     h_value: float
@@ -101,71 +101,30 @@ def _constraint_values(constraints: Sequence[Constraint], x, p) -> np.ndarray:
     return np.array([c.value(x, p) for c in constraints], dtype=float)
 
 
-def _exclusion_products(values: np.ndarray) -> np.ndarray:
-    """P[k] = product of all values except the k-th, zero-safe."""
-    m = len(values)
-    prefix = np.ones(m + 1)
-    suffix = np.ones(m + 1)
-    for i in range(m):
-        prefix[i + 1] = prefix[i] * values[i]
-        suffix[m - 1 - i] = suffix[m - i] * values[m - 1 - i]
-    return prefix[:m] * suffix[1:]
-
-
-def _product_and_gradients(constraints, x, p, n, n_p):
-    values = _constraint_values(constraints, x, p)
-    h = float(np.prod(values)) if len(values) else 1.0
-    excl = _exclusion_products(values) if len(values) else np.empty(0)
-    gx = np.zeros(n)
-    gp = np.zeros(n_p)
-    for k, c in enumerate(constraints):
-        gx += excl[k] * np.asarray(c.grad_x(x, p), dtype=float)
-        gp += excl[k] * np.asarray(c.grad_p(x, p), dtype=float)
-    return h, gx, gp
-
-
 def eval_H(system: ConstrainedSystem, phase: Phase, x, p) -> float:
     """Product of the phase's constraints; 1.0 for a constraint-free phase."""
     values = _constraint_values(system.phases[phase].constraints, x, p)
     return float(np.prod(values)) if len(values) else 1.0
 
 
-def eval_H_gradients(system: ConstrainedSystem, phase: Phase, x, p) -> tuple[np.ndarray, np.ndarray]:
-    """(dH/dx, dH/dp) by the product rule."""
-    _, gx, gp = _product_and_gradients(
-        system.phases[phase].constraints, x, p, system.n, system.n_params
-    )
-    return gx, gp
-
-
-def eval_H_dot(system: ConstrainedSystem, phase: Phase, x, p) -> float:
-    """Drift of H along the flow, (dH/dx) f."""
-    gx, _ = eval_H_gradients(system, phase, x, p)
-    return float(gx @ eval_f(system, phase, x, p))
-
-
-def transformed_field(system: ConstrainedSystem, phase: Phase, x, p) -> np.ndarray:
-    """H f: the field whose new equilibria are the boundary points."""
-    return eval_H(system, phase, x, p) * eval_f(system, phase, x, p)
-
-
 def classify_pseudo_ep(
     system: ConstrainedSystem,
     phase: Phase,
+    constraint: Constraint,
     x,
     p,
     boundary_tol: float = _BOUNDARY_TOL,
     tangency_tol: float = _TANGENCY_TOL,
 ) -> PseudoEpClass:
-    """Classify a boundary point by the sign of Hdot.
+    """Classify a point of ``constraint``'s zero set by the sign of its drift.
 
-    The tangency band is ``tangency_tol`` scaled by |dH/dx| |f| so the
-    verdict does not depend on the scaling of the constraints or of
-    time.
+    The margin h_k must lie within ``boundary_tol`` of zero, and its
+    drift (grad_x h_k) f is compared with the tangency band
+    ``tangency_tol`` |grad_x h_k| |f|, so the verdict does not depend on
+    the scaling of the constraint or of time.
     """
-    h, gx, _ = _product_and_gradients(
-        system.phases[phase].constraints, x, p, system.n, system.n_params
-    )
+    h = float(constraint.value(x, p))
+    gx = np.asarray(constraint.grad_x(x, p), dtype=float)
     f = eval_f(system, phase, x, p)
     h_dot = float(gx @ f)
     threshold = tangency_tol * float(np.linalg.norm(gx) * np.linalg.norm(f))
@@ -201,11 +160,10 @@ def combined_constraints(system: ConstrainedSystem) -> tuple[tuple[Constraint, .
     return tuple(kept), tuple(excluded)
 
 
-def combined_H(system: ConstrainedSystem, x, p) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """Product over the union boundary and its (dH/dx, dH/dp)."""
+def combined_H(system: ConstrainedSystem, x, p) -> float:
+    """Product of the margins over the union boundary."""
     kept, _ = combined_constraints(system)
-    h, gx, gp = _product_and_gradients(kept, x, p, system.n, system.n_params)
-    return h, (gx, gp)
+    return float(np.prod(_constraint_values(kept, x, p)))
 
 
 # ── stability region sampling ─────────────────────────────────────────────────
@@ -361,7 +319,11 @@ def _project_to_constraint(c: Constraint, x: np.ndarray, p: np.ndarray, iters: i
 
 
 def _boundary_samples(system, p, spec, constraint: Constraint):
-    """Feasible-boundary points of one constraint inside the window."""
+    """Feasible-boundary points of one constraint inside the closed window.
+
+    Projection onto the constraint can carry a sample across a window
+    edge; such samples are dropped.
+    """
     others = [
         c for c in system.phases[Phase.POST_FAULT].constraints if c.name != constraint.name
     ]
@@ -379,7 +341,8 @@ def _boundary_samples(system, p, spec, constraint: Constraint):
     refined = []
     for x in pts:
         x = _project_to_constraint(constraint, x, p)
-        if all(o.value(x, p) >= -1e-10 for o in others):
+        inside = spec.x1_min <= x[0] <= spec.x1_max and spec.x2_min <= x[1] <= spec.x2_max
+        if inside and all(o.value(x, p) >= -1e-10 for o in others):
             refined.append(x)
     return _along_curve(refined)
 
@@ -423,10 +386,10 @@ def _is_loop(samples, spec: GridSpec) -> bool:
 
 
 def _refine_semi_saddle(system, p, constraint, x_a, x_b, iters: int = 80):
-    """Bisect Hdot's sign change along the constraint between two points."""
+    """Bisect the sign change of the constraint's drift between two of its points."""
 
     def h_dot_at(x):
-        return eval_H_dot(system, Phase.POST_FAULT, x, p)
+        return classify_pseudo_ep(system, Phase.POST_FAULT, constraint, x, p).h_dot
 
     g_a = h_dot_at(x_a)
     lo, hi = x_a, x_b
@@ -563,7 +526,7 @@ def sample_stability_region(
     for c in system.phases[Phase.POST_FAULT].constraints:
         samples = _boundary_samples(system, p, spec, c)
         classified = [
-            classify_pseudo_ep(system, Phase.POST_FAULT, x, p, boundary_tol=1e-6)
+            classify_pseudo_ep(system, Phase.POST_FAULT, c, x, p, boundary_tol=1e-6)
             for x in samples
         ]
         boundary_points.extend(
@@ -574,7 +537,7 @@ def sample_stability_region(
             l = (k + 1) % len(samples)  # the last pair of a loop closes it
             if (classified[k].h_dot > 0.0) != (classified[l].h_dot > 0.0):
                 x_ss = _refine_semi_saddle(system, p, c, samples[k], samples[l])
-                cl = classify_pseudo_ep(system, Phase.POST_FAULT, x_ss, p, boundary_tol=1e-6)
+                cl = classify_pseudo_ep(system, Phase.POST_FAULT, c, x_ss, p, boundary_tol=1e-6)
                 semi_saddles.append(
                     BoundaryPoint(x=x_ss, constraint=c.name, kind=cl.kind, h_dot=cl.h_dot)
                 )

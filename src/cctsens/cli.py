@@ -326,7 +326,7 @@ def _system_factory(cfg: RunConfig):
 def _trajectory_rows(system, phase, traj, p, use_combined: bool) -> list[str]:
     rows = []
     for t, x in zip(traj.times, traj.states):
-        h = combined_H(system, x, p)[0] if use_combined \
+        h = combined_H(system, x, p) if use_combined \
             else eval_H(system, phase, x, p)
         cells = [_fmt(t)] + [_fmt(v) for v in x] + [_fmt(h)]
         rows.append(",".join(cells))

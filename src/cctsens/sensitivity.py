@@ -228,13 +228,13 @@ def cct_sensitivity_mode2(
 
     on_boundary = 1e-6 * result.h_ref
     graze = classify_pseudo_ep(
-        system, Phase.POST_FAULT, result.x_T, p,
+        system, Phase.POST_FAULT, c, result.x_T, p,
         boundary_tol=on_boundary, tangency_tol=tangency_warn_tol,
     )
     if graze.kind is not PseudoEpKind.SEMI_SADDLE:
         warnings.warn(
             f"stored graze state classifies as {graze.kind.value} "
-            f"(Hdot {graze.h_dot:.3g} vs band {graze.threshold:.3g}); "
+            f"(drift {graze.h_dot:.3g} vs band {graze.threshold:.3g}); "
             "tighten bisection_tol before trusting these sensitivities",
             RuntimeWarning,
             stacklevel=2,

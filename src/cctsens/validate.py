@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -232,19 +231,12 @@ def _classify_blocks(system, p, traj, times, x_sep, h_ref, opts, full):
     return stable
 
 
-def _classify_points(factory, factory_args, p, traj, times, x_sep, h_ref, opts):
-    system = factory(*factory_args)
-    return _classify_blocks(system, p, traj, times, x_sep, h_ref, opts, full=True)
-
-
 def scan_cct(
     system: ConstrainedSystem,
     p: np.ndarray,
     step: float,
     opts: Optional[CctOptions] = None,
     verify_monotone: bool = False,
-    jobs: int = 1,
-    system_factory=None,
 ) -> float:
     """Brute-force critical time on a uniform clearing-time grid.
 
@@ -253,9 +245,7 @@ def scan_cct(
     the faulted trajectory leaves the feasible region is unstable
     without further simulation, which also bounds the grid.  Raises
     NoFiniteCct when every grid point up to the horizon is stable.
-    Every grid point is classified with ``verify_monotone``, or when
-    ``jobs > 1`` worker processes build the system from
-    ``system_factory``; without a factory the scan runs in this process.
+    Every grid point is classified with ``verify_monotone``.
     """
     if step <= 0.0:
         raise ValueError(f"scan step must be positive, got {step}")
@@ -271,28 +261,13 @@ def scan_cct(
     else:
         n_interior = math.floor(traj.final_time / step)
     times = [step * (j + 1) for j in range(n_interior)]
-    pooled = jobs > 1 and system_factory is not None and bool(times)
-    full = verify_monotone or pooled
-
-    if pooled:
-        factory, factory_args = system_factory
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(
-                    _classify_points, factory, factory_args, p, traj,
-                    chunk.tolist(), x_sep_post, h_ref, opts,
-                )
-                for chunk in np.array_split(times, jobs) if len(chunk)
-            ]
-            stable = [ok for fut in futures for ok in fut.result()]
-    else:
-        stable = _classify_blocks(
-            system, p, traj, times, x_sep_post, h_ref, opts, full
-        )
+    stable = _classify_blocks(
+        system, p, traj, times, x_sep_post, h_ref, opts, verify_monotone
+    )
 
     first_unstable = next((j for j, ok in enumerate(stable) if not ok), None)
     if first_unstable is not None:
-        if full:
+        if verify_monotone:
             late_stable = [
                 times[j] for j in range(first_unstable + 1, len(stable)) if stable[j]
             ]

@@ -276,15 +276,18 @@ def test_a8_classification_matches_displacement_integration():
                 float(rng.uniform(0.8, 2.5)),
                 float(rng.uniform(0.4, 1.2)),
             )
+            angle, speed = system.phases[Phase.POST_FAULT].constraints
             if rng.integers(2) == 0:
+                face = angle
                 x = np.array(
                     [params.delta_max, float(rng.uniform(-0.9, 0.9)) * params.omega_max]
                 )
             else:
+                face = speed
                 x = np.array(
                     [float(rng.uniform(-0.9, 0.9)) * params.delta_max, params.omega_max]
                 )
-            verdict = classify_pseudo_ep(system, Phase.POST_FAULT, x, params.p0)
+            verdict = classify_pseudo_ep(system, Phase.POST_FAULT, face, x, params.p0)
             if verdict.kind is PseudoEpKind.SEMI_SADDLE:
                 continue
             if abs(verdict.h_dot) <= 1000.0 * verdict.threshold:
@@ -305,7 +308,8 @@ def test_a8_classification_matches_displacement_integration():
             omega_max = float(rng.uniform(0.4, 1.2))
             params, system = _machine(p_mech, float(rng.uniform(0.1, 0.5)), 2.5, omega_max)
             x = np.array([math.asin(p_mech - _D * omega_max), omega_max])
-            verdict = classify_pseudo_ep(system, Phase.POST_FAULT, x, params.p0)
+            speed = system.phases[Phase.POST_FAULT].constraints[1]
+            verdict = classify_pseudo_ep(system, Phase.POST_FAULT, speed, x, params.p0)
             assert verdict.kind is PseudoEpKind.SEMI_SADDLE
             assert abs(verdict.h_value) <= 1e-8
             assert abs(verdict.h_dot) <= verdict.threshold

@@ -1,4 +1,4 @@
-"""Boundary geometry: H, its derivatives, classification, grids."""
+"""Boundary geometry: H, margin drifts, classification, grids."""
 
 import math
 from dataclasses import replace
@@ -22,15 +22,12 @@ from cctsens import (
     combined_H,
     combined_constraints,
     eval_H,
-    eval_H_dot,
-    eval_H_gradients,
     eval_f,
     eval_jacobians,
     integrate,
     sample_stability_region,
     smib_system,
     system_from_expressions,
-    transformed_field,
 )
 from cctsens.boundary import (
     _along_curve,
@@ -43,6 +40,7 @@ from cctsens.sensitivity import _graze_rows
 _PARAMS = SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5)
 _SYS = smib_system(_PARAMS)
 _P = _PARAMS.p0
+_ANGLE, _SPEED = _SYS.phases[Phase.POST_FAULT].constraints
 
 
 def _fd_grad(fn, z, eps=1e-6):
@@ -130,24 +128,13 @@ class TestGradientsAndHessians:
         (np.array([0.1, -0.5]), np.array([0.2, 2.0])),
     ])
     def test_gradients_match_finite_differences(self, x, p):
-        gx, gp = eval_H_gradients(_CURVED, Phase.POST_FAULT, x, p)
-        gx_fd = _fd_grad(lambda z: eval_H(_CURVED, Phase.POST_FAULT, z, p), x)
-        gp_fd = _fd_grad(lambda q: eval_H(_CURVED, Phase.POST_FAULT, x, q), p)
-        np.testing.assert_allclose(gx, gx_fd, rtol=0, atol=5e-9)
-        np.testing.assert_allclose(gp, gp_fd, rtol=0, atol=5e-9)
-
-    def test_gradient_exact_on_boundary(self):
-        # On the angle line only the other margin survives the product rule.
-        x = np.array([2.0, 0.7])
-        gx, gp = eval_H_gradients(_SYS, Phase.POST_FAULT, x, _P)
-        np.testing.assert_allclose(gx, [-(1.5 - 0.7), 0.0], atol=1e-15)
-        np.testing.assert_allclose(gp, [0.0, 0.0, 1.5 - 0.7, 0.0], atol=1e-15)
-
-    def test_gradient_with_both_margins_zero(self):
-        # At the corner each term keeps exactly one factor.
-        x = np.array([2.0, 1.5])
-        gx, _ = eval_H_gradients(_SYS, Phase.POST_FAULT, x, _P)
-        np.testing.assert_allclose(gx, [0.0, 0.0], atol=1e-15)
+        for c in _CURVED_MARGINS:
+            gx = np.asarray(c.grad_x(x, p), dtype=float)
+            gp = np.asarray(c.grad_p(x, p), dtype=float)
+            gx_fd = _fd_grad(lambda z: c.value(z, p), x)
+            gp_fd = _fd_grad(lambda q: c.value(x, q), p)
+            np.testing.assert_allclose(gx, gx_fd, rtol=0, atol=5e-9)
+            np.testing.assert_allclose(gp, gp_fd, rtol=0, atol=5e-9)
 
     @pytest.mark.parametrize("x,p", [
         (np.array([0.4, 0.2]), np.array([0.6, 1.3])),
@@ -170,23 +157,21 @@ class TestGradientsAndHessians:
 
 class TestHDot:
     def test_hand_value_on_speed_boundary(self):
-        # h1 = 1.5, h2 = 0 there, so Hdot = h1 * (-f2).
+        # The speed margin is omega_max - x2, so its drift is -f2.
         x = np.array([0.5, 1.5])
         f2 = (0.5 - math.sin(0.5) - 0.5 * 1.5) / 0.1
-        assert eval_H_dot(_SYS, Phase.POST_FAULT, x, _P) == pytest.approx(
-            1.5 * (-f2), rel=1e-14
-        )
-        assert eval_H_dot(_SYS, Phase.POST_FAULT, x, _P) == pytest.approx(10.9414, abs=5e-5)
+        h_dot = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _SPEED, x, _P).h_dot
+        assert h_dot == pytest.approx(-f2, rel=1e-14)
+        assert h_dot == pytest.approx(7.29426, abs=5e-5)
 
     def test_matches_trajectory_slope(self):
         x = np.array([0.8, 0.6])
         f = eval_f(_SYS, Phase.POST_FAULT, x, _P)
         eps = 1e-6
-        slope = (
-            eval_H(_SYS, Phase.POST_FAULT, x + eps * f, _P)
-            - eval_H(_SYS, Phase.POST_FAULT, x - eps * f, _P)
-        ) / (2.0 * eps)
-        assert eval_H_dot(_SYS, Phase.POST_FAULT, x, _P) == pytest.approx(slope, rel=1e-7)
+        for c in (_ANGLE, _SPEED):
+            slope = (c.value(x + eps * f, _P) - c.value(x - eps * f, _P)) / (2.0 * eps)
+            h_dot = classify_pseudo_ep(_SYS, Phase.POST_FAULT, c, x, _P).h_dot
+            assert h_dot == pytest.approx(slope, rel=1e-7)
 
     @pytest.mark.parametrize("x,p", [
         (np.array([0.4, 0.2]), np.array([0.6, 1.3])),
@@ -201,57 +186,43 @@ class TestHDot:
             np.testing.assert_allclose(rows_p[1], dp_fd, rtol=0, atol=2e-7)
 
 
-class TestTransformedField:
-    def test_scales_field_by_h(self):
-        x = np.array([0.3, 0.4])
-        h = eval_H(_SYS, Phase.POST_FAULT, x, _P)
-        f = eval_f(_SYS, Phase.POST_FAULT, x, _P)
-        np.testing.assert_allclose(
-            transformed_field(_SYS, Phase.POST_FAULT, x, _P), h * f, atol=1e-15
-        )
-
-    def test_vanishes_on_boundary(self):
-        tf = transformed_field(_SYS, Phase.POST_FAULT, np.array([2.0, 0.9]), _P)
-        np.testing.assert_allclose(tf, [0.0, 0.0], atol=1e-15)
-
-
 class TestClassifyPseudoEp:
     def test_interior_point(self):
-        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([0.6, 0.0]), _P)
+        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([0.6, 0.0]), _P)
         assert cl.kind is PseudoEpKind.NOT_ON_BOUNDARY
         assert cl.h_value > 0.0
 
     def test_exiting_flow_is_stable(self):
-        # x2 > 0 pushes the angle through its limit, H decreasing.
-        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([2.0, 1.0]), _P)
+        # x2 > 0 pushes the angle through its limit, its margin decreasing.
+        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([2.0, 1.0]), _P)
         assert cl.kind is PseudoEpKind.STABLE
-        assert cl.h_dot == pytest.approx(-(1.5 - 1.0) * 1.0, rel=1e-14)
+        assert cl.h_dot == pytest.approx(-1.0, rel=1e-14)
 
     def test_entering_flow_is_unstable(self):
-        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([2.0, -1.0]), _P)
+        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([2.0, -1.0]), _P)
         assert cl.kind is PseudoEpKind.UNSTABLE
 
     def test_tangent_flow_is_semi_saddle(self):
-        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([2.0, 0.0]), _P)
+        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([2.0, 0.0]), _P)
         assert cl.kind is PseudoEpKind.SEMI_SADDLE
 
     def test_speed_boundary_semi_saddle(self):
-        # On the speed line Hdot = -h1 f2, so tangency sits where f2 = 0.
+        # On the speed line the drift is -f2, so tangency sits where f2 = 0.
         p = SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=0.5).p0
         x = np.array([math.asin(0.5 - 0.5 * 0.5), 0.5])
-        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, x, p)
+        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _SPEED, x, p)
         assert cl.kind is PseudoEpKind.SEMI_SADDLE
 
     def test_tangency_band_scales_with_field(self):
         # Tiny drift inside the scaled band still counts as tangent.
-        near = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([2.0, 1e-8]), _P)
+        near = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([2.0, 1e-8]), _P)
         assert near.kind is PseudoEpKind.SEMI_SADDLE
-        clear = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([2.0, 1e-2]), _P)
+        clear = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([2.0, 1e-2]), _P)
         assert clear.kind is PseudoEpKind.STABLE
 
     def test_threshold_reported(self):
-        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, np.array([2.0, 1.0]), _P)
-        gx, _ = eval_H_gradients(_SYS, Phase.POST_FAULT, np.array([2.0, 1.0]), _P)
+        cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, _ANGLE, np.array([2.0, 1.0]), _P)
+        gx = _ANGLE.grad_x(np.array([2.0, 1.0]), _P)
         f = eval_f(_SYS, Phase.POST_FAULT, np.array([2.0, 1.0]), _P)
         assert cl.threshold == pytest.approx(
             1e-6 * np.linalg.norm(gx) * np.linalg.norm(f), rel=1e-12
@@ -259,7 +230,7 @@ class TestClassifyPseudoEp:
 
     def test_against_short_flow_oracle(self):
         # Propagate boundary points a tiny step and compare the sign of
-        # the measured H slope with the classification.
+        # the measured slope of their margin with the classification.
         rng = np.random.default_rng(7)
         opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12, t_max=1e-4)
         from cctsens import integrate
@@ -267,14 +238,14 @@ class TestClassifyPseudoEp:
         checked = 0
         for _ in range(100):
             if rng.random() < 0.5:
-                x = np.array([2.0, rng.uniform(-1.4, 1.4)])
+                c, x = _ANGLE, np.array([2.0, rng.uniform(-1.4, 1.4)])
             else:
-                x = np.array([rng.uniform(-0.5, 1.9), 1.5])
-            cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, x, _P)
+                c, x = _SPEED, np.array([rng.uniform(-0.5, 1.9), 1.5])
+            cl = classify_pseudo_ep(_SYS, Phase.POST_FAULT, c, x, _P)
             if cl.kind is PseudoEpKind.SEMI_SADDLE:
                 continue
             traj = integrate(_SYS, Phase.POST_FAULT, x, _P, opts)
-            h1 = eval_H(_SYS, Phase.POST_FAULT, traj.final_state, _P)
+            h1 = c.value(traj.final_state, _P)
             slope = (h1 - cl.h_value) / traj.final_time
             expected = PseudoEpKind.UNSTABLE if slope > 0 else PseudoEpKind.STABLE
             assert cl.kind is expected
@@ -290,11 +261,8 @@ class TestCombinedBoundary:
 
     def test_combined_matches_post_for_duplicates(self):
         x = np.array([0.7, 0.2])
-        h, (gx, gp) = combined_H(_SYS, x, _P)
+        h = combined_H(_SYS, x, _P)
         assert h == pytest.approx(eval_H(_SYS, Phase.POST_FAULT, x, _P), rel=1e-15)
-        gx_post, gp_post = eval_H_gradients(_SYS, Phase.POST_FAULT, x, _P)
-        np.testing.assert_allclose(gx, gx_post, atol=1e-15)
-        np.testing.assert_allclose(gp, gp_post, atol=1e-15)
 
     def test_fault_only_constraint_included(self):
         sys2 = system_from_expressions(
@@ -310,7 +278,7 @@ class TestCombinedBoundary:
         assert excluded == ("lid",)
         # The post-side duplicate wins: margin 1 - x1, not 2 - x1.
         x = np.array([0.5, 0.5])
-        h, _ = combined_H(sys2, x, np.array([1.0]))
+        h = combined_H(sys2, x, np.array([1.0]))
         assert h == pytest.approx(0.5 * 2.5, rel=1e-15)
 
     def test_no_constraints_anywhere_raises(self):
@@ -417,7 +385,7 @@ class TestStabilityRegionGrid:
             (disk[:, 0] >= spec.x1_min) & (disk[:, 0] <= spec.x1_max)
             & (disk[:, 1] >= spec.x2_min) & (disk[:, 1] <= spec.x2_max)
         )
-        rising = [eval_H_dot(_CURVED, Phase.POST_FAULT, x, p) > 0.0 for x in disk]
+        rising = [_margin_drift(_CURVED_MARGINS[0], x, p) > 0.0 for x in disk]
         tangencies = [
             0.5 * (disk[k] + disk[k + 1]) for k in range(len(disk) - 1)
             if inside[k] and inside[k + 1] and rising[k] != rising[k + 1]
@@ -434,6 +402,29 @@ class TestStabilityRegionGrid:
             assert len(near) == 1 and near[0].kind is PseudoEpKind.SEMI_SADDLE
         for x in outside:
             np.testing.assert_allclose(x, [-1.0, 0.0], atol=1e-8)
+
+    @pytest.mark.parametrize("n", [7, 4])
+    def test_corner_of_two_limits_is_no_semi_saddle(self, n):
+        # Both limits pass through the corner (1, 1), where the product of
+        # the margins has zero drift; each limit's own drift there is not
+        # zero, so the corner samples belong to the runs on either side.
+        params = SmibParams(0.5, 0.1, 1.0, 1.0)
+        spec = GridSpec(-1.0, 2.0, -2.0, 1.0, n1=n, n2=n)
+        grid = sample_stability_region(smib_system(params), params.p0, spec)
+        assert [bp.constraint for bp in grid.semi_saddles] == ["angle_limit", "speed_limit"]
+        np.testing.assert_allclose(grid.semi_saddles[0].x, [1.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(grid.semi_saddles[1].x, [0.0, 1.0], atol=1e-8)
+        assert len(grid.manifolds) == 2
+
+    def test_boundary_points_lie_in_the_window(self):
+        # Projection onto the disk moves a sample along the disk's
+        # gradient, which can carry it across a window edge.
+        spec = GridSpec(-0.9, 1.2, -0.7, 0.8, n1=9, n2=9)
+        grid = sample_stability_region(_CURVED, np.array([1.0, 0.5]), spec)
+        assert grid.boundary_points
+        for bp in grid.boundary_points:
+            assert spec.x1_min <= bp.x[0] <= spec.x1_max
+            assert spec.x2_min <= bp.x[1] <= spec.x2_max
 
     def test_straight_limit_is_not_a_loop(self):
         # Three samples on the speed line, in cells far taller than wide:
