@@ -142,28 +142,23 @@ def classify_pseudo_ep(
 # ── combined fault/post boundary ──────────────────────────────────────────────
 
 
-def combined_constraints(system: ConstrainedSystem) -> tuple[tuple[Constraint, ...], tuple[str, ...]]:
+def combined_constraints(system: ConstrainedSystem) -> tuple[Constraint, ...]:
     """Union of post and fault constraints; fault-side name duplicates dropped."""
     post = system.phases[Phase.POST_FAULT].constraints
     post_names = {c.name for c in post}
-    kept = list(post)
-    excluded = []
-    for c in system.phases[Phase.FAULT_ON].constraints:
-        if c.name in post_names:
-            excluded.append(c.name)
-        else:
-            kept.append(c)
+    kept = tuple(post) + tuple(
+        c for c in system.phases[Phase.FAULT_ON].constraints if c.name not in post_names
+    )
     if not kept:
         raise EmptyCombinedBoundary(
             "neither the fault nor the post-fault phase declares constraints"
         )
-    return tuple(kept), tuple(excluded)
+    return kept
 
 
 def combined_H(system: ConstrainedSystem, x, p) -> float:
     """Product of the margins over the union boundary."""
-    kept, _ = combined_constraints(system)
-    return float(np.prod(_constraint_values(kept, x, p)))
+    return float(np.prod(_constraint_values(combined_constraints(system), x, p)))
 
 
 # ── stability region sampling ─────────────────────────────────────────────────
@@ -289,18 +284,17 @@ def _classify_rows(factory, factory_args, p, spec, opts, sep_radius, x_sep, rows
 
 
 def _scan_zero_crossings(values: np.ndarray, coords: np.ndarray):
-    """Indices and interpolation weights where consecutive samples change sign."""
-    hits = []
+    """Linearly interpolated coordinates where consecutive samples change sign."""
+    roots = []
     for i in range(len(values) - 1):
         a, b = values[i], values[i + 1]
         if a == 0.0:
-            hits.append((coords[i], 0.0))
+            roots.append(coords[i])
         elif (a > 0.0) != (b > 0.0):
-            w = a / (a - b)
-            hits.append((coords[i] + w * (coords[i + 1] - coords[i]), w))
+            roots.append(coords[i] + a / (a - b) * (coords[i + 1] - coords[i]))
     if len(values) and values[-1] == 0.0:
-        hits.append((coords[-1], 0.0))
-    return [h[0] for h in hits]
+        roots.append(coords[-1])
+    return roots
 
 
 def _project_to_constraint(c: Constraint, x: np.ndarray, p: np.ndarray, iters: int = 6) -> np.ndarray:

@@ -171,7 +171,7 @@ def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarra
     )
     x_sep_pre = _stable_equilibrium(system, Phase.PRE_FAULT, p, guess)
     x_sep_post = _stable_equilibrium(system, Phase.POST_FAULT, p, x_sep_pre)
-    if not all(c.value(x_sep_pre, p) > 0.0 for c in combined_constraints(system)[0]):
+    if not all(c.value(x_sep_pre, p) > 0.0 for c in combined_constraints(system)):
         raise NoFiniteCct(
             "the pre-fault equilibrium is not strictly feasible; "
             "no positive clearing time exists"
@@ -280,7 +280,6 @@ def classify_post_faults(
         constraints=constraints,
         sep_target=x_sep_post,
         sep_radius=opts.sep_radius,
-        track_norm_minima=True,
         norm_min_threshold=opts.field_norm_threshold,
     )
     trajs = integrate_lanes(
@@ -314,7 +313,7 @@ def classify_post_fault(
 
 
 def _run_fault(system, p, x0, opts: CctOptions, horizon: float) -> Trajectory:
-    events = EventConfig(constraints=combined_constraints(system)[0])
+    events = EventConfig(constraints=combined_constraints(system))
     return integrate(
         system, Phase.FAULT_ON, x0, p,
         replace(opts.integration, t_max=horizon), events,
@@ -353,42 +352,35 @@ def compute_cct(
     if not cls_zero.stable:
         raise NoFiniteCct("instant clearing is already unstable")
 
+    # A fault run that misses the boundary has its end state classified;
+    # when that is stable the next run doubles the horizon.  The run
+    # after the last doubling is only checked for a hit.
     horizon = opts.integration.t_max
-    fault_traj = _run_fault(system, p, x_sep_pre, opts, horizon)
-    crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
-    hit_time = crossing.time if crossing is not None else None
-    hit_state = crossing.state.copy() if crossing is not None else None
-
+    hit_time = hit_state = None
     hi_cls: Optional[PostFaultClassification] = None
-    hi_is_hit = False
-    if crossing is not None:
-        t_hi = crossing.time
-        hi_cls = _hit_classification(system, p, crossing, h_ref)
-        hi_is_hit = True
-    else:
-        t_hi = None
-        for _ in range(opts.horizon_doublings + 1):
-            cls_end = classify_post_fault(
-                system, p, fault_traj.final_state, x_sep_post, h_ref, opts
-            )
-            if not cls_end.stable:
-                t_hi = fault_traj.final_time
-                hi_cls = cls_end
-                break
-            horizon *= 2.0
-            fault_traj = _run_fault(system, p, x_sep_pre, opts, horizon)
-            crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
-            if crossing is not None:
-                t_hi = crossing.time
-                hit_time, hit_state = crossing.time, crossing.state.copy()
-                hi_cls = _hit_classification(system, p, crossing, h_ref)
-                hi_is_hit = True
-                break
-        if t_hi is None:
-            raise NoFiniteCct(
-                f"no unstable clearing time found up to t={horizon:.6g}; "
-                "the clearing time appears unbounded"
-            )
+    for run in range(opts.horizon_doublings + 2):
+        fault_traj = _run_fault(system, p, x_sep_pre, opts, horizon)
+        crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
+        if crossing is not None:
+            t_hi = hit_time = crossing.time
+            hit_state = crossing.state.copy()
+            hi_cls = _hit_classification(system, p, crossing, h_ref)
+            break
+        if run > opts.horizon_doublings:
+            break
+        cls_end = classify_post_fault(
+            system, p, fault_traj.final_state, x_sep_post, h_ref, opts
+        )
+        if not cls_end.stable:
+            t_hi, hi_cls = fault_traj.final_time, cls_end
+            break
+        horizon *= 2.0
+    if hi_cls is None:
+        raise NoFiniteCct(
+            f"no unstable clearing time found up to t={horizon:.6g}; "
+            "the clearing time appears unbounded"
+        )
+    hi_is_hit = hit_time is not None
 
     t_lo = 0.0
     history = [(t_lo, t_hi)]

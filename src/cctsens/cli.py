@@ -56,6 +56,7 @@ from .model import (
 from .sensitivity import cct_sensitivity
 from .validate import (
     ORACLE_CSV_HEADER,
+    _SLOPE_TOL,
     _fd_step,
     compare,
     fd_cct_slope,
@@ -64,13 +65,11 @@ from .validate import (
     scan_cct,
 )
 
-_INTEGRATION_KEYS = {
-    "rel_tol", "abs_tol", "t_max", "max_step", "first_step",
-    "event_refine_tol",
-}
-_CCT_KEYS = {
-    "bisection_tol", "max_iterations", "sep_radius",
-    "clearing_feasibility_tol", "field_norm_threshold", "horizon_doublings",
+# Tolerance keys are the option fields; the SEP guess and reverify flag
+# have their own top-level keys.
+_INTEGRATION_KEYS = {f.name for f in dataclass_fields(IntegrationOptions)}
+_CCT_KEYS = {f.name for f in dataclass_fields(CctOptions)} - {
+    "integration", "sep_guess", "reverify",
 }
 _INT_VALUED = {"max_iterations", "horizon_doublings"}
 _TOP_KEYS = {
@@ -421,7 +420,7 @@ def cmd_sens(cfg: RunConfig, verify: bool) -> int:
             eps = _fd_step(cfg.p0[k])
             fd = fd_cct_slope(system, cfg.p0, k, eps, cfg.opts)
             report = compare(
-                f"slope_{cfg.param_names[k]}", float(sens.dt_cl[k]), fd, (eps,), 0.05
+                f"slope_{cfg.param_names[k]}", float(sens.dt_cl[k]), fd, (eps,), _SLOPE_TOL
             )
             failures += not report.passed
             cells += [_fmt(fd), _fmt(report.rel_err), "pass" if report.passed else "fail"]

@@ -12,7 +12,7 @@ Three kinds of events can be watched while integrating:
 * exits from the feasible region: each constraint margin is evaluated
   at every step end, and the earliest root among the margins that went
   non-positive is localized by bisection of that margin on the
-  interpolated state down to ``event_refine_tol``.  Watching each
+  interpolated state down to ``_EVENT_REFINE_TOL``.  Watching each
   margin, not their product, also sees a step that crosses an even
   number of margins at once;
 * entry into a ball around a target equilibrium while the field norm is
@@ -87,6 +87,8 @@ _STAGE = tuple((Ellipsis, i, slice(None)) for i in range(7))
 _FIRST = tuple((Ellipsis, slice(None, i), slice(None)) for i in range(8))
 
 _MAX_EVENT_BISECTIONS = 60
+# Time resolution of crossing roots and field-norm minima.
+_EVENT_REFINE_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Slack (relative to the span) tolerated when interpolating at the ends.
 _SPAN_SLACK = 4e-12
@@ -100,23 +102,18 @@ class IntegrationOptions:
     abs_tol: float = 1e-10
     t_max: float = 20.0
     max_step: float = 0.25
-    first_step: Optional[float] = None
-    event_refine_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "t_max", "max_step", "event_refine_tol"):
+        for name in ("rel_tol", "abs_tol", "t_max", "max_step"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0) and not (name == "max_step" and v == math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.first_step is not None and not 0.0 < self.first_step <= self.max_step:
-            raise ValueError(f"first_step must lie in (0, max_step], got {self.first_step}")
 
 
 class EventKind(Enum):
     CONSTRAINT_CROSSING = "constraint_crossing"
     FIELD_NORM_LOCAL_MIN = "field_norm_local_min"
     CONVERGED_TO_SEP = "converged_to_sep"
-    HORIZON_REACHED = "horizon_reached"
 
 
 @dataclass(frozen=True)
@@ -137,16 +134,16 @@ class EventConfig:
     ``constraints`` is non-positive: at the start, or at the earliest
     root inside a step.  The event info names that constraint.  Entry
     into the ball of ``sep_radius`` around ``sep_target`` while the
-    field norm decreases also ends the run.  ``norm_min_threshold``
-    drops field-norm minima above the threshold; None keeps them all.
-    In a lockstep run every lane watches the same events and records
-    its own; one lane's event ends that lane only.
+    field norm decreases also ends the run.  Every local minimum of the
+    field norm at or below ``norm_min_threshold`` is recorded; None
+    watches no minima.  Reaching the horizon is not an event.  In a
+    lockstep run every lane watches the same events and records its
+    own; one lane's event ends that lane only.
     """
 
     constraints: tuple[Constraint, ...] = ()
     sep_target: Optional[np.ndarray] = None
     sep_radius: float = 1e-3
-    track_norm_minima: bool = False
     norm_min_threshold: Optional[float] = None
 
 
@@ -237,8 +234,6 @@ def _norm_rows(v: np.ndarray) -> list[float]:
 
 def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> list[float]:
     """First step size of each lane (Hairer, Norsett & Wanner's estimate)."""
-    if opts.first_step is not None:
-        return [min(opts.first_step, t_span)] * len(y0)
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
     d0 = _rms_rows(y0 / scale)
     d1 = _rms_rows(f0 / scale)
@@ -336,11 +331,11 @@ def _engine(
     y = np.array(y0, dtype=float)
     n_lanes = len(y)
     t_end, max_step = opts.t_max, opts.max_step
-    abs_tol, rel_tol, refine_tol = opts.abs_tol, opts.rel_tol, opts.event_refine_tol
+    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     constraints = events.constraints if events is not None else ()
     sep = events.sep_target if events is not None else None
-    watch_minima = events is not None and events.track_norm_minima
-    watch_norm = sep is not None or watch_minima
+    min_threshold = events.norm_min_threshold if events is not None else None
+    watch_norm = sep is not None or min_threshold is not None
 
     def lanes_rhs(z, q):
         return rhs(z.T, q).T
@@ -496,7 +491,7 @@ def _engine(
                 roots = {
                     k: _refine_crossing(
                         lambda y_q, c=constraints[k]: c.value(y_q[:n_state], p),
-                        refine_tol, t[a], y[a], f[a], t1, ys[i], fs[i],
+                        _EVENT_REFINE_TOL, t[a], y[a], f[a], t1, ys[i], fs[i],
                     )
                     for k in crossed
                 }
@@ -509,7 +504,7 @@ def _engine(
                 if watch_norm:
                     norms[i] = _norm_rows(fs[i : i + 1, :n_state])[0]
 
-            if watch_minima:
+            if min_threshold is not None:
                 window = windows[a]
                 window.append((t1, ys[i], fs[i], norms[i]))
                 if len(window) > 3:
@@ -519,9 +514,9 @@ def _engine(
                     if n_b < n_a and n_b < n_c:
                         t_star, v_star = _refine_norm_min(
                             lambda t_q: float(np.linalg.norm(rhs(_window_state(window, t_q), p)[:n_state])),
-                            t_a, t_c, refine_tol,
+                            t_a, t_c, _EVENT_REFINE_TOL,
                         )
-                        if events.norm_min_threshold is None or v_star <= events.norm_min_threshold:
+                        if v_star <= min_threshold:
                             record(lane, t_star, EventKind.FIELD_NORM_LOCAL_MIN,
                                    _window_state(window, t_star), {"f_norm": v_star})
 
@@ -532,11 +527,7 @@ def _engine(
 
             t[a] = t_step[i] = t1
             norm_prev[a] = norms[i]
-            if not (terminal or t1 < t_end):
-                if events is not None:
-                    record(lane, t1, EventKind.HORIZON_REACHED, ys[i], {})
-                terminal = True
-            if terminal:
+            if terminal or t1 >= t_end:
                 done.add(a)
 
         row_lanes.append(ids if full else [ids[a] for a in acc])

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -381,6 +382,28 @@ def smib_system(params: SmibParams) -> ConstrainedSystem:
 # ── Declarative systems ──────────────────────────────────────────────────────
 
 
+@cache
+def _power_printer():
+    """numpy code printer that writes a**b as numpy.power(a, b).
+
+    ``**`` on a numpy scalar rounds differently from the array loop of a
+    column batch; the ufunc runs one loop for both, so a lane matches
+    its one-state run bit for bit.  sqrt and 1/sqrt are correctly
+    rounded either way and stay as printed.
+    """
+    from sympy import S
+    from sympy.printing.numpy import NumPyPrinter
+
+    class PowerPrinter(NumPyPrinter):
+        def _print_Pow(self, expr, rational=False):
+            if expr.exp in (S.Half, -S.Half):
+                return super()._print_Pow(expr, rational)
+            return f"{self._module_format('numpy.power')}({self._print(expr.base)}, {self._print(expr.exp)})"
+
+    # The settings sympy.lambdify gives its own numpy printer.
+    return PowerPrinter({"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True})
+
+
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
@@ -393,7 +416,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     import sympy as sp
 
     if shape is None:
-        fn = sp.lambdify(args, expr, modules="numpy")
+        fn = sp.lambdify(args, expr, modules="numpy", printer=_power_printer())
 
         def scalar(x, p):
             if np.ndim(x) < 2:
@@ -401,7 +424,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
             return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
 
         return scalar
-    fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy")
+    fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
 
     def matrix(x, p):
         if np.ndim(x) < 2:

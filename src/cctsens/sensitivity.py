@@ -22,8 +22,9 @@ inactive at the graze and has no say in the critical time.
 Mode 3 has no boundary interaction to differentiate and is rejected.
 
 All transition matrices come from the variational equations integrated
-alongside the trajectory; boundary derivatives are evaluated at the
-stored critical states.
+alongside the trajectory, at the default ``IntegrationOptions`` whatever
+tolerances the critical-time search used; boundary derivatives are
+evaluated at the stored critical states.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ __all__ = [
 _TANGENT_TOL = 1e-8
 # Relative floor on the smallest singular value of the mode-2 system.
 _DEGENERATE_TOL = 1e-10
+# Tolerances of every variational run, whatever the critical-time search used.
+_VARIATIONAL_OPTS = IntegrationOptions()
+# Tangency band of the mode-2 graze warning, relative to |grad_x h_k| |f|.
+_GRAZE_WARN_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,6 @@ def fault_matrices(
     system: ConstrainedSystem,
     p: np.ndarray,
     result: CriticalResult,
-    opts: IntegrationOptions = IntegrationOptions(),
 ) -> FaultSensitivityMatrices:
     """Variational run over the fault segment of a critical result."""
     p = np.asarray(p, dtype=float)
@@ -97,7 +101,7 @@ def fault_matrices(
         raise ValueError(f"critical time must be positive, got {result.t_cl}")
     _, bundle = integrate_with_sensitivities(
         system, Phase.FAULT_ON, result.x_sep_pre, p,
-        replace(opts, t_max=result.t_cl),
+        replace(_VARIATIONAL_OPTS, t_max=result.t_cl),
     )
     return FaultSensitivityMatrices(
         m1=bundle.final_phi_x,
@@ -115,7 +119,6 @@ def post_matrices(
     system: ConstrainedSystem,
     p: np.ndarray,
     result: CriticalResult,
-    opts: IntegrationOptions = IntegrationOptions(),
 ) -> PostFaultMatrices:
     """Variational run from the clearing state to the graze time."""
     p = np.asarray(p, dtype=float)
@@ -125,7 +128,7 @@ def post_matrices(
         raise ValueError(f"graze time must be positive, got {result.T}")
     _, bundle = integrate_with_sensitivities(
         system, Phase.POST_FAULT, result.x_cr, p,
-        replace(opts, t_max=result.T),
+        replace(_VARIATIONAL_OPTS, t_max=result.T),
     )
     return PostFaultMatrices(
         o1=bundle.final_phi_x,
@@ -150,7 +153,6 @@ def cct_sensitivity_mode1(
     system: ConstrainedSystem,
     p: np.ndarray,
     result: CriticalResult,
-    opts: IntegrationOptions = IntegrationOptions(),
 ) -> np.ndarray:
     """dt_cl/dp when the fault trajectory itself hits the boundary.
 
@@ -162,9 +164,9 @@ def cct_sensitivity_mode1(
     p = np.asarray(p, dtype=float)
     if result.mode is not InstabilityMode.FAULT_BOUNDARY:
         raise ValueError(f"fault-boundary formula applied to mode {int(result.mode)}")
-    c = _limiting_constraint(combined_constraints(system)[0], result)
+    c = _limiting_constraint(combined_constraints(system), result)
 
-    fm = fault_matrices(system, p, result, opts)
+    fm = fault_matrices(system, p, result)
     m5 = np.asarray(c.grad_x(result.x_cr, p), dtype=float)
     m6 = -np.asarray(c.grad_p(result.x_cr, p), dtype=float)
     denom = float(m5 @ fm.m2)
@@ -206,8 +208,6 @@ def cct_sensitivity_mode2(
     system: ConstrainedSystem,
     p: np.ndarray,
     result: CriticalResult,
-    opts: IntegrationOptions = IntegrationOptions(),
-    tangency_warn_tol: float = 0.05,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dt_cl/dp, dT/dp) when the critical post-fault run grazes.
 
@@ -229,7 +229,7 @@ def cct_sensitivity_mode2(
     on_boundary = 1e-6 * result.h_ref
     graze = classify_pseudo_ep(
         system, Phase.POST_FAULT, c, result.x_T, p,
-        boundary_tol=on_boundary, tangency_tol=tangency_warn_tol,
+        boundary_tol=on_boundary, tangency_tol=_GRAZE_WARN_TOL,
     )
     if graze.kind is not PseudoEpKind.SEMI_SADDLE:
         warnings.warn(
@@ -240,8 +240,8 @@ def cct_sensitivity_mode2(
             stacklevel=2,
         )
 
-    fm = fault_matrices(system, p, result, opts)
-    pm = post_matrices(system, p, result, opts)
+    fm = fault_matrices(system, p, result)
+    pm = post_matrices(system, p, result)
     for o in constraints:
         if o is not c and abs(o.value(result.x_T, p)) <= on_boundary:
             raise DegenerateGeometry(
@@ -268,8 +268,6 @@ def cct_sensitivity(
     system: ConstrainedSystem,
     p: np.ndarray,
     result: CriticalResult,
-    opts: IntegrationOptions = IntegrationOptions(),
-    tangency_warn_tol: float = 0.05,
 ) -> SensitivityResult:
     """Mode-dispatching front end for the critical-time sensitivities."""
     if result.mode is InstabilityMode.NO_RETURN:
@@ -280,9 +278,7 @@ def cct_sensitivity(
     if result.mode is InstabilityMode.FAULT_BOUNDARY:
         return SensitivityResult(
             mode=result.mode,
-            dt_cl=cct_sensitivity_mode1(system, p, result, opts),
+            dt_cl=cct_sensitivity_mode1(system, p, result),
         )
-    dt_cl, d_t = cct_sensitivity_mode2(
-        system, p, result, opts, tangency_warn_tol=tangency_warn_tol
-    )
+    dt_cl, d_t = cct_sensitivity_mode2(system, p, result)
     return SensitivityResult(mode=result.mode, dt_cl=dt_cl, dT=d_t)

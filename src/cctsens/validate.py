@@ -49,6 +49,11 @@ from .model import find_equilibrium  # not called here; bench/spans.py patches t
 _REL_FLOOR = 1e-12
 _FD_REL_STEP = 1e-4
 _FD_ABS_FLOOR = 1e-6
+# Tolerances of the perturbed runs behind the flow derivatives.
+_FD_FLOW_OPTS = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12)
+# Pass bounds: relative error of a slope, absolute error of a flow derivative.
+_SLOPE_TOL = 0.05
+_PHI_TOL = 1e-3
 # Clearing points per lockstep run of a scan.  A larger block spreads the
 # per-step overhead over more lanes, but a scan that stops at its first
 # unstable point wastes the lanes of its block past that point.  Over 24
@@ -175,13 +180,12 @@ def fd_trajectory_sensitivity(
     p: np.ndarray,
     t: float,
     k: int,
-    eps: Optional[float] = None,
-    opts: Optional[IntegrationOptions] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference flow derivatives at time t.
 
     Returns the full state-to-state matrix and the column for
-    parameter k, each from a pair of perturbed integrations.
+    parameter k, each from a pair of perturbed integrations at tight
+    tolerances, with each coordinate's step from ``_fd_step``.
     """
     x0 = np.asarray(x0, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -190,21 +194,19 @@ def fd_trajectory_sensitivity(
     n = x0.size
     if t == 0.0:
         return np.eye(n), np.zeros(n)
-    if opts is None:
-        opts = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12)
-    opts = replace(opts, t_max=t)
+    opts = replace(_FD_FLOW_OPTS, t_max=t)
 
     def endpoint(x_start: np.ndarray, params: np.ndarray) -> np.ndarray:
         return integrate(system, phase, x_start, params, opts).final_state
 
     phi_x = np.empty((n, n))
-    steps_x = np.array([_fd_step(v) if eps is None else eps for v in x0])
+    steps_x = np.array([_fd_step(v) for v in x0])
     for i in range(n):
         d = np.zeros(n)
         d[i] = steps_x[i]
         phi_x[:, i] = (endpoint(x0 + d, p) - endpoint(x0 - d, p)) / (2.0 * steps_x[i])
 
-    eps_p = _fd_step(p[k]) if eps is None else eps
+    eps_p = _fd_step(p[k])
     dp = np.zeros(p.size)
     dp[k] = eps_p
     phi_p_col = (endpoint(x0, p + dp) - endpoint(x0, p - dp)) / (2.0 * eps_p)
@@ -295,8 +297,6 @@ def oracle_suite(
     opts: Optional[CctOptions] = None,
     sens_params: Optional[Sequence[int]] = None,
     quantities: Optional[Sequence[str]] = None,
-    slope_tol: float = 0.05,
-    phi_tol: float = 1e-3,
 ) -> list[OracleReport]:
     """Cross-check the analytic pipeline on one configuration.
 
@@ -349,7 +349,7 @@ def oracle_suite(
                 warnings.warn(str(exc), RuntimeWarning)
                 continue
             reports.append(compare(
-                f"slope_{names[k]}", sens.dt_cl[k], fd, (eps,), slope_tol,
+                f"slope_{names[k]}", sens.dt_cl[k], fd, (eps,), _SLOPE_TOL,
             ))
     elif slope_rows and quantities is not None:
         raise UnsupportedMode(
@@ -373,7 +373,7 @@ def oracle_suite(
                     reports.append(compare_abs(
                         f"phi_x[{i},{j}]",
                         bundle.final_phi_x[i, j], fd_x[i, j],
-                        (_fd_step(result.x_sep_pre[j]),), phi_tol,
+                        (_fd_step(result.x_sep_pre[j]),), _PHI_TOL,
                     ))
         for k in phi_params:
             _, fd_col = fd_trajectory_sensitivity(
@@ -383,6 +383,6 @@ def oracle_suite(
                 reports.append(compare_abs(
                     f"phi_p_{names[k]}[{i}]",
                     bundle.final_phi_p[i, k], fd_col[i],
-                    (_fd_step(p[k]),), phi_tol,
+                    (_fd_step(p[k]),), _PHI_TOL,
                 ))
     return reports

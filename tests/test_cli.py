@@ -56,7 +56,8 @@ class TestConfig:
 
     def test_bad_tolerance_key_and_format(self, tmp_path):
         path = write_config(tmp_path, _BASE)
-        assert main(["cct", "--config", str(path), "--tol", "nope=1"]) == 2
+        for key in ("nope=1", "first_step=0.1", "event_refine_tol=1e-9"):
+            assert main(["cct", "--config", str(path), "--tol", key]) == 2
         assert main(["cct", "--config", str(path), "--tol", "oops"]) == 2
 
     def test_tolerance_override_changes_hash(self, tmp_path):
