@@ -65,6 +65,9 @@ __all__ = [
 # Field-norm minima and end states within this multiple of sep_radius
 # count as part of the convergence tail, not as captures elsewhere.
 _LOOSE_FACTOR = 100.0
+# Factor on the level c of a certified region of attraction, a margin for
+# the integration error of a run that has entered it.
+_REGION_SHRINK = 0.5
 
 
 class InstabilityMode(IntEnum):
@@ -111,6 +114,7 @@ class PostFaultClassification:
     ``T = min(t1, t2)`` locates the decisive event of an unstable run.
     ``h_at_clearing`` is the feasibility product at the clearing state,
     normalised by its value at the pre-fault equilibrium.
+    ``converged_to_sep`` is True when the run entered the SEP region.
     """
 
     stable: bool
@@ -177,6 +181,60 @@ def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarra
             "no positive clearing time exists"
         )
     return x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
+
+
+def _attraction_region(system, p, x_sep, sep_radius: float):
+    """(P, sqrt(c)) of a certified region of attraction {e^T P e <= c}, or None.
+
+    e = x - x_sep for the post-fault SEP x_sep.  P solves the Lyapunov
+    equation A^T P + P A = -I for A = jac_x(x_sep), so V = e^T P e has
+    dV/dt <= -|e|^2 (1 - lam_hi L |e|), where L is the phase's
+    ``jac_lipschitz`` bound and lam_lo, lam_hi are the extreme
+    eigenvalues of P (Khalil, Nonlinear Systems, 3rd ed., ch. 8).  The
+    level c keeps the region inside |e| < 1 / (lam_hi L), where V
+    decreases, and inside ``_LOOSE_FACTOR * sep_radius``; each margin
+    stays positive on it because h_k(x_sep) - sqrt(c g^T P^-1 g) -
+    (L / 2) c / lam_lo > 0 for g = grad_x h_k(x_sep).  A run that enters
+    the region therefore stays in it and crosses no limit.  None when
+    the phase has no bound, P is not positive definite, a margin is not
+    positive at x_sep, or the region would not contain the ball
+    |e| <= sep_radius.
+    """
+    dyn = system.phases[Phase.POST_FAULT]
+    if dyn.jac_lipschitz is None:
+        return None
+    lip = float(dyn.jac_lipschitz(p))
+    if not (math.isfinite(lip) and lip >= 0.0):
+        return None
+    a = np.asarray(dyn.jac_x(x_sep, p), dtype=float)
+    eye = np.eye(len(a))
+    # The Lyapunov equation as one linear system in the row-major entries of P.
+    try:
+        P = np.linalg.solve(np.kron(a.T, eye) + np.kron(eye, a.T), -eye.ravel()).reshape(a.shape)
+    except np.linalg.LinAlgError:
+        return None
+    P = 0.5 * (P + P.T)
+    lam_lo, lam_hi = np.linalg.eigvalsh(P)[[0, -1]].tolist()
+    if not lam_lo > 0.0:
+        return None
+    reach = _LOOSE_FACTOR * sep_radius
+    if lip > 0.0:
+        reach = min(reach, 1.0 / (lam_hi * lip))
+    c = lam_lo * reach**2
+    for con in dyn.constraints:
+        h = float(con.value(x_sep, p))
+        if not h > 0.0:
+            return None
+        g = np.asarray(con.grad_x(x_sep, p), dtype=float)
+        beta = math.sqrt(float(g @ np.linalg.solve(P, g)))
+        # The positive root in sqrt(c) of h - beta sqrt(c) - (L / 2) c / lam_lo.
+        denom = beta + math.sqrt(beta * beta + 2.0 * lip * h / lam_lo)
+        if denom > 0.0:
+            c = min(c, (2.0 * h / denom) ** 2)
+    c *= _REGION_SHRINK
+    if not c >= lam_hi * sep_radius**2:
+        return None
+    return P, math.sqrt(c)
 
 
 def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
@@ -247,9 +305,15 @@ def classify_post_faults(
     integration, each watched for a crossing of any post-fault
     constraint (immediate, t1 = 0, when the clearing state already
     violates one), for field-norm minima below ``field_norm_threshold``
-    away from the SEP, and for entry into the SEP ball.  Convergence
-    beats captures seen on the way; a run that ends far from the SEP
-    with no crossing and no capture is inconclusive.
+    away from the SEP, and for entry into the SEP region: the certified
+    region of attraction of ``_attraction_region`` when there is one,
+    else the ball of ``sep_radius``.  The certified region holds the
+    ball and no run leaves it or crosses a limit in it, so ending there
+    changes no verdict, time or label; only ``converged_to_sep`` turns
+    True where the run to the ball would have reached its horizon near
+    the SEP.  Convergence beats captures seen on the way; a run that
+    ends far from the SEP with no crossing and no capture is
+    inconclusive.
 
     Returns, per state, its PostFaultClassification or the
     NumericalBlowup, StiffnessFailure or InconclusiveRun that the
@@ -276,10 +340,13 @@ def classify_post_faults(
     if not run:
         return out
 
+    region = _attraction_region(system, p, x_sep_post, opts.sep_radius)
+    shape, radius = (None, opts.sep_radius) if region is None else region
     events = EventConfig(
         constraints=constraints,
         sep_target=x_sep_post,
-        sep_radius=opts.sep_radius,
+        sep_radius=radius,
+        sep_shape=shape,
         norm_min_threshold=opts.field_norm_threshold,
     )
     trajs = integrate_lanes(

@@ -103,12 +103,20 @@ class Constraint:
 
 @dataclass(frozen=True)
 class PhaseDynamics:
-    """Vector field, its Jacobians and the constraint list of one phase."""
+    """Vector field, its Jacobians and the constraint list of one phase.
+
+    ``jac_lipschitz(p)``, when given, is a bound L valid over the whole
+    state space with ||jac_x(x, p) - jac_x(y, p)||_2 <= L ||x - y|| for
+    all x, y; the same L must bound the Lipschitz constant of every
+    constraint's ``grad_x``.  Post-fault verdicts use it to certify a
+    region of attraction around the SEP (``cct``); None certifies none.
+    """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_x: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constraints: tuple[Constraint, ...] = ()
+    jac_lipschitz: Optional[Callable[[np.ndarray], float]] = None
 
 
 @dataclass(frozen=True)
@@ -341,7 +349,15 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
             [[0.0, 0.0, 0.0, 0.0], [1.0 / p[1], -f2 / p[1], 0.0, 0.0]]
         )
 
-    return PhaseDynamics(f=f, jac_x=jac_x, jac_p=jac_p, constraints=_smib_constraints())
+    def jac_lipschitz(p: np.ndarray) -> float:
+        # Only the entry -b cos(delta) / M varies, by at most |b| / M per
+        # unit of delta; the limits are linear.
+        return abs(b) / p[1]
+
+    return PhaseDynamics(
+        f=f, jac_x=jac_x, jac_p=jac_p, constraints=_smib_constraints(),
+        jac_lipschitz=jac_lipschitz,
+    )
 
 
 def _smib_constraints() -> tuple[Constraint, ...]:

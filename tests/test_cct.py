@@ -23,11 +23,13 @@ from cctsens import (
     IntegrationOptions,
     NoEquilibriumFound,
     NoFiniteCct,
+    Phase,
     SmibParams,
     classify_post_fault,
     classify_post_faults,
     clearing_outcome,
     compute_cct,
+    integrate_lanes,
     smib_system,
     system_from_expressions,
 )
@@ -306,6 +308,133 @@ class TestClassifyPostFault:
         assert classify_post_faults(
             sys3, _P3.p0, np.empty((0, 2)), self._SEP, h_ref, opts
         ) == []
+
+
+def _without_bound(system):
+    """The same system with no jac_lipschitz on its post-fault phase."""
+    post = replace(system.phases[Phase.POST_FAULT], jac_lipschitz=None)
+    return replace(system, phases={**system.phases, Phase.POST_FAULT: post})
+
+
+_REGION_MACHINES = [
+    SmibParams(p_mech=0.5, inertia=m, delta_max=dmax, omega_max=wmax)
+    for m in (0.1, 0.25, 0.5)
+    for dmax, wmax in ((1.6, 0.9), (2.0, 0.75), (50.0, 50.0))
+]
+_SMIB_EXPRS = {
+    ph: {
+        "f": ["x2", f"(Pm - {c} * sin(x1) - 0.5 * x2) / M"],
+        "h": {"angle_limit": "delta_max - x1", "speed_limit": "omega_max - x2"},
+    }
+    for ph, c in (("pre", 1), ("fault", 0), ("post", 1))
+}
+
+
+def _feasible_states(params, rng, count):
+    lo = np.array([-1.0, -1.5])
+    hi = np.array([min(params.delta_max, 3.0), min(params.omega_max, 1.5)])
+    xs = rng.uniform(lo, hi, size=(count, 2))
+    return xs[(xs[:, 0] < params.delta_max) & (xs[:, 1] < params.omega_max)]
+
+
+def _verdicts_and_steps(system, p, xs, monkeypatch):
+    """Verdicts of classify_post_faults and the accepted steps of each lane."""
+    steps = []
+
+    def counting(*args, **kwargs):
+        trajs = integrate_lanes(*args, **kwargs)
+        steps.extend(0 if isinstance(t, Exception) else len(t.times) - 1 for t in trajs)
+        return trajs
+
+    monkeypatch.setattr(cct_mod, "integrate_lanes", counting)
+    _, x_sep, h_ref = cct_mod._operating_point(system, p, CctOptions())
+    out = classify_post_faults(system, p, xs, x_sep, h_ref, CctOptions())
+    monkeypatch.undo()
+    return out, steps
+
+
+def _verdict_key(cls):
+    if isinstance(cls, Exception):
+        return type(cls), str(cls)
+    x_T = None if cls.x_T is None else cls.x_T.tolist()
+    return cls.stable, cls.t1, cls.t2, cls.T, cls.crossing_label, cls.f_norm_min, x_T
+
+
+class TestCertifiedRegion:
+    """Stable verdicts end on entry into a certified region of attraction."""
+
+    def test_early_exit_never_changes_a_verdict(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for params in _REGION_MACHINES:
+            system = smib_system(params)
+            xs = _feasible_states(params, rng, 40)
+            fast, fast_steps = _verdicts_and_steps(system, params.p0, xs, monkeypatch)
+            full, full_steps = _verdicts_and_steps(_without_bound(system), params.p0, xs, monkeypatch)
+            assert [_verdict_key(c) for c in fast] == [_verdict_key(c) for c in full], params
+            # The clearing states all need a run, so lanes line up with states.
+            assert len(fast_steps) == len(full_steps) == len(xs)
+            stable = [k for k, c in enumerate(full) if not isinstance(c, Exception) and c.stable]
+            assert stable, params
+            assert sum(fast_steps[k] for k in stable) < sum(full_steps[k] for k in stable), params
+            for k in set(range(len(xs))) - set(stable):
+                assert fast_steps[k] == full_steps[k]
+
+    def test_expression_system_has_no_region_and_runs_unchanged(self, monkeypatch):
+        params = _REGION_MACHINES[4]
+        twin = system_from_expressions(
+            ["x1", "x2"], ["Pm", "M", "delta_max", "omega_max"], _SMIB_EXPRS
+        )
+        assert twin.phases[Phase.POST_FAULT].jac_lipschitz is None
+        xs = _feasible_states(params, np.random.default_rng(12), 30)
+        a, a_steps = _verdicts_and_steps(twin, params.p0, xs, monkeypatch)
+        b, b_steps = _verdicts_and_steps(_without_bound(twin), params.p0, xs, monkeypatch)
+        assert [_verdict_key(c) for c in a] == [_verdict_key(c) for c in b]
+        assert a_steps == b_steps
+
+    @pytest.mark.parametrize("params", _REGION_MACHINES + [
+        SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9,
+                   coupling_pre=1.3, coupling_post=1.3),
+        # Limits close enough to the SEP that the margins shrink the region.
+        SmibParams(p_mech=0.5, inertia=0.5, delta_max=0.55, omega_max=0.03),
+        SmibParams(p_mech=0.5, inertia=0.1, delta_max=0.6, omega_max=0.02),
+    ])
+    def test_region_is_sound(self, params):
+        system = smib_system(params)
+        p = params.p0
+        sep_radius = CctOptions().sep_radius
+        _, x_sep, _ = cct_mod._operating_point(system, p, CctOptions())
+        region = cct_mod._attraction_region(system, p, x_sep, sep_radius)
+        assert region is not None
+        shape, radius = region
+        c = radius * radius
+        dyn = system.phases[Phase.POST_FAULT]
+        lam, vec = np.linalg.eigh(shape)
+        angles = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+        units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # Points with e^T P e = c: e = sqrt(c) P^(-1/2) u for unit u.
+        edge = radius * units @ (vec / np.sqrt(lam)).T
+        for e in edge:
+            assert e @ shape @ e == pytest.approx(c, rel=1e-12)
+            assert 2.0 * e @ shape @ dyn.f(x_sep + e, p) < 0.0
+            assert all(con.value(x_sep + e, p) > 0.0 for con in dyn.constraints)
+            assert np.linalg.norm(e) <= cct_mod._LOOSE_FACTOR * sep_radius
+        # The region holds the sep_radius ball.
+        for e in sep_radius * units:
+            assert e @ shape @ e <= c
+
+    def test_no_region_without_a_bound(self):
+        system = _without_bound(smib_system(_P2))
+        _, x_sep, _ = cct_mod._operating_point(system, _P2.p0, CctOptions())
+        assert cct_mod._attraction_region(system, _P2.p0, x_sep, 1e-3) is None
+
+    def test_no_region_smaller_than_the_ball(self):
+        # The angle limit 1.2e-3 past the SEP leaves no certified region
+        # that holds the 1e-3 ball.
+        params = SmibParams(p_mech=0.5, inertia=0.5, delta_max=math.asin(0.5) + 1.2e-3, omega_max=0.9)
+        system = smib_system(params)
+        x_sep = np.array([math.asin(0.5), 0.0])
+        assert cct_mod._attraction_region(system, params.p0, x_sep, 1e-3) is None
+        assert cct_mod._attraction_region(system, params.p0, x_sep, 1e-4) is not None
 
 
 class TestClearingOutcome:

@@ -114,6 +114,28 @@ def test_constraint_param_columns_are_zero():
 # ── equilibria ────────────────────────────────────────────────────────────────
 
 
+@pytest.mark.parametrize("coupling", [1.0, 1.3])
+def test_jacobian_lipschitz_bound_holds(coupling):
+    # ||J(x) - J(y)||_2 <= L ||x - y|| on random pairs, near and far; the
+    # limits are linear, so their gradients need no bound.
+    rng = np.random.default_rng(5)
+    for inertia in (0.1, 0.5):
+        params = SmibParams(0.5, inertia, 2.0, 1.5, coupling_pre=coupling, coupling_post=coupling)
+        system = smib_system(params)
+        p = params.p0
+        for phase, dyn in system.phases.items():
+            lip = dyn.jac_lipschitz(p)
+            assert lip == (0.0 if phase is Phase.FAULT_ON else coupling / inertia)
+            for scale in (1e-3, 1.0, 10.0):
+                for _ in range(50):
+                    x = rng.uniform(-4.0, 4.0, 2)
+                    y = x + scale * rng.normal(size=2)
+                    gap = np.linalg.norm(dyn.jac_x(x, p) - dyn.jac_x(y, p), 2)
+                    assert gap <= lip * np.linalg.norm(x - y) * (1.0 + 1e-12)
+            for con in dyn.constraints:
+                assert np.array_equal(con.grad_x(x, p), con.grad_x(y, p))
+
+
 def test_pre_fault_sep_is_arcsin():
     eq = find_equilibrium(_SYS, Phase.PRE_FAULT, _P0, np.zeros(2))
     assert eq.classification is EquilibriumClass.STABLE
