@@ -114,7 +114,7 @@ class PostFaultClassification:
     ``T = min(t1, t2)`` locates the decisive event of an unstable run.
     ``h_at_clearing`` is the feasibility product at the clearing state,
     normalised by its value at the pre-fault equilibrium.
-    ``converged_to_sep`` is True when the run entered the SEP region.
+    ``converged_to_sep`` is True when the run entered the SEP ball.
     """
 
     stable: bool
@@ -183,22 +183,23 @@ def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarra
     return x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
 
 
-def _attraction_region(system, p, x_sep, sep_radius: float):
-    """(P, sqrt(c)) of a certified region of attraction {e^T P e <= c}, or None.
+def _attraction_radius(system, p, x_sep, sep_radius: float):
+    """Radius of a ball around x_sep inside a certified region of attraction, or None.
 
-    e = x - x_sep for the post-fault SEP x_sep.  P solves the Lyapunov
-    equation A^T P + P A = -I for A = jac_x(x_sep), so V = e^T P e has
-    dV/dt <= -|e|^2 (1 - lam_hi L |e|), where L is the phase's
-    ``jac_lipschitz`` bound and lam_lo, lam_hi are the extreme
-    eigenvalues of P (Khalil, Nonlinear Systems, 3rd ed., ch. 8).  The
-    level c keeps the region inside |e| < 1 / (lam_hi L), where V
-    decreases, and inside ``_LOOSE_FACTOR * sep_radius``; each margin
-    stays positive on it because h_k(x_sep) - sqrt(c g^T P^-1 g) -
-    (L / 2) c / lam_lo > 0 for g = grad_x h_k(x_sep).  A run that enters
-    the region therefore stays in it and crosses no limit.  None when
-    the phase has no bound, P is not positive definite, a margin is not
-    positive at x_sep, or the region would not contain the ball
-    |e| <= sep_radius.
+    The region is {e^T P e <= c} for e = x - x_sep and the post-fault
+    SEP x_sep.  P solves the Lyapunov equation A^T P + P A = -I for
+    A = jac_x(x_sep), so V = e^T P e has dV/dt <= -|e|^2 (1 - lam_hi L |e|),
+    where L is the phase's ``jac_lipschitz`` bound and lam_lo, lam_hi
+    are the extreme eigenvalues of P (Khalil, Nonlinear Systems, 3rd
+    ed., ch. 8).  The level c keeps the region inside
+    |e| < 1 / (lam_hi L), where V decreases, and inside
+    ``_LOOSE_FACTOR * sep_radius``; each margin stays positive on it
+    because h_k(x_sep) - sqrt(c g^T P^-1 g) - (L / 2) c / lam_lo > 0 for
+    g = grad_x h_k(x_sep).  A run that enters the region therefore
+    stays in it and crosses no limit.  The ball |e| <= sqrt(c / lam_hi)
+    lies in the region.  None when the phase has no bound, P is not
+    positive definite, a margin is not positive at x_sep, or the ball
+    would be smaller than ``sep_radius``.
     """
     dyn = system.phases[Phase.POST_FAULT]
     if dyn.jac_lipschitz is None:
@@ -231,10 +232,20 @@ def _attraction_region(system, p, x_sep, sep_radius: float):
         denom = beta + math.sqrt(beta * beta + 2.0 * lip * h / lam_lo)
         if denom > 0.0:
             c = min(c, (2.0 * h / denom) ** 2)
-    c *= _REGION_SHRINK
-    if not c >= lam_hi * sep_radius**2:
-        return None
-    return P, math.sqrt(c)
+    radius = math.sqrt(_REGION_SHRINK * c / lam_hi)
+    return radius if radius >= sep_radius else None
+
+
+def _capture(traj, x_sep_post, loose: float):
+    """The first field-norm minimum farther than ``loose`` from the SEP, or None."""
+    return next(
+        (
+            ev for ev in traj.events
+            if ev.kind is EventKind.FIELD_NORM_LOCAL_MIN
+            and float(np.linalg.norm(ev.state - x_sep_post)) > loose
+        ),
+        None,
+    )
 
 
 def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
@@ -247,14 +258,7 @@ def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
     crossing = traj.first_event(EventKind.CONSTRAINT_CROSSING)
     converged = traj.first_event(EventKind.CONVERGED_TO_SEP) is not None
     loose = _LOOSE_FACTOR * opts.sep_radius
-    capture = next(
-        (
-            ev for ev in traj.events
-            if ev.kind is EventKind.FIELD_NORM_LOCAL_MIN
-            and float(np.linalg.norm(ev.state - x_sep_post)) > loose
-        ),
-        None,
-    )
+    capture = _capture(traj, x_sep_post, loose)
 
     t1 = crossing.time if crossing is not None else math.inf
     t2 = capture.time if capture is not None else math.inf
@@ -305,14 +309,17 @@ def classify_post_faults(
     integration, each watched for a crossing of any post-fault
     constraint (immediate, t1 = 0, when the clearing state already
     violates one), for field-norm minima below ``field_norm_threshold``
-    away from the SEP, and for entry into the SEP region: the certified
-    region of attraction of ``_attraction_region`` when there is one,
-    else the ball of ``sep_radius``.  The certified region holds the
-    ball and no run leaves it or crosses a limit in it, so ending there
-    changes no verdict, time or label; only ``converged_to_sep`` turns
-    True where the run to the ball would have reached its horizon near
-    the SEP.  Convergence beats captures seen on the way; a run that
-    ends far from the SEP with no crossing and no capture is
+    away from the SEP, and for entry into the SEP ball: the ball of
+    ``_attraction_radius`` when the phase certifies one, else the ball
+    of ``sep_radius``.  The certified ball lies in a region of
+    attraction that no run leaves or crosses a limit in, so a run with
+    no capture that enters it is stable either way.  A run that entered
+    it after a capture is stable only if it reaches the ``sep_radius``
+    ball before its horizon, so it runs again to that ball.  No
+    verdict, time or label changes; only ``converged_to_sep`` turns
+    True where the run to the small ball would have reached its
+    horizon near the SEP.  Convergence beats captures seen on the way;
+    a run that ends far from the SEP with no crossing and no capture is
     inconclusive.
 
     Returns, per state, its PostFaultClassification or the
@@ -340,18 +347,35 @@ def classify_post_faults(
     if not run:
         return out
 
-    region = _attraction_region(system, p, x_sep_post, opts.sep_radius)
-    shape, radius = (None, opts.sep_radius) if region is None else region
+    radius = _attraction_radius(system, p, x_sep_post, opts.sep_radius)
     events = EventConfig(
         constraints=constraints,
         sep_target=x_sep_post,
-        sep_radius=radius,
-        sep_shape=shape,
+        sep_radius=opts.sep_radius if radius is None else radius,
         norm_min_threshold=opts.field_norm_threshold,
     )
     trajs = integrate_lanes(
         system, Phase.POST_FAULT, x_cls[run], p, opts.integration, events
     )
+    if radius is not None:
+        # A run that entered the certified ball after a capture is stable
+        # only if it reaches the sep_radius ball before its horizon: run it
+        # again to that ball.
+        loose = _LOOSE_FACTOR * opts.sep_radius
+        again = [
+            k for k, traj in enumerate(trajs)
+            if not isinstance(traj, Exception)
+            and traj.first_event(EventKind.CONVERGED_TO_SEP) is not None
+            and _capture(traj, x_sep_post, loose) is not None
+        ]
+        if again:
+            ball = replace(events, sep_radius=opts.sep_radius)
+            redone = integrate_lanes(
+                system, Phase.POST_FAULT, x_cls[[run[k] for k in again]], p,
+                opts.integration, ball,
+            )
+            for k, traj in zip(again, redone):
+                trajs[k] = traj
     for i, traj in zip(run, trajs):
         out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(
             traj, x_cls[i], x_sep_post, h_norms[i], opts

@@ -15,10 +15,8 @@ Three kinds of events can be watched while integrating:
   interpolated state down to ``_EVENT_REFINE_TOL``.  Watching each
   margin, not their product, also sees a step that crosses an even
   number of margins at once;
-* entry into a region around a target equilibrium while the field norm
-  is decreasing (the "converged" verdict used by stability
-  classification): the ball ||e|| <= r of the offset e from the target,
-  or the ellipsoid sqrt(e^T S e) <= r when a shape matrix S is given;
+* entry into a ball around a target equilibrium while the field norm is
+  decreasing (the "converged" verdict used by stability classification);
 * local minima of the field norm along the trajectory, refined by a
   golden-section search on the interpolant (how near-misses of other
   equilibria are measured).
@@ -135,22 +133,17 @@ class EventConfig:
     A run ends with a CONSTRAINT_CROSSING event as soon as one of
     ``constraints`` is non-positive: at the start, or at the earliest
     root inside a step.  The event info names that constraint.  Entry
-    into the region around ``sep_target`` while the field norm
-    decreases also ends the run: with e the offset from the target,
-    the ball ||e|| <= ``sep_radius``, or, when the symmetric positive
-    definite ``sep_shape`` S is set, the ellipsoid
-    sqrt(e^T S e) <= ``sep_radius``.  A run that starts in the region
-    ends there at t = 0.  Every local minimum of the field norm at or
-    below ``norm_min_threshold`` is recorded; None watches no minima.
-    Reaching the horizon is not an event.  In a lockstep run every lane
-    watches the same events and records its own; one lane's event ends
-    that lane only.
+    into the ball of ``sep_radius`` around ``sep_target`` while the
+    field norm decreases also ends the run.  Every local minimum of the
+    field norm at or below ``norm_min_threshold`` is recorded; None
+    watches no minima.  Reaching the horizon is not an event.  In a
+    lockstep run every lane watches the same events and records its
+    own; one lane's event ends that lane only.
     """
 
     constraints: tuple[Constraint, ...] = ()
     sep_target: Optional[np.ndarray] = None
     sep_radius: float = 1e-3
-    sep_shape: Optional[np.ndarray] = None
     norm_min_threshold: Optional[float] = None
 
 
@@ -237,15 +230,6 @@ def _norm_rows(v: np.ndarray) -> list[float]:
     if len(v) == 1:
         return [math.sqrt(v[0] @ v[0])]
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel().tolist()
-
-
-def _shaped_norm_rows(v: np.ndarray, shape: np.ndarray) -> list[float]:
-    """sqrt(v^T S v) of each row v, with S = ``shape``.
-
-    One row and many take the same stacked products, so a lane's value
-    does not depend on the other lanes.
-    """
-    return np.sqrt(np.matmul(np.matmul(v[:, None, :], shape), v[:, :, None])).ravel().tolist()
 
 
 def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> list[float]:
@@ -350,7 +334,6 @@ def _engine(
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
     constraints = events.constraints if events is not None else ()
     sep = events.sep_target if events is not None else None
-    sep_shape = events.sep_shape if events is not None else None
     min_threshold = events.norm_min_threshold if events is not None else None
     watch_norm = sep is not None or min_threshold is not None
 
@@ -361,10 +344,6 @@ def _engine(
         # A lone lane is evaluated as one state, which is cheaper than a
         # batch of one.
         return rhs(z[0], p)[None] if len(z) == 1 else lanes_rhs(z, p)
-
-    def sep_dists(z):
-        e = z[:, :n_state] - sep
-        return _norm_rows(e) if sep_shape is None else _shaped_norm_rows(e, sep_shape)
 
     def margins(z):
         # One list of lane margins per constraint.
@@ -395,7 +374,7 @@ def _engine(
         y, f = y[ids], f[ids]
 
     # A run ends at its start on or outside the boundary (as a hit of the
-    # most violated constraint) or inside the SEP region, and takes no step.
+    # most violated constraint) or inside the SEP ball, and takes no step.
     done = set()
     if constraints and ids:
         vals = margins(y)
@@ -408,7 +387,7 @@ def _engine(
                 done.add(a)
     norm_prev = _norm_rows(f[:, :n_state]) if watch_norm and ids else [None] * len(ids)
     if sep is not None and ids:
-        for a, dist in enumerate(sep_dists(y)):
+        for a, dist in enumerate(_norm_rows(y[:, :n_state] - sep)):
             if a not in done and dist <= events.sep_radius:
                 record(ids[a], 0.0, EventKind.CONVERGED_TO_SEP, y[a], {"distance": 0.0})
                 done.add(a)
@@ -500,7 +479,7 @@ def _engine(
         fs = f_new if full else f_new[acc]
         vals = margins(ys) if constraints else ()
         norms = _norm_rows(fs[:, :n_state]) if watch_norm else [None] * len(acc)
-        dists = sep_dists(ys) if sep is not None else None
+        dists = _norm_rows(ys[:, :n_state] - sep) if sep is not None else None
         for i, a in enumerate(acc):
             lane = ids[a]
             t1 = t_step[i]

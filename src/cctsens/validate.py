@@ -58,9 +58,9 @@ _PHI_TOL = 1e-3
 # per-step overhead over more lanes, but a scan that stops at its first
 # unstable point wastes the lanes of its block past that point.  Over 24
 # machine-model scans of about 80 points each on a 2-CPU Xeon, with stable
-# runs ending in the certified region of attraction, blocks of 16, 32 and
-# 64 took 177-186, 171-192 and 271-294 ms per scan (124.7k, 134.9k and
-# 192.2k lane steps); 16 and 32 tie.
+# runs ending in the certified ball, blocks of 16, 32 and 64 took
+# 176-209, 167-213 and 292-336 ms per scan (136.8k, 147.0k and 204.3k
+# lane steps); 16 and 32 tie.
 _SCAN_BLOCK = 32
 
 

@@ -391,6 +391,24 @@ class TestCertifiedRegion:
         assert [_verdict_key(c) for c in a] == [_verdict_key(c) for c in b]
         assert a_steps == b_steps
 
+    def test_capture_then_late_return_keeps_its_horizon_verdict(self, monkeypatch):
+        # Just inside the separatrix the run stalls at the saddle (a
+        # capture near t = 4.5), turns back and enters the certified ball
+        # before t = 20 but the sep_radius ball only after it.  Run to the
+        # ball it ends at the horizon after a capture, so it is unstable;
+        # with t_max = 30 it reaches the ball and is stable.
+        system = smib_system(_P3)
+        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
+        x_cl = np.array([[0.0, 5.52713]])
+        for t_max, stable in ((20.0, False), (30.0, True)):
+            opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
+            fast, full = (
+                classify_post_faults(s, _P3.p0, x_cl, x_sep, h_ref, opts)[0]
+                for s in (system, _without_bound(system))
+            )
+            assert _verdict_key(fast) == _verdict_key(full)
+            assert fast.stable is stable and 4.0 < fast.t2 < 5.0
+
     @pytest.mark.parametrize("params", _REGION_MACHINES + [
         SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9,
                    coupling_pre=1.3, coupling_post=1.3),
@@ -403,38 +421,51 @@ class TestCertifiedRegion:
         p = params.p0
         sep_radius = CctOptions().sep_radius
         _, x_sep, _ = cct_mod._operating_point(system, p, CctOptions())
-        region = cct_mod._attraction_region(system, p, x_sep, sep_radius)
-        assert region is not None
-        shape, radius = region
-        c = radius * radius
+        radius = cct_mod._attraction_radius(system, p, x_sep, sep_radius)
+        assert radius is not None and radius >= sep_radius
         dyn = system.phases[Phase.POST_FAULT]
+        # P of the Lyapunov equation A^T P + P A = -I, solved for its three
+        # entries; the level c = lam_hi radius^2 gives the least ellipsoid
+        # e^T P e <= c that holds the ball.
+        (a11, a12), (a21, a22) = dyn.jac_x(x_sep, p)
+        p11, p12, p22 = np.linalg.solve(
+            [[2 * a11, 2 * a21, 0.0], [a12, a11 + a22, a21], [0.0, 2 * a12, 2 * a22]],
+            [-1.0, 0.0, -1.0],
+        )
+        shape = np.array([[p11, p12], [p12, p22]])
         lam, vec = np.linalg.eigh(shape)
+        c = lam[-1] * radius * radius
         angles = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
         units = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         # Points with e^T P e = c: e = sqrt(c) P^(-1/2) u for unit u.
-        edge = radius * units @ (vec / np.sqrt(lam)).T
+        edge = math.sqrt(c) * units @ (vec / np.sqrt(lam)).T
         for e in edge:
             assert e @ shape @ e == pytest.approx(c, rel=1e-12)
             assert 2.0 * e @ shape @ dyn.f(x_sep + e, p) < 0.0
             assert all(con.value(x_sep + e, p) > 0.0 for con in dyn.constraints)
             assert np.linalg.norm(e) <= cct_mod._LOOSE_FACTOR * sep_radius
-        # The region holds the sep_radius ball.
-        for e in sep_radius * units:
-            assert e @ shape @ e <= c
+        # Runs from the ball's edge stay inside the limits and the loose
+        # radius all the way to the horizon.
+        starts = x_sep + radius * units[::10]
+        for traj in integrate_lanes(system, Phase.POST_FAULT, starts, p, IntegrationOptions(t_max=10.0)):
+            assert traj.final_time == 10.0
+            assert np.max(np.linalg.norm(traj.states - x_sep, axis=1)) <= cct_mod._LOOSE_FACTOR * sep_radius
+            for con in dyn.constraints:
+                assert all(con.value(x, p) > 0.0 for x in traj.states)
 
     def test_no_region_without_a_bound(self):
         system = _without_bound(smib_system(_P2))
         _, x_sep, _ = cct_mod._operating_point(system, _P2.p0, CctOptions())
-        assert cct_mod._attraction_region(system, _P2.p0, x_sep, 1e-3) is None
+        assert cct_mod._attraction_radius(system, _P2.p0, x_sep, 1e-3) is None
 
     def test_no_region_smaller_than_the_ball(self):
-        # The angle limit 1.2e-3 past the SEP leaves no certified region
-        # that holds the 1e-3 ball.
+        # The angle limit 1.2e-3 past the SEP leaves no certified ball as
+        # large as the 1e-3 one.
         params = SmibParams(p_mech=0.5, inertia=0.5, delta_max=math.asin(0.5) + 1.2e-3, omega_max=0.9)
         system = smib_system(params)
         x_sep = np.array([math.asin(0.5), 0.0])
-        assert cct_mod._attraction_region(system, params.p0, x_sep, 1e-3) is None
-        assert cct_mod._attraction_region(system, params.p0, x_sep, 1e-4) is not None
+        assert cct_mod._attraction_radius(system, params.p0, x_sep, 1e-3) is None
+        assert cct_mod._attraction_radius(system, params.p0, x_sep, 1e-4) is not None
 
 
 class TestClearingOutcome:
