@@ -39,6 +39,7 @@ from .errors import (
     InconclusiveRun,
     NoEquilibriumFound,
     NoFiniteCct,
+    SingularJacobian,
 )
 from .integrator import (
     EventConfig,
@@ -186,10 +187,10 @@ def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarra
 def _attraction_radius(system, p, x_sep, sep_radius: float):
     """Radius of a ball around x_sep inside a certified region of attraction, or None.
 
-    The region is {e^T P e <= c} for e = x - x_sep and the post-fault
-    SEP x_sep.  P solves the Lyapunov equation A^T P + P A = -I for
-    A = jac_x(x_sep), so V = e^T P e has dV/dt <= -|e|^2 (1 - lam_hi L |e|),
-    where L is the phase's ``jac_lipschitz`` bound and lam_lo, lam_hi
+    The region is {e^T P e <= c} for e = x - x_sep and a stable
+    post-fault equilibrium x_sep.  P solves the Lyapunov equation
+    A^T P + P A = -I for A = jac_x(x_sep), so V = e^T P e has
+    dV/dt <= -|e|^2 (1 - lam_hi L |e|), where L is the phase's ``jac_lipschitz`` bound and lam_lo, lam_hi
     are the extreme eigenvalues of P (Khalil, Nonlinear Systems, 3rd
     ed., ch. 8).  The level c keeps the region inside
     |e| < 1 / (lam_hi L), where V decreases, and inside
@@ -234,6 +235,41 @@ def _attraction_radius(system, p, x_sep, sep_radius: float):
             c = min(c, (2.0 * h / denom) ** 2)
     radius = math.sqrt(_REGION_SHRINK * c / lam_hi)
     return radius if radius >= sep_radius else None
+
+
+def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
+    """``EventConfig.stop_at_min`` ending a captured run inside a competing sink.
+
+    A minimum farther than the loose radius from x_sep_post is a
+    capture.  Newton from it finds x*; when x* is stable, has a ball
+    from ``_attraction_radius`` and lies more than the loose radius plus
+    ``ball`` (the run's SEP ball) from x_sep_post, and the step-end
+    state lies in that ball, the run ends.  Its region stays inside
+    every limit and within the loose radius of x*, so the full run would
+    cross no limit and never reach the SEP ball: its verdict is
+    "unstable at the first capture" either way.  Each sink's radius is
+    computed once per predicate.
+    """
+    loose = _LOOSE_FACTOR * opts.sep_radius
+    radii: dict = {}
+
+    def stop(x_min, x_end) -> bool:
+        if float(np.linalg.norm(x_min - x_sep_post)) <= loose:
+            return False
+        try:
+            res = find_equilibrium(system, Phase.POST_FAULT, p, x_min)
+        except (NoEquilibriumFound, SingularJacobian):
+            return False
+        if res.classification is not EquilibriumClass.STABLE:
+            return False
+        key = res.x.tobytes()
+        if key not in radii:
+            far = float(np.linalg.norm(res.x - x_sep_post)) > loose + ball
+            radii[key] = _attraction_radius(system, p, res.x, opts.sep_radius) if far else None
+        radius = radii[key]
+        return radius is not None and float(np.linalg.norm(x_end - res.x)) <= radius
+
+    return stop
 
 
 def _capture(traj, x_sep_post, loose: float):
@@ -315,12 +351,15 @@ def classify_post_faults(
     attraction that no run leaves or crosses a limit in, so a run with
     no capture that enters it is stable either way.  A run that entered
     it after a capture is stable only if it reaches the ``sep_radius``
-    ball before its horizon, so it runs again to that ball.  No
-    verdict, time or label changes; only ``converged_to_sep`` turns
-    True where the run to the small ball would have reached its
-    horizon near the SEP.  Convergence beats captures seen on the way;
-    a run that ends far from the SEP with no crossing and no capture is
-    inconclusive.
+    ball before its horizon, so it runs again to that ball.  A captured
+    run that enters the certified ball of the competing stable
+    equilibrium that captured it ends there (``_sink_stop``): it could
+    no longer cross a limit or reach the SEP ball, so its verdict is
+    already fixed.  No verdict, time or label changes; only
+    ``converged_to_sep`` turns True where the run to the small ball
+    would have reached its horizon near the SEP.  Convergence beats
+    captures seen on the way; a run that ends far from the SEP with no
+    crossing and no capture is inconclusive.
 
     Returns, per state, its PostFaultClassification or the
     NumericalBlowup, StiffnessFailure or InconclusiveRun that the
@@ -348,11 +387,16 @@ def classify_post_faults(
         return out
 
     radius = _attraction_radius(system, p, x_sep_post, opts.sep_radius)
+    ball = opts.sep_radius if radius is None else radius
     events = EventConfig(
         constraints=constraints,
         sep_target=x_sep_post,
-        sep_radius=opts.sep_radius if radius is None else radius,
+        sep_radius=ball,
         norm_min_threshold=opts.field_norm_threshold,
+        stop_at_min=(
+            None if system.phases[Phase.POST_FAULT].jac_lipschitz is None
+            else _sink_stop(system, p, x_sep_post, ball, opts)
+        ),
     )
     trajs = integrate_lanes(
         system, Phase.POST_FAULT, x_cls[run], p, opts.integration, events

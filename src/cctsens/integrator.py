@@ -19,7 +19,9 @@ Three kinds of events can be watched while integrating:
   decreasing (the "converged" verdict used by stability classification);
 * local minima of the field norm along the trajectory, refined by a
   golden-section search on the interpolant (how near-misses of other
-  equilibria are measured).
+  equilibria are measured).  When the phase has a ``jac_lipschitz``
+  bound, a minimum whose certified floor (``_norm_floor``) lies above
+  the recording threshold is not refined: it could not be recorded.
 
 One engine runs K starts ("lanes") in lockstep: every iteration takes
 one Dormand-Prince step of every live lane with its own step size, and
@@ -45,12 +47,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
-from .model import ConstrainedSystem, Constraint, Phase, _check_dims
+from .model import ConstrainedSystem, Constraint, Phase, PhaseDynamics, _check_dims
 
 __all__ = [
     "IntegrationOptions",
@@ -92,6 +94,13 @@ _EVENT_REFINE_TOL = 1e-10
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Slack (relative to the span) tolerated when interpolating at the ends.
 _SPAN_SLACK = 4e-12
+# Largest |s (1 - s)^2| (and |s^2 (1 - s)|) on [0, 1]: the weight of a
+# slope in the cubic Hermite interpolant.
+_HERMITE_SLOPE_WEIGHT = 4.0 / 27.0
+# Relative margin on a field-norm floor before a minimum is skipped; it
+# covers the rounding of the interpolant and the field (about 1e-16
+# relative each) many times over.
+_FLOOR_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,15 +145,21 @@ class EventConfig:
     into the ball of ``sep_radius`` around ``sep_target`` while the
     field norm decreases also ends the run.  Every local minimum of the
     field norm at or below ``norm_min_threshold`` is recorded; None
-    watches no minima.  Reaching the horizon is not an event.  In a
-    lockstep run every lane watches the same events and records its
-    own; one lane's event ends that lane only.
+    watches no minima.  ``stop_at_min``, when given, is called with the
+    state of each recorded minimum and the lane's state at the end of
+    that step (both of shape (n,)); True ends the lane at that step end
+    unless the step already ended it.  The caller vouches that nothing
+    the rest of the run could record would change what it reads from
+    the run.  Reaching the horizon is not an event.  In a lockstep run
+    every lane watches the same events and records its own; one lane's
+    event ends that lane only.
     """
 
     constraints: tuple[Constraint, ...] = ()
     sep_target: Optional[np.ndarray] = None
     sep_radius: float = 1e-3
     norm_min_threshold: Optional[float] = None
+    stop_at_min: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
 
 
 @dataclass(frozen=True)
@@ -307,6 +322,35 @@ def _refine_norm_min(norm_at, t_lo: float, t_hi: float, tol: float):
     return t_star, min(fc, fd)
 
 
+def _excursion(window, n_state: int) -> float:
+    """Bound d on |x(t) - y_b| along the two Hermite pieces of a window.
+
+    On a piece from the middle point b to a neighbour o, the value
+    weights lie in [0, 1] and sum to 1 and each slope weight is at most
+    4/27 in size, so d = max |y_o - y_b| + (4/27) h (|f_b| + |f_o|).
+    The norms are the window's stored field norms.
+    """
+    (t_a, y_a, _, n_a), (t_b, y_b, _, n_b), (t_c, y_c, _, n_c) = window
+    return max(
+        _norm_rows((y_o[:n_state] - y_b[:n_state])[None])[0]
+        + _HERMITE_SLOPE_WEIGHT * h * (n_b + n_o)
+        for y_o, n_o, h in ((y_a, n_a, t_b - t_a), (y_c, n_c, t_c - t_b))
+    )
+
+
+def _norm_floor(window, jac_x, lip: float, p: np.ndarray, n_state: int) -> float:
+    """Lower bound on the field norm along the two Hermite pieces of a window.
+
+    With d the ``_excursion``, L a Lipschitz bound of jac_x and |J| the
+    Frobenius norm of J = jac_x(y_b) (at least its spectral norm),
+    |f(x)| >= |f_b| - |J| d - (L / 2) d^2 there.
+    """
+    _, (_, y_b, _, n_b), _ = window
+    d = _excursion(window, n_state)
+    jac = np.asarray(jac_x(y_b[:n_state], p), dtype=float)
+    return n_b - math.sqrt(float(np.sum(jac * jac))) * d - 0.5 * lip * d * d
+
+
 def _window_state(window, t_q: float) -> np.ndarray:
     """Interpolated state at t_q inside a window of accepted points."""
     for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
@@ -317,7 +361,7 @@ def _window_state(window, t_q: float) -> np.ndarray:
 
 def _engine(
     rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
-    events: Optional[EventConfig], p: np.ndarray,
+    events: Optional[EventConfig], p: np.ndarray, norm_bound=None,
 ) -> list:
     """Lockstep adaptive loop over the rows (lanes) of ``y0``.
 
@@ -325,8 +369,13 @@ def _engine(
     column batch of shape (m, K) to shape (m, K); ``p`` also goes to the
     watched constraints.  Each lane keeps its own time, step size,
     step-control flags and events, and ends on its own, so its result is
-    what a run of that lane alone gives.  Returns one Trajectory per
-    lane, or the NumericalBlowup or StiffnessFailure that stopped it.
+    what a run of that lane alone gives.  ``norm_bound`` is None or the
+    pair (jac_x, L) of the field's Jacobian and a Lipschitz bound of it:
+    a discrete field-norm minimum is then refined only if its
+    ``_norm_floor`` does not clear ``norm_min_threshold`` by the
+    rounding margin, which drops no minimum the refinement would record,
+    so every result stays the same bit for bit.  Returns one Trajectory
+    per lane, or the NumericalBlowup or StiffnessFailure that stopped it.
     """
     y = np.array(y0, dtype=float)
     n_lanes = len(y)
@@ -335,6 +384,7 @@ def _engine(
     constraints = events.constraints if events is not None else ()
     sep = events.sep_target if events is not None else None
     min_threshold = events.norm_min_threshold if events is not None else None
+    stop_at_min = events.stop_at_min if events is not None else None
     watch_norm = sep is not None or min_threshold is not None
 
     def lanes_rhs(z, q):
@@ -511,7 +561,11 @@ def _engine(
                     window.pop(0)
                 if len(window) == 3:
                     (t_a, _, _, n_a), (_, _, _, n_b), (t_c, _, _, n_c) = window
-                    if n_b < n_a and n_b < n_c:
+                    if n_b < n_a and n_b < n_c and (
+                        norm_bound is None
+                        or _norm_floor(window, *norm_bound, p, n_state)
+                        <= min_threshold + _FLOOR_MARGIN * (1.0 + n_b)
+                    ):
                         t_star, v_star = _refine_norm_min(
                             lambda t_q: float(np.linalg.norm(rhs(_window_state(window, t_q), p)[:n_state])),
                             t_a, t_c, _EVENT_REFINE_TOL,
@@ -519,6 +573,11 @@ def _engine(
                         if v_star <= min_threshold:
                             record(lane, t_star, EventKind.FIELD_NORM_LOCAL_MIN,
                                    _window_state(window, t_star), {"f_norm": v_star})
+                            if (
+                                stop_at_min is not None and not terminal
+                                and stop_at_min(lane_events[lane][-1].state, ys[i, :n_state])
+                            ):
+                                terminal = True
 
             if sep is not None and not terminal:
                 if dists[i] <= events.sep_radius and norms[i] < norm_prev[a]:
@@ -569,6 +628,14 @@ def _engine(
     return out
 
 
+def _norm_bound(dyn: PhaseDynamics, p: np.ndarray, events: Optional[EventConfig]):
+    """The engine's (jac_x, L) for a run that watches minima, or None."""
+    if events is None or events.norm_min_threshold is None or dyn.jac_lipschitz is None:
+        return None
+    lip = float(dyn.jac_lipschitz(p))
+    return (dyn.jac_x, lip) if math.isfinite(lip) and lip >= 0.0 else None
+
+
 def integrate_lanes(
     system: ConstrainedSystem,
     phase: Phase,
@@ -590,7 +657,8 @@ def integrate_lanes(
     if not len(x0s):
         return []
     _, p = _check_dims(system, x0s[0], p)
-    return _engine(system.phases[phase].f, x0s, opts, system.n, events, p)
+    dyn = system.phases[phase]
+    return _engine(dyn.f, x0s, opts, system.n, events, p, _norm_bound(dyn, p, events))
 
 
 def integrate(
@@ -606,7 +674,8 @@ def integrate(
     This is the one-lane run of the lockstep engine.
     """
     x0, p = _check_dims(system, x0, p)
-    (traj,) = _engine(system.phases[phase].f, x0[None], opts, system.n, events, p)
+    dyn = system.phases[phase]
+    (traj,) = _engine(dyn.f, x0[None], opts, system.n, events, p, _norm_bound(dyn, p, events))
     if isinstance(traj, Exception):
         raise traj
     return traj

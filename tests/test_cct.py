@@ -9,6 +9,7 @@ the oracles for the fault-boundary mode.
 
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cctsens import (
     BracketCollapse,
     CctOptions,
     EmptyCombinedBoundary,
+    EventKind,
     InconclusiveRun,
     InstabilityMode,
     IntegrationOptions,
@@ -25,6 +27,7 @@ from cctsens import (
     NoFiniteCct,
     Phase,
     SmibParams,
+    cct_sensitivity,
     classify_post_fault,
     classify_post_faults,
     clearing_outcome,
@@ -33,6 +36,7 @@ from cctsens import (
     smib_system,
     system_from_expressions,
 )
+from cctsens.cli import build_system, load_config
 
 _D = 0.5
 
@@ -337,20 +341,35 @@ def _feasible_states(params, rng, count):
     return xs[(xs[:, 0] < params.delta_max) & (xs[:, 1] < params.omega_max)]
 
 
-def _verdicts_and_steps(system, p, xs, monkeypatch):
-    """Verdicts of classify_post_faults and the accepted steps of each lane."""
-    steps = []
+def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
+    """Verdicts of classify_post_faults and the run of each lane."""
+    runs = []
 
-    def counting(*args, **kwargs):
+    def recording(*args, **kwargs):
         trajs = integrate_lanes(*args, **kwargs)
-        steps.extend(0 if isinstance(t, Exception) else len(t.times) - 1 for t in trajs)
+        runs.extend(trajs)
         return trajs
 
-    monkeypatch.setattr(cct_mod, "integrate_lanes", counting)
-    _, x_sep, h_ref = cct_mod._operating_point(system, p, CctOptions())
-    out = classify_post_faults(system, p, xs, x_sep, h_ref, CctOptions())
+    monkeypatch.setattr(cct_mod, "integrate_lanes", recording)
+    _, x_sep, h_ref = cct_mod._operating_point(system, p, opts)
+    out = classify_post_faults(system, p, xs, x_sep, h_ref, opts)
     monkeypatch.undo()
-    return out, steps
+    return out, runs
+
+
+def _steps(runs):
+    return [0 if isinstance(t, Exception) else len(t.times) - 1 for t in runs]
+
+
+def _ended_in_a_sink(traj, t_max):
+    """A run that recorded a minimum and ended before t_max with no other event."""
+    return (
+        not isinstance(traj, Exception)
+        and traj.final_time < t_max
+        and traj.first_event(EventKind.FIELD_NORM_LOCAL_MIN) is not None
+        and traj.first_event(EventKind.CONSTRAINT_CROSSING) is None
+        and traj.first_event(EventKind.CONVERGED_TO_SEP) is None
+    )
 
 
 def _verdict_key(cls):
@@ -361,23 +380,39 @@ def _verdict_key(cls):
 
 
 class TestCertifiedRegion:
-    """Stable verdicts end on entry into a certified region of attraction."""
+    """Verdicts end on entry into a certified region of attraction.
+
+    Stable runs end in the SEP's region; captured runs end in the region
+    of the competing stable equilibrium that captured them.
+    """
 
     def test_early_exit_never_changes_a_verdict(self, monkeypatch):
         rng = np.random.default_rng(11)
+        t_max = CctOptions().integration.t_max
+        n_ended = 0
         for params in _REGION_MACHINES:
             system = smib_system(params)
             xs = _feasible_states(params, rng, 40)
-            fast, fast_steps = _verdicts_and_steps(system, params.p0, xs, monkeypatch)
-            full, full_steps = _verdicts_and_steps(_without_bound(system), params.p0, xs, monkeypatch)
+            fast, fast_runs = _verdicts_and_runs(system, params.p0, xs, monkeypatch)
+            full, full_runs = _verdicts_and_runs(_without_bound(system), params.p0, xs, monkeypatch)
             assert [_verdict_key(c) for c in fast] == [_verdict_key(c) for c in full], params
             # The clearing states all need a run, so lanes line up with states.
+            fast_steps, full_steps = _steps(fast_runs), _steps(full_runs)
             assert len(fast_steps) == len(full_steps) == len(xs)
             stable = [k for k, c in enumerate(full) if not isinstance(c, Exception) and c.stable]
             assert stable, params
             assert sum(fast_steps[k] for k in stable) < sum(full_steps[k] for k in stable), params
+            # Captured runs that ended in a competing sink's certified ball
+            # take fewer steps; every other unstable run takes the same.
+            ended = {k for k, traj in enumerate(fast_runs) if _ended_in_a_sink(traj, t_max)}
+            n_ended += len(ended)
             for k in set(range(len(xs))) - set(stable):
-                assert fast_steps[k] == full_steps[k]
+                if k in ended:
+                    assert fast_steps[k] < full_steps[k]
+                    assert fast[k].T == fast[k].t2 < fast[k].t1 == math.inf
+                else:
+                    assert fast_steps[k] == full_steps[k]
+        assert n_ended > 0
 
     def test_expression_system_has_no_region_and_runs_unchanged(self, monkeypatch):
         params = _REGION_MACHINES[4]
@@ -386,10 +421,10 @@ class TestCertifiedRegion:
         )
         assert twin.phases[Phase.POST_FAULT].jac_lipschitz is None
         xs = _feasible_states(params, np.random.default_rng(12), 30)
-        a, a_steps = _verdicts_and_steps(twin, params.p0, xs, monkeypatch)
-        b, b_steps = _verdicts_and_steps(_without_bound(twin), params.p0, xs, monkeypatch)
+        a, a_runs = _verdicts_and_runs(twin, params.p0, xs, monkeypatch)
+        b, b_runs = _verdicts_and_runs(_without_bound(twin), params.p0, xs, monkeypatch)
         assert [_verdict_key(c) for c in a] == [_verdict_key(c) for c in b]
-        assert a_steps == b_steps
+        assert _steps(a_runs) == _steps(b_runs)
 
     def test_capture_then_late_return_keeps_its_horizon_verdict(self, monkeypatch):
         # Just inside the separatrix the run stalls at the saddle (a
@@ -408,6 +443,57 @@ class TestCertifiedRegion:
             )
             assert _verdict_key(fast) == _verdict_key(full)
             assert fast.stable is stable and 4.0 < fast.t2 < 5.0
+
+    # Starts on the _P3 machine: the first three pole-slip into
+    # x_sep + (2 pi k, 0), the next stalls at the saddle and returns, the
+    # last converges.
+    _SLIPS = np.array([[2.7, 0.0], [0.0, 8.0], [3.5, 1.0], [0.0, 5.52713], [0.0, 3.0]])
+
+    def test_pole_slips_end_in_a_competing_sink(self, monkeypatch):
+        system = smib_system(_P3)
+        opts = CctOptions(integration=IntegrationOptions(t_max=40.0))
+        fast, fast_runs = _verdicts_and_runs(system, _P3.p0, self._SLIPS, monkeypatch, opts)
+        full, full_runs = _verdicts_and_runs(_without_bound(system), _P3.p0, self._SLIPS, monkeypatch, opts)
+        assert [_verdict_key(c) for c in fast] == [_verdict_key(c) for c in full]
+        assert [c.stable for c in fast] == [False, False, False, True, True]
+        fast_steps, full_steps = _steps(fast_runs), _steps(full_runs)
+        for k in range(3):
+            assert _ended_in_a_sink(fast_runs[k], 40.0)
+            assert fast_steps[k] < full_steps[k]
+            slips = (fast_runs[k].final_state - [math.asin(0.5), 0.0]) / (2.0 * math.pi)
+            assert slips[0] > 0.9 and abs(slips[0] - round(slips[0])) < 0.01 and abs(slips[1]) < 0.01
+        assert not any(_ended_in_a_sink(traj, 40.0) for traj in fast_runs[3:])
+
+    def test_pole_slipping_lanes_equal_their_one_lane_runs(self, monkeypatch):
+        system = smib_system(_P3)
+        opts = CctOptions(integration=IntegrationOptions(t_max=40.0))
+        batch, batch_runs = _verdicts_and_runs(system, _P3.p0, self._SLIPS, monkeypatch, opts)
+        for k, x in enumerate(self._SLIPS):
+            (one,), one_runs = _verdicts_and_runs(system, _P3.p0, x[None], monkeypatch, opts)
+            assert _verdict_key(one) == _verdict_key(batch[k])
+            assert np.array_equal(one_runs[0].times, batch_runs[k].times)
+            assert np.array_equal(one_runs[0].states, batch_runs[k].states)
+
+    def test_sink_stop_ends_only_inside_a_far_certified_sink(self):
+        system = smib_system(_P3)
+        opts = CctOptions()
+        _, x_sep, _ = cct_mod._operating_point(system, _P3.p0, opts)
+        saddle = np.array([math.pi - x_sep[0], 0.0])
+        sink = x_sep + [2.0 * math.pi, 0.0]
+        radius = cct_mod._attraction_radius(system, _P3.p0, sink, opts.sep_radius)
+        assert radius is not None
+        stop = cct_mod._sink_stop(system, _P3.p0, x_sep, opts.sep_radius, opts)
+        near = sink + [0.5 * radius, 0.0]
+        assert stop(near, near)
+        assert stop(near + [1e-3, 1e-3], sink)
+        # The step end outside the sink's ball, a minimum at the saddle and
+        # one in the SEP's own loose radius end nothing.
+        assert not stop(near, sink + [2.0 * radius, 0.0])
+        assert not stop(saddle + [1e-4, 0.0], saddle)
+        assert not stop(x_sep + [0.05, 0.0], x_sep)
+        # A sink whose region could meet the run's SEP ball ends nothing.
+        huge = cct_mod._sink_stop(system, _P3.p0, x_sep, 2.0 * math.pi, opts)
+        assert not huge(near, near)
 
     @pytest.mark.parametrize("params", _REGION_MACHINES + [
         SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9,
@@ -466,6 +552,30 @@ class TestCertifiedRegion:
         x_sep = np.array([math.asin(0.5), 0.0])
         assert cct_mod._attraction_radius(system, params.p0, x_sep, 1e-3) is None
         assert cct_mod._attraction_radius(system, params.p0, x_sep, 1e-4) is not None
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def _same_fields(a, b):
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=lambda path: path.stem)
+def test_config_results_do_not_depend_on_the_bound(config):
+    # The certified shortcuts change no digit of a shipped configuration's
+    # critical time or sensitivities.
+    cfg = load_config(config, (), None, 1)
+    system = build_system(cfg)
+    results = [compute_cct(s, cfg.p0, cfg.opts) for s in (system, _without_bound(system))]
+    _same_fields(*results)
+    if results[0].mode is not InstabilityMode.NO_RETURN:
+        _same_fields(*(cct_sensitivity(s, cfg.p0, r) for s, r in zip((system, _without_bound(system)), results)))
 
 
 class TestClearingOutcome:

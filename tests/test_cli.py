@@ -190,10 +190,19 @@ class TestSweep:
             "parameter": "Pm", "start": 0.55, "stop": 0.75,
             "count": 4, "tangents": True,
         }})
+        # Wide limits: every point is a no-return (mode 3) critical time,
+        # decided by captures that end in a competing equilibrium.
+        wide = write_config(tmp_path, {
+            "system": {"kind": "smib", "p_mech": 0.5, "inertia": 0.3,
+                       "delta_max": 50.0, "omega_max": 50.0},
+            "tolerances": {"t_max": 40.0},
+            "sweep": {"parameter": "Pm", "start": 0.45, "stop": 0.55,
+                      "count": 3, "tangents": True},
+        }, name="wide.json")
 
-        def run(out, jobs):
+        def run(out, jobs, config=path):
             assert main([
-                "sweep", "--config", str(path), "--out", str(tmp_path / out),
+                "sweep", "--config", str(config), "--out", str(tmp_path / out),
                 "--jobs", str(jobs),
             ]) == 0
             return hashlib.sha256(
@@ -201,6 +210,9 @@ class TestSweep:
             ).hexdigest()
 
         assert run("a", 1) == run("b", 1) == run("c", 3)
+        assert run("d", 1, wide) == run("e", 2, wide)
+        _, _, rows = read_csv(tmp_path / "d" / "sweep.csv")
+        assert [r.split(",")[3] for r in rows] == ["3", "3", "3"]
 
 
 class TestSrGrid:

@@ -7,10 +7,12 @@ failure modes.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cctsens import integrator
 from cctsens.errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
 from cctsens.integrator import (
     EventConfig,
@@ -297,6 +299,167 @@ def test_no_event_when_nothing_fires():
     traj = integrate(_SYS, Phase.POST_FAULT, np.array([0.6, 0.1]), _P0, IntegrationOptions(t_max=0.2), ev)
     assert traj.events == ()
     assert traj.final_time == 0.2
+
+
+# ── field-norm floor ────────────────────────────────────────────────────────
+
+
+def _windows(traj):
+    """Every three consecutive accepted points of a run, as engine windows."""
+    norms = np.linalg.norm(traj.derivs, axis=1).tolist()
+    points = list(zip(traj.times.tolist(), traj.states, traj.derivs, norms))
+    return [points[k - 1 : k + 2] for k in range(1, len(points) - 1)]
+
+
+def _pieces(window, count=40):
+    """Dense interpolated states on both Hermite pieces of a window."""
+    (t_a, *_), _, (t_c, *_) = window
+    return [integrator._window_state(window, t) for t in np.linspace(t_a, t_c, 2 * count + 1)]
+
+
+def _floor_holds(window, field, jac_x, lip, p):
+    """The floor lies below the refined minimum and every dense sample."""
+    (t_a, *_), (_, y_b, *_), (t_c, *_) = window
+    floor = integrator._norm_floor(window, jac_x, lip, p, len(y_b))
+    d = integrator._excursion(window, len(y_b))
+    _, v_star = integrator._refine_norm_min(
+        lambda t: float(np.linalg.norm(field(integrator._window_state(window, t), p))),
+        t_a, t_c, integrator._EVENT_REFINE_TOL,
+    )
+    dense = _pieces(window)
+    return (
+        v_star >= floor
+        and all(np.linalg.norm(x - y_b) <= d for x in dense)
+        and all(np.linalg.norm(field(x, p)) >= floor for x in dense)
+    )
+
+
+@pytest.mark.parametrize("params", [
+    SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5),
+    SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0),
+    SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9,
+               coupling_pre=1.3, coupling_post=1.3),
+])
+def test_norm_floor_holds_on_windows_of_real_runs(params):
+    system = smib_system(params)
+    dyn = system.phases[Phase.POST_FAULT]
+    p = params.p0
+    starts = np.array([[2.7, 0.0], [0.0, 1.9], [-0.8, -1.2], [1.0, 0.8]])
+    starts = starts[(starts[:, 0] < params.delta_max) & (starts[:, 1] < params.omega_max)]
+    windows = [
+        w
+        for traj in integrate_lanes(system, Phase.POST_FAULT, starts, p, IntegrationOptions(t_max=8.0))
+        for w in _windows(traj)[::3]
+    ]
+    assert len(windows) > 50
+    lip = dyn.jac_lipschitz(p)
+    assert all(_floor_holds(w, dyn.f, dyn.jac_x, lip, p) for w in windows)
+
+
+def _window_of(times, states, slopes):
+    return [(t, np.array(y, dtype=float), np.array(f, dtype=float), float(np.linalg.norm(f)))
+            for t, y, f in zip(times, states, slopes)]
+
+
+def test_excursion_bound_is_attained():
+    # All three points coincide and only the middle slope is nonzero: on
+    # the later piece x - y_b = h s (1 - s)^2 f_b peaks at s = 1/3, at
+    # exactly (4/27) h |f_b|.
+    window = _window_of([0.0, 1.0, 3.0], [[0.0, 0.0]] * 3, [[0.0, 0.0], [0.6, 0.8], [0.0, 0.0]])
+    d = integrator._excursion(window, 2)
+    assert d == pytest.approx(4.0 / 27.0 * 2.0)
+    peak = max(np.linalg.norm(x) for x in _pieces(window, count=300))
+    assert peak <= d and peak == pytest.approx(d, rel=1e-4)
+
+
+def _quadratic_field(x, p):
+    # f = (1 - x1^2, 0): jac_x = [[-2 x1, 0], [0, 0]] vanishes at x1 = 0
+    # and has the Lipschitz bound 2.
+    return np.array([1.0 - x[0] ** 2, 0.0])
+
+
+def _quadratic_jac(x, p):
+    return np.array([[-2.0 * x[0], 0.0], [0.0, 0.0]])
+
+
+def _linear_field(x, p):
+    # f = A x + (1, 1) with A = [[1, 1], [1, 1]]: the Frobenius norm of A
+    # is its spectral norm, 2, twice its largest entry.
+    return np.array([1.0 + x[0] + x[1], 1.0 + x[0] + x[1]])
+
+
+def _linear_jac(x, p):
+    return np.ones((2, 2))
+
+
+@pytest.mark.parametrize("field, jac_x, lip, states", [
+    (_quadratic_field, _quadratic_jac, 2.0, [[-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]),
+    (_linear_field, _linear_jac, 0.0, [[0.2, 0.2], [0.0, 0.0], [-0.2, -0.2]]),
+])
+def test_norm_floor_is_sharp(field, jac_x, lip, states):
+    # Short steps between states whose field norm falls away from the
+    # middle at the rate the floor allows: the floor holds and comes
+    # within 2 % of the true minimum.
+    p = np.zeros(1)
+    window = _window_of([0.0, 0.01, 0.02], states, [field(np.array(y), p) for y in states])
+    assert _floor_holds(window, field, jac_x, lip, p)
+    floor = integrator._norm_floor(window, jac_x, lip, p, 2)
+    lowest = min(np.linalg.norm(field(x, p)) for x in _pieces(window))
+    assert lowest - floor < 0.02 * lowest
+
+
+def test_norm_floor_leaves_every_run_bit_identical(monkeypatch):
+    # Runs that watch minima come out the same with and without the bound,
+    # and the bound skips most refinements.
+    params = SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0)
+    system = smib_system(params)
+    post = system.phases[Phase.POST_FAULT]
+    bare = replace(system, phases={**system.phases, Phase.POST_FAULT: replace(post, jac_lipschitz=None)})
+    sep = np.array([math.asin(0.5), 0.0])
+    ev = EventConfig(constraints=post.constraints, sep_target=sep, norm_min_threshold=1e-3)
+    starts = np.array([[2.7, 0.0], [2.55, 0.0], [0.0, 3.0], [-1.0, 1.2], [1.0, -2.0]])
+    opts = IntegrationOptions(t_max=20.0)
+    refinements = []
+    real = integrator._refine_norm_min
+
+    def counting(*args):
+        refinements[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(integrator, "_refine_norm_min", counting)
+    runs = []
+    for s in (system, bare):
+        refinements.append(0)
+        runs.append(integrate_lanes(s, Phase.POST_FAULT, starts, params.p0, opts, ev))
+    for k, (a, b) in enumerate(zip(*runs)):
+        assert _same_run(a, b), f"lane {k} changed"
+    assert any(a.first_event(EventKind.FIELD_NORM_LOCAL_MIN) for a in runs[0])
+    assert refinements[0] < refinements[1] / 2
+
+
+def test_stop_at_min_ends_the_lane_at_the_step_end():
+    uep = np.array([math.pi - math.asin(0.5), 0.0])
+    x0 = np.array([uep[0] - 0.3, 1.89051])
+    opts = IntegrationOptions(t_max=6.0)
+    seen = []
+
+    def stop(x_min, x_end):
+        seen.append((x_min.copy(), x_end.copy()))
+        return True
+
+    plain = integrate(_SYS, Phase.POST_FAULT, x0, _P0, opts, EventConfig(norm_min_threshold=math.inf))
+    never = integrate(_SYS, Phase.POST_FAULT, x0, _P0, opts,
+                      EventConfig(norm_min_threshold=math.inf, stop_at_min=lambda a, b: False))
+    assert _same_run(plain, never)
+    cut = integrate(_SYS, Phase.POST_FAULT, x0, _P0, opts,
+                    EventConfig(norm_min_threshold=math.inf, stop_at_min=stop))
+    first = plain.first_event(EventKind.FIELD_NORM_LOCAL_MIN)
+    assert [e.kind for e in cut.events] == [EventKind.FIELD_NORM_LOCAL_MIN]
+    assert cut.events[0].time == first.time and np.array_equal(cut.events[0].state, first.state)
+    n = len(cut.times)
+    assert n < len(plain.times) and np.array_equal(cut.states, plain.states[:n])
+    assert len(seen) == 1
+    assert np.array_equal(seen[0][0], first.state) and np.array_equal(seen[0][1], cut.final_state)
 
 
 # ── lanes ───────────────────────────────────────────────────────────────────
