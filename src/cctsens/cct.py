@@ -203,10 +203,8 @@ def _attraction_radius(system, p, x_sep, sep_radius: float):
     would be smaller than ``sep_radius``.
     """
     dyn = system.phases[Phase.POST_FAULT]
-    if dyn.jac_lipschitz is None:
-        return None
-    lip = float(dyn.jac_lipschitz(p))
-    if not (math.isfinite(lip) and lip >= 0.0):
+    lip = dyn.lipschitz_bound(p)
+    if lip is None:
         return None
     a = np.asarray(dyn.jac_x(x_sep, p), dtype=float)
     eye = np.eye(len(a))
@@ -353,9 +351,10 @@ def classify_post_faults(
     it after a capture is stable only if it reaches the ``sep_radius``
     ball before its horizon, so it runs again to that ball.  A captured
     run that enters the certified ball of the competing stable
-    equilibrium that captured it ends there (``_sink_stop``): it could
-    no longer cross a limit or reach the SEP ball, so its verdict is
-    already fixed.  No verdict, time or label changes; only
+    equilibrium that captured it ends there (``_sink_stop``, set up
+    only when the phase's bound is finite at p): it could no longer
+    cross a limit or reach the SEP ball, so its verdict is already
+    fixed.  No verdict, time or label changes; only
     ``converged_to_sep`` turns True where the run to the small ball
     would have reached its horizon near the SEP.  Convergence beats
     captures seen on the way; a run that ends far from the SEP with no
@@ -394,7 +393,7 @@ def classify_post_faults(
         sep_radius=ball,
         norm_min_threshold=opts.field_norm_threshold,
         stop_at_min=(
-            None if system.phases[Phase.POST_FAULT].jac_lipschitz is None
+            None if system.phases[Phase.POST_FAULT].lipschitz_bound(p) is None
             else _sink_stop(system, p, x_sep_post, ball, opts)
         ),
     )

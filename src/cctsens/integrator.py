@@ -630,10 +630,10 @@ def _engine(
 
 def _norm_bound(dyn: PhaseDynamics, p: np.ndarray, events: Optional[EventConfig]):
     """The engine's (jac_x, L) for a run that watches minima, or None."""
-    if events is None or events.norm_min_threshold is None or dyn.jac_lipschitz is None:
+    if events is None or events.norm_min_threshold is None:
         return None
-    lip = float(dyn.jac_lipschitz(p))
-    return (dyn.jac_x, lip) if math.isfinite(lip) and lip >= 0.0 else None
+    lip = dyn.lipschitz_bound(p)
+    return None if lip is None else (dyn.jac_x, lip)
 
 
 def integrate_lanes(

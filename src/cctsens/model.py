@@ -18,7 +18,8 @@ Two constructors are provided:
 * ``smib_system`` builds the classic single-machine-infinite-bus swing
   model with angle and speed limits.  Derivatives are hand-coded.
 * ``system_from_expressions`` builds a system from strings, using
-  sympy to differentiate symbolically and lambdify to numpy callables.
+  sympy to differentiate symbolically and lambdify to numpy callables,
+  and bounds the Jacobian's variation by interval arithmetic.
 
 The module also houses equilibrium location (damped Newton with
 eigenvalue classification) and the equilibrium parameter sensitivity
@@ -109,7 +110,11 @@ class PhaseDynamics:
     state space with ||jac_x(x, p) - jac_x(y, p)||_2 <= L ||x - y|| for
     all x, y; the same L must bound the Lipschitz constant of every
     constraint's ``grad_x``.  Post-fault verdicts use it to certify a
-    region of attraction around the SEP (``cct``); None certifies none.
+    region of attraction around the SEP (``cct``); None, or a value
+    that is not finite and nonnegative at p, certifies none.
+    ``smib_system`` codes it by hand; ``system_from_expressions`` builds
+    it by interval arithmetic and leaves it None where that finds no
+    bound.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -117,6 +122,13 @@ class PhaseDynamics:
     jac_p: Callable[[np.ndarray, np.ndarray], np.ndarray]
     constraints: tuple[Constraint, ...] = ()
     jac_lipschitz: Optional[Callable[[np.ndarray], float]] = None
+
+    def lipschitz_bound(self, p: np.ndarray) -> Optional[float]:
+        """``jac_lipschitz(p)`` when it is finite and nonnegative, else None."""
+        if self.jac_lipschitz is None:
+            return None
+        lip = float(self.jac_lipschitz(p))
+        return lip if math.isfinite(lip) and lip >= 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -452,6 +464,76 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     return matrix
 
 
+def _interval_evaluated(expr) -> bool:
+    """True when sympy's interval arithmetic reduced ``expr`` to finite bounds.
+
+    Only sums, products and integer powers may still hold an interval
+    (they evaluate once the parameters are numbers); an infinity, or any
+    other function of an interval (sqrt, Abs, atan, Max, Piecewise, ...),
+    is left unevaluated or unbounded.
+    """
+    import sympy as sp
+
+    if expr.has(sp.oo, -sp.oo, sp.zoo, sp.nan):
+        return False
+    for node in sp.preorder_traversal(expr):
+        if isinstance(node, sp.AccumBounds) or not node.has(sp.AccumBounds):
+            continue
+        if not (isinstance(node, (sp.Add, sp.Mul)) or (isinstance(node, sp.Pow) and node.exp.is_Integer)):
+            return False
+    return True
+
+
+def _sup_abs(value) -> float:
+    """sup |value| of a number or an interval; math.inf unless finite and real."""
+    import sympy as sp
+
+    ends = (value.min, value.max) if isinstance(value, sp.AccumBounds) else (value,)
+    try:
+        sups = [abs(float(v)) for v in ends]
+    except TypeError:
+        return math.inf
+    return max(sups) if all(map(math.isfinite, sups)) else math.inf
+
+
+def _interval_lipschitz(xs, ps, groups) -> Optional[Callable[[np.ndarray], float]]:
+    """``jac_lipschitz`` of one phase by interval arithmetic, or None.
+
+    ``groups`` holds the second derivatives of the field,
+    d2 f_i / dx_j dx_k, and then each margin's Hessian.  Every state
+    becomes the interval (-oo, oo) (Moore, Interval Analysis, 1966); an
+    entry that sympy cannot reduce to finite bounds with the parameters
+    symbolic makes the phase None.  At p, the parameters and the state
+    intervals go in together, so each entry evaluates bottom-up on
+    numbers and intervals, and its sup |.| bounds it over the whole
+    state space.  (With p symbolic, sympy would fold
+    (a + sin x1)(a + sin x2) into the square of one interval, which is
+    not a bound.)  The Frobenius norm S of a group's sups bounds the
+    variation of the field's Jacobian in the spectral norm, and of a
+    margin's gradient: ||A(x) - A(y)|| <= S ||x - y||.  The bound is
+    the largest S, or math.inf when p makes an entry non-finite (M = 0
+    in sin(x1) / M).  The last p's bound is kept.
+    """
+    import sympy as sp
+
+    whole = {x: sp.AccumBounds(-sp.oo, sp.oo) for x in xs}
+    groups = [[e for e in group if e != 0] for group in groups]
+    if not all(_interval_evaluated(e.xreplace(whole)) for group in groups for e in group):
+        return None
+    last: dict = {}
+
+    def jac_lipschitz(p: np.ndarray) -> float:
+        p = np.asarray(p, dtype=float)
+        key = p.tobytes()
+        if key not in last:
+            at = {**whole, **{s: sp.Float(float(v)) for s, v in zip(ps, p)}}
+            last.clear()
+            last[key] = max(math.hypot(*(_sup_abs(e.xreplace(at)) for e in group)) for group in groups)
+        return last[key]
+
+    return jac_lipschitz
+
+
 def system_from_expressions(
     state: Sequence[str],
     params: Sequence[str],
@@ -465,6 +547,13 @@ def system_from_expressions(
     state and parameter names plus standard functions (sin, cos, exp,
     ...).  All derivatives, including constraint second derivatives,
     are produced symbolically.
+
+    Each phase's ``jac_lipschitz`` comes from interval bounds on the
+    second derivatives of its field and margins over the whole state
+    space (``_interval_lipschitz``).  It is None when an entry is
+    unbounded there (x1**3 gives 6*x1) or holds a function sympy's
+    interval arithmetic does not evaluate (sqrt, Abs, atan, Max,
+    Piecewise, ...); such a system certifies no region of attraction.
     """
     import sympy as sp
 
@@ -514,12 +603,14 @@ def system_from_expressions(
         else:
             h_items = list(h_block.items())
         constraints = []
+        hessians = []
         for cname, text in h_items:
             expr = parse(text)
             gx = sp.Matrix([expr]).jacobian(xs)
             gp = sp.Matrix([expr]).jacobian(ps)
             hxx = sp.hessian(expr, xs) if n > 0 else sp.Matrix(0, 0, [])
             hxp = sp.Matrix([[sp.diff(expr, xi, pj) for pj in ps] for xi in xs])
+            hessians.append(list(hxx))
             constraints.append(
                 Constraint(
                     name=str(cname),
@@ -535,5 +626,8 @@ def system_from_expressions(
             jac_x=_lambdify(args, jx, (n, n)),
             jac_p=_lambdify(args, jp, (n, n_p)),
             constraints=tuple(constraints),
+            jac_lipschitz=_interval_lipschitz(
+                xs, ps, [[sp.diff(e, x) for e in jx for x in xs], *hessians]
+            ),
         )
     return ConstrainedSystem(n=n, param_names=tuple(str(s) for s in params), phases=built)

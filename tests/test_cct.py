@@ -262,6 +262,24 @@ class TestClassifyPostFault:
         assert cls.f_norm_min is not None and cls.f_norm_min <= 1e-3
         assert np.linalg.norm(cls.x_T - self._SEP) > 1.0
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a run captured at the saddle that returns after t_max is called no-return",
+    )
+    def test_saddle_return_verdict_does_not_depend_on_the_horizon(self):
+        # The run stalls at the saddle (a capture near t = 4.5) and returns
+        # to the SEP near t = 23: unstable at t_max 20, stable at 30.
+        sys3 = smib_system(_P3)
+        h_ref = (50.0 - math.asin(0.5)) * 50.0
+        stable = [
+            classify_post_fault(
+                sys3, _P3.p0, np.array([0.0, 5.52713]), self._SEP, h_ref,
+                CctOptions(integration=IntegrationOptions(t_max=t_max)),
+            ).stable
+            for t_max in (20.0, 30.0)
+        ]
+        assert stable[0] == stable[1]
+
     def test_short_horizon_is_inconclusive(self):
         opts = CctOptions(integration=IntegrationOptions(t_max=0.2))
         with pytest.raises(InconclusiveRun):
@@ -332,6 +350,20 @@ _SMIB_EXPRS = {
     }
     for ph, c in (("pre", 1), ("fault", 0), ("post", 1))
 }
+
+
+_CUBIC_EXPRS = {
+    ph: {
+        "f": ["x2", f"(Pm - {c} * (x1 + x1**3) - 0.5 * x2) / M"],
+        "h": {"angle_limit": "delta_max - x1", "speed_limit": "omega_max - x2"},
+    }
+    for ph, c in (("pre", 1), ("fault", 0), ("post", 1))
+}
+
+
+def _smib_twin():
+    """smib_system's machine (damping 0.5, coupling 1) built from expressions."""
+    return system_from_expressions(["x1", "x2"], ["Pm", "M", "delta_max", "omega_max"], _SMIB_EXPRS)
 
 
 def _feasible_states(params, rng, count):
@@ -415,16 +447,36 @@ class TestCertifiedRegion:
         assert n_ended > 0
 
     def test_expression_system_has_no_region_and_runs_unchanged(self, monkeypatch):
+        # The cubic restoring term puts 6*x1, unbounded over the state
+        # space, among the field's second derivatives: no bound, no region.
         params = _REGION_MACHINES[4]
-        twin = system_from_expressions(
-            ["x1", "x2"], ["Pm", "M", "delta_max", "omega_max"], _SMIB_EXPRS
+        cubic = system_from_expressions(
+            ["x1", "x2"], ["Pm", "M", "delta_max", "omega_max"], _CUBIC_EXPRS
         )
-        assert twin.phases[Phase.POST_FAULT].jac_lipschitz is None
+        assert cubic.phases[Phase.POST_FAULT].jac_lipschitz is None
         xs = _feasible_states(params, np.random.default_rng(12), 30)
-        a, a_runs = _verdicts_and_runs(twin, params.p0, xs, monkeypatch)
-        b, b_runs = _verdicts_and_runs(_without_bound(twin), params.p0, xs, monkeypatch)
+        a, a_runs = _verdicts_and_runs(cubic, params.p0, xs, monkeypatch)
+        b, b_runs = _verdicts_and_runs(_without_bound(cubic), params.p0, xs, monkeypatch)
         assert [_verdict_key(c) for c in a] == [_verdict_key(c) for c in b]
+        assert any(not isinstance(c, Exception) and c.stable for c in a)
         assert _steps(a_runs) == _steps(b_runs)
+
+    def test_expression_twin_takes_the_certified_exits(self, monkeypatch):
+        # The swing model written as expressions gets smib_system's bound
+        # 1/M from interval arithmetic, and with it the same early exits.
+        twin = _smib_twin()
+        rng = np.random.default_rng(12)
+        for params in _REGION_MACHINES[3:6]:
+            assert twin.phases[Phase.POST_FAULT].jac_lipschitz(params.p0) == 1.0 / params.inertia
+            xs = _feasible_states(params, rng, 30)
+            fast, fast_runs = _verdicts_and_runs(twin, params.p0, xs, monkeypatch)
+            full, full_runs = _verdicts_and_runs(_without_bound(twin), params.p0, xs, monkeypatch)
+            assert [_verdict_key(c) for c in fast] == [_verdict_key(c) for c in full], params
+            fast_steps, full_steps = _steps(fast_runs), _steps(full_runs)
+            assert len(fast_steps) == len(full_steps) == len(xs)
+            assert all(a <= b for a, b in zip(fast_steps, full_steps)), params
+            stable = [k for k, c in enumerate(full) if not isinstance(c, Exception) and c.stable]
+            assert sum(fast_steps[k] for k in stable) < sum(full_steps[k] for k in stable), params
 
     def test_capture_then_late_return_keeps_its_horizon_verdict(self, monkeypatch):
         # Just inside the separatrix the run stalls at the saddle (a
@@ -432,17 +484,18 @@ class TestCertifiedRegion:
         # before t = 20 but the sep_radius ball only after it.  Run to the
         # ball it ends at the horizon after a capture, so it is unstable;
         # with t_max = 30 it reaches the ball and is stable.
-        system = smib_system(_P3)
-        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
+        # The expression twin has the bound too, so it takes the same path.
         x_cl = np.array([[0.0, 5.52713]])
-        for t_max, stable in ((20.0, False), (30.0, True)):
-            opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
-            fast, full = (
-                classify_post_faults(s, _P3.p0, x_cl, x_sep, h_ref, opts)[0]
-                for s in (system, _without_bound(system))
-            )
-            assert _verdict_key(fast) == _verdict_key(full)
-            assert fast.stable is stable and 4.0 < fast.t2 < 5.0
+        for system in (smib_system(_P3), _smib_twin()):
+            _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
+            for t_max, stable in ((20.0, False), (30.0, True)):
+                opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
+                fast, full = (
+                    classify_post_faults(s, _P3.p0, x_cl, x_sep, h_ref, opts)[0]
+                    for s in (system, _without_bound(system))
+                )
+                assert _verdict_key(fast) == _verdict_key(full)
+                assert fast.stable is stable and 4.0 < fast.t2 < 5.0
 
     # Starts on the _P3 machine: the first three pole-slip into
     # x_sep + (2 pi k, 0), the next stalls at the saddle and returns, the
@@ -473,6 +526,26 @@ class TestCertifiedRegion:
             assert _verdict_key(one) == _verdict_key(batch[k])
             assert np.array_equal(one_runs[0].times, batch_runs[k].times)
             assert np.array_equal(one_runs[0].states, batch_runs[k].states)
+
+    def test_no_sink_search_without_a_finite_bound(self, monkeypatch):
+        # A bound that is infinite at p certifies nothing, so captures must
+        # not pay a Newton solve for a sink that could never end the run.
+        system = smib_system(_P3)
+        post = replace(system.phases[Phase.POST_FAULT], jac_lipschitz=lambda p: math.inf)
+        infinite = replace(system, phases={**system.phases, Phase.POST_FAULT: post})
+        opts = CctOptions(integration=IntegrationOptions(t_max=40.0))
+        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, opts)
+        find, counts = cct_mod.find_equilibrium, []
+        for s in (infinite, _without_bound(system), system):
+            calls = []
+            monkeypatch.setattr(
+                cct_mod, "find_equilibrium", lambda *args: calls.append(args) or find(*args)
+            )
+            verdicts = classify_post_faults(s, _P3.p0, self._SLIPS, x_sep, h_ref, opts)
+            monkeypatch.undo()
+            counts.append(len(calls))
+            assert [c.stable for c in verdicts] == [False, False, False, True, True]
+        assert counts[0] == counts[1] < counts[2]
 
     def test_sink_stop_ends_only_inside_a_far_certified_sink(self):
         system = smib_system(_P3)
@@ -570,12 +643,18 @@ def _same_fields(a, b):
 def test_config_results_do_not_depend_on_the_bound(config):
     # The certified shortcuts change no digit of a shipped configuration's
     # critical time or sensitivities.
+    # The same holds for the machine written as expressions, whose bound
+    # comes from interval arithmetic.
     cfg = load_config(config, (), None, 1)
-    system = build_system(cfg)
-    results = [compute_cct(s, cfg.p0, cfg.opts) for s in (system, _without_bound(system))]
-    _same_fields(*results)
-    if results[0].mode is not InstabilityMode.NO_RETURN:
-        _same_fields(*(cct_sensitivity(s, cfg.p0, r) for s, r in zip((system, _without_bound(system)), results)))
+    system, twin = build_system(cfg), _smib_twin()
+    x = np.array([[0.3, -1.2], [0.7, 0.4]])
+    for phase in Phase:
+        assert np.allclose(twin.phases[phase].f(x, cfg.p0), system.phases[phase].f(x, cfg.p0))
+    for s in (system, twin):
+        results = [compute_cct(t, cfg.p0, cfg.opts) for t in (s, _without_bound(s))]
+        _same_fields(*results)
+        if results[0].mode is not InstabilityMode.NO_RETURN:
+            _same_fields(*(cct_sensitivity(t, cfg.p0, r) for t, r in zip((s, _without_bound(s)), results)))
 
 
 class TestClearingOutcome:

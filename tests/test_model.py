@@ -3,7 +3,8 @@
 Covers, in order: phase vector fields against hand-computed values,
 analytic Jacobians against central finite differences, equilibrium
 location and classification, the equilibrium parameter shift dx_s/dp,
-input validation, and the expression-built twin of the swing model.
+input validation, the expression-built twin of the swing model, and
+the interval-arithmetic Lipschitz bound of expression-built systems.
 """
 
 import math
@@ -344,3 +345,128 @@ def test_machine_field_evaluates_column_batches():
             assert np.array_equal(f[:, k], eval_f(_SYS, phase, xs[:, k], _P0))
     margins = [c.value(xs, _P0) for c in _SYS.phases[Phase.POST_FAULT].constraints]
     assert all(m.shape == (3,) for m in margins)
+
+
+# ── interval-arithmetic Lipschitz bounds ─────────────────────────────────────
+
+
+# The swing machine as the benchmark's ``study`` workload writes it
+# (EXPRESSION_SMIB in bench/workloads.py).
+_LIMITS = {"angle_limit": "delta_max - delta", "speed_limit": "omega_max - omega"}
+_BENCH_TWIN = system_from_expressions(
+    ["delta", "omega"], ["Pm", "M", "delta_max", "omega_max"],
+    {
+        "pre": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _LIMITS},
+        "fault": {"f": ["omega", "(Pm - 0.5*omega)/M"], "h": _LIMITS},
+        "post": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _LIMITS},
+    },
+)
+
+
+def _expression_phases(f, h=None):
+    block = {"f": f, "h": h or {}}
+    return {ph: block for ph in ("pre", "fault", "post")}
+
+
+# (system, parameter vectors, the bound expected at each).  The disk
+# system is the curved one of test_boundary.py: its disk margin has a
+# non-zero Hessian diag(-2, -2/b), its band margin [[0, -1], [-1, 0]].
+_BOUNDED = [
+    (
+        _BENCH_TWIN,
+        [np.array([0.5, m, 1.6, 0.9]) for m in (0.1, 0.3, 0.5)],
+        lambda p: 1.0 / p[1],
+    ),
+    (
+        system_from_expressions(
+            ["x1", "x2"], ["a", "b"],
+            {
+                "pre": {"f": ["x2", "-a*sin(x1) - b*x2"]},
+                "fault": {"f": ["x2", "0"]},
+                "post": {
+                    "f": ["x2", "-a*sin(x1) - b*x2"],
+                    "h": {"disk": "1 - x1**2 - x2**2/b", "band": "a - x1*x2"},
+                },
+            },
+        ),
+        [np.array([1.0, 0.5]), np.array([3.0, 2.0])],
+        lambda p: max(p[0], math.hypot(2.0, 2.0 / p[1]), math.sqrt(2.0)),
+    ),
+    (
+        # Two angles coupled through cos(x1 - x2): the sups of the field's
+        # second derivatives are (2, 1, 1, 1) / M and (1, 1, 1, 2) / M.
+        system_from_expressions(
+            ["x1", "x2"], ["Pm", "M"],
+            _expression_phases(
+                ["(Pm - sin(x1) - cos(x1 - x2)) / M", "(Pm - sin(x2) + cos(x1 - x2)) / M"],
+                {"gap": "1 - (x1 - x2)**2 / 4"},
+            ),
+        ),
+        [np.array([0.2, 0.5]), np.array([0.2, 2.0])],
+        lambda p: math.sqrt(14.0) / p[1],
+    ),
+]
+
+
+@pytest.mark.parametrize("system, ps, expected", _BOUNDED, ids=["bench_twin", "disk", "two_angles"])
+def test_interval_lipschitz_bound_holds(system, ps, expected):
+    # ||J(x) - J(y)||_2 <= L ||x - y|| and the same for every margin's
+    # gradient, on random pairs near and far.
+    rng = np.random.default_rng(7)
+    dyn = system.phases[Phase.POST_FAULT]
+    for p in ps:
+        lip = dyn.jac_lipschitz(p)
+        assert lip == pytest.approx(expected(p), rel=1e-14)
+        for scale in (1e-3, 1.0, 10.0):
+            for _ in range(50):
+                x = rng.uniform(-4.0, 4.0, 2)
+                y = x + scale * rng.normal(size=2)
+                gap = np.linalg.norm(x - y)
+                assert np.linalg.norm(dyn.jac_x(x, p) - dyn.jac_x(y, p), 2) <= lip * gap * (1.0 + 1e-12)
+                for con in dyn.constraints:
+                    assert np.linalg.norm(con.grad_x(x, p) - con.grad_x(y, p)) <= lip * gap * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("field, margin", [
+    ("-x1**3 - 0.3*x2", None),  # second derivative 6*x1
+    ("-x1 - 0.3*x2", "1 - x1**3"),  # a margin's Hessian entry 6*x1
+    ("-sqrt(x1) - x2", None),
+    ("-Abs(x1) - x2", None),
+    ("-log(x1) - x2", None),
+    ("-atan(x1) - x2", None),
+    ("-Piecewise((x1**2, x1 > 0), (0, True)) - x2", None),
+    # Finite intervals, but sign and DiracDelta of them stay unevaluated.
+    ("-Abs(sin(x1)) - x2", None),
+])
+def test_no_interval_bound_for_unbounded_or_unevaluated_entries(field, margin):
+    h = {} if margin is None else {"g": margin}
+    system = system_from_expressions(["x1", "x2"], ["a"], _expression_phases(["x2", field], h))
+    assert system.phases[Phase.POST_FAULT].jac_lipschitz is None
+
+
+def test_non_finite_interval_bound_certifies_nothing():
+    from cctsens.integrator import EventConfig, _norm_bound
+
+    system = system_from_expressions(["x1", "x2"], ["M"], _expression_phases(["x2", "-sin(x1)/M - x2"]))
+    dyn = system.phases[Phase.POST_FAULT]
+    assert dyn.jac_lipschitz(np.array([0.5])) == 2.0
+    assert dyn.lipschitz_bound(np.array([0.5])) == 2.0
+    for m in (0.0, math.nan):
+        assert not math.isfinite(dyn.jac_lipschitz(np.array([m])))
+        assert dyn.lipschitz_bound(np.array([m])) is None
+        assert _norm_bound(dyn, np.array([m]), EventConfig(norm_min_threshold=1e-3)) is None
+
+
+def test_interval_bound_keeps_the_states_independent():
+    # With a symbolic, sympy folds the product into the square
+    # (a + [-1, 1])**2 - 1, whose sup |.| at a = 0 is 1.  The parameters
+    # go in as numbers together with the states, so sin(x1) and sin(x2)
+    # stay independent and the sup is the true 2.
+    import sympy as sp
+
+    from cctsens.model import _interval_lipschitz
+
+    x1, x2, a = sp.symbols("x1 x2 a", real=True)
+    bound = _interval_lipschitz((x1, x2), (a,), [[(a + sp.sin(x1)) * (a + sp.sin(x2)) - 1]])
+    assert bound(np.array([0.0])) == 2.0
+    assert bound(np.array([0.5])) == 1.75
