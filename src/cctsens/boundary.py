@@ -74,6 +74,10 @@ __all__ = [
 _BOUNDARY_TOL = 1e-8
 # Default tangency tolerance, scaled by |grad_x h_k| |f| before use.
 _TANGENCY_TOL = 1e-6
+# Newton steps that pull a point onto its constraint.
+_PROJECTION_STEPS = 6
+# Bisection steps that locate a semi-saddle between two boundary points.
+_SEMI_SADDLE_BISECTIONS = 80
 
 
 class PseudoEpKind(Enum):
@@ -297,10 +301,10 @@ def _scan_zero_crossings(values: np.ndarray, coords: np.ndarray):
     return roots
 
 
-def _project_to_constraint(c: Constraint, x: np.ndarray, p: np.ndarray, iters: int = 6) -> np.ndarray:
+def _project_to_constraint(c: Constraint, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Pull a nearby point onto h = 0 along the constraint gradient."""
     x = x.copy()
-    for _ in range(iters):
+    for _ in range(_PROJECTION_STEPS):
         v = c.value(x, p)
         g = np.asarray(c.grad_x(x, p), dtype=float)
         gg = float(g @ g)
@@ -379,7 +383,7 @@ def _is_loop(samples, spec: GridSpec) -> bool:
     return dist[-1] <= cell and dist[-1] < dist.max()
 
 
-def _refine_semi_saddle(system, p, constraint, x_a, x_b, iters: int = 80):
+def _refine_semi_saddle(system, p, constraint, x_a, x_b):
     """Bisect the sign change of the constraint's drift between two of its points."""
 
     def h_dot_at(x):
@@ -387,7 +391,7 @@ def _refine_semi_saddle(system, p, constraint, x_a, x_b, iters: int = 80):
 
     g_a = h_dot_at(x_a)
     lo, hi = x_a, x_b
-    for _ in range(iters):
+    for _ in range(_SEMI_SADDLE_BISECTIONS):
         mid = _project_to_constraint(constraint, 0.5 * (lo + hi), p)
         g_mid = h_dot_at(mid)
         if (g_a > 0.0) == (g_mid > 0.0):

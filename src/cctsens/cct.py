@@ -113,9 +113,6 @@ class PostFaultClassification:
     ``t1`` is the post-fault boundary-crossing time, ``t2`` the first
     field-norm capture away from the SEP; both are inf when absent.
     ``T = min(t1, t2)`` locates the decisive event of an unstable run.
-    ``h_at_clearing`` is the feasibility product at the clearing state,
-    normalised by its value at the pre-fault equilibrium.
-    ``converged_to_sep`` is True when the run entered the SEP ball.
     """
 
     stable: bool
@@ -124,9 +121,7 @@ class PostFaultClassification:
     T: float = math.inf
     x_T: Optional[np.ndarray] = None
     crossing_label: Optional[str] = None
-    h_at_clearing: float = math.nan
     f_norm_min: Optional[float] = None
-    converged_to_sep: bool = False
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,6 @@ class CriticalResult:
     crossing_label: Optional[str]
     iterations: int
     bracket_history: tuple[tuple[float, float], ...]
-    interior_unstable: bool
     x_sep_pre: np.ndarray
     x_sep_post: np.ndarray
     fault_hit_time: Optional[float]
@@ -282,7 +276,7 @@ def _capture(traj, x_sep_post, loose: float):
     )
 
 
-def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
+def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
     """Verdict of one post-fault run, or the InconclusiveRun it ends in.
 
     Convergence without a crossing is stable; otherwise the earlier of
@@ -299,26 +293,22 @@ def _post_fault_verdict(traj, x_cl, x_sep_post, h_norm, opts: CctOptions):
     f_norm_min = capture.info["f_norm"] if capture is not None else None
 
     if converged and crossing is None:
-        return PostFaultClassification(
-            stable=True, h_at_clearing=h_norm, converged_to_sep=True,
-            t2=t2, f_norm_min=f_norm_min,
-        )
+        return PostFaultClassification(stable=True, t2=t2, f_norm_min=f_norm_min)
     if crossing is not None and t1 <= t2:
         return PostFaultClassification(
             stable=False, t1=t1, t2=t2, T=t1, x_T=crossing.state.copy(),
-            crossing_label=crossing.info.get("constraint"),
-            h_at_clearing=h_norm, f_norm_min=f_norm_min,
+            crossing_label=crossing.info.get("constraint"), f_norm_min=f_norm_min,
         )
     if capture is not None:
         return PostFaultClassification(
             stable=False, t1=t1, t2=t2, T=t2, x_T=capture.state.copy(),
-            crossing_label=None, h_at_clearing=h_norm, f_norm_min=f_norm_min,
+            crossing_label=None, f_norm_min=f_norm_min,
         )
     # Horizon reached without any verdict: accept slow convergence if
     # the end state is at least loosely near the SEP.
     end_dist = float(np.linalg.norm(traj.final_state - x_sep_post))
     if end_dist <= loose:
-        return PostFaultClassification(stable=True, h_at_clearing=h_norm)
+        return PostFaultClassification(stable=True)
     return InconclusiveRun(
         f"post-fault run from {x_cl} ended {end_dist:.3g} from the SEP at "
         f"t={traj.final_time:.3g} with no crossing, capture, or convergence; "
@@ -354,9 +344,7 @@ def classify_post_faults(
     equilibrium that captured it ends there (``_sink_stop``, set up
     only when the phase's bound is finite at p): it could no longer
     cross a limit or reach the SEP ball, so its verdict is already
-    fixed.  No verdict, time or label changes; only
-    ``converged_to_sep`` turns True where the run to the small ball
-    would have reached its horizon near the SEP.  Convergence beats
+    fixed.  No verdict, time or label changes.  Convergence beats
     captures seen on the way; a run that ends far from the SEP with no
     crossing and no capture is inconclusive.
 
@@ -369,18 +357,16 @@ def classify_post_faults(
     constraints = system.phases[Phase.POST_FAULT].constraints
 
     out: list = [None] * len(x_cls)
-    h_norms = [math.inf] * len(x_cls)
     run = []
     for i, x_cl in enumerate(x_cls):
-        if constraints:
-            h_norms[i] = eval_H(system, Phase.POST_FAULT, x_cl, p) / h_ref
-            if h_norms[i] <= opts.clearing_feasibility_tol:
-                label = min(constraints, key=lambda c: c.value(x_cl, p)).name
-                out[i] = PostFaultClassification(
-                    stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(),
-                    crossing_label=label, h_at_clearing=h_norms[i],
-                )
-                continue
+        if constraints and (
+            eval_H(system, Phase.POST_FAULT, x_cl, p) / h_ref <= opts.clearing_feasibility_tol
+        ):
+            label = min(constraints, key=lambda c: c.value(x_cl, p)).name
+            out[i] = PostFaultClassification(
+                stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(), crossing_label=label,
+            )
+            continue
         run.append(i)
     if not run:
         return out
@@ -421,7 +407,7 @@ def classify_post_faults(
                 trajs[k] = traj
     for i, traj in zip(run, trajs):
         out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(
-            traj, x_cls[i], x_sep_post, h_norms[i], opts
+            traj, x_cls[i], x_sep_post, opts
         )
     return out
 
@@ -454,12 +440,11 @@ def _run_fault(system, p, x0, opts: CctOptions, horizon: float) -> Trajectory:
     )
 
 
-def _hit_classification(system, p, crossing, h_ref) -> PostFaultClassification:
+def _hit_classification(crossing) -> PostFaultClassification:
     """Clearing at the combined-boundary hit is infeasible by definition."""
-    h_norm = eval_H(system, Phase.POST_FAULT, crossing.state, p) / h_ref
     return PostFaultClassification(
         stable=False, t1=0.0, T=0.0, x_T=crossing.state.copy(),
-        crossing_label=crossing.info.get("constraint"), h_at_clearing=h_norm,
+        crossing_label=crossing.info.get("constraint"),
     )
 
 
@@ -498,7 +483,7 @@ def compute_cct(
         if crossing is not None:
             t_hi = hit_time = crossing.time
             hit_state = crossing.state.copy()
-            hi_cls = _hit_classification(system, p, crossing, h_ref)
+            hi_cls = _hit_classification(crossing)
             break
         if run > opts.horizon_doublings:
             break
@@ -593,7 +578,6 @@ def compute_cct(
         crossing_label=hi_cls.crossing_label,
         iterations=iterations,
         bracket_history=tuple(history),
-        interior_unstable=not hi_is_hit,
         x_sep_pre=x_sep_pre,
         x_sep_post=x_sep_post,
         fault_hit_time=hit_time,
@@ -627,7 +611,7 @@ def clearing_outcome(
     fault_traj = _run_fault(system, p, x_sep_pre, opts, t_clear)
     crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
     if crossing is not None and crossing.time < t_clear:
-        return _hit_classification(system, p, crossing, h_ref)
+        return _hit_classification(crossing)
     return classify_post_fault(
         system, p, fault_traj.final_state, x_sep_post, h_ref, opts
     )

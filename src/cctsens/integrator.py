@@ -27,10 +27,12 @@ One engine runs K starts ("lanes") in lockstep: every iteration takes
 one Dormand-Prince step of every live lane with its own step size, and
 each lane keeps its own time, step control, events and end.  A lane's
 arithmetic does not depend on the others (its stage sums are the same
-vector-matrix products whatever K is), so ``integrate_lanes`` gives each
-start the trajectory ``integrate`` gives it alone, bit for bit.
-``integrate`` is the one-lane run.  A lane whose state goes non-finite
-or whose step underflows stops with that error; the other lanes run on.
+vector-matrix products whatever K is), so each lane's end, step count
+and events equal its one-lane run's, bit for bit.  ``integrate_lanes``
+returns only where each lane ended (a ``LaneEnd``); ``integrate`` is the
+one-lane run and also keeps its accepted points.  A lane whose state
+goes non-finite or whose step underflows stops with that error; the
+other lanes run on.
 
 ``integrate_with_sensitivities`` integrates the variational equations
 
@@ -46,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +61,7 @@ __all__ = [
     "Event",
     "EventConfig",
     "Trajectory",
+    "LaneEnd",
     "SensitivityBundle",
     "integrate",
     "integrate_lanes",
@@ -162,8 +164,18 @@ class EventConfig:
     stop_at_min: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
 
 
+class _EventLog:
+    """``first_event`` over the ``events`` of a run, sorted by time."""
+
+    def first_event(self, kind: EventKind) -> Optional[Event]:
+        for ev in self.events:
+            if ev.kind is kind:
+                return ev
+        return None
+
+
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_EventLog):
     """Accepted integration samples plus any events.
 
     ``derivs`` holds the vector field at each sample; together with the
@@ -184,11 +196,15 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def first_event(self, kind: EventKind) -> Optional[Event]:
-        for ev in self.events:
-            if ev.kind is kind:
-                return ev
-        return None
+
+@dataclass(frozen=True)
+class LaneEnd(_EventLog):
+    """Where one lane of a lockstep run ended, after ``steps`` accepted steps."""
+
+    final_time: float
+    final_state: np.ndarray
+    steps: int
+    events: tuple[Event, ...]
 
 
 @dataclass(frozen=True)
@@ -361,7 +377,7 @@ def _window_state(window, t_q: float) -> np.ndarray:
 
 def _engine(
     rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
-    events: Optional[EventConfig], p: np.ndarray, norm_bound=None,
+    events: Optional[EventConfig], p: np.ndarray, norm_bound=None, rows=None,
 ) -> list:
     """Lockstep adaptive loop over the rows (lanes) of ``y0``.
 
@@ -374,8 +390,10 @@ def _engine(
     a discrete field-norm minimum is then refined only if its
     ``_norm_floor`` does not clear ``norm_min_threshold`` by the
     rounding margin, which drops no minimum the refinement would record,
-    so every result stays the same bit for bit.  Returns one Trajectory
-    per lane, or the NumericalBlowup or StiffnessFailure that stopped it.
+    so every result stays the same bit for bit.  Returns one LaneEnd per
+    lane, or the NumericalBlowup or StiffnessFailure that stopped it.
+    ``rows``, given only to a one-lane run, is a list that collects the
+    lane's accepted points (t, y, f), its start included.
     """
     y = np.array(y0, dtype=float)
     n_lanes = len(y)
@@ -409,9 +427,13 @@ def _engine(
     def record(lane: int, t_ev: float, kind: EventKind, y_ev: np.ndarray, info: dict) -> None:
         lane_events[lane].append(Event(t_ev, kind, y_ev[:n_state].copy(), info))
 
+    def finish(lane: int, t_ev: float, y_ev: np.ndarray, n_steps: int) -> None:
+        ordered = sorted(lane_events[lane], key=lambda ev: ev.time)
+        out[lane] = LaneEnd(t_ev, y_ev.copy(), n_steps, tuple(ordered))
+
     f = field(y)
-    # Accepted rows, one block per iteration in each list.
-    row_lanes, row_times, row_states, row_derivs = [range(n_lanes)], [[0.0] * n_lanes], [y], [f]
+    if rows is not None:
+        rows.append((0.0, y[0], f[0]))
 
     ids = list(range(n_lanes))
     if not _all_finite(f):
@@ -441,6 +463,8 @@ def _engine(
             if a not in done and dist <= events.sep_radius:
                 record(ids[a], 0.0, EventKind.CONVERGED_TO_SEP, y[a], {"distance": 0.0})
                 done.add(a)
+    for a in done:
+        finish(ids[a], 0.0, y[a], 0)
     if done:
         keep = [a for a in range(len(ids)) if a not in done]
         ids, norm_prev = [ids[a] for a in keep], [norm_prev[a] for a in keep]
@@ -452,8 +476,10 @@ def _engine(
     h = _initial_steps(field, y, f, opts, t_end) if L else []
     just_rejected = [False] * L
     nonfinite_reject = [False] * L
+    steps = [0] * L
     # Rolling window of each lane's last accepted points for minima detection.
-    windows = [[(0.0, y[a], f[a], norm_prev[a])] for a in range(L)]
+    windows = [[(0.0, y[a], f[a], norm_prev[a])] if min_threshold is not None else None
+               for a in range(L)]
 
     while ids:
         for a in range(len(ids)):
@@ -470,9 +496,9 @@ def _engine(
         if done:
             # Drop the lanes that ended or failed.
             keep = [a for a in range(len(ids)) if a not in done]
-            ids, t, h, just_rejected, nonfinite_reject, norm_prev, windows = (
+            ids, t, h, just_rejected, nonfinite_reject, steps, norm_prev, windows = (
                 [col[a] for a in keep]
-                for col in (ids, t, h, just_rejected, nonfinite_reject, norm_prev, windows)
+                for col in (ids, t, h, just_rejected, nonfinite_reject, steps, norm_prev, windows)
             )
             y, f = y[keep], f[keep]
             done = set()
@@ -584,48 +610,28 @@ def _engine(
                     record(lane, t1, EventKind.CONVERGED_TO_SEP, ys[i], {"distance": dists[i]})
                     terminal = True
 
-            t[a] = t_step[i] = t1
+            t[a] = t1
+            steps[a] += 1
             norm_prev[a] = norms[i]
             if terminal or t1 >= t_end:
+                finish(lane, t1, ys[i], steps[a])
                 done.add(a)
 
-        row_lanes.append(ids if full else [ids[a] for a in acc])
-        row_times.append(t_step)
-        row_states.append(ys)
-        row_derivs.append(fs)
+        if rows is not None:
+            rows.append((t[0], ys[0], fs[0]))
         if full:
             y, f = ys, fs
         else:
             y, f = y.copy(), f.copy()
             y[acc], f[acc] = ys, fs
 
-    # Split the accepted rows into per-lane trajectories.  Each list of
-    # blocks is dropped once merged, and the arrays are sorted one at a
-    # time, so about one extra copy of the rows is alive at any point.
-    lane_of = np.fromiter(chain.from_iterable(row_lanes), dtype=np.intp)
-    times = np.fromiter(chain.from_iterable(row_times), dtype=float)
-    del row_lanes, row_times
-    states = np.concatenate(row_states)
-    del row_states
-    derivs = np.concatenate(row_derivs)
-    del row_derivs
-    ends = [len(times)]
-    if n_lanes > 1:
-        order = np.argsort(lane_of, kind="stable")
-        times = times[order]
-        states = states[order]
-        derivs = derivs[order]
-        ends = np.cumsum(np.bincount(lane_of, minlength=n_lanes)).tolist()
-    start = 0
-    for j, end in enumerate(ends):
-        if out[j] is None:
-            lane_events[j].sort(key=lambda ev: ev.time)
-            out[j] = Trajectory(
-                times=times[start:end], states=states[start:end],
-                derivs=derivs[start:end], events=tuple(lane_events[j]),
-            )
-        start = end
     return out
+
+
+def _stack(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Times, states and derivatives of the points a one-lane run collected."""
+    times, states, derivs = zip(*rows)
+    return np.array(times), np.array(states), np.array(derivs)
 
 
 def _norm_bound(dyn: PhaseDynamics, p: np.ndarray, events: Optional[EventConfig]):
@@ -646,10 +652,10 @@ def integrate_lanes(
 ) -> list:
     """Integrate one phase from every row of ``x0s`` in one lockstep run.
 
-    Each lane's Trajectory is the one ``integrate`` returns for that
-    start, bit for bit.  A lane that stops with NumericalBlowup or
-    StiffnessFailure gets that error in its place; the other lanes run
-    on.
+    Returns a LaneEnd per start: its end time, end state, step count and
+    events equal those of the run ``integrate`` gives that start, bit
+    for bit.  A lane that stops with NumericalBlowup or StiffnessFailure
+    gets that error in its place; the other lanes run on.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != system.n:
@@ -675,10 +681,11 @@ def integrate(
     """
     x0, p = _check_dims(system, x0, p)
     dyn = system.phases[phase]
-    (traj,) = _engine(dyn.f, x0[None], opts, system.n, events, p, _norm_bound(dyn, p, events))
-    if isinstance(traj, Exception):
-        raise traj
-    return traj
+    rows: list = []
+    (end,) = _engine(dyn.f, x0[None], opts, system.n, events, p, _norm_bound(dyn, p, events), rows)
+    if isinstance(end, Exception):
+        raise end
+    return Trajectory(*_stack(rows), events=end.events)
 
 
 def integrate_with_sensitivities(
@@ -711,11 +718,12 @@ def integrate_with_sensitivities(
         return out
 
     y0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n_p)])
-    (full,) = _engine(rhs, y0[None], opts, n, None, p)
-    if isinstance(full, Exception):
-        raise full
-    times, states = full.times, full.states
-    traj = Trajectory(times=times, states=states[:, :n], derivs=full.derivs[:, :n], events=())
+    rows: list = []
+    (end,) = _engine(rhs, y0[None], opts, n, None, p, rows=rows)
+    if isinstance(end, Exception):
+        raise end
+    times, states, derivs = _stack(rows)
+    traj = Trajectory(times=times, states=states[:, :n], derivs=derivs[:, :n], events=())
     m = len(times)
     bundle = SensitivityBundle(
         times=times,

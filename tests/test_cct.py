@@ -32,6 +32,8 @@ from cctsens import (
     classify_post_faults,
     clearing_outcome,
     compute_cct,
+    eval_H,
+    integrate,
     integrate_lanes,
     smib_system,
     system_from_expressions,
@@ -125,7 +127,7 @@ class TestFaultBoundaryMode:
         assert res.bracket_history[0] == (0.0, res.fault_hit_time)
 
     def test_no_interior_instability(self, mode1_result):
-        assert not mode1_result.interior_unstable
+        assert mode1_result.mode is InstabilityMode.FAULT_BOUNDARY
         assert mode1_result.x_T is None and mode1_result.T is None
 
     def test_bracket_converged(self, mode1_result):
@@ -136,7 +138,6 @@ class TestFaultBoundaryMode:
 class TestPostFaultCrossingMode:
     def test_mode(self, mode2_result):
         assert mode2_result.mode is InstabilityMode.POST_FAULT_CROSSING
-        assert mode2_result.interior_unstable
 
     def test_fault_hit_reported_but_not_critical(self, mode2_result):
         # With this much inertia the angle limit is what the sustained
@@ -216,14 +217,12 @@ class TestClassifyPostFault:
     _H_REF = (1.6 - math.asin(0.5)) * 0.9
 
     def test_infeasible_clearing_short_circuits(self):
-        cls = classify_post_fault(
-            self._SYS, _P2.p0, np.array([2.0, 0.0]), self._SEP, self._H_REF,
-            CctOptions(),
-        )
+        x = np.array([2.0, 0.0])
+        cls = classify_post_fault(self._SYS, _P2.p0, x, self._SEP, self._H_REF, CctOptions())
         assert not cls.stable
         assert cls.t1 == 0.0 and cls.T == 0.0
         assert cls.crossing_label == "angle_limit"
-        assert cls.h_at_clearing < 0.0
+        assert eval_H(self._SYS, Phase.POST_FAULT, x, _P2.p0) / self._H_REF < 0.0
 
     def test_barely_feasible_clearing_counts_as_on_boundary(self):
         x = np.array([1.6 - 1e-9, 0.5])
@@ -231,25 +230,27 @@ class TestClassifyPostFault:
             self._SYS, _P2.p0, x, self._SEP, self._H_REF, CctOptions()
         )
         assert not cls.stable and cls.t1 == 0.0
-        assert 0.0 < cls.h_at_clearing < 1e-5
+        assert 0.0 < eval_H(self._SYS, Phase.POST_FAULT, x, _P2.p0) / self._H_REF < 1e-5
 
-    def test_small_perturbation_converges(self):
+    def test_small_perturbation_converges(self, monkeypatch):
+        runs = _recorded_runs(monkeypatch)
         cls = classify_post_fault(
             self._SYS, _P2.p0, self._SEP + [0.2, 0.1], self._SEP, self._H_REF,
             CctOptions(),
         )
-        assert cls.stable and cls.converged_to_sep
+        assert cls.stable and _entered_the_ball(runs)
         assert cls.t1 == math.inf and math.isinf(cls.T)
 
-    def test_capture_ignored_when_run_recovers(self):
+    def test_capture_ignored_when_run_recovers(self, monkeypatch):
         # At rest just inside the saddle the run slides back to the
         # SEP; field-norm dips near the SEP are part of convergence.
         sys3 = smib_system(_P3)
+        runs = _recorded_runs(monkeypatch)
         cls = classify_post_fault(
             sys3, _P3.p0, np.array([2.55, 0.0]), self._SEP,
             (50.0 - math.asin(0.5)) * 50.0, CctOptions(),
         )
-        assert cls.stable and cls.converged_to_sep
+        assert cls.stable and _entered_the_ball(runs)
 
     def test_escape_captured_at_competing_equilibrium(self):
         sys3 = smib_system(_P3)
@@ -373,16 +374,27 @@ def _feasible_states(params, rng, count):
     return xs[(xs[:, 0] < params.delta_max) & (xs[:, 1] < params.omega_max)]
 
 
-def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
-    """Verdicts of classify_post_faults and the run of each lane."""
+def _recorded_runs(monkeypatch):
+    """The list that collects the end of every lane ``cct`` runs from here on."""
     runs = []
 
     def recording(*args, **kwargs):
-        trajs = integrate_lanes(*args, **kwargs)
-        runs.extend(trajs)
-        return trajs
+        ends = integrate_lanes(*args, **kwargs)
+        runs.extend(ends)
+        return ends
 
     monkeypatch.setattr(cct_mod, "integrate_lanes", recording)
+    return runs
+
+
+def _entered_the_ball(runs):
+    """The last lane run, which decided a one-state verdict, entered the SEP ball."""
+    return runs[-1].first_event(EventKind.CONVERGED_TO_SEP) is not None
+
+
+def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
+    """Verdicts of classify_post_faults and the run of each lane."""
+    runs = _recorded_runs(monkeypatch)
     _, x_sep, h_ref = cct_mod._operating_point(system, p, opts)
     out = classify_post_faults(system, p, xs, x_sep, h_ref, opts)
     monkeypatch.undo()
@@ -390,7 +402,7 @@ def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
 
 
 def _steps(runs):
-    return [0 if isinstance(t, Exception) else len(t.times) - 1 for t in runs]
+    return [0 if isinstance(t, Exception) else t.steps for t in runs]
 
 
 def _ended_in_a_sink(traj, t_max):
@@ -524,8 +536,12 @@ class TestCertifiedRegion:
         for k, x in enumerate(self._SLIPS):
             (one,), one_runs = _verdicts_and_runs(system, _P3.p0, x[None], monkeypatch, opts)
             assert _verdict_key(one) == _verdict_key(batch[k])
-            assert np.array_equal(one_runs[0].times, batch_runs[k].times)
-            assert np.array_equal(one_runs[0].states, batch_runs[k].states)
+            a, b = one_runs[0], batch_runs[k]
+            assert a.final_time == b.final_time and a.steps == b.steps
+            assert np.array_equal(a.final_state, b.final_state)
+            assert [(e.time, e.kind, e.state.tolist(), e.info) for e in a.events] == [
+                (e.time, e.kind, e.state.tolist(), e.info) for e in b.events
+            ]
 
     def test_no_sink_search_without_a_finite_bound(self, monkeypatch):
         # A bound that is infinite at p certifies nothing, so captures must
@@ -606,7 +622,8 @@ class TestCertifiedRegion:
         # Runs from the ball's edge stay inside the limits and the loose
         # radius all the way to the horizon.
         starts = x_sep + radius * units[::10]
-        for traj in integrate_lanes(system, Phase.POST_FAULT, starts, p, IntegrationOptions(t_max=10.0)):
+        for x0 in starts:
+            traj = integrate(system, Phase.POST_FAULT, x0, p, IntegrationOptions(t_max=10.0))
             assert traj.final_time == 10.0
             assert np.max(np.linalg.norm(traj.states - x_sep, axis=1)) <= cct_mod._LOOSE_FACTOR * sep_radius
             for con in dyn.constraints:
@@ -658,9 +675,10 @@ def test_config_results_do_not_depend_on_the_bound(config):
 
 
 class TestClearingOutcome:
-    def test_zero_clearing_is_stable(self):
+    def test_zero_clearing_is_stable(self, monkeypatch):
+        runs = _recorded_runs(monkeypatch)
         cls = clearing_outcome(smib_system(_P2), _P2.p0, 0.0)
-        assert cls.stable and cls.converged_to_sep
+        assert cls.stable and _entered_the_ball(runs)
 
     def test_clearing_after_fault_hit_is_infeasible(self):
         t_hit = _fault_angle_hit_time(0.5, 0.5, 1.6)

@@ -7,6 +7,7 @@ failure modes.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -348,8 +349,8 @@ def test_norm_floor_holds_on_windows_of_real_runs(params):
     starts = starts[(starts[:, 0] < params.delta_max) & (starts[:, 1] < params.omega_max)]
     windows = [
         w
-        for traj in integrate_lanes(system, Phase.POST_FAULT, starts, p, IntegrationOptions(t_max=8.0))
-        for w in _windows(traj)[::3]
+        for x0 in starts
+        for w in _windows(integrate(system, Phase.POST_FAULT, x0, p, IntegrationOptions(t_max=8.0)))[::3]
     ]
     assert len(windows) > 50
     lip = dyn.jac_lipschitz(p)
@@ -410,7 +411,7 @@ def test_norm_floor_is_sharp(field, jac_x, lip, states):
 
 def test_norm_floor_leaves_every_run_bit_identical(monkeypatch):
     # Runs that watch minima come out the same with and without the bound,
-    # and the bound skips most refinements.
+    # row for row, and the bound skips most refinements in lockstep runs.
     params = SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0)
     system = smib_system(params)
     post = system.phases[Phase.POST_FAULT]
@@ -419,6 +420,9 @@ def test_norm_floor_leaves_every_run_bit_identical(monkeypatch):
     ev = EventConfig(constraints=post.constraints, sep_target=sep, norm_min_threshold=1e-3)
     starts = np.array([[2.7, 0.0], [2.55, 0.0], [0.0, 3.0], [-1.0, 1.2], [1.0, -2.0]])
     opts = IntegrationOptions(t_max=20.0)
+    singles = [_one_lane_runs(s, starts, params.p0, opts, ev) for s in (system, bare)]
+    for k, (a, b) in enumerate(zip(*singles)):
+        assert _same_run(a, b), f"run {k} changed"
     refinements = []
     real = integrator._refine_norm_min
 
@@ -432,7 +436,7 @@ def test_norm_floor_leaves_every_run_bit_identical(monkeypatch):
         refinements.append(0)
         runs.append(integrate_lanes(s, Phase.POST_FAULT, starts, params.p0, opts, ev))
     for k, (a, b) in enumerate(zip(*runs)):
-        assert _same_run(a, b), f"lane {k} changed"
+        assert _same_end(a, b), f"lane {k} changed"
     assert any(a.first_event(EventKind.FIELD_NORM_LOCAL_MIN) for a in runs[0])
     assert refinements[0] < refinements[1] / 2
 
@@ -474,20 +478,51 @@ _MACHINE_Z = system_from_expressions(
 )
 
 
+def _same_events(a, b):
+    return len(a.events) == len(b.events) and all(
+        x.time == y.time and x.kind is y.kind
+        and np.array_equal(x.state, y.state) and x.info == y.info
+        for x, y in zip(a.events, b.events)
+    )
+
+
 def _same_run(a, b):
+    """Two one-lane runs agree row for row, or raised the same error."""
     if isinstance(a, Exception) or isinstance(b, Exception):
         return type(a) is type(b) and str(a) == str(b)
     return (
         np.array_equal(a.times, b.times)
         and np.array_equal(a.states, b.states)
         and np.array_equal(a.derivs, b.derivs)
-        and len(a.events) == len(b.events)
-        and all(
-            x.time == y.time and x.kind is y.kind
-            and np.array_equal(x.state, y.state) and x.info == y.info
-            for x, y in zip(a.events, b.events)
-        )
+        and _same_events(a, b)
     )
+
+
+def _steps(run):
+    return run.steps if isinstance(run, integrator.LaneEnd) else len(run.times) - 1
+
+
+def _same_end(a, b):
+    """Two runs, lanes or one-lane runs, end alike, or stopped with the same error."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return (
+        a.final_time == b.final_time
+        and np.array_equal(a.final_state, b.final_state)
+        and _steps(a) == _steps(b)
+        and _same_events(a, b)
+    )
+
+
+def _one_lane_runs(system, starts, p, opts, ev=None):
+    """``integrate`` from each start, or the error it raised."""
+    runs = []
+    for x0 in starts:
+        try:
+            runs.append(integrate(system, Phase.POST_FAULT, x0, p, opts, ev))
+        except (NumericalBlowup, StiffnessFailure) as exc:
+            runs.append(exc)
+    return runs
 
 
 def test_lanes_equal_their_one_lane_runs():
@@ -509,26 +544,21 @@ def test_lanes_equal_their_one_lane_runs():
     opts = IntegrationOptions(t_max=6.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         lanes = integrate_lanes(_MACHINE_Z, Phase.POST_FAULT, starts, p, opts, ev)
-        singles = []
-        for x0 in starts:
-            try:
-                singles.append(integrate(_MACHINE_Z, Phase.POST_FAULT, x0, p, opts, ev))
-            except NumericalBlowup as exc:
-                singles.append(exc)
+        singles = _one_lane_runs(_MACHINE_Z, starts, p, opts, ev)
     for k, (lane, single) in enumerate(zip(lanes, singles)):
-        assert _same_run(lane, single), f"lane {k} differs from its one-lane run"
+        assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
 
     cross, sep, creep, outside, blowup, inside = lanes
     hit = cross.events[0]
     assert hit.kind is EventKind.CONSTRAINT_CROSSING and hit.info["constraint"] == "angle_limit"
-    assert cross.times[-2] < hit.time == cross.final_time
+    assert singles[0].times[-2] < hit.time == cross.final_time
     assert [e.kind for e in sep.events] == [EventKind.CONVERGED_TO_SEP]
     assert creep.first_event(EventKind.FIELD_NORM_LOCAL_MIN) is not None
-    assert outside.events[0].time == 0.0 and len(outside.times) == 1
+    assert outside.events[0].time == 0.0 and len(singles[3].times) == 1
     assert isinstance(blowup, NumericalBlowup)
     assert "non-finite near t" in str(blowup)
     assert [e.kind for e in inside.events] == [EventKind.CONVERGED_TO_SEP]
-    assert inside.events[0].time == 0.0 and len(inside.times) == 1
+    assert inside.events[0].time == 0.0 and len(singles[5].times) == 1
 
 
 def test_lanes_equal_their_one_lane_runs_with_powers():
@@ -544,7 +574,29 @@ def test_lanes_equal_their_one_lane_runs_with_powers():
     lanes = integrate_lanes(duffing, Phase.POST_FAULT, starts, p, opts)
     for k, (lane, x0) in enumerate(zip(lanes, starts)):
         single = integrate(duffing, Phase.POST_FAULT, x0, p, opts)
-        assert _same_run(lane, single), f"lane {k} differs from its one-lane run"
+        assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
+
+
+def test_lane_memory_does_not_grow_with_the_horizon():
+    # A lockstep run keeps where each lane ended, not its accepted points:
+    # ten times the horizon, and more than three times the steps, leave
+    # the peak flat.
+    starts = np.column_stack([np.linspace(-0.5, 1.5, 64), np.linspace(1.0, -1.0, 64)])
+
+    def peak(t_max):
+        opts = IntegrationOptions(t_max=t_max)
+        integrate_lanes(_SYS, Phase.POST_FAULT, starts, _P0, opts)
+        tracemalloc.start()
+        try:
+            ends = integrate_lanes(_SYS, Phase.POST_FAULT, starts, _P0, opts)
+            return ends, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (short, short_peak), (long, long_peak) = peak(10.0), peak(100.0)
+    assert long_peak <= 1.5 * short_peak, (short_peak, long_peak)
+    assert all(end.final_time == 100.0 for end in long)
+    assert sum(end.steps for end in long) > 3 * sum(end.steps for end in short)
 
 
 def test_lanes_take_an_empty_batch_and_check_shapes():
