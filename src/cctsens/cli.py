@@ -429,17 +429,27 @@ def cmd_sens(cfg: RunConfig, verify: bool) -> int:
     return 3 if failures else 0
 
 
-def _sweep_chunk(effective: dict, values: Sequence[float]) -> list[tuple]:
+def _sweep_chunk(effective: dict, values: Sequence[float]) -> list:
+    """(t_cl, mode, slope) for each value, in order.
+
+    The chunk stops at its first failing value and returns that value's
+    exception in its place, so the caller can raise the failure of the
+    lowest failing value whichever chunk holds it.
+    """
     cfg = _parse_config(effective)
     system = build_system(cfg)
     out = []
     for value in values:
         p = cfg.p0.copy()
         p[cfg.sweep_param] = value
-        result = compute_cct(system, p, cfg.opts)
-        slope = None
-        if cfg.sweep_tangents and result.mode is not InstabilityMode.NO_RETURN:
-            slope = float(cct_sensitivity(system, p, result).dt_cl[cfg.sweep_param])
+        try:
+            result = compute_cct(system, p, cfg.opts)
+            slope = None
+            if cfg.sweep_tangents and result.mode is not InstabilityMode.NO_RETURN:
+                slope = float(cct_sensitivity(system, p, result).dt_cl[cfg.sweep_param])
+        except Exception as exc:
+            out.append(exc)
+            break
         out.append((result.t_cl, int(result.mode), slope))
     return out
 
@@ -452,18 +462,27 @@ def cmd_sweep(cfg: RunConfig, verify: bool) -> int:
         header += ",tangent_slope"
 
     values = list(cfg.sweep_values)
-    if cfg.jobs > 1 and len(values) > 1:
-        chunks = [c.tolist() for c in np.array_split(values, cfg.jobs) if len(c)]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    jobs = min(cfg.jobs, len(values))
+    if jobs > 1:
+        # Point i goes to worker i % jobs: contiguous chunks would hand one
+        # worker the cheap stretch of a sweep and another its dear one.
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_sweep_chunk, cfg.effective, chunk) for chunk in chunks
+                pool.submit(_sweep_chunk, cfg.effective, values[k::jobs])
+                for k in range(jobs)
             ]
-            points = [pt for fut in futures for pt in fut.result()]
+            chunks = [fut.result() for fut in futures]
     else:
-        points = _sweep_chunk(cfg.effective, values)
+        chunks = [_sweep_chunk(cfg.effective, values)]
 
+    # A chunk ends at its first failure, so every point before the lowest
+    # failing one is present.
     rows = []
-    for value, (t_cl, mode, slope) in zip(values, points):
+    for i, value in enumerate(values):
+        point = chunks[i % len(chunks)][i // len(chunks)]
+        if isinstance(point, Exception):
+            raise point
+        t_cl, mode, slope = point
         cells = [name, _fmt(value), _fmt(t_cl), str(mode)]
         if cfg.sweep_tangents:
             cells.append(_fmt(slope))

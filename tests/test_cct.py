@@ -776,6 +776,173 @@ class TestFailurePaths:
             compute_cct(smib_system(_P2), _P2.p0, CctOptions(reverify=True))
 
 
+def _plain_cct(system, p, opts=CctOptions()):
+    """compute_cct with every bisection verdict from one-lane classify_post_fault."""
+    p = np.asarray(p, dtype=float)
+    x_pre, x_post, h_ref = cct_mod._operating_point(system, p, opts)
+    if not classify_post_fault(system, p, x_pre, x_post, h_ref, opts).stable:
+        raise NoFiniteCct("instant clearing is already unstable")
+    horizon = opts.integration.t_max
+    hit_time = hit_state = hi_cls = None
+    for run in range(opts.horizon_doublings + 2):
+        fault = cct_mod._run_fault(system, p, x_pre, opts, horizon)
+        crossing = fault.first_event(EventKind.CONSTRAINT_CROSSING)
+        if crossing is not None:
+            t_hi = hit_time = crossing.time
+            hit_state = crossing.state.copy()
+            hi_cls = cct_mod._hit_classification(crossing)
+            break
+        if run > opts.horizon_doublings:
+            break
+        cls_end = classify_post_fault(system, p, fault.final_state, x_post, h_ref, opts)
+        if not cls_end.stable:
+            t_hi, hi_cls = fault.final_time, cls_end
+            break
+        horizon *= 2.0
+    assert hi_cls is not None
+    hi_is_hit = hit_time is not None
+    t_lo, history, iterations = 0.0, [(0.0, t_hi)], 0
+    while t_hi - t_lo > opts.bisection_tol:
+        if iterations >= opts.max_iterations:
+            raise InconclusiveRun(
+                f"bracket still {t_hi - t_lo:.3g} wide after "
+                f"{iterations} bisection steps"
+            )
+        t_mid = 0.5 * (t_lo + t_hi)
+        cls_mid = classify_post_fault(
+            system, p, cct_mod.state_at(fault, t_mid), x_post, h_ref, opts
+        )
+        if cls_mid.stable:
+            t_lo = t_mid
+        else:
+            t_hi, hi_cls, hi_is_hit = t_mid, cls_mid, False
+        history.append((t_lo, t_hi))
+        iterations += 1
+    if hi_is_hit:
+        mode, t_cl, x_cr, x_T, T = InstabilityMode.FAULT_BOUNDARY, t_hi, hit_state, None, None
+    else:
+        t_cl = 0.5 * (t_lo + t_hi)
+        x_cr = cct_mod.state_at(fault, t_cl)
+        mode = (
+            InstabilityMode.POST_FAULT_CROSSING if hi_cls.t1 <= hi_cls.t2
+            else InstabilityMode.NO_RETURN
+        )
+        x_T, T = hi_cls.x_T, hi_cls.T
+    return cct_mod.CriticalResult(
+        t_cl=t_cl, mode=mode, t_lo=t_lo, t_hi=t_hi, x_cr=x_cr, x_T=x_T, T=T,
+        t1=hi_cls.t1, t2=hi_cls.t2, crossing_label=hi_cls.crossing_label,
+        iterations=iterations, bracket_history=tuple(history),
+        x_sep_pre=x_pre, x_sep_post=x_post, fault_hit_time=hit_time,
+        fault_hit_state=hit_state, h_ref=h_ref,
+    )
+
+
+# Graze machines: at bisection_tol 1e-2, M = 0.3 is mode 1 and M = 0.5 mode 2
+# with a fault hit, so its all-stable path breaks at its first unstable verdict.
+_GRAZE1 = SmibParams(p_mech=0.5, inertia=0.3, delta_max=1.6, omega_max=0.9)
+_DEFECT1 = SmibParams(p_mech=0.5, inertia=0.2, delta_max=1.6, omega_max=0.9)
+# name -> (system, p, options) and the mode of its critical time.
+_BATCH_CASES = {
+    "speed-1e-2": ((smib_system(_P1), _P1.p0, CctOptions()), 1),
+    "speed-1e-4": ((smib_system(_P1), _P1.p0, CctOptions(bisection_tol=1e-4)), 1),
+    "graze-mode1": ((smib_system(_GRAZE1), _GRAZE1.p0, CctOptions()), 1),
+    "graze-mode2": ((smib_system(_P2), _P2.p0, CctOptions()), 2),
+    "defect1": ((smib_system(_DEFECT1), _DEFECT1.p0, CctOptions(bisection_tol=1e-4)), 2),
+    "wide-mode3": ((smib_system(_P3), _P3.p0, _OPTS3), 3),
+    "twin-speed": ((_smib_twin(), _P1.p0, CctOptions(bisection_tol=1e-4)), 1),
+    "twin-graze-mode2": ((_smib_twin(), _P2.p0, CctOptions()), 2),
+}
+
+
+def _lane_counts(monkeypatch, plant=None):
+    """Lane count of every classify_post_faults call; ``plant`` edits a batch's output."""
+    real, counts = cct_mod.classify_post_faults, []
+
+    def recording(system, p, x_cls, *args):
+        counts.append(len(x_cls))
+        out = real(system, p, x_cls, *args)
+        return out if plant is None or len(x_cls) == 1 else plant(out)
+
+    monkeypatch.setattr(cct_mod, "classify_post_faults", recording)
+    return counts
+
+
+class TestBatchedBisection:
+    """The all-stable path below a fault hit runs as one lane batch.
+
+    The plain loop over one-lane verdicts is the oracle: every result
+    field must match it bit for bit.
+    """
+
+    @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+    def test_result_equals_the_one_lane_loop(self, case):
+        args, mode = _BATCH_CASES[case]
+        result = compute_cct(*args)
+        assert int(result.mode) == mode
+        _same_fields(result, _plain_cct(*args))
+
+    def test_defect1_repro_keeps_its_result(self):
+        # A late path point falls in the clearing-feasibility band: the
+        # batch must report it as the first unstable verdict, as the
+        # one-lane loop does.
+        result = compute_cct(*_BATCH_CASES["defect1"][0])
+        assert result.mode is InstabilityMode.POST_FAULT_CROSSING
+        assert result.T == 0.0 and result.iterations == 14
+        assert result.t_cl == 0.9209495218760333
+
+    def test_iteration_cap_raises_as_the_one_lane_loop(self):
+        system, p, _ = _BATCH_CASES["speed-1e-2"][0]
+        opts = CctOptions(max_iterations=3)
+        with pytest.raises(InconclusiveRun) as want:
+            _plain_cct(system, p, opts)
+        with pytest.raises(InconclusiveRun) as got:
+            compute_cct(system, p, opts)
+        assert str(got.value) == str(want.value)
+
+    def test_mode1_makes_no_one_lane_bisection_verdicts(self, monkeypatch):
+        system, p, opts = _BATCH_CASES["speed-1e-4"][0]
+        counts = _lane_counts(monkeypatch)
+        result = compute_cct(system, p, opts)
+        # The instant-clearing check, then the whole bisection in one batch.
+        assert result.mode is InstabilityMode.FAULT_BOUNDARY
+        assert counts == [1, result.iterations] and result.iterations > 1
+
+    def test_error_after_the_first_unstable_lane_is_ignored(self, monkeypatch):
+        system, p, opts = _BATCH_CASES["graze-mode2"][0]
+
+        def plant(out):
+            k = next(k for k, cls in enumerate(out) if not cls.stable)
+            assert k + 1 < len(out)
+            out[k + 1] = InconclusiveRun("planted past the first unstable lane")
+            return out
+
+        _lane_counts(monkeypatch, plant)
+        _same_fields(compute_cct(system, p, opts), _plain_cct(system, p, opts))
+
+    def test_error_on_the_walk_is_raised(self, monkeypatch):
+        system, p, opts = _BATCH_CASES["speed-1e-2"][0]
+
+        def plant(out):
+            out[1] = InconclusiveRun("planted on the walk")
+            return out
+
+        _lane_counts(monkeypatch, plant)
+        with pytest.raises(InconclusiveRun, match="planted on the walk"):
+            compute_cct(system, p, opts)
+
+    @pytest.mark.parametrize("case", ["speed-1e-4", "graze-mode2"])
+    def test_raising_batch_falls_back_to_one_lane(self, case, monkeypatch):
+        system, p, opts = _BATCH_CASES[case][0]
+
+        def plant(out):
+            raise RuntimeError("batch failed")
+
+        counts = _lane_counts(monkeypatch, plant)
+        result = compute_cct(system, p, opts)
+        assert counts == [1, result.iterations] + [1] * result.iterations
+        _same_fields(result, _plain_cct(system, p, opts))
+
+
 class TestOptionsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"bisection_tol": 0.0},

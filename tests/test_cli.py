@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from cctsens import NoEquilibriumFound, SmibParams, compute_cct, smib_system
 from cctsens.cli import load_config, main
 
 _D = 0.5
@@ -213,6 +214,56 @@ class TestSweep:
         assert run("d", 1, wide) == run("e", 2, wide)
         _, _, rows = read_csv(tmp_path / "d" / "sweep.csv")
         assert [r.split(",")[3] for r in rows] == ["3", "3", "3"]
+        # More workers than points: one point per worker.
+        assert run("f", 4, wide) == run("d", 1, wide)
+
+    def _sweep_files(self, tmp_path, doc, jobs, name):
+        path = write_config(tmp_path, doc, name=f"{name}.json")
+        out = tmp_path / f"{name}-{jobs}"
+        code = main(["sweep", "--config", str(path), "--out", str(out), "--jobs", str(jobs)])
+        return code, out
+
+    def test_mixed_mode_sweep_is_pool_invariant(self, tmp_path):
+        # Graze machines: light ones hit the speed limit (mode 1), heavy
+        # ones graze the angle limit after clearing (mode 2).
+        doc = {
+            "system": {"kind": "smib", "p_mech": 0.5, "inertia": 0.5,
+                       "delta_max": 1.6, "omega_max": 0.9},
+            "sweep": {"parameter": "M", "start": 0.1, "stop": 0.5, "count": 5},
+        }
+        csvs = []
+        for jobs in (1, 2, 3):
+            code, out = self._sweep_files(tmp_path, doc, jobs, "graze")
+            assert code == 0
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        _, _, rows = read_csv(tmp_path / "graze-1" / "sweep.csv")
+        assert [r.split(",")[3] for r in rows] == ["1", "1", "1", "2", "2"]
+
+    def test_lowest_failing_point_decides_the_error(self, tmp_path):
+        # Pm = 1.05 and 1.5 leave no pre-fault equilibrium and fail with
+        # different messages.  With two workers, 1.05 runs in the second
+        # chunk and 1.5 in the first; the report names 1.05 either way.
+        doc = {"system": _SMIB, "sweep": {
+            "parameter": "Pm", "start": 0.6, "stop": 1.5, "count": 3,
+        }}
+        docs = []
+        for jobs in (1, 2):
+            code, out = self._sweep_files(tmp_path, doc, jobs, "fails")
+            assert code == 1 and not (out / "sweep.csv").exists()
+            docs.append((out / "error.json").read_bytes())
+        assert docs[0] == docs[1]
+        error = json.loads(docs[0])["error"]
+        assert error["type"] == "NoEquilibriumFound"
+
+        def message(pm):
+            params = SmibParams(p_mech=pm, inertia=0.1, delta_max=2.0, omega_max=0.7)
+            with pytest.raises(NoEquilibriumFound) as exc:
+                compute_cct(smib_system(params), params.p0)
+            return str(exc.value)
+
+        _, pm_mid, pm_hi = np.linspace(0.6, 1.5, 3)
+        assert error["message"] == message(pm_mid) != message(pm_hi)
 
 
 class TestSrGrid:
