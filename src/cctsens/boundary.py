@@ -50,6 +50,7 @@ from .model import (
     Constraint,
     EquilibriumClass,
     Phase,
+    _attraction_radius,
     eval_f,
     find_equilibrium,
 )
@@ -246,11 +247,22 @@ def classify_grid_points(
     non-positive hits the boundary at t = 0; otherwise the run decides:
     a crossing of any constraint, entry into the SEP ball, or neither.
     A lane whose state blows up or whose step underflows diverges.
+
+    The SEP ball is the ball of ``_attraction_radius`` when the phase
+    certifies one, else the ball of ``sep_radius``; ``sep_radius`` thus
+    sets the fallback ball, the smallest certified ball used, and the
+    reach of the certified region, 100 x ``sep_radius`` from the SEP.
+    No run leaves that region or crosses a limit in it, so a lane that
+    enters the certified ball is STABLE, as its run to the
+    ``sep_radius`` ball would be unless that run met ``t_max`` first.
     """
+    p = np.asarray(p, dtype=float)
+    x_sep = np.asarray(x_sep, dtype=float)
+    radius = _attraction_radius(system, p, x_sep, sep_radius)
     events = EventConfig(
         constraints=system.phases[Phase.POST_FAULT].constraints,
-        sep_target=np.asarray(x_sep, dtype=float),
-        sep_radius=sep_radius,
+        sep_target=x_sep,
+        sep_radius=sep_radius if radius is None else radius,
     )
     classes = []
     for traj in integrate_lanes(system, Phase.POST_FAULT, x0s, p, opts, events):
@@ -480,11 +492,16 @@ def sample_stability_region(
     SEP without leaving the feasible region, HITS_BOUNDARY when some
     constraint reaches zero first (or the point starts infeasible),
     DIVERGES otherwise.  All cells run as lanes of one lockstep
-    integration (``classify_grid_points``).  ``jobs > 1`` splits the
-    rows over worker processes, each running its rows as one lockstep
-    integration; ``system_factory`` must then be a picklable (callable,
-    args) pair that rebuilds the system.  Raises NoEquilibriumFound when
-    the equilibrium found from ``sep_guess`` is not stable.
+    integration (``classify_grid_points``), which ends a run in the
+    certified ball of the SEP's region of attraction when the phase has
+    a ``jac_lipschitz`` bound; ``sep_radius`` sets the fallback ball, the
+    smallest certified ball and the region's reach, 100 x ``sep_radius``.
+    ``jobs > 1`` deals the rows to worker processes, row i to worker
+    i % jobs, each running its rows as one lockstep integration;
+    ``system_factory`` must then be a picklable (callable, args) pair
+    that rebuilds the system.  Every lane equals its one-lane run, so
+    the classes do not depend on ``jobs``.  Raises NoEquilibriumFound
+    when the equilibrium found from ``sep_guess`` is not stable.
     """
     if system.n != 2:
         raise CctError("stability-region grids are only supported for planar systems")
@@ -498,16 +515,18 @@ def sample_stability_region(
     x_sep = sep.x
 
     classes = np.empty((spec.n1, spec.n2), dtype=object)
+    jobs = min(jobs, spec.n1)
     if jobs > 1 and system_factory is not None:
         factory, factory_args = system_factory
-        chunks = np.array_split(np.arange(spec.n1), jobs)
+        # Row i goes to worker i % jobs: contiguous chunks would hand one
+        # worker the cheap rows of a window and another its dear ones.
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(
                     _classify_rows, factory, factory_args, p, spec, opts,
-                    sep_radius, x_sep, chunk.tolist(),
+                    sep_radius, x_sep, range(k, spec.n1, jobs),
                 )
-                for chunk in chunks if len(chunk)
+                for k in range(jobs)
             ]
             for fut in futures:
                 for i, row in fut.result():

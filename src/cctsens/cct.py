@@ -54,7 +54,14 @@ from .integrator import (
     integrate_lanes,
     state_at,
 )
-from .model import ConstrainedSystem, EquilibriumClass, Phase, find_equilibrium
+from .model import (
+    _LOOSE_FACTOR,
+    ConstrainedSystem,
+    EquilibriumClass,
+    Phase,
+    _attraction_radius,
+    find_equilibrium,
+)
 
 __all__ = [
     "InstabilityMode",
@@ -66,14 +73,6 @@ __all__ = [
     "clearing_outcome",
     "compute_cct",
 ]
-
-# Field-norm minima and end states within this multiple of sep_radius
-# count as part of the convergence tail, not as captures elsewhere.
-_LOOSE_FACTOR = 100.0
-# Factor on the level c of a certified region of attraction, a margin for
-# the integration error of a run that has entered it.
-_REGION_SHRINK = 0.5
-
 
 class InstabilityMode(IntEnum):
     FAULT_BOUNDARY = 1
@@ -180,57 +179,6 @@ def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarra
             "no positive clearing time exists"
         )
     return x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
-
-
-def _attraction_radius(system, p, x_sep, sep_radius: float):
-    """Radius of a ball around x_sep inside a certified region of attraction, or None.
-
-    The region is {e^T P e <= c} for e = x - x_sep and a stable
-    post-fault equilibrium x_sep.  P solves the Lyapunov equation
-    A^T P + P A = -I for A = jac_x(x_sep), so V = e^T P e has
-    dV/dt <= -|e|^2 (1 - lam_hi L |e|), where L is the phase's ``jac_lipschitz`` bound and lam_lo, lam_hi
-    are the extreme eigenvalues of P (Khalil, Nonlinear Systems, 3rd
-    ed., ch. 8).  The level c keeps the region inside
-    |e| < 1 / (lam_hi L), where V decreases, and inside
-    ``_LOOSE_FACTOR * sep_radius``; each margin stays positive on it
-    because h_k(x_sep) - sqrt(c g^T P^-1 g) - (L / 2) c / lam_lo > 0 for
-    g = grad_x h_k(x_sep).  A run that enters the region therefore
-    stays in it and crosses no limit.  The ball |e| <= sqrt(c / lam_hi)
-    lies in the region.  None when the phase has no bound, P is not
-    positive definite, a margin is not positive at x_sep, or the ball
-    would be smaller than ``sep_radius``.
-    """
-    dyn = system.phases[Phase.POST_FAULT]
-    lip = dyn.lipschitz_bound(p)
-    if lip is None:
-        return None
-    a = np.asarray(dyn.jac_x(x_sep, p), dtype=float)
-    eye = np.eye(len(a))
-    # The Lyapunov equation as one linear system in the row-major entries of P.
-    try:
-        P = np.linalg.solve(np.kron(a.T, eye) + np.kron(eye, a.T), -eye.ravel()).reshape(a.shape)
-    except np.linalg.LinAlgError:
-        return None
-    P = 0.5 * (P + P.T)
-    lam_lo, lam_hi = np.linalg.eigvalsh(P)[[0, -1]].tolist()
-    if not lam_lo > 0.0:
-        return None
-    reach = _LOOSE_FACTOR * sep_radius
-    if lip > 0.0:
-        reach = min(reach, 1.0 / (lam_hi * lip))
-    c = lam_lo * reach**2
-    for con in dyn.constraints:
-        h = float(con.value(x_sep, p))
-        if not h > 0.0:
-            return None
-        g = np.asarray(con.grad_x(x_sep, p), dtype=float)
-        beta = math.sqrt(float(g @ np.linalg.solve(P, g)))
-        # The positive root in sqrt(c) of h - beta sqrt(c) - (L / 2) c / lam_lo.
-        denom = beta + math.sqrt(beta * beta + 2.0 * lip * h / lam_lo)
-        if denom > 0.0:
-            c = min(c, (2.0 * h / denom) ** 2)
-    radius = math.sqrt(_REGION_SHRINK * c / lam_hi)
-    return radius if radius >= sep_radius else None
 
 
 def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):

@@ -224,17 +224,27 @@ class SensitivityBundle:
         return self.phi_p[-1]
 
 
-def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1):
-    """Cubic Hermite interpolant matching value and slope at both ends."""
+def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> np.ndarray:
+    """Cubic Hermite interpolant matching value and slope at both ends.
+
+    Each component is summed on floats as ((a y0 + b f0) + c y1) + d f1,
+    with a = 2s^3 - 3s^2 + 1, b = (s^3 - 2s^2 + s) h, c = -2s^3 + 3s^2
+    and d = (s^3 - s^2) h for s = (t - t0) / h: the products and sums,
+    in their order, of the same expression over whole arrays, at a
+    fraction of its cost for a short state.  The ends y0, f0, y1, f1 are
+    lists of floats, which a caller that interpolates one piece many
+    times builds once.
+    """
     h = t1 - t0
     s = (t - t0) / h
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * f0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * f1
+    a = 2 * s3 - 3 * s2 + 1
+    b = (s3 - 2 * s2 + s) * h
+    c = -2 * s3 + 3 * s2
+    d = (s3 - s2) * h
+    return np.array(
+        [a * u0 + b * v0 + c * u1 + d * v1 for u0, v0, u1, v1 in zip(y0, f0, y1, f1)]
     )
 
 
@@ -304,6 +314,8 @@ def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h):
 
 def _refine_crossing(margin, tol, t0, y0, f0, t1, y1, f1):
     """Bisect the root of one margin, positive at t0, inside one accepted step."""
+    # The ends as lists of floats, once for every midpoint.
+    y0, f0, y1, f1 = y0.tolist(), f0.tolist(), y1.tolist(), f1.tolist()
     lo, hi = t0, t1
     for _ in range(_MAX_EVENT_BISECTIONS):
         if hi - lo <= tol:
@@ -371,7 +383,7 @@ def _window_state(window, t_q: float) -> np.ndarray:
     """Interpolated state at t_q inside a window of accepted points."""
     for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
         if ta <= t_q <= tb:
-            return _hermite(t_q, ta, ya, fa, tb, yb, fb)
+            return _hermite(t_q, ta, ya.tolist(), fa.tolist(), tb, yb.tolist(), fb.tolist())
     raise AssertionError("query left the interpolation window")
 
 
@@ -747,12 +759,6 @@ def state_at(trajectory: Trajectory, t: float) -> np.ndarray:
         return trajectory.states[i].copy()
     if t == times[i + 1]:
         return trajectory.states[i + 1].copy()
-    return _hermite(
-        t,
-        float(times[i]),
-        trajectory.states[i],
-        trajectory.derivs[i],
-        float(times[i + 1]),
-        trajectory.states[i + 1],
-        trajectory.derivs[i + 1],
-    )
+    y0, y1 = trajectory.states[i : i + 2].tolist()
+    f0, f1 = trajectory.derivs[i : i + 2].tolist()
+    return _hermite(t, float(times[i]), y0, f0, float(times[i + 1]), y1, f1)

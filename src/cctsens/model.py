@@ -22,8 +22,10 @@ Two constructors are provided:
   and bounds the Jacobian's variation by interval arithmetic.
 
 The module also houses equilibrium location (damped Newton with
-eigenvalue classification) and the equilibrium parameter sensitivity
-dx_s/dp obtained from the implicit function theorem.
+eigenvalue classification), the equilibrium parameter sensitivity
+dx_s/dp obtained from the implicit function theorem, and the certified
+region of attraction around a stable post-fault equilibrium, in which
+runs end early.
 """
 
 from __future__ import annotations
@@ -68,6 +70,14 @@ _HYPERBOLICITY_TOL = 1e-8
 # Condition numbers beyond this count as singular to working precision.
 _SINGULAR_COND = 1e12
 
+# Field-norm minima and end states within this multiple of sep_radius
+# count as part of the convergence tail, not as captures elsewhere; a
+# certified region of attraction reaches no farther from its equilibrium.
+_LOOSE_FACTOR = 100.0
+# Factor on the level c of a certified region of attraction, a margin for
+# the integration error of a run that has entered it.
+_REGION_SHRINK = 0.5
+
 
 class Phase(Enum):
     """Which piece of the piecewise vector field is active."""
@@ -109,9 +119,10 @@ class PhaseDynamics:
     ``jac_lipschitz(p)``, when given, is a bound L valid over the whole
     state space with ||jac_x(x, p) - jac_x(y, p)||_2 <= L ||x - y|| for
     all x, y; the same L must bound the Lipschitz constant of every
-    constraint's ``grad_x``.  Post-fault verdicts use it to certify a
-    region of attraction around the SEP (``cct``); None, or a value
-    that is not finite and nonnegative at p, certifies none.
+    constraint's ``grad_x``.  Post-fault verdicts and grid cells use it
+    to certify a region of attraction around the SEP
+    (``_attraction_radius``); None, or a value that is not finite and
+    nonnegative at p, certifies none.
     ``smib_system`` codes it by hand; ``system_from_expressions`` builds
     it by interval arithmetic and leaves it None where that finds no
     bound.
@@ -287,6 +298,62 @@ def sep_sensitivity(
             "state Jacobian at the equilibrium is singular to working precision; "
             "the equilibrium shift is undefined (non-hyperbolic point)"
         ) from exc
+
+
+# ── Certified regions of attraction ───────────────────────────────────────────
+
+
+def _attraction_radius(system, p, x_sep, sep_radius: float):
+    """Radius of a ball around x_sep inside a certified region of attraction, or None.
+
+    The region is {e^T P e <= c} for e = x - x_sep and a stable
+    post-fault equilibrium x_sep.  P solves the Lyapunov equation
+    A^T P + P A = -I for A = jac_x(x_sep), so V = e^T P e has
+    dV/dt <= -|e|^2 (1 - lam_hi L |e|), where L is the phase's
+    ``jac_lipschitz`` bound and lam_lo, lam_hi are the extreme
+    eigenvalues of P (Khalil, Nonlinear Systems, 3rd ed., ch. 8).  The
+    level c keeps the region inside |e| < 1 / (lam_hi L), where V
+    decreases, and inside ``_LOOSE_FACTOR * sep_radius``; each margin
+    stays positive on it because
+    h_k(x_sep) - sqrt(c g^T P^-1 g) - (L / 2) c / lam_lo > 0 for
+    g = grad_x h_k(x_sep).  A run that enters the region therefore
+    stays in it and crosses no limit.  The ball |e| <= sqrt(c / lam_hi)
+    lies in the region.  None when the phase has no bound, P is not
+    positive definite, a margin is not positive at x_sep, or the ball
+    would be smaller than ``sep_radius``.  Post-fault verdicts (``cct``)
+    and grid cells (``boundary``) end their runs in this ball.
+    """
+    dyn = system.phases[Phase.POST_FAULT]
+    lip = dyn.lipschitz_bound(p)
+    if lip is None:
+        return None
+    a = np.asarray(dyn.jac_x(x_sep, p), dtype=float)
+    eye = np.eye(len(a))
+    # The Lyapunov equation as one linear system in the row-major entries of P.
+    try:
+        P = np.linalg.solve(np.kron(a.T, eye) + np.kron(eye, a.T), -eye.ravel()).reshape(a.shape)
+    except np.linalg.LinAlgError:
+        return None
+    P = 0.5 * (P + P.T)
+    lam_lo, lam_hi = np.linalg.eigvalsh(P)[[0, -1]].tolist()
+    if not lam_lo > 0.0:
+        return None
+    reach = _LOOSE_FACTOR * sep_radius
+    if lip > 0.0:
+        reach = min(reach, 1.0 / (lam_hi * lip))
+    c = lam_lo * reach**2
+    for con in dyn.constraints:
+        h = float(con.value(x_sep, p))
+        if not h > 0.0:
+            return None
+        g = np.asarray(con.grad_x(x_sep, p), dtype=float)
+        beta = math.sqrt(float(g @ np.linalg.solve(P, g)))
+        # The positive root in sqrt(c) of h - beta sqrt(c) - (L / 2) c / lam_lo.
+        denom = beta + math.sqrt(beta * beta + 2.0 * lip * h / lam_lo)
+        if denom > 0.0:
+            c = min(c, (2.0 * h / denom) ** 2)
+    radius = math.sqrt(_REGION_SHRINK * c / lam_hi)
+    return radius if radius >= sep_radius else None
 
 
 # ── Single machine, infinite bus ─────────────────────────────────────────────

@@ -10,6 +10,7 @@ from cctsens import (
     CellClass,
     ConstrainedSystem,
     EmptyCombinedBoundary,
+    EventConfig,
     EventKind,
     GridSpec,
     IntegrationOptions,
@@ -18,23 +19,30 @@ from cctsens import (
     PseudoEpKind,
     SmibParams,
     classify_grid_point,
+    classify_grid_points,
     classify_pseudo_ep,
     combined_H,
     combined_constraints,
     eval_H,
     eval_f,
     eval_jacobians,
+    find_equilibrium,
     integrate,
+    integrate_lanes,
     sample_stability_region,
     smib_system,
     system_from_expressions,
 )
+from cctsens import boundary
 from cctsens.boundary import (
+    _GRID_OPTS,
+    _GRID_SEP_RADIUS,
     _along_curve,
     _boundary_samples,
     _project_to_constraint,
     _scan_zero_crossings,
 )
+from cctsens.model import _attraction_radius
 from cctsens.sensitivity import _graze_rows
 
 _PARAMS = SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5)
@@ -446,16 +454,18 @@ class TestStabilityRegionGrid:
         assert mask.any() and not mask.all()
 
     def test_parallel_matches_sequential(self, grid):
+        # Row i goes to worker i % jobs; 3 does not divide the 7 rows.
         spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0,
-                        n1=6, n2=5)
+                        n1=7, n2=5)
         seq = sample_stability_region(_SYS, _P, spec)
-        par = sample_stability_region(
-            _SYS, _P, spec, jobs=2, system_factory=(smib_system, (_PARAMS,))
-        )
-        assert all(
-            seq.classes[i, j] is par.classes[i, j]
-            for i in range(6) for j in range(5)
-        )
+        for jobs in (2, 3):
+            par = sample_stability_region(
+                _SYS, _P, spec, jobs=jobs, system_factory=(smib_system, (_PARAMS,))
+            )
+            assert all(
+                seq.classes[i, j] is par.classes[i, j]
+                for i in range(7) for j in range(5)
+            ), jobs
 
     @pytest.mark.parametrize("system,p", [(_SYS, _P), (_CURVED, np.array([1.0, 0.5]))])
     def test_batched_boundary_samples_match_pointwise_reference(self, system, p):
@@ -495,6 +505,76 @@ class TestStabilityRegionGrid:
         spec = GridSpec(x1_min=0, x1_max=1, x2_min=0, x2_max=1, n1=2, n2=2)
         with pytest.raises(CctError):
             sample_stability_region(sys3, np.array([1.0]), spec)
+
+
+def _cells(spec):
+    """The grid's start points, row by row."""
+    return np.column_stack([np.repeat(spec.x1, spec.n2), np.tile(spec.x2, spec.n1)])
+
+
+def _sep_radius_classes(system, p, starts, x_sep):
+    """Cell classes of runs that end only at the ``_GRID_SEP_RADIUS`` ball."""
+    events = EventConfig(
+        constraints=system.phases[Phase.POST_FAULT].constraints,
+        sep_target=x_sep,
+        sep_radius=_GRID_SEP_RADIUS,
+    )
+    classes = []
+    for end in integrate_lanes(system, Phase.POST_FAULT, starts, p, _GRID_OPTS, events):
+        if isinstance(end, Exception):
+            classes.append(CellClass.DIVERGES)
+        elif end.first_event(EventKind.CONSTRAINT_CROSSING) is not None:
+            classes.append(CellClass.HITS_BOUNDARY)
+        elif end.first_event(EventKind.CONVERGED_TO_SEP) is not None:
+            classes.append(CellClass.STABLE)
+        else:
+            classes.append(CellClass.DIVERGES)
+    return classes
+
+
+class TestCertifiedGridBall:
+    """Grid lanes end in the certified ball of the SEP, which changes no class."""
+
+    @pytest.mark.parametrize("inertia", [0.1, 0.3])
+    def test_classes_on_the_a9_window_equal_the_sep_radius_runs(self, inertia):
+        params = SmibParams(p_mech=0.65, inertia=inertia, delta_max=2.0, omega_max=0.7)
+        system, p = smib_system(params), params.p0
+        x_sep = find_equilibrium(system, Phase.POST_FAULT, p, np.zeros(2)).x
+        assert _attraction_radius(system, p, x_sep, _GRID_SEP_RADIUS) > _GRID_SEP_RADIUS
+        starts = _cells(GridSpec(-1.5, 3.5, -2.5, 2.5, 100, 100))
+        classes = classify_grid_points(system, p, starts, x_sep)
+        assert classes == _sep_radius_classes(system, p, starts, x_sep)
+        assert {CellClass.STABLE, CellClass.HITS_BOUNDARY} <= set(classes)
+
+    def test_fixture_grid_classes_equal_the_sep_radius_runs(self, grid):
+        starts = _cells(grid.spec)
+        assert list(grid.classes.ravel()) == _sep_radius_classes(_SYS, _P, starts, grid.sep)
+
+    def test_phase_without_bound_ends_at_the_sep_radius_ball(self, monkeypatch):
+        dyn = _SYS.phases[Phase.POST_FAULT]
+        unbounded = replace(
+            _SYS, phases={**_SYS.phases, Phase.POST_FAULT: replace(dyn, jac_lipschitz=None)}
+        )
+        x_sep = find_equilibrium(_SYS, Phase.POST_FAULT, _P, np.zeros(2)).x
+        starts = _cells(GridSpec(-0.5, 1.5, -1.0, 1.0, 5, 4))
+        seen = []
+
+        def recording(system, phase, x0s, p, opts, events):
+            ends = integrate_lanes(system, phase, x0s, p, opts, events)
+            seen.append((events.sep_radius, ends))
+            return ends
+
+        monkeypatch.setattr(boundary, "integrate_lanes", recording)
+        bounded_classes = classify_grid_points(_SYS, _P, starts, x_sep)
+        unbounded_classes = classify_grid_points(unbounded, _P, starts, x_sep)
+        assert unbounded_classes == bounded_classes
+        (ball, _), (fallback, ends) = seen
+        assert ball == _attraction_radius(_SYS, _P, x_sep, _GRID_SEP_RADIUS) > _GRID_SEP_RADIUS
+        assert fallback == _GRID_SEP_RADIUS
+        stable = [end for end, c in zip(ends, unbounded_classes) if c is CellClass.STABLE]
+        assert stable
+        for end in stable:
+            assert np.linalg.norm(end.final_state - x_sep) <= _GRID_SEP_RADIUS
 
 
 # A weakly damped oscillator: its backward orbits spiral out slowly, so

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cctsens.cct as cct_mod
+from cctsens.model import _LOOSE_FACTOR, _attraction_radius
 from cctsens import (
     BracketCollapse,
     CctOptions,
@@ -569,7 +570,7 @@ class TestCertifiedRegion:
         _, x_sep, _ = cct_mod._operating_point(system, _P3.p0, opts)
         saddle = np.array([math.pi - x_sep[0], 0.0])
         sink = x_sep + [2.0 * math.pi, 0.0]
-        radius = cct_mod._attraction_radius(system, _P3.p0, sink, opts.sep_radius)
+        radius = _attraction_radius(system, _P3.p0, sink, opts.sep_radius)
         assert radius is not None
         stop = cct_mod._sink_stop(system, _P3.p0, x_sep, opts.sep_radius, opts)
         near = sink + [0.5 * radius, 0.0]
@@ -596,7 +597,7 @@ class TestCertifiedRegion:
         p = params.p0
         sep_radius = CctOptions().sep_radius
         _, x_sep, _ = cct_mod._operating_point(system, p, CctOptions())
-        radius = cct_mod._attraction_radius(system, p, x_sep, sep_radius)
+        radius = _attraction_radius(system, p, x_sep, sep_radius)
         assert radius is not None and radius >= sep_radius
         dyn = system.phases[Phase.POST_FAULT]
         # P of the Lyapunov equation A^T P + P A = -I, solved for its three
@@ -618,21 +619,21 @@ class TestCertifiedRegion:
             assert e @ shape @ e == pytest.approx(c, rel=1e-12)
             assert 2.0 * e @ shape @ dyn.f(x_sep + e, p) < 0.0
             assert all(con.value(x_sep + e, p) > 0.0 for con in dyn.constraints)
-            assert np.linalg.norm(e) <= cct_mod._LOOSE_FACTOR * sep_radius
+            assert np.linalg.norm(e) <= _LOOSE_FACTOR * sep_radius
         # Runs from the ball's edge stay inside the limits and the loose
         # radius all the way to the horizon.
         starts = x_sep + radius * units[::10]
         for x0 in starts:
             traj = integrate(system, Phase.POST_FAULT, x0, p, IntegrationOptions(t_max=10.0))
             assert traj.final_time == 10.0
-            assert np.max(np.linalg.norm(traj.states - x_sep, axis=1)) <= cct_mod._LOOSE_FACTOR * sep_radius
+            assert np.max(np.linalg.norm(traj.states - x_sep, axis=1)) <= _LOOSE_FACTOR * sep_radius
             for con in dyn.constraints:
                 assert all(con.value(x, p) > 0.0 for x in traj.states)
 
     def test_no_region_without_a_bound(self):
         system = _without_bound(smib_system(_P2))
         _, x_sep, _ = cct_mod._operating_point(system, _P2.p0, CctOptions())
-        assert cct_mod._attraction_radius(system, _P2.p0, x_sep, 1e-3) is None
+        assert _attraction_radius(system, _P2.p0, x_sep, 1e-3) is None
 
     def test_no_region_smaller_than_the_ball(self):
         # The angle limit 1.2e-3 past the SEP leaves no certified ball as
@@ -640,8 +641,8 @@ class TestCertifiedRegion:
         params = SmibParams(p_mech=0.5, inertia=0.5, delta_max=math.asin(0.5) + 1.2e-3, omega_max=0.9)
         system = smib_system(params)
         x_sep = np.array([math.asin(0.5), 0.0])
-        assert cct_mod._attraction_radius(system, params.p0, x_sep, 1e-3) is None
-        assert cct_mod._attraction_radius(system, params.p0, x_sep, 1e-4) is not None
+        assert _attraction_radius(system, params.p0, x_sep, 1e-3) is None
+        assert _attraction_radius(system, params.p0, x_sep, 1e-4) is not None
 
 
 _CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

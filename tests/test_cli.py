@@ -285,6 +285,22 @@ class TestSrGrid:
         assert "semi_saddle" in kinds
         assert any(k.startswith("separatrix_") for k in kinds)
 
+    def test_grid_files_do_not_depend_on_jobs(self, tmp_path):
+        # Rows are dealt to workers row i to worker i % jobs; 3 divides
+        # neither 11 rows nor 11 - 1.
+        path = write_config(tmp_path, {"system": _SMIB, "grid": {
+            "x1_min": -1.0, "x1_max": 3.0, "x2_min": -2.0, "x2_max": 2.0,
+            "n1": 11, "n2": 9,
+        }})
+        files = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"out-{jobs}"
+            args = ["sr-grid", "--config", str(path), "--out", str(out), "--jobs", str(jobs)]
+            assert main(args) == 0
+            files.append([(out / name).read_bytes()
+                          for name in ("grid_classes.csv", "grid_boundary.csv")])
+        assert files[0] == files[1] == files[2]
+
     def test_saddle_sep_guess_exits_one(self, tmp_path):
         doc = {
             "system": {"kind": "smib", "p_mech": 0.5, "inertia": 0.2,

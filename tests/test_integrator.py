@@ -109,6 +109,50 @@ def test_state_at_out_of_range():
         state_at(traj, -0.2)
 
 
+def _array_hermite(t, t0, y0, f0, t1, y1, f1):
+    """The interpolant as one expression over whole arrays: the oracle of ``_hermite``."""
+    h = t1 - t0
+    s = (t - t0) / h
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2 * s3 - 3 * s2 + 1) * y0
+        + (s3 - 2 * s2 + s) * h * f0
+        + (-2 * s3 + 3 * s2) * y1
+        + (s3 - s2) * h * f1
+    )
+
+
+@pytest.mark.parametrize("width", [2, 14])
+def test_hermite_equals_the_array_expression_bit_for_bit(width):
+    # Width 14 is the augmented state of a sensitivity run of the machine.
+    rng = np.random.default_rng(width)
+    for _ in range(300):
+        t0 = float(rng.uniform(-5.0, 5.0))
+        t1 = t0 + float(rng.exponential(0.3)) + 1e-9
+        y0, f0, y1, f1 = rng.normal(size=(4, width)) * rng.exponential(2.0, size=(4, 1))
+        ends = [v.tolist() for v in (y0, f0, y1, f1)]
+        for t in (t0, t1, float(rng.uniform(t0, t1))):
+            got = integrator._hermite(t, t0, ends[0], ends[1], t1, ends[2], ends[3])
+            assert got.tobytes() == _array_hermite(t, t0, y0, f0, t1, y1, f1).tobytes()
+
+
+def test_state_at_equals_the_array_expression_bit_for_bit():
+    opts = IntegrationOptions(t_max=2.0)
+    plain = integrate(_SYS, Phase.FAULT_ON, np.array([0.5, 0.0]), _P0, opts)
+    sens, _ = integrate_with_sensitivities(_SYS, Phase.POST_FAULT, np.array([1.0, 0.5]), _P0, opts)
+    rng = np.random.default_rng(5)
+    for traj in (plain, sens):
+        times, states, derivs = traj.times, traj.states, traj.derivs
+        for i in range(len(times) - 1):
+            for t in (rng.uniform(times[i], times[i + 1]), 0.5 * (times[i] + times[i + 1])):
+                expected = _array_hermite(
+                    t, float(times[i]), states[i], derivs[i],
+                    float(times[i + 1]), states[i + 1], derivs[i + 1],
+                )
+                assert state_at(traj, t).tobytes() == expected.tobytes()
+
+
 # ── variational equations ─────────────────────────────────────────────────────
 
 
