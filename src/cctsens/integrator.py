@@ -34,6 +34,18 @@ one-lane run and also keeps its accepted points.  A lane whose state
 goes non-finite or whose step underflows stops with that error; the
 other lanes run on.
 
+An iteration with one live lane (a one-lane run, or a batch down to its
+last lane) steps that lane as one state and does its bookkeeping on
+Python floats: finiteness, error norm and step control, with margins,
+field norm and SEP distance on its 1-D arrays.  Each elementwise IEEE
+operation rounds the same on a float as in numpy, and np.add.reduce
+sums a row of fewer than 8 entries left to right (from 8 on it keeps
+eight partial sums; in 20,000 random rows per length, 0 rows differ at
+1-7 entries and thousands at 8-13), so the error norm of a state of up
+to 7 components is summed on floats and a longer one by numpy.  Norms
+stay BLAS dot products, which may fuse multiply-adds.  The lone lane
+thus takes the same values as in a batch.
+
 ``integrate_with_sensitivities`` integrates the variational equations
 
     Phi_x' = (df/dx) Phi_x,   Phi_x(0) = I
@@ -103,6 +115,9 @@ _HERMITE_SLOPE_WEIGHT = 4.0 / 27.0
 # covers the rounding of the interpolant and the field (about 1e-16
 # relative each) many times over.
 _FLOOR_MARGIN = 1e-9
+# Length from which np.add.reduce sums a row in eight interleaved partial
+# sums instead of left to right.
+_PAIRWISE_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -258,18 +273,47 @@ def _rms_rows(v: np.ndarray) -> list[float]:
     return np.sqrt(np.add.reduce(np.square(v), axis=1) / float(v.shape[1])).tolist()
 
 
+def _lone_error_norm(y, y_new, err, abs_tol: float, rel_tol: float) -> Optional[float]:
+    """Error norm of one lane's step, or None when y_new or err is not finite.
+
+    The value is what ``_rms_rows`` gives the lane's row of scaled errors
+    err / (abs_tol + rel_tol max(|y|, |y_new|)).  Each scaled error and
+    its square are the same IEEE operation on a float as in numpy, and a
+    row shorter than ``_PAIRWISE_MIN`` is summed left to right by
+    ``np.add.reduce``, so such a row is summed on floats; a longer one
+    takes ``_rms_rows``.
+    """
+    new, e = y_new.tolist(), err.tolist()
+    if not (all(map(math.isfinite, new)) and all(map(math.isfinite, e))):
+        return None
+    if len(e) >= _PAIRWISE_MIN:
+        return _rms_rows((err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))[None])[0]
+    total = 0.0
+    for e_i, a, b in zip(e, y.tolist(), new):
+        q = e_i / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        total += q * q
+    return math.sqrt(total / len(e))
+
+
 def _all_finite(v: np.ndarray) -> bool:
     # count_nonzero is a plain C call; ndarray.all goes through Python.
     return np.count_nonzero(np.isfinite(v)) == v.size
 
 
-def _norm_rows(v: np.ndarray) -> list[float]:
-    """Euclidean norm of each row, equal to ``np.linalg.norm`` of that row.
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D array, equal to ``np.linalg.norm``.
 
-    A lone row takes the cheaper 1-D product; both are the same dot product.
+    Both take the BLAS dot product ``v.dot(v)``, the cheapest call to it.
     """
-    if len(v) == 1:
-        return [math.sqrt(v[0] @ v[0])]
+    return math.sqrt(v.dot(v))
+
+
+def _norm_rows(v: np.ndarray) -> list[float]:
+    """Euclidean norm of each row, equal to ``_norm`` of that row.
+
+    Both are the same BLAS dot product, which may fuse multiply-adds, so
+    a norm is never summed on floats.
+    """
     return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel().tolist()
 
 
@@ -360,7 +404,7 @@ def _excursion(window, n_state: int) -> float:
     """
     (t_a, y_a, _, n_a), (t_b, y_b, _, n_b), (t_c, y_c, _, n_c) = window
     return max(
-        _norm_rows((y_o[:n_state] - y_b[:n_state])[None])[0]
+        _norm(y_o[:n_state] - y_b[:n_state])
         + _HERMITE_SLOPE_WEIGHT * h * (n_b + n_o)
         for y_o, n_o, h in ((y_a, n_a, t_b - t_a), (y_c, n_c, t_c - t_b))
     )
@@ -426,9 +470,10 @@ def _engine(
         return rhs(z[0], p)[None] if len(z) == 1 else lanes_rhs(z, p)
 
     def margins(z):
-        # One list of lane margins per constraint.
+        # One list of lane margins per constraint; a lone lane may come as
+        # a list of its one state.
         if len(z) == 1:
-            x = z[0, :n_state]
+            x = z[0][:n_state]
             return [[c.value(x, p)] for c in constraints]
         x = z[:, :n_state].T
         return [c.value(x, p).tolist() for c in constraints]
@@ -512,30 +557,34 @@ def _engine(
                 [col[a] for a in keep]
                 for col in (ids, t, h, just_rejected, nonfinite_reject, steps, norm_prev, windows)
             )
-            y, f = y[keep], f[keep]
             done = set()
             if not ids:
                 break
+            y, f = y[keep], f[keep]
         L = len(ids)
 
         if L == 1:
-            # A lone lane steps as one state: the same sums, fewer numpy calls.
+            # A lone lane steps as one state and keeps its bookkeeping on
+            # floats and 1-D arrays: the same operations, without numpy's
+            # overhead on a batch of one.  Its y and f are then lists of
+            # that one state.
             y_new, f_new, err = _dp_step(rhs, p, y[0], f[0], h[0])
-            y_new, f_new, err = y_new[None], f_new[None], err[None]
+            e = _lone_error_norm(y[0], y_new, err, abs_tol, rel_tol)
+            finite, err_norm = (None, [e]) if e is not None else ([False], [math.inf])
         else:
             y_new, f_new, err = _dp_step(lanes_rhs, p, y, f, np.array(h)[:, None])
-        if _all_finite(y_new) and _all_finite(err):
-            finite = None
-            err_norm = _rms_rows(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
-        else:
-            mask = np.isfinite(y_new).all(axis=1) & np.isfinite(err).all(axis=1)
-            finite = mask.tolist()
-            err_norm = [math.inf] * L
-            sub = np.flatnonzero(mask)
-            if sub.size:
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y[sub]), np.abs(y_new[sub]))
-                for a, e in zip(sub.tolist(), _rms_rows(err[sub] / scale)):
-                    err_norm[a] = e
+            if _all_finite(y_new) and _all_finite(err):
+                finite = None
+                err_norm = _rms_rows(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
+            else:
+                mask = np.isfinite(y_new).all(axis=1) & np.isfinite(err).all(axis=1)
+                finite = mask.tolist()
+                err_norm = [math.inf] * L
+                sub = np.flatnonzero(mask)
+                if sub.size:
+                    scale = abs_tol + rel_tol * np.maximum(np.abs(y[sub]), np.abs(y_new[sub]))
+                    for a, e in zip(sub.tolist(), _rms_rows(err[sub] / scale)):
+                        err_norm[a] = e
 
         acc = []
         t_step = []
@@ -563,11 +612,16 @@ def _engine(
             continue
 
         full = len(acc) == L
-        ys = y_new if full else y_new[acc]
-        fs = f_new if full else f_new[acc]
+        if L == 1:
+            ys, fs = [y_new], [f_new]
+            norms = [_norm(f_new[:n_state])] if watch_norm else [None]
+            dists = [_norm(y_new[:n_state] - sep)] if sep is not None else None
+        else:
+            ys = y_new if full else y_new[acc]
+            fs = f_new if full else f_new[acc]
+            norms = _norm_rows(fs[:, :n_state]) if watch_norm else [None] * len(acc)
+            dists = _norm_rows(ys[:, :n_state] - sep) if sep is not None else None
         vals = margins(ys) if constraints else ()
-        norms = _norm_rows(fs[:, :n_state]) if watch_norm else [None] * len(acc)
-        dists = _norm_rows(ys[:, :n_state] - sep) if sep is not None else None
         for i, a in enumerate(acc):
             lane = ids[a]
             t1 = t_step[i]
@@ -590,7 +644,7 @@ def _engine(
                 terminal = True
                 fs[i] = rhs(ys[i], p)
                 if watch_norm:
-                    norms[i] = _norm_rows(fs[i : i + 1, :n_state])[0]
+                    norms[i] = _norm(fs[i][:n_state])
 
             if min_threshold is not None:
                 window = windows[a]
@@ -605,7 +659,7 @@ def _engine(
                         <= min_threshold + _FLOOR_MARGIN * (1.0 + n_b)
                     ):
                         t_star, v_star = _refine_norm_min(
-                            lambda t_q: float(np.linalg.norm(rhs(_window_state(window, t_q), p)[:n_state])),
+                            lambda t_q: _norm(rhs(_window_state(window, t_q), p)[:n_state]),
                             t_a, t_c, _EVENT_REFINE_TOL,
                         )
                         if v_star <= min_threshold:
@@ -613,7 +667,7 @@ def _engine(
                                    _window_state(window, t_star), {"f_norm": v_star})
                             if (
                                 stop_at_min is not None and not terminal
-                                and stop_at_min(lane_events[lane][-1].state, ys[i, :n_state])
+                                and stop_at_min(lane_events[lane][-1].state, ys[i][:n_state])
                             ):
                                 terminal = True
 

@@ -499,6 +499,15 @@ def _power_printer():
     return PowerPrinter({"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True})
 
 
+def _one_state(x) -> bool:
+    """True unless x is a column batch (two or more dimensions).
+
+    An array's ``ndim`` is read directly, at a fraction of the cost of
+    ``np.ndim``.
+    """
+    return (x.ndim if type(x) is np.ndarray else np.ndim(x)) < 2
+
+
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
@@ -514,16 +523,19 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
         fn = sp.lambdify(args, expr, modules="numpy", printer=_power_printer())
 
         def scalar(x, p):
-            if np.ndim(x) < 2:
+            if _one_state(x):
                 return float(fn(x, p))
             return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
 
         return scalar
     fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
+    # The entries of a vector already come in its shape.
+    flat = len(shape) == 1
 
     def matrix(x, p):
-        if np.ndim(x) < 2:
-            return np.array(fn(x, p), dtype=float).reshape(shape)
+        if _one_state(x):
+            out = np.array(fn(x, p), dtype=float)
+            return out if flat else out.reshape(shape)
         lanes = np.shape(x)[1:]
         entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
         return np.array(entries, dtype=float).reshape(shape + lanes)

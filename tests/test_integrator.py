@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cctsens import integrator
 from cctsens.errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
@@ -619,6 +621,122 @@ def test_lanes_equal_their_one_lane_runs_with_powers():
     for k, (lane, x0) in enumerate(zip(lanes, starts)):
         single = integrate(duffing, Phase.POST_FAULT, x0, p, opts)
         assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
+
+
+# Finite floats of every size: zeros, subnormals and values near 1e+-300
+# are drawn on purpose besides hypothesis's own.
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e-300, -1e300, 1.7e308]),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=1e-301, max_value=1e-299),
+)
+_TOLS = st.sampled_from([(1e-10, 1e-8), (1e-12, 1e-10), (1e-6, 1e-3), (1.0, 0.0)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(1, 13), _TOLS)
+def test_lone_error_norm_equals_the_batch_row(data, width, tols):
+    # Three lanes' (y, y_new, err) rows of one width: each lane's norm on
+    # its own equals its row of the batch's _rms_rows, bit for bit.
+    abs_tol, rel_tol = tols
+    y, y_new, err = (
+        np.array(data.draw(st.lists(st.lists(_ANY_FLOAT, min_size=width, max_size=width),
+                                    min_size=3, max_size=3)))
+        for _ in range(3)
+    )
+    with np.errstate(over="ignore"):
+        batch = integrator._rms_rows(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
+        for a in range(3):
+            lone = integrator._lone_error_norm(y[a], y_new[a], err[a], abs_tol, rel_tol)
+            assert lone == batch[a]
+
+
+@pytest.mark.parametrize("width", range(1, 14))
+def test_lone_error_norm_sums_on_floats_below_eight_entries(monkeypatch, width):
+    calls = []
+    rms_rows = integrator._rms_rows
+    monkeypatch.setattr(integrator, "_rms_rows", lambda v: calls.append(v.shape) or rms_rows(v))
+    rng = np.random.default_rng(width)
+    y, y_new, err = rng.normal(size=(3, width))
+    integrator._lone_error_norm(y, y_new, err, 1e-10, 1e-8)
+    assert calls == ([] if width < 8 else [(1, width)])
+
+
+def test_lone_error_norm_is_none_when_not_finite():
+    y, ok = np.zeros(3), np.ones(3)
+    for bad in (np.array([1.0, math.inf, 0.0]), np.array([math.nan, 0.0, 0.0])):
+        assert integrator._lone_error_norm(y, bad, ok, 1e-10, 1e-8) is None
+        assert integrator._lone_error_norm(y, ok, bad, 1e-10, 1e-8) is None
+
+
+def _chain(width):
+    """Coupled damped oscillators of ``width`` states in all.
+
+    ``width - 2`` states form a chain of oscillators (q_j, v_j), coupled
+    by c, with a first-order tail r when that count is odd; then
+    z' = log(1 + z), which goes non-finite from z = -0.5, and u' = u**2,
+    which escapes in finite time from u = 1.  q0 is limited by qmax.
+    """
+    pairs = (width - 2) // 2
+    states, f = [], []
+    for j in range(pairs):
+        left = f" + c*(q{j - 1} - q{j})" if j else ""
+        right = f" + c*(q{j + 1} - q{j})" if j + 1 < pairs else ""
+        states += [f"q{j}", f"v{j}"]
+        f += [f"v{j}", f"-q{j} - 0.4*v{j}{left}{right}"]
+    if (width - 2) % 2:
+        states.append("r")
+        f.append(f"q{pairs - 1} - r")
+    states += ["z", "u"]
+    f += ["log(1 + z)", "u**2"]
+    return system_from_expressions(
+        states, ["c", "qmax"],
+        {ph: {"f": f, "h": {"q0_limit": "qmax - q0"}} for ph in ("pre", "fault", "post")},
+    )
+
+
+@pytest.mark.parametrize("width", [7, 8])
+def test_lanes_equal_their_one_lane_runs_on_both_sides_of_the_float_sum(width):
+    # Seven states sum a lone lane's error norm on floats, eight take
+    # numpy.  In each batch of three, one lane outlives the other two and
+    # finishes alone, so the run switches to the lone-lane step mid-run.
+    system = _chain(width)
+    p = np.array([0.3, 1.0])
+    ev = EventConfig(
+        constraints=system.phases[Phase.POST_FAULT].constraints,
+        sep_target=np.zeros(width), sep_radius=0.05, norm_min_threshold=0.05,
+    )
+    opts = IntegrationOptions(t_max=8.0)
+
+    def start(q0, v0, z=0.0, u=0.0):
+        x = np.zeros(width)
+        x[0], x[1], x[-2], x[-1] = q0, v0, z, u
+        return x
+
+    cross, converge, inside = start(0.95, 1.0), start(0.1, 0.0), start(0.01, 0.0)
+    batches = {
+        "outlives": [cross, converge, start(0.6, 0.0)],
+        "blowup": [cross, inside, start(0.2, 0.0, z=-0.5)],
+        "escape": [cross, inside, start(0.2, 0.0, u=1.0)],
+    }
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for name, starts in batches.items():
+            lanes = integrate_lanes(system, Phase.POST_FAULT, np.array(starts), p, opts, ev)
+            singles = _one_lane_runs(system, starts, p, opts, ev)
+            for k, (lane, single) in enumerate(zip(lanes, singles)):
+                assert _same_end(lane, single), f"{name}: lane {k} differs from its one-lane run"
+            lone = lanes[2]
+            if name == "outlives":
+                assert lone.final_time == 8.0 and not lone.events
+                assert lone.steps > lanes[1].steps > lanes[0].steps > 0
+            else:
+                assert lanes[0].final_time < 0.1 and lanes[1].steps == 0
+                error, says = (
+                    (NumericalBlowup, "non-finite near t")
+                    if name == "blowup" else (StiffnessFailure, "underflowed")
+                )
+                assert type(lone) is error and says in str(lone)
 
 
 def test_lane_memory_does_not_grow_with_the_horizon():
