@@ -189,6 +189,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.x1_max > self.x1_min and self.x2_max > self.x2_min):
             raise ValueError("grid window is empty")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.n1, self.n2)):
+            raise ValueError("grid sample counts must be integers")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("grid needs at least 2 samples per axis")
 

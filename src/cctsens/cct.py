@@ -216,18 +216,6 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
     return stop
 
 
-def _capture(traj, x_sep_post, loose: float):
-    """The first field-norm minimum farther than ``loose`` from the SEP, or None."""
-    return next(
-        (
-            ev for ev in traj.events
-            if ev.kind is EventKind.FIELD_NORM_LOCAL_MIN
-            and float(np.linalg.norm(ev.state - x_sep_post)) > loose
-        ),
-        None,
-    )
-
-
 def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
     """Verdict of one post-fault run, or the InconclusiveRun it ends in.
 
@@ -238,7 +226,14 @@ def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
     crossing = traj.first_event(EventKind.CONSTRAINT_CROSSING)
     converged = traj.first_event(EventKind.CONVERGED_TO_SEP) is not None
     loose = _LOOSE_FACTOR * opts.sep_radius
-    capture = _capture(traj, x_sep_post, loose)
+    capture = next(
+        (
+            ev for ev in traj.events
+            if ev.kind is EventKind.FIELD_NORM_LOCAL_MIN
+            and float(np.linalg.norm(ev.state - x_sep_post)) > loose
+        ),
+        None,
+    )
 
     t1 = crossing.time if crossing is not None else math.inf
     t2 = capture.time if capture is not None else math.inf
@@ -288,17 +283,14 @@ def classify_post_faults(
     away from the SEP, and for entry into the SEP ball: the ball of
     ``_attraction_radius`` when the phase certifies one, else the ball
     of ``sep_radius``.  The certified ball lies in a region of
-    attraction that no run leaves or crosses a limit in, so a run with
-    no capture that enters it is stable either way.  A run that entered
-    it after a capture is stable only if it reaches the ``sep_radius``
-    ball before its horizon, so it runs again to that ball.  A captured
+    attraction that no run leaves or crosses a limit in, so a run that
+    enters it is stable, whatever it recorded on the way.  A captured
     run that enters the certified ball of the competing stable
     equilibrium that captured it ends there (``_sink_stop``, set up
     only when the phase's bound is finite at p): it could no longer
     cross a limit or reach the SEP ball, so its verdict is already
-    fixed.  No verdict, time or label changes.  Convergence beats
-    captures seen on the way; a run that ends far from the SEP with no
-    crossing and no capture is inconclusive.
+    fixed.  Convergence beats captures seen on the way; a run that ends
+    far from the SEP with no crossing and no capture is inconclusive.
 
     Returns, per state, its PostFaultClassification or the
     NumericalBlowup, StiffnessFailure or InconclusiveRun that the
@@ -338,25 +330,6 @@ def classify_post_faults(
     trajs = integrate_lanes(
         system, Phase.POST_FAULT, x_cls[run], p, opts.integration, events
     )
-    if radius is not None:
-        # A run that entered the certified ball after a capture is stable
-        # only if it reaches the sep_radius ball before its horizon: run it
-        # again to that ball.
-        loose = _LOOSE_FACTOR * opts.sep_radius
-        again = [
-            k for k, traj in enumerate(trajs)
-            if not isinstance(traj, Exception)
-            and traj.first_event(EventKind.CONVERGED_TO_SEP) is not None
-            and _capture(traj, x_sep_post, loose) is not None
-        ]
-        if again:
-            ball = replace(events, sep_radius=opts.sep_radius)
-            redone = integrate_lanes(
-                system, Phase.POST_FAULT, x_cls[[run[k] for k in again]], p,
-                opts.integration, ball,
-            )
-            for k, traj in zip(again, redone):
-                trajs[k] = traj
     for i, traj in zip(run, trajs):
         out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(
             traj, x_cls[i], x_sep_post, opts

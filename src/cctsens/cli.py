@@ -42,7 +42,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boundary import GridSpec, combined_H, eval_H, sample_stability_region
+from .boundary import (
+    _GRID_OPTS,
+    _GRID_SEP_RADIUS,
+    GridSpec,
+    combined_H,
+    eval_H,
+    sample_stability_region,
+)
 from .cct import CctOptions, InstabilityMode, compute_cct
 from .errors import CctError, ConfigError
 from .integrator import EventConfig, IntegrationOptions, integrate
@@ -138,8 +145,6 @@ class RunConfig:
     sweep_tangents: bool
     grid: Optional[GridSpec]
     opts: CctOptions
-    explicit_integration: bool
-    explicit_sep_radius: bool
     quantities: Optional[tuple[str, ...]]
     out_dir: Path
     jobs: int
@@ -148,6 +153,10 @@ class RunConfig:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
@@ -186,13 +195,16 @@ def _parse_config(
         names = ("Pm", "M", "delta_max", "omega_max")
     else:
         _check_keys(system_cfg, _EXPR_KEYS, "system")
-        for key in ("state", "params", "phases", "p0"):
+        for key, kind in (("state", list), ("params", list), ("phases", dict), ("p0", list)):
             _require(key in system_cfg, f'expression systems need "{key}"')
+            _require(isinstance(system_cfg[key], kind),
+                     f'"{key}" must be {"an object" if kind is dict else "a list"}')
+        _require(all(map(_is_number, system_cfg["p0"])), "p0 must be a list of numbers")
         names = tuple(str(n) for n in system_cfg["params"])
         p0 = np.asarray(system_cfg["p0"], dtype=float)
-        _require(p0.ndim == 1 and p0.size == len(names),
-                 "p0 must list one value per parameter")
+        _require(p0.size == len(names), "p0 must list one value per parameter")
 
+    _require(isinstance(raw.get("tolerances", {}), dict), '"tolerances" must be an object')
     tol = dict(raw.get("tolerances", {}))
     for item in tol_overrides:
         key, sep, value = item.partition("=")
@@ -225,6 +237,7 @@ def _parse_config(
         return names.index(ref)
 
     sens = raw.get("sens_params")
+    _require(sens is None or isinstance(sens, list), '"sens_params" must be a list')
     sens_idx = tuple(range(len(names))) if sens is None else tuple(
         resolve(r) for r in sens
     )
@@ -232,9 +245,12 @@ def _parse_config(
     sweep_param, sweep_values, sweep_tangents = None, (), False
     if raw.get("sweep") is not None:
         sweep = raw["sweep"]
+        _require(isinstance(sweep, dict), '"sweep" must be an object')
         _check_keys(sweep, {"parameter", "start", "stop", "count", "tangents"}, "sweep")
         for key in ("parameter", "start", "stop", "count"):
             _require(key in sweep, f'sweep needs "{key}"')
+        for key in ("start", "stop"):
+            _require(_is_number(sweep[key]), f"sweep {key} must be a number, got {sweep[key]!r}")
         sweep_param = resolve(sweep["parameter"])
         count = sweep["count"]
         _require(isinstance(count, int) and count >= 0,
@@ -249,6 +265,7 @@ def _parse_config(
     grid = None
     if raw.get("grid") is not None:
         grid_cfg = raw["grid"]
+        _require(isinstance(grid_cfg, dict), '"grid" must be an object')
         keys = {"x1_min", "x1_max", "x2_min", "x2_max", "n1", "n2"}
         _check_keys(grid_cfg, keys, "grid")
         try:
@@ -257,9 +274,11 @@ def _parse_config(
             raise ConfigError(f"bad grid: {exc}")
 
     quantities = raw.get("quantities")
+    _require(quantities is None or isinstance(quantities, list), '"quantities" must be a list')
     if quantities is not None:
         quantities = tuple(str(q) for q in quantities)
 
+    _require(isinstance(raw.get("out_dir", "out"), str), '"out_dir" must be a string')
     effective = {k: v for k, v in raw.items() if k != "out_dir"}
     if tol:
         effective["tolerances"] = tol
@@ -278,8 +297,6 @@ def _parse_config(
         sweep_tangents=sweep_tangents,
         grid=grid,
         opts=opts,
-        explicit_integration=bool(set(tol) & _INTEGRATION_KEYS),
-        explicit_sep_radius="sep_radius" in tol,
         quantities=quantities,
         out_dir=Path(out_override or raw.get("out_dir", "out")),
         jobs=max(1, int(jobs)),
@@ -494,11 +511,13 @@ def cmd_sweep(cfg: RunConfig, verify: bool) -> int:
 def cmd_sr_grid(cfg: RunConfig, verify: bool) -> int:
     _require(cfg.grid is not None, 'the sr-grid subcommand needs a "grid" block')
     system = build_system(cfg)
-    kwargs = {}
-    if cfg.explicit_integration:
-        kwargs["opts"] = cfg.opts.integration
-    if cfg.explicit_sep_radius:
-        kwargs["sep_radius"] = cfg.opts.sep_radius
+    # The grid has its own defaults; the configuration overrides only the
+    # keys it names.
+    tol = cfg.effective.get("tolerances", {})
+    kwargs = {
+        "opts": replace(_GRID_OPTS, **{k: v for k, v in tol.items() if k in _INTEGRATION_KEYS}),
+        "sep_radius": tol.get("sep_radius", _GRID_SEP_RADIUS),
+    }
     if cfg.opts.sep_guess is not None:
         kwargs["sep_guess"] = cfg.opts.sep_guess
     if cfg.jobs > 1:

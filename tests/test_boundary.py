@@ -693,3 +693,9 @@ class TestGridSpecValidation:
     def test_tiny_grid_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, n1=1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_non_integer_counts_rejected(self, n):
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, n2=n)
+        assert GridSpec(x1_min=0.0, x1_max=1.0, x2_min=0.0, x2_max=1.0, n1=np.int64(3)).n1 == 3

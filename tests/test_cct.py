@@ -264,22 +264,28 @@ class TestClassifyPostFault:
         assert cls.f_norm_min is not None and cls.f_norm_min <= 1e-3
         assert np.linalg.norm(cls.x_T - self._SEP) > 1.0
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="a run captured at the saddle that returns after t_max is called no-return",
-    )
-    def test_saddle_return_verdict_does_not_depend_on_the_horizon(self):
-        # The run stalls at the saddle (a capture near t = 4.5) and returns
-        # to the SEP near t = 23: unstable at t_max 20, stable at 30.
+    def _saddle_return_verdicts(self, t_maxes):
+        # The run stalls at the saddle (a capture near t = 4.5) and enters
+        # the SEP's certified ball near t = 16.9.
         sys3 = smib_system(_P3)
         h_ref = (50.0 - math.asin(0.5)) * 50.0
-        stable = [
+        return [
             classify_post_fault(
                 sys3, _P3.p0, np.array([0.0, 5.52713]), self._SEP, h_ref,
                 CctOptions(integration=IntegrationOptions(t_max=t_max)),
             ).stable
-            for t_max in (20.0, 30.0)
+            for t_max in t_maxes
         ]
+
+    def test_saddle_return_verdict_does_not_depend_on_the_horizon(self):
+        assert self._saddle_return_verdicts((20.0, 30.0)) == [True, True]
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a run captured at the saddle that reaches the certified ball after t_max is called no-return",
+    )
+    def test_saddle_return_verdict_at_a_horizon_before_the_ball(self):
+        stable = self._saddle_return_verdicts((15.0, 30.0))
         assert stable[0] == stable[1]
 
     def test_short_horizon_is_inconclusive(self):
@@ -424,11 +430,15 @@ def _verdict_key(cls):
     return cls.stable, cls.t1, cls.t2, cls.T, cls.crossing_label, cls.f_norm_min, x_T
 
 
+_LONG = CctOptions(integration=IntegrationOptions(t_max=200.0))
+
+
 class TestCertifiedRegion:
     """Verdicts end on entry into a certified region of attraction.
 
-    Stable runs end in the SEP's region; captured runs end in the region
-    of the competing stable equilibrium that captured them.
+    A run that enters the SEP's region is stable, whether or not it was
+    captured on the way; a captured run ends in the region of the
+    competing stable equilibrium that captured it.
     """
 
     def test_early_exit_never_changes_a_verdict(self, monkeypatch):
@@ -447,6 +457,11 @@ class TestCertifiedRegion:
             stable = [k for k, c in enumerate(full) if not isinstance(c, Exception) and c.stable]
             assert stable, params
             assert sum(fast_steps[k] for k in stable) < sum(full_steps[k] for k in stable), params
+            # Every certified-stable verdict holds for a run without the
+            # bound to t_max 200.
+            _, x_sep, h_ref = cct_mod._operating_point(system, params.p0, CctOptions())
+            long = classify_post_faults(_without_bound(system), params.p0, xs[stable], x_sep, h_ref, _LONG)
+            assert all(c.stable for c in long), params
             # Captured runs that ended in a competing sink's certified ball
             # take fewer steps; every other unstable run takes the same.
             ended = {k for k, traj in enumerate(fast_runs) if _ended_in_a_sink(traj, t_max)}
@@ -491,24 +506,57 @@ class TestCertifiedRegion:
             stable = [k for k, c in enumerate(full) if not isinstance(c, Exception) and c.stable]
             assert sum(fast_steps[k] for k in stable) < sum(full_steps[k] for k in stable), params
 
-    def test_capture_then_late_return_keeps_its_horizon_verdict(self, monkeypatch):
+    def test_capture_then_return_is_stable_in_the_certified_ball(self):
         # Just inside the separatrix the run stalls at the saddle (a
         # capture near t = 4.5), turns back and enters the certified ball
-        # before t = 20 but the sep_radius ball only after it.  Run to the
-        # ball it ends at the horizon after a capture, so it is unstable;
-        # with t_max = 30 it reaches the ball and is stable.
+        # near t = 16.9, but the sep_radius ball only near t = 23.  With
+        # the bound it is stable at t_max 20 and 30; without it, it ends at
+        # the horizon 20 after its capture and is unstable.
         # The expression twin has the bound too, so it takes the same path.
         x_cl = np.array([[0.0, 5.52713]])
         for system in (smib_system(_P3), _smib_twin()):
             _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
-            for t_max, stable in ((20.0, False), (30.0, True)):
+            for t_max in (20.0, 30.0):
                 opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
-                fast, full = (
-                    classify_post_faults(s, _P3.p0, x_cl, x_sep, h_ref, opts)[0]
-                    for s in (system, _without_bound(system))
-                )
-                assert _verdict_key(fast) == _verdict_key(full)
-                assert fast.stable is stable and 4.0 < fast.t2 < 5.0
+                (fast,) = classify_post_faults(system, _P3.p0, x_cl, x_sep, h_ref, opts)
+                assert fast.stable and 4.0 < fast.t2 < 5.0
+            (full,) = classify_post_faults(
+                _without_bound(system), _P3.p0, x_cl, x_sep, h_ref, CctOptions()
+            )
+            assert not full.stable and full.T == full.t2 and 4.0 < full.t2 < 5.0
+
+    def test_verdicts_near_the_separatrix_agree_with_a_long_run(self):
+        # Clearing states across the separatrix of the no-return machine.
+        # Ending in the certified ball judges each as a run of the system
+        # without the bound to t_max 200 does.
+        system = smib_system(_P3)
+        xs = np.stack([np.zeros(31), np.linspace(5.52710, 5.52716, 31)], axis=1)
+        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
+        fast = classify_post_faults(system, _P3.p0, xs, x_sep, h_ref, CctOptions())
+        full = classify_post_faults(_without_bound(system), _P3.p0, xs, x_sep, h_ref, _LONG)
+        assert [c.stable for c in fast] == [c.stable for c in full]
+        assert {c.stable for c in fast} == {True, False}
+
+    def test_each_batch_integrates_once(self, monkeypatch):
+        # Among the _SLIPS starts, (0, 5.52713) enters the certified ball
+        # after a capture.
+        system = smib_system(_P3)
+        batch, lanes, calls = cct_mod.classify_post_faults, cct_mod.integrate_lanes, []
+
+        def counting_batch(*args):
+            calls.append(0)
+            return batch(*args)
+
+        def counting_lanes(*args, **kwargs):
+            calls[-1] += 1
+            return lanes(*args, **kwargs)
+
+        monkeypatch.setattr(cct_mod, "classify_post_faults", counting_batch)
+        monkeypatch.setattr(cct_mod, "integrate_lanes", counting_lanes)
+        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
+        cct_mod.classify_post_faults(system, _P3.p0, self._SLIPS, x_sep, h_ref, CctOptions())
+        compute_cct(system, _P3.p0)
+        assert len(calls) > 1 and all(c == 1 for c in calls)
 
     # Starts on the _P3 machine: the first three pole-slip into
     # x_sep + (2 pi k, 0), the next stalls at the saddle and returns, the

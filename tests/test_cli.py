@@ -78,6 +78,40 @@ class TestConfig:
         assert cfg.sens_params == (0, 1, 3)
         assert cfg.param_names == ("Pm", "M", "delta_max", "omega_max")
 
+    @pytest.mark.parametrize("command, doc", [
+        ("sweep", {**_BASE, "sweep": {"parameter": "Pm", "start": "low", "stop": 0.7, "count": 2}}),
+        ("sweep", {**_BASE, "sweep": {"parameter": "Pm", "start": 0.6, "stop": None, "count": 2}}),
+        ("cct", {"system": {
+            "kind": "expressions", "state": ["x1"], "params": ["a"],
+            "phases": {}, "p0": ["one"],
+        }}),
+        ("cct", {**_BASE, "tolerances": "tight"}),
+        ("cct", {**_BASE, "tolerances": [["bisection_tol", 0.01]]}),
+        ("sens", {**_BASE, "sens_params": 0}),
+        ("validate", {**_BASE, "quantities": "cct_scan"}),
+        ("sr-grid", {"system": _SMIB, "grid": {
+            "x1_min": -1.0, "x1_max": 3.0, "x2_min": -2.0, "x2_max": 2.0, "n1": 2.5, "n2": 3,
+        }}),
+        ("sr-grid", {"system": _SMIB, "grid": {
+            "x1_min": -1.0, "x1_max": 3.0, "x2_min": -2.0, "x2_max": 2.0, "n1": 3, "n2": 3.0,
+        }}),
+        ("sweep", {**_BASE, "sweep": ["parameter", "start", "stop", "count"]}),
+        ("sr-grid", {**_BASE, "grid": 5}),
+        ("cct", {"system": {"kind": "expressions", "state": 2, "params": [], "phases": {}, "p0": []}}),
+        ("cct", {"system": {"kind": "expressions", "state": [], "params": 1, "phases": {}, "p0": []}}),
+        ("cct", {"system": {"kind": "expressions", "state": ["x1"], "params": ["a"], "phases": [1], "p0": [1.0]}}),
+        ("cct", {**_BASE, "out_dir": 5}),
+    ], ids=[
+        "sweep-start", "sweep-stop", "p0", "tolerances-string", "tolerances-list",
+        "sens_params", "quantities", "grid-n1", "grid-n2",
+        "sweep-list", "grid-int", "state", "params", "phases", "out_dir",
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, command, doc):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "error.json").exists()
+
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
@@ -314,6 +348,18 @@ class TestSrGrid:
         err = json.loads((out / "error.json").read_text())
         assert err["error"]["type"] == "NoEquilibriumFound"
         assert not (out / "grid_classes.csv").exists()
+
+    def test_naming_a_grid_default_changes_nothing(self, tmp_path):
+        # t_max 20 is the grid's own default; naming it must not swap the
+        # other grid defaults for the critical-time search's.
+        grid = {"x1_min": -1.5, "x1_max": 3.5, "x2_min": -2.5, "x2_max": 2.5, "n1": 20, "n2": 20}
+        bodies = []
+        for name, tol in (("plain", {}), ("named", {"t_max": 20.0})):
+            path = write_config(tmp_path, {"system": _SMIB, "grid": grid, "tolerances": tol}, f"{name}.json")
+            out = tmp_path / name
+            assert main(["sr-grid", "--config", str(path), "--out", str(out)]) == 0
+            bodies.append([read_csv(out / f)[1:] for f in ("grid_classes.csv", "grid_boundary.csv")])
+        assert bodies[0] == bodies[1]
 
     def test_missing_grid_block(self, tmp_path):
         path = write_config(tmp_path, {"system": _SMIB})
