@@ -248,7 +248,9 @@ def classify_grid_points(
     post-fault phase.  A start with any post-fault constraint
     non-positive hits the boundary at t = 0; otherwise the run decides:
     a crossing of any constraint, entry into the SEP ball, or neither.
-    A lane whose state blows up or whose step underflows diverges.
+    Only whether a lane crossed is read, so a crossing ends its lane at
+    that step end, unrefined.  A lane whose state blows up or whose
+    step underflows diverges.
 
     The SEP ball is the ball of ``_attraction_radius`` when the phase
     certifies one, else the ball of ``sep_radius``; ``sep_radius`` thus
@@ -265,6 +267,7 @@ def classify_grid_points(
         constraints=system.phases[Phase.POST_FAULT].constraints,
         sep_target=x_sep,
         sep_radius=sep_radius if radius is None else radius,
+        locate_crossings=False,
     )
     classes = []
     for traj in integrate_lanes(system, Phase.POST_FAULT, x0s, p, opts, events):
@@ -444,9 +447,10 @@ def _manifold_samples(system, p, x_saddle, spec, opts):
 
     The reversed post-fault field runs from the saddle until the first
     accepted step that ends outside the window, which ends the run as a
-    crossing of that edge; the refined crossing point is dropped, so
-    every kept sample lies inside.  A saddle outside the window gives
-    just itself.  A run that fails is retried at shorter horizons.
+    crossing of that edge at that step end, unrefined; the step end
+    outside the window is dropped, so every kept sample lies inside.  A
+    saddle outside the window gives just itself.  A run that fails is
+    retried at shorter horizons.
     """
     dyn = system.phases[Phase.POST_FAULT]
 
@@ -460,7 +464,7 @@ def _manifold_samples(system, p, x_saddle, spec, opts):
             for ph in Phase
         },
     )
-    events = EventConfig(constraints=_window_edges(spec, system.n_params))
+    events = EventConfig(constraints=_window_edges(spec, system.n_params), locate_crossings=False)
     for horizon in (6.0, 2.5, 1.0, 0.4):
         try:
             traj = integrate(
@@ -474,7 +478,7 @@ def _manifold_samples(system, p, x_saddle, spec, opts):
             return traj.states[::-1]  # chronological order, ending at the saddle
         if crossing.time == 0.0:
             return traj.states[:1]  # the saddle itself lies outside
-        return traj.states[-2::-1]  # without the refined crossing point
+        return traj.states[-2::-1]  # without the step end outside the window
     return np.asarray([x_saddle])
 
 

@@ -193,6 +193,7 @@ def _parse_config(
             raise ConfigError(f"bad machine constants: {exc}")
         p0 = params.p0
         names = ("Pm", "M", "delta_max", "omega_max")
+        n_state = 2
     else:
         _check_keys(system_cfg, _EXPR_KEYS, "system")
         for key, kind in (("state", list), ("params", list), ("phases", dict), ("p0", list)):
@@ -203,6 +204,7 @@ def _parse_config(
         names = tuple(str(n) for n in system_cfg["params"])
         p0 = np.asarray(system_cfg["p0"], dtype=float)
         _require(p0.size == len(names), "p0 must list one value per parameter")
+        n_state = len(system_cfg["state"])
 
     _require(isinstance(raw.get("tolerances", {}), dict), '"tolerances" must be an object')
     tol = dict(raw.get("tolerances", {}))
@@ -213,6 +215,14 @@ def _parse_config(
     _check_keys(tol, _INTEGRATION_KEYS | _CCT_KEYS, "tolerance")
     tol = {k: _coerce_tol(k, v) for k, v in tol.items()}
 
+    sep_guess = raw.get("sep_guess")
+    _require(
+        sep_guess is None or (
+            isinstance(sep_guess, list) and len(sep_guess) == n_state
+            and all(map(_is_number, sep_guess))
+        ),
+        f"sep_guess must be a list of {n_state} numbers, got {sep_guess!r}",
+    )
     try:
         integration = IntegrationOptions(
             **{k: v for k, v in tol.items() if k in _INTEGRATION_KEYS}
@@ -221,8 +231,8 @@ def _parse_config(
             integration=integration,
             **{k: v for k, v in tol.items() if k in _CCT_KEYS},
         )
-        if raw.get("sep_guess") is not None:
-            opts = replace(opts, sep_guess=np.asarray(raw["sep_guess"], dtype=float))
+        if sep_guess is not None:
+            opts = replace(opts, sep_guess=np.asarray(sep_guess, dtype=float))
         if raw.get("reverify"):
             opts = replace(opts, reverify=True)
     except (CctError, ValueError) as exc:

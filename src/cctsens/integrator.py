@@ -14,7 +14,9 @@ Three kinds of events can be watched while integrating:
   non-positive is localized by bisection of that margin on the
   interpolated state down to ``_EVENT_REFINE_TOL``.  Watching each
   margin, not their product, also sees a step that crosses an even
-  number of margins at once;
+  number of margins at once.  A run that reads only whether a limit
+  was crossed (``EventConfig.locate_crossings`` False) skips the
+  bisection and ends at that step end;
 * entry into a ball around a target equilibrium while the field norm is
   decreasing (the "converged" verdict used by stability classification);
 * local minima of the field norm along the trajectory, refined by a
@@ -158,7 +160,13 @@ class EventConfig:
 
     A run ends with a CONSTRAINT_CROSSING event as soon as one of
     ``constraints`` is non-positive: at the start, or at the earliest
-    root inside a step.  The event info names that constraint.  Entry
+    root inside a step.  The event info names that constraint.  With
+    ``locate_crossings`` False the root is not sought: the run ends at
+    the end of the step where a margin went non-positive, and the event
+    (at that step end) names the most violated margin, as at the start.
+    That is for callers that read only whether a limit was crossed, not
+    where.  The lane takes the same steps either way; only its last
+    point, and what is read there, differ.  Entry
     into the ball of ``sep_radius`` around ``sep_target`` while the
     field norm decreases also ends the run.  Every local minimum of the
     field norm at or below ``norm_min_threshold`` is recorded; None
@@ -177,6 +185,7 @@ class EventConfig:
     sep_radius: float = 1e-3
     norm_min_threshold: Optional[float] = None
     stop_at_min: Optional[Callable[[np.ndarray, np.ndarray], bool]] = None
+    locate_crossings: bool = True
 
 
 class _EventLog:
@@ -459,6 +468,7 @@ def _engine(
     sep = events.sep_target if events is not None else None
     min_threshold = events.norm_min_threshold if events is not None else None
     stop_at_min = events.stop_at_min if events is not None else None
+    locate = events.locate_crossings if events is not None else True
     watch_norm = sep is not None or min_threshold is not None
 
     def lanes_rhs(z, q):
@@ -628,23 +638,28 @@ def _engine(
             terminal = False
             crossed = [k for k, v in enumerate(vals) if v[i] <= 0.0]
             if crossed:
-                # Each margin that went non-positive is bisected on its own;
-                # the earliest root decides, and the step ends there.
-                roots = {
-                    k: _refine_crossing(
-                        lambda y_q, c=constraints[k]: c.value(y_q[:n_state], p),
-                        _EVENT_REFINE_TOL, t[a], y[a], f[a], t1, ys[i], fs[i],
-                    )
-                    for k in crossed
-                }
-                k = min(roots, key=lambda j: roots[j][0])
-                t1, ys[i] = roots[k]
+                if locate:
+                    # Each margin that went non-positive is bisected on its
+                    # own; the earliest root decides, and the step ends there.
+                    roots = {
+                        k: _refine_crossing(
+                            lambda y_q, c=constraints[k]: c.value(y_q[:n_state], p),
+                            _EVENT_REFINE_TOL, t[a], y[a], f[a], t1, ys[i], fs[i],
+                        )
+                        for k in crossed
+                    }
+                    k = min(roots, key=lambda j: roots[j][0])
+                    t1, ys[i] = roots[k]
+                    fs[i] = rhs(ys[i], p)
+                    if watch_norm:
+                        norms[i] = _norm(fs[i][:n_state])
+                else:
+                    # The step end decides, as a start does: the most
+                    # violated margin names the crossing.
+                    k = min(crossed, key=lambda j: vals[j][i])
                 record(lane, t1, EventKind.CONSTRAINT_CROSSING, ys[i],
                        {"constraint": constraints[k].name})
                 terminal = True
-                fs[i] = rhs(ys[i], p)
-                if watch_norm:
-                    norms[i] = _norm(fs[i][:n_state])
 
             if min_threshold is not None:
                 window = windows[a]

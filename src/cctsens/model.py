@@ -415,6 +415,13 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
 
     def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:
+            # One state on floats: the same IEEE operations in the same
+            # order, and math.sin rounds as np.sin does (a test re-checks
+            # that), at a fraction of numpy's per-scalar cost.
+            angle, speed = x.tolist()
+            pm, inertia = p.tolist()[:2]
+            return np.array([speed, (pm - b * math.sin(angle) - d * speed) / inertia])
         return np.array([x[1], (p[0] - b * np.sin(x[0]) - d * x[1]) / p[1]])
 
     def jac_x(x: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from cctsens import (
     smib_system,
     system_from_expressions,
 )
-from cctsens import boundary
+from cctsens import boundary, integrator
 from cctsens.boundary import (
     _GRID_OPTS,
     _GRID_SEP_RADIUS,
@@ -512,12 +512,13 @@ def _cells(spec):
     return np.column_stack([np.repeat(spec.x1, spec.n2), np.tile(spec.x2, spec.n1)])
 
 
-def _sep_radius_classes(system, p, starts, x_sep):
+def _sep_radius_classes(system, p, starts, x_sep, locate_crossings=True):
     """Cell classes of runs that end only at the ``_GRID_SEP_RADIUS`` ball."""
     events = EventConfig(
         constraints=system.phases[Phase.POST_FAULT].constraints,
         sep_target=x_sep,
         sep_radius=_GRID_SEP_RADIUS,
+        locate_crossings=locate_crossings,
     )
     classes = []
     for end in integrate_lanes(system, Phase.POST_FAULT, starts, p, _GRID_OPTS, events):
@@ -533,7 +534,8 @@ def _sep_radius_classes(system, p, starts, x_sep):
 
 
 class TestCertifiedGridBall:
-    """Grid lanes end in the certified ball of the SEP, which changes no class."""
+    """Grid lanes end in the certified ball of the SEP and at the step end
+    past a limit, unrefined; neither changes a class."""
 
     @pytest.mark.parametrize("inertia", [0.1, 0.3])
     def test_classes_on_the_a9_window_equal_the_sep_radius_runs(self, inertia):
@@ -543,12 +545,16 @@ class TestCertifiedGridBall:
         assert _attraction_radius(system, p, x_sep, _GRID_SEP_RADIUS) > _GRID_SEP_RADIUS
         starts = _cells(GridSpec(-1.5, 3.5, -2.5, 2.5, 100, 100))
         classes = classify_grid_points(system, p, starts, x_sep)
-        assert classes == _sep_radius_classes(system, p, starts, x_sep)
+        for locate_crossings in (True, False):
+            assert classes == _sep_radius_classes(system, p, starts, x_sep, locate_crossings)
         assert {CellClass.STABLE, CellClass.HITS_BOUNDARY} <= set(classes)
 
     def test_fixture_grid_classes_equal_the_sep_radius_runs(self, grid):
         starts = _cells(grid.spec)
-        assert list(grid.classes.ravel()) == _sep_radius_classes(_SYS, _P, starts, grid.sep)
+        for locate_crossings in (True, False):
+            assert list(grid.classes.ravel()) == _sep_radius_classes(
+                _SYS, _P, starts, grid.sep, locate_crossings
+            )
 
     def test_phase_without_bound_ends_at_the_sep_radius_ball(self, monkeypatch):
         dyn = _SYS.phases[Phase.POST_FAULT]
@@ -683,6 +689,35 @@ class TestManifolds:
         for traj, poly in zip(runs, grid.manifolds):
             assert len(traj.states) <= len(poly) + 1
             assert traj.events[-1].kind is EventKind.CONSTRAINT_CROSSING
+
+    def test_manifolds_equal_those_of_refined_runs(self, monkeypatch):
+        spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+        unrefined = sample_stability_region(_SYS, _P, spec, opts=_MANIFOLD_OPTS)
+        monkeypatch.setattr(
+            boundary, "EventConfig",
+            lambda **kw: EventConfig(**{**kw, "locate_crossings": True}),
+        )
+        refined = sample_stability_region(_SYS, _P, spec, opts=_MANIFOLD_OPTS)
+        assert unrefined.manifolds and len(unrefined.manifolds) == len(refined.manifolds)
+        for a, b in zip(unrefined.manifolds, refined.manifolds):
+            assert np.array_equal(a, b)
+        assert np.array_equal(unrefined.classes, refined.classes)
+
+
+def test_stability_region_seeks_no_crossing_root(monkeypatch):
+    """Cells and manifolds read only whether a limit was crossed."""
+    calls = []
+    refine = integrator._refine_crossing
+
+    def counting(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(integrator, "_refine_crossing", counting)
+    spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
+    grid = sample_stability_region(_SYS, _P, spec)
+    assert CellClass.HITS_BOUNDARY in grid.classes and grid.manifolds
+    assert calls == []
 
 
 class TestGridSpecValidation:

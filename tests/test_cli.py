@@ -101,10 +101,22 @@ class TestConfig:
         ("cct", {"system": {"kind": "expressions", "state": [], "params": 1, "phases": {}, "p0": []}}),
         ("cct", {"system": {"kind": "expressions", "state": ["x1"], "params": ["a"], "phases": [1], "p0": [1.0]}}),
         ("cct", {**_BASE, "out_dir": 5}),
+        ("cct", {**_BASE, "sep_guess": [0.1, 0.0, 0.0]}),
+        ("cct", {**_BASE, "sep_guess": [0.1]}),
+        ("cct", {**_BASE, "sep_guess": 0.1}),
+        ("cct", {**_BASE, "sep_guess": [0.1, "0"]}),
+        ("cct", {**_BASE, "sep_guess": [[0.1, 0.0]]}),
+        ("cct", {"system": {
+            "kind": "expressions", "state": ["x1"], "params": ["a"],
+            "phases": {ph: {"f": ["-a*x1"]} for ph in ("pre", "fault", "post")},
+            "p0": [1.0],
+        }, "sep_guess": [0.0, 0.0]}),
     ], ids=[
         "sweep-start", "sweep-stop", "p0", "tolerances-string", "tolerances-list",
         "sens_params", "quantities", "grid-n1", "grid-n2",
         "sweep-list", "grid-int", "state", "params", "phases", "out_dir",
+        "sep_guess-long", "sep_guess-short", "sep_guess-scalar", "sep_guess-string",
+        "sep_guess-nested", "sep_guess-expressions",
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, command, doc):
         out = tmp_path / "out"

@@ -607,6 +607,53 @@ def test_lanes_equal_their_one_lane_runs():
     assert inside.events[0].time == 0.0 and len(singles[5].times) == 1
 
 
+def test_unlocated_crossings_end_at_the_step_that_crosses():
+    """Without its root sought, a crossing ends its lane at that step end."""
+    p = np.array([0.5, 0.1, 3.0, 1.95])
+    uep = math.pi - math.asin(0.5)
+    constraints = _MACHINE_Z.phases[Phase.POST_FAULT].constraints
+    located = EventConfig(
+        constraints=constraints, sep_target=np.array([math.asin(0.5), 0.0, 0.0]),
+        sep_radius=1e-2, norm_min_threshold=0.05,
+    )
+    unlocated = replace(located, locate_crossings=False)
+    starts = np.array([
+        [2.5, 1.5, 0.0],           # crosses the angle limit inside a step
+        [0.6, 0.05, 0.0],          # enters the SEP ball
+        [uep - 0.3, 1.89051, 0.0],  # outlives every other lane, to t_max
+        [0.5, 2.5, 0.0],           # starts past the speed limit
+        [0.6, 0.05, -0.5],         # its field goes non-finite
+        [0.53, 0.005, 0.0],        # starts in the SEP ball
+        [-1.0, 1.8, 0.0],          # crosses the speed limit in its third step
+    ])
+    opts = IntegrationOptions(t_max=6.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lanes = integrate_lanes(_MACHINE_Z, Phase.POST_FAULT, starts, p, opts, unlocated)
+        singles = _one_lane_runs(_MACHINE_Z, starts, p, opts, unlocated)
+        refined = _one_lane_runs(_MACHINE_Z, starts, p, opts, located)
+    for k, (lane, single) in enumerate(zip(lanes, singles)):
+        assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
+    crossing = (0, 6)
+    assert lanes[2].final_time == opts.t_max > max(lanes[k].final_time for k in crossing)
+    for k, (lane, root) in enumerate(zip(lanes, refined)):
+        if k not in crossing:
+            assert _same_end(lane, root), f"lane {k} depends on root finding"
+    for k in crossing:
+        lane, single, root = lanes[k], singles[k], refined[k]
+        (hit,) = lane.events
+        assert hit.kind is EventKind.CONSTRAINT_CROSSING
+        assert hit.time == lane.final_time and np.array_equal(hit.state, lane.final_state)
+        margins = [c.value(hit.state, p) for c in constraints]
+        assert min(margins) <= 0.0
+        assert hit.info["constraint"] == constraints[int(np.argmin(margins))].name
+        assert lane.steps == _steps(root)
+        # The runs agree up to the last step, in which the refined root lies.
+        assert np.array_equal(single.states[:-1], root.states[:-1])
+        (root_hit,) = root.events
+        assert single.times[-2] < root_hit.time < hit.time
+        assert root_hit.info == hit.info
+
+
 def test_lanes_equal_their_one_lane_runs_with_powers():
     # A cubic spring: the field raises the state to a power, which one
     # state and a column batch must round alike.

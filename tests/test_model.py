@@ -337,14 +337,29 @@ def test_expression_system_evaluates_column_batches():
 
 
 def test_machine_field_evaluates_column_batches():
-    xs = np.array([[0.2, 1.1, -0.4], [0.3, -0.7, 1.2]])
+    # One state, evaluated on floats, equals its column of the batch bit
+    # for bit.
+    rng = np.random.default_rng(5)
+    xs = np.hstack([
+        [[0.2, 1.1, -0.4], [0.3, -0.7, 1.2]],
+        [rng.uniform(-10.0, 10.0, 2000), rng.uniform(-5.0, 5.0, 2000)],
+    ])
     for phase in Phase:
         f = _SYS.phases[phase].f(xs, _P0)
-        assert f.shape == (2, 3)
-        for k in range(3):
+        assert f.shape == xs.shape
+        for k in range(xs.shape[1]):
             assert np.array_equal(f[:, k], eval_f(_SYS, phase, xs[:, k], _P0))
     margins = [c.value(xs, _P0) for c in _SYS.phases[Phase.POST_FAULT].constraints]
-    assert all(m.shape == (3,) for m in margins)
+    assert all(m.shape == xs.shape[1:] for m in margins)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 10.0, 1e3, 1e8])
+def test_math_sin_equals_numpy_sin(scale):
+    # One machine state takes math.sin and a column batch np.sin; lanes
+    # equal their one-lane runs only while the two round alike, which
+    # depends on the numpy build (its SIMD sin) and the C library.
+    x = np.random.default_rng(17).uniform(-scale, scale, 100_000)
+    assert np.array_equal(np.sin(x), [math.sin(v) for v in x.tolist()])
 
 
 # ── interval-arithmetic Lipschitz bounds ─────────────────────────────────────
