@@ -99,12 +99,13 @@ class CctOptions:
             raise ValueError("bisection_tol must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.sep_radius <= 0.0:
-            raise ValueError("sep_radius must be positive")
-        if self.clearing_feasibility_tol < 0.0:
-            raise ValueError("clearing_feasibility_tol must be non-negative")
-        if self.field_norm_threshold <= 0.0:
-            raise ValueError("field_norm_threshold must be positive")
+        if not (self.sep_radius > 0.0 and math.isfinite(self.sep_radius)):
+            raise ValueError("sep_radius must be positive and finite")
+        feasibility_tol = self.clearing_feasibility_tol
+        if not (feasibility_tol >= 0.0 and math.isfinite(feasibility_tol)):
+            raise ValueError("clearing_feasibility_tol must be non-negative and finite")
+        if not (self.field_norm_threshold > 0.0 and math.isfinite(self.field_norm_threshold)):
+            raise ValueError("field_norm_threshold must be positive and finite")
         if self.horizon_doublings < 0:
             raise ValueError("horizon_doublings must be non-negative")
 

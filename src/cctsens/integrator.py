@@ -37,16 +37,20 @@ goes non-finite or whose step underflows stops with that error; the
 other lanes run on.
 
 An iteration with one live lane (a one-lane run, or a batch down to its
-last lane) steps that lane as one state and does its bookkeeping on
-Python floats: finiteness, error norm and step control, with margins,
-field norm and SEP distance on its 1-D arrays.  Each elementwise IEEE
-operation rounds the same on a float as in numpy, and np.add.reduce
-sums a row of fewer than 8 entries left to right (from 8 on it keeps
-eight partial sums; in 20,000 random rows per length, 0 rows differ at
-1-7 entries and thousands at 8-13), so the error norm of a state of up
-to 7 components is summed on floats and a longer one by numpy.  Norms
-stay BLAS dot products, which may fuse multiply-adds.  The lone lane
-thus takes the same values as in a batch.
+last lane) steps that lane as one state (``_lone_dp_step``) on a stage
+buffer of shape (7, m) made once per run, with the views of its first
+i stages built once: each stage sum is the BLAS product ``.dot`` of a
+tableau row with such a view, which rounds as the batch's stacked
+np.matmul does, and is scaled by h and added to y in place.  The lane
+does its bookkeeping on Python floats: finiteness, error norm and step
+control, with margins, field norm and SEP distance on its 1-D arrays.
+Each elementwise IEEE operation rounds the same on a float as in
+numpy, and np.add.reduce sums a row of fewer than 8 entries left to
+right (from 8 on it keeps eight partial sums; in 20,000 random rows per
+length, 0 rows differ at 1-7 entries and thousands at 8-13), so the
+error norm of a state of up to 7 components is summed on floats and a
+longer one by numpy.  Norms stay BLAS dot products, which may fuse
+multiply-adds.  The lone lane thus takes the same values as in a batch.
 
 ``integrate_with_sensitivities`` integrates the variational equations
 
@@ -98,11 +102,10 @@ _B = _A[5]
 # Difference between the fifth- and fourth-order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
-# Stage i, and the stages before i, of a stage array with or without a
-# lane axis in front (prebuilt: an index tuple written out is parsed anew
-# on every use).
-_STAGE = tuple((Ellipsis, i, slice(None)) for i in range(7))
-_FIRST = tuple((Ellipsis, slice(None, i), slice(None)) for i in range(8))
+# Stage i, and the stages before i, of a lane-major stage array
+# (prebuilt: an index tuple written out is parsed anew on every use).
+_STAGE = tuple((slice(None), i) for i in range(7))
+_FIRST = tuple((slice(None), slice(None, i)) for i in range(8))
 
 _MAX_EVENT_BISECTIONS = 60
 # Time resolution of crossing roots and field-norm minima.
@@ -347,13 +350,12 @@ def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> li
 
 
 def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h):
-    """One Dormand-Prince step; returns (y_new, f_new, error_vector).
+    """One Dormand-Prince step of K lanes; returns (y_new, f_new, error_vector).
 
-    ``y`` and ``f0`` are one state of shape (m,) with a float step ``h``,
-    or lane-major states of shape (K, m) with the (K, 1) column of step
-    sizes; ``rhs(y, p)`` takes states of that shape.  The stages are
-    stored lane-major, shape (K, 7, m), so each lane's weighted sums are
-    the vector-matrix products of a lone state.
+    ``y`` and ``f0`` are lane-major states of shape (K, m) and ``h`` the
+    (K, 1) column of step sizes; ``rhs(y, p)`` takes states of that
+    shape.  The stages are stored lane-major, shape (K, 7, m), so each
+    lane's weighted sums are the vector-matrix products of a lone state.
     """
     k = np.empty(y.shape[:-1] + (7, y.shape[-1]))
     k[_STAGE[0]] = f0
@@ -363,6 +365,30 @@ def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h):
     k[_STAGE[6]] = rhs(y_new, p)
     # f_new is copied out so that storing it does not keep every stage alive.
     return y_new, k[_STAGE[6]].copy(), h * np.matmul(_E, k)
+
+
+def _lone_dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h: float, k: np.ndarray, firsts):
+    """``_dp_step`` of one state of shape (m,) on its stage buffer ``k``.
+
+    ``k`` has shape (7, m) and ``firsts[i]`` is its view ``k[:i + 1]``,
+    both made once per run.  Each stage sum is the BLAS product
+    ``_A[i].dot(firsts[i])``, which rounds as the batch's stacked
+    np.matmul does (a test checks that), scaled by h and added to y in
+    place: h s and y + s are single IEEE operations either way round.
+    """
+    k[0] = f0
+    for i in range(5):
+        s = _A[i].dot(firsts[i])
+        s *= h
+        s += y
+        k[i + 1] = rhs(s, p)
+    y_new = _B.dot(firsts[5])
+    y_new *= h
+    y_new += y
+    k[6] = rhs(y_new, p)
+    err = _E.dot(k)
+    err *= h
+    return y_new, k[6].copy(), err
 
 
 def _refine_crossing(margin, tol, t0, y0, f0, t1, y1, f1):
@@ -458,7 +484,9 @@ def _engine(
     so every result stays the same bit for bit.  Returns one LaneEnd per
     lane, or the NumericalBlowup or StiffnessFailure that stopped it.
     ``rows``, given only to a one-lane run, is a list that collects the
-    lane's accepted points (t, y, f), its start included.
+    lane's accepted points (t, y, f), its start included.  An iteration
+    with one live lane steps it with ``_lone_dp_step`` on one stage
+    buffer, made once per run.
     """
     y = np.array(y0, dtype=float)
     n_lanes = len(y)
@@ -547,6 +575,9 @@ def _engine(
     # Rolling window of each lane's last accepted points for minima detection.
     windows = [[(0.0, y[a], f[a], norm_prev[a])] if min_threshold is not None else None
                for a in range(L)]
+    # The stage buffer of a lone lane and the views of its first i + 1 stages.
+    stages = np.empty((7, y.shape[1]))
+    firsts = [stages[: i + 1] for i in range(6)]
 
     while ids:
         for a in range(len(ids)):
@@ -578,7 +609,7 @@ def _engine(
             # floats and 1-D arrays: the same operations, without numpy's
             # overhead on a batch of one.  Its y and f are then lists of
             # that one state.
-            y_new, f_new, err = _dp_step(rhs, p, y[0], f[0], h[0])
+            y_new, f_new, err = _lone_dp_step(rhs, p, y[0], f[0], h[0], stages, firsts)
             e = _lone_error_norm(y[0], y_new, err, abs_tol, rel_tol)
             finite, err_norm = (None, [e]) if e is not None else ([False], [math.inf])
         else:

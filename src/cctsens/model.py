@@ -488,10 +488,10 @@ def smib_system(params: SmibParams) -> ConstrainedSystem:
 def _power_printer():
     """numpy code printer that writes a**b as numpy.power(a, b).
 
-    ``**`` on a numpy scalar rounds differently from the array loop of a
-    column batch; the ufunc runs one loop for both, so a lane matches
-    its one-state run bit for bit.  sqrt and 1/sqrt are correctly
-    rounded either way and stay as printed.
+    ``**`` on a float or a numpy scalar rounds differently from the
+    array loop of a column batch; the ufunc runs one loop for both, so a
+    lane matches its one-state run bit for bit.  sqrt and 1/sqrt are
+    correctly rounded either way and stay as printed.
     """
     from sympy import S
     from sympy.printing.numpy import NumPyPrinter
@@ -515,6 +515,22 @@ def _one_state(x) -> bool:
     return (x.ndim if type(x) is np.ndarray else np.ndim(x)) < 2
 
 
+def _on_floats(fn, x, p):
+    """Generated code ``fn`` at one state, given x and p as Python floats.
+
+    The code then runs the same IEEE operations, and the same numpy
+    ufunc loops (numpy.power, sin, ...), as on numpy scalars, at less
+    cost per operation.  Python raises on a division by zero where numpy
+    gives inf or nan; such a state is evaluated on numpy scalars.
+    """
+    xs = x.tolist() if type(x) is np.ndarray else x
+    ps = p.tolist() if type(p) is np.ndarray else p
+    try:
+        return fn(xs, ps)
+    except ZeroDivisionError:
+        return fn(x, p)
+
+
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
@@ -522,7 +538,8 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     float for a state of shape (n,) and an array of shape (K,) for a
     column batch of shape (n, K).  Otherwise it is a matrix and g
     returns a float array of ``shape``, or ``shape + (K,)`` for a batch;
-    constant entries are broadcast over the batch.
+    constant entries are broadcast over the batch.  One state is
+    evaluated on floats (``_on_floats``).
     """
     import sympy as sp
 
@@ -531,7 +548,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
 
         def scalar(x, p):
             if _one_state(x):
-                return float(fn(x, p))
+                return float(_on_floats(fn, x, p))
             return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
 
         return scalar
@@ -541,7 +558,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
 
     def matrix(x, p):
         if _one_state(x):
-            out = np.array(fn(x, p), dtype=float)
+            out = np.array(_on_floats(fn, x, p), dtype=float)
             return out if flat else out.reshape(shape)
         lanes = np.shape(x)[1:]
         entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]

@@ -296,6 +296,7 @@ class TestClassifyPostFault:
                 self._H_REF, opts,
             )
 
+    @pytest.mark.bit_identity
     def test_lanes_equal_their_one_lane_verdicts(self):
         sys3 = smib_system(_P3)
         h_ref = (50.0 - math.asin(0.5)) * 50.0
@@ -578,6 +579,7 @@ class TestCertifiedRegion:
             assert slips[0] > 0.9 and abs(slips[0] - round(slips[0])) < 0.01 and abs(slips[1]) < 0.01
         assert not any(_ended_in_a_sink(traj, 40.0) for traj in fast_runs[3:])
 
+    @pytest.mark.bit_identity
     def test_pole_slipping_lanes_equal_their_one_lane_runs(self, monkeypatch):
         system = smib_system(_P3)
         opts = CctOptions(integration=IntegrationOptions(t_max=40.0))
@@ -923,6 +925,7 @@ class TestBatchedBisection:
     field must match it bit for bit.
     """
 
+    @pytest.mark.bit_identity
     @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
     def test_result_equals_the_one_lane_loop(self, case):
         args, mode = _BATCH_CASES[case]
@@ -998,8 +1001,14 @@ class TestOptionsValidation:
         {"bisection_tol": math.inf},
         {"max_iterations": 0},
         {"sep_radius": 0.0},
+        {"sep_radius": math.nan},
+        {"sep_radius": math.inf},
         {"clearing_feasibility_tol": -1e-9},
+        {"clearing_feasibility_tol": math.nan},
+        {"clearing_feasibility_tol": math.inf},
         {"field_norm_threshold": 0.0},
+        {"field_norm_threshold": math.nan},
+        {"field_norm_threshold": math.inf},
         {"horizon_doublings": -1},
     ])
     def test_rejected(self, kwargs):

@@ -61,6 +61,18 @@ class TestConfig:
             assert main(["cct", "--config", str(path), "--tol", key]) == 2
         assert main(["cct", "--config", str(path), "--tol", "oops"]) == 2
 
+    @pytest.mark.parametrize("key", [
+        f"{name}={value}"
+        for name in ("sep_radius", "field_norm_threshold", "clearing_feasibility_tol")
+        for value in ("nan", "inf")
+    ])
+    def test_non_finite_tolerance_is_a_config_error(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, _BASE)
+        out = tmp_path / "out"
+        assert main(["cct", "--config", str(path), "--out", str(out), "--tol", key]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "error.json").exists()
+
     def test_tolerance_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, _BASE)
         plain = load_config(path)

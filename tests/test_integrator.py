@@ -571,6 +571,7 @@ def _one_lane_runs(system, starts, p, opts, ev=None):
     return runs
 
 
+@pytest.mark.bit_identity
 def test_lanes_equal_their_one_lane_runs():
     p = np.array([0.5, 0.1, 3.0, 1.95])
     uep = math.pi - math.asin(0.5)
@@ -607,6 +608,7 @@ def test_lanes_equal_their_one_lane_runs():
     assert inside.events[0].time == 0.0 and len(singles[5].times) == 1
 
 
+@pytest.mark.bit_identity
 def test_unlocated_crossings_end_at_the_step_that_crosses():
     """Without its root sought, a crossing ends its lane at that step end."""
     p = np.array([0.5, 0.1, 3.0, 1.95])
@@ -654,6 +656,7 @@ def test_unlocated_crossings_end_at_the_step_that_crosses():
         assert root_hit.info == hit.info
 
 
+@pytest.mark.bit_identity
 def test_lanes_equal_their_one_lane_runs_with_powers():
     # A cubic spring: the field raises the state to a power, which one
     # state and a column batch must round alike.
@@ -670,6 +673,59 @@ def test_lanes_equal_their_one_lane_runs_with_powers():
         assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
 
 
+# The swing machine as the benchmark's ``study`` workload writes it
+# (EXPRESSION_SMIB in bench/workloads.py).
+_TWIN_LIMITS = {"angle_limit": "delta_max - delta", "speed_limit": "omega_max - omega"}
+_BENCH_TWIN = system_from_expressions(
+    ["delta", "omega"], ["Pm", "M", "delta_max", "omega_max"],
+    {
+        "pre": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _TWIN_LIMITS},
+        "fault": {"f": ["omega", "(Pm - 0.5*omega)/M"], "h": _TWIN_LIMITS},
+        "post": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _TWIN_LIMITS},
+    },
+)
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13])
+def test_stage_dot_equals_the_stacked_matmul(width):
+    # A lone lane sums its stages with ndarray.dot on a (7, m) buffer, a
+    # batch with one np.matmul over its (K, 7, m) stages.  Both are BLAS
+    # products, which may fuse multiply-adds; they must round alike.
+    rng = np.random.default_rng(width)
+    size = (40, 7, width)
+    k = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size=size)
+    lone = np.empty((7, width))
+    rows = [(integrator._A[i], i + 1) for i in range(6)] + [(integrator._E, 7)]
+    for row, stages in rows:
+        batch = np.matmul(row, k[:, :stages])
+        for a in range(len(k)):
+            lone[...] = k[a]
+            assert np.array_equal(row.dot(lone[:stages]), batch[a]), (stages, a)
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
+def test_lone_step_equals_the_batch_rows(system):
+    rhs = system.phases[Phase.POST_FAULT].f
+
+    def lanes_rhs(z, q):
+        return rhs(z.T, q).T
+
+    rng = np.random.default_rng(11)
+    k = np.empty((7, 2))
+    firsts = [k[: i + 1] for i in range(6)]
+    for lanes in range(2, 41):
+        y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2))
+        h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
+        f = lanes_rhs(y, _P0)
+        batch = integrator._dp_step(lanes_rhs, _P0, y, f, h[:, None])
+        for a in range(lanes):
+            lone = integrator._lone_dp_step(rhs, _P0, y[a], f[a], float(h[a]), k, firsts)
+            for got, want in zip(lone, batch):
+                assert np.array_equal(got, want[a]), (lanes, a)
+
+
 # Finite floats of every size: zeros, subnormals and values near 1e+-300
 # are drawn on purpose besides hypothesis's own.
 _ANY_FLOAT = st.one_of(
@@ -681,6 +737,7 @@ _ANY_FLOAT = st.one_of(
 _TOLS = st.sampled_from([(1e-10, 1e-8), (1e-12, 1e-10), (1e-6, 1e-3), (1.0, 0.0)])
 
 
+@pytest.mark.bit_identity
 @settings(max_examples=400, deadline=None)
 @given(st.data(), st.integers(1, 13), _TOLS)
 def test_lone_error_norm_equals_the_batch_row(data, width, tols):
@@ -743,6 +800,7 @@ def _chain(width):
     )
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("width", [7, 8])
 def test_lanes_equal_their_one_lane_runs_on_both_sides_of_the_float_sum(width):
     # Seven states sum a lone lane's error norm on floats, eight take

@@ -336,6 +336,7 @@ def test_expression_system_evaluates_column_batches():
     assert isinstance(dyn.constraints[1].value(xs[:, 1], p), float)
 
 
+@pytest.mark.bit_identity
 def test_machine_field_evaluates_column_batches():
     # One state, evaluated on floats, equals its column of the batch bit
     # for bit.
@@ -353,6 +354,7 @@ def test_machine_field_evaluates_column_batches():
     assert all(m.shape == xs.shape[1:] for m in margins)
 
 
+@pytest.mark.bit_identity
 @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 10.0, 1e3, 1e8])
 def test_math_sin_equals_numpy_sin(scale):
     # One machine state takes math.sin and a column batch np.sin; lanes
@@ -381,6 +383,51 @@ _BENCH_TWIN = system_from_expressions(
 def _expression_phases(f, h=None):
     block = {"f": f, "h": h or {}}
     return {ph: block for ph in ("pre", "fault", "post")}
+
+
+# Its one-state code holds numpy.power (from **), sqrt, exp and abs (from
+# Abs), and sign in the derivatives of Abs.
+_FLOAT_CASE = system_from_expressions(
+    ["x1", "x2"], ["a", "b"],
+    _expression_phases(
+        ["x2*sqrt(1 + x1**2)", "-a*x1**3 - b*exp(-x2**2)*Abs(x1)"],
+        {"bowl": "a - x1**2*exp(x2/4) - sqrt(2 + x2**2)", "cap": "Abs(b)*(1 + x1*x2) - x2**3/3"},
+    ),
+)
+
+
+def _one_state_calls(dyn):
+    calls = [dyn.f, dyn.jac_x, dyn.jac_p]
+    for c in dyn.constraints:
+        calls += [c.value, c.grad_x, c.hess_xx, c.hess_xp]
+    return calls
+
+
+@pytest.mark.bit_identity
+def test_one_state_on_floats_equals_the_column_batch():
+    # One state goes to the generated code as Python floats, a column
+    # batch as arrays: every entry must round alike.
+    dyn = _FLOAT_CASE.phases[Phase.POST_FAULT]
+    p = np.array([1.3, -0.7])
+    xs = np.random.default_rng(23).uniform(-3.0, 3.0, size=(2, 500))
+    for g in _one_state_calls(dyn):
+        batch = np.asarray(g(xs, p))
+        for k in range(xs.shape[1]):
+            assert np.array_equal(g(xs[:, k], p), batch[..., k])
+
+
+def test_division_by_zero_at_one_state_gives_the_batch_column():
+    # Python floats raise where numpy divides by zero; such a state is
+    # evaluated on numpy scalars and gives inf or nan as the batch does.
+    phases = _expression_phases(["a/x1", "x2/x1 - x1/x2"], {"m": "a - x2/x1"})
+    dyn = system_from_expressions(["x1", "x2"], ["a"], phases).phases[Phase.POST_FAULT]
+    p = np.array([1.0])
+    xs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for g in _one_state_calls(dyn):
+            batch = np.asarray(g(xs, p))
+            for k in range(xs.shape[1]):
+                assert np.array_equal(g(xs[:, k], p), batch[..., k], equal_nan=True)
 
 
 # (system, parameter vectors, the bound expected at each).  The disk
