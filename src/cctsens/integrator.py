@@ -27,30 +27,32 @@ Three kinds of events can be watched while integrating:
 
 One engine runs K starts ("lanes") in lockstep: every iteration takes
 one Dormand-Prince step of every live lane with its own step size, and
-each lane keeps its own time, step control, events and end.  A lane's
-arithmetic does not depend on the others (its stage sums are the same
-vector-matrix products whatever K is), so each lane's end, step count
-and events equal its one-lane run's, bit for bit.  ``integrate_lanes``
-returns only where each lane ended (a ``LaneEnd``); ``integrate`` is the
-one-lane run and also keeps its accepted points.  A lane whose state
-goes non-finite or whose step underflows stops with that error; the
-other lanes run on.
+each lane keeps its own time, step control, events and end.
+``integrate_lanes`` returns only where each lane ended (a ``LaneEnd``);
+``integrate`` is the one-lane run and also keeps its accepted points.
+A lane whose state goes non-finite or whose step underflows stops with
+that error; the other lanes run on.
 
-An iteration with one live lane (a one-lane run, or a batch down to its
-last lane) steps that lane as one state (``_lone_dp_step``) on a stage
-buffer of shape (7, m) made once per run, with the views of its first
-i stages built once: each stage sum is the BLAS product ``.dot`` of a
-tableau row with such a view, which rounds as the batch's stacked
-np.matmul does, and is scaled by h and added to y in place.  The lane
-does its bookkeeping on Python floats: finiteness, error norm and step
-control, with margins, field norm and SEP distance on its 1-D arrays.
-Each elementwise IEEE operation rounds the same on a float as in
-numpy, and np.add.reduce sums a row of fewer than 8 entries left to
-right (from 8 on it keeps eight partial sums; in 20,000 random rows per
-length, 0 rows differ at 1-7 entries and thousands at 8-13), so the
-error norm of a state of up to 7 components is summed on floats and a
-longer one by numpy.  Norms stay BLAS dot products, which may fuse
-multiply-adds.  The lone lane thus takes the same values as in a batch.
+A lone lane (a one-lane run, or the last live lane of a batch) steps
+on Python lists of floats (``_float_step``), calling the field through
+its one-state float entry ``on_floats`` when it has one.  A batch holds
+its lanes as the columns of (m, K) arrays and its stages stage-major,
+shape (7, m, K) (``_dp_step``).  Both sum in one explicit order:
+
+* each stage sum is ((a0 k0 + a1 k1) + ...) h + y, on floats per
+  component and as ``np.add.reduce`` over the at most seven stage rows
+  in a batch, which numpy adds in order;
+* error norms, field norms and SEP distances add the squares of the
+  components left to right, on floats and row by row in a batch (a
+  reduce over eight or more components would sum them pairwise in some
+  layouts and lane counts).
+
+Every other operation is one elementwise IEEE operation, which rounds
+the same on a float as in numpy, and step control is on floats for
+every lane.  So each lane's end, step count and events equal its
+one-lane run's, bit for bit, because of IEEE arithmetic and not of a
+BLAS build.  The field's float entry and its column batch must round
+alike (``model`` evaluates both with the same operations).
 
 ``integrate_with_sensitivities`` integrates the variational equations
 
@@ -89,23 +91,21 @@ __all__ = [
 
 # Dormand-Prince 5(4) tableau (the field is autonomous, so no nodes).
 _A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 # Fifth-order weights equal the last A row (FSAL); the seventh stage is
-# the derivative at the accepted point.
-_B = _A[5]
-# Difference between the fifth- and fourth-order weights.
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-
-# Stage i, and the stages before i, of a lane-major stage array
-# (prebuilt: an index tuple written out is parsed anew on every use).
-_STAGE = tuple((slice(None), i) for i in range(7))
-_FIRST = tuple((slice(None), slice(None, i)) for i in range(8))
+# the derivative at the accepted point.  _E is the difference between
+# the fifth- and fourth-order weights.
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# The same rows as (i, 1, 1) columns, which weight the first i stages of
+# a stage-major (7, m, K) batch.
+_A_COLS = tuple(np.array(row)[:, None, None] for row in _A)
+_E_COL = np.array(_E)[:, None, None]
 
 _MAX_EVENT_BISECTIONS = 60
 # Time resolution of crossing roots and field-norm minima.
@@ -120,9 +120,8 @@ _HERMITE_SLOPE_WEIGHT = 4.0 / 27.0
 # covers the rounding of the interpolant and the field (about 1e-16
 # relative each) many times over.
 _FLOOR_MARGIN = 1e-9
-# Length from which np.add.reduce sums a row in eight interleaved partial
-# sums instead of left to right.
-_PAIRWISE_MIN = 8
+# A step shorter than this, relative to max(1, |t|), has underflowed.
+_MIN_STEP = 4e-14
 
 
 @dataclass(frozen=True)
@@ -259,8 +258,7 @@ def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> np.ndarray:
     and d = (s^3 - s^2) h for s = (t - t0) / h: the products and sums,
     in their order, of the same expression over whole arrays, at a
     fraction of its cost for a short state.  The ends y0, f0, y1, f1 are
-    lists of floats, which a caller that interpolates one piece many
-    times builds once.
+    sequences of floats, as the engine keeps its accepted points.
     """
     h = t1 - t0
     s = (t - t0) / h
@@ -275,36 +273,55 @@ def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> np.ndarray:
     )
 
 
-def _rms_rows(v: np.ndarray) -> list[float]:
-    """Root mean square of each row.
+def _norm(v) -> float:
+    """Euclidean norm of a sequence of floats, its squares added left to right."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total)
 
-    ``np.add.reduce`` over a row divided by its length is what
-    ``np.mean`` computes for that row alone, so a lane's value does not
-    depend on the other lanes.
-    """
-    return np.sqrt(np.add.reduce(np.square(v), axis=1) / float(v.shape[1])).tolist()
+
+def _distance(y, target) -> float:
+    """``_norm`` of y - target over the components of target."""
+    return _norm([a - b for a, b in zip(y, target)])
 
 
 def _lone_error_norm(y, y_new, err, abs_tol: float, rel_tol: float) -> Optional[float]:
     """Error norm of one lane's step, or None when y_new or err is not finite.
 
-    The value is what ``_rms_rows`` gives the lane's row of scaled errors
-    err / (abs_tol + rel_tol max(|y|, |y_new|)).  Each scaled error and
-    its square are the same IEEE operation on a float as in numpy, and a
-    row shorter than ``_PAIRWISE_MIN`` is summed left to right by
-    ``np.add.reduce``, so such a row is summed on floats; a longer one
-    takes ``_rms_rows``.
+    The root mean square of err / (abs_tol + rel_tol max(|y|, |y_new|)),
+    its squares added left to right on floats: ``_rms_lanes`` of the
+    lane's column in a batch, bit for bit.
     """
-    new, e = y_new.tolist(), err.tolist()
-    if not (all(map(math.isfinite, new)) and all(map(math.isfinite, e))):
+    if not (all(map(math.isfinite, y_new)) and all(map(math.isfinite, err))):
         return None
-    if len(e) >= _PAIRWISE_MIN:
-        return _rms_rows((err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))[None])[0]
     total = 0.0
-    for e_i, a, b in zip(e, y.tolist(), new):
-        q = e_i / (abs_tol + rel_tol * max(abs(a), abs(b)))
+    for e, a, b in zip(err, y, y_new):
+        q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
         total += q * q
-    return math.sqrt(total / len(e))
+    return math.sqrt(total / len(err))
+
+
+def _row_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of the rows of v, added one at a time in order.
+
+    ``np.add.reduce`` over eight or more rows sums them pairwise in some
+    memory layouts and lane counts (an (8, 1) column, a C-ordered row).
+    """
+    total = v[0]
+    for row in v[1:]:
+        total = total + row
+    return total
+
+
+def _rms_lanes(v: np.ndarray) -> list[float]:
+    """Root mean square of each lane (column) of an (m, K) batch."""
+    return np.sqrt(_row_sum(v * v) / len(v)).tolist()
+
+
+def _norm_lanes(v: np.ndarray) -> list[float]:
+    """Euclidean norm of each lane (column) of an (m, K) batch, as ``_norm``."""
+    return np.sqrt(_row_sum(v * v)).tolist()
 
 
 def _all_finite(v: np.ndarray) -> bool:
@@ -312,35 +329,32 @@ def _all_finite(v: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(v)) == v.size
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D array, equal to ``np.linalg.norm``.
-
-    Both take the BLAS dot product ``v.dot(v)``, the cheapest call to it.
-    """
-    return math.sqrt(v.dot(v))
-
-
-def _norm_rows(v: np.ndarray) -> list[float]:
-    """Euclidean norm of each row, equal to ``_norm`` of that row.
-
-    Both are the same BLAS dot product, which may fuse multiply-adds, so
-    a norm is never summed on floats.
-    """
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])).ravel().tolist()
+def _error_norms(y, y_new, err, abs_tol: float, rel_tol: float) -> list:
+    """``_lone_error_norm`` of every lane of an (m, K) batch."""
+    if _all_finite(y_new) and _all_finite(err):
+        return _rms_lanes(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
+    ok = np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0)
+    norms = [None] * len(ok)
+    sub = np.flatnonzero(ok)
+    if sub.size:
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y[:, sub]), np.abs(y_new[:, sub]))
+        for a, e in zip(sub.tolist(), _rms_lanes(err[:, sub] / scale)):
+            norms[a] = e
+    return norms
 
 
 def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> list[float]:
-    """First step size of each lane (Hairer, Norsett & Wanner's estimate)."""
+    """First step size of each lane of an (m, K) batch (Hairer, Norsett & Wanner's estimate)."""
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d0 = _rms_rows(y0 / scale)
-    d1 = _rms_rows(f0 / scale)
+    d0 = _rms_lanes(y0 / scale)
+    d1 = _rms_lanes(f0 / scale)
     h0 = [
         min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b, t_span)
         for a, b in zip(d0, d1)
     ]
-    f1 = field(y0 + np.array(h0)[:, None] * f0)
+    f1 = field(y0 + np.array(h0) * f0)
     steps = []
-    for a, b, r, h in zip(d0, d1, _rms_rows((f1 - f0) / scale), h0):
+    for a, b, r, h in zip(d0, d1, _rms_lanes((f1 - f0) / scale), h0):
         # h is 0 when the scaled field overflows; the lane then stops on
         # step underflow.
         d = max(b, r / h if h else math.inf)
@@ -349,52 +363,64 @@ def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> li
     return steps
 
 
-def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h):
+def _float_step(field, ps: list, y: list, f0: list, h: float):
+    """One Dormand-Prince step of one state on floats; returns (y_new, f_new, err).
+
+    ``field(xs, ps)`` maps a list of floats to its derivative as a list.  Each
+    stage sum is written out per component as ((a0 k0 + a1 k1) + ...)
+    h + y, and the error as (e0 k0 + ... + e6 k6) h: the products and
+    sums, in their order, that ``_dp_step`` takes over a batch.
+    """
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54), (
+        b0, b1, b2, b3, b4, b5,
+    ) = _A
+    e0, e1, e2, e3, e4, e5, e6 = _E
+    k0 = f0
+    k1 = field([a10 * u0 * h + v for u0, v in zip(k0, y)], ps)
+    k2 = field([(a20 * u0 + a21 * u1) * h + v for u0, u1, v in zip(k0, k1, y)], ps)
+    k3 = field([
+        (a30 * u0 + a31 * u1 + a32 * u2) * h + v for u0, u1, u2, v in zip(k0, k1, k2, y)
+    ], ps)
+    k4 = field([
+        (a40 * u0 + a41 * u1 + a42 * u2 + a43 * u3) * h + v
+        for u0, u1, u2, u3, v in zip(k0, k1, k2, k3, y)
+    ], ps)
+    k5 = field([
+        (a50 * u0 + a51 * u1 + a52 * u2 + a53 * u3 + a54 * u4) * h + v
+        for u0, u1, u2, u3, u4, v in zip(k0, k1, k2, k3, k4, y)
+    ], ps)
+    y_new = [
+        (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4 * u4 + b5 * u5) * h + v
+        for u0, u1, u2, u3, u4, u5, v in zip(k0, k1, k2, k3, k4, k5, y)
+    ]
+    k6 = field(y_new, ps)
+    err = [
+        (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6) * h
+        for u0, u1, u2, u3, u4, u5, u6 in zip(k0, k1, k2, k3, k4, k5, k6)
+    ]
+    return y_new, k6, err
+
+
+def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h: np.ndarray):
     """One Dormand-Prince step of K lanes; returns (y_new, f_new, error_vector).
 
-    ``y`` and ``f0`` are lane-major states of shape (K, m) and ``h`` the
-    (K, 1) column of step sizes; ``rhs(y, p)`` takes states of that
-    shape.  The stages are stored lane-major, shape (K, 7, m), so each
-    lane's weighted sums are the vector-matrix products of a lone state.
+    ``y`` and ``f0`` are column batches of shape (m, K), ``h`` the (K,)
+    step sizes, and ``rhs(y, p)`` takes a column batch.  The stages are
+    stage-major, shape (7, m, K), so each stage sum is np.add.reduce over
+    at most seven rows, which numpy adds in order: the sums of
+    ``_float_step``, lane by lane.
     """
-    k = np.empty(y.shape[:-1] + (7, y.shape[-1]))
-    k[_STAGE[0]] = f0
-    for i in range(5):
-        k[_STAGE[i + 1]] = rhs(y + h * np.matmul(_A[i], k[_FIRST[i + 1]]), p)
-    y_new = y + h * np.matmul(_B, k[_FIRST[6]])
-    k[_STAGE[6]] = rhs(y_new, p)
-    # f_new is copied out so that storing it does not keep every stage alive.
-    return y_new, k[_STAGE[6]].copy(), h * np.matmul(_E, k)
-
-
-def _lone_dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h: float, k: np.ndarray, firsts):
-    """``_dp_step`` of one state of shape (m,) on its stage buffer ``k``.
-
-    ``k`` has shape (7, m) and ``firsts[i]`` is its view ``k[:i + 1]``,
-    both made once per run.  Each stage sum is the BLAS product
-    ``_A[i].dot(firsts[i])``, which rounds as the batch's stacked
-    np.matmul does (a test checks that), scaled by h and added to y in
-    place: h s and y + s are single IEEE operations either way round.
-    """
+    k = np.empty((7,) + y.shape)
     k[0] = f0
     for i in range(5):
-        s = _A[i].dot(firsts[i])
-        s *= h
-        s += y
-        k[i + 1] = rhs(s, p)
-    y_new = _B.dot(firsts[5])
-    y_new *= h
-    y_new += y
+        k[i + 1] = rhs(np.add.reduce(_A_COLS[i] * k[: i + 1], axis=0) * h + y, p)
+    y_new = np.add.reduce(_A_COLS[5] * k[:6], axis=0) * h + y
     k[6] = rhs(y_new, p)
-    err = _E.dot(k)
-    err *= h
-    return y_new, k[6].copy(), err
+    return y_new, k[6], np.add.reduce(_E_COL * k, axis=0) * h
 
 
 def _refine_crossing(margin, tol, t0, y0, f0, t1, y1, f1):
     """Bisect the root of one margin, positive at t0, inside one accepted step."""
-    # The ends as lists of floats, once for every midpoint.
-    y0, f0, y1, f1 = y0.tolist(), f0.tolist(), y1.tolist(), f1.tolist()
     lo, hi = t0, t1
     for _ in range(_MAX_EVENT_BISECTIONS):
         if hi - lo <= tol:
@@ -439,7 +465,7 @@ def _excursion(window, n_state: int) -> float:
     """
     (t_a, y_a, _, n_a), (t_b, y_b, _, n_b), (t_c, y_c, _, n_c) = window
     return max(
-        _norm(y_o[:n_state] - y_b[:n_state])
+        _distance(y_o[:n_state], y_b[:n_state])
         + _HERMITE_SLOPE_WEIGHT * h * (n_b + n_o)
         for y_o, n_o, h in ((y_a, n_a, t_b - t_a), (y_c, n_c, t_c - t_b))
     )
@@ -454,7 +480,7 @@ def _norm_floor(window, jac_x, lip: float, p: np.ndarray, n_state: int) -> float
     """
     _, (_, y_b, _, n_b), _ = window
     d = _excursion(window, n_state)
-    jac = np.asarray(jac_x(y_b[:n_state], p), dtype=float)
+    jac = np.asarray(jac_x(np.array(y_b[:n_state], dtype=float), p), dtype=float)
     return n_b - math.sqrt(float(np.sum(jac * jac))) * d - 0.5 * lip * d * d
 
 
@@ -462,15 +488,331 @@ def _window_state(window, t_q: float) -> np.ndarray:
     """Interpolated state at t_q inside a window of accepted points."""
     for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
         if ta <= t_q <= tb:
-            return _hermite(t_q, ta, ya.tolist(), fa.tolist(), tb, yb.tolist(), fb.tolist())
+            return _hermite(t_q, ta, ya, fa, tb, yb, fb)
     raise AssertionError("query left the interpolation window")
+
+
+def _float_field(rhs, p: np.ndarray):
+    """The field at one state on floats: ``(field, ps)`` with field(xs, ps) a list.
+
+    The field's one-state float entry ``rhs.on_floats(xs, ps)`` is used,
+    with ps the parameters as floats, when it has one; a field without
+    it (the augmented field of the variational equations, or a wrapper
+    around a model's field) takes its array call at p.
+    """
+    on_floats = getattr(rhs, "on_floats", None)
+    if on_floats is None:
+        return (lambda xs, ps: rhs(np.array(xs), p).tolist()), None
+    return on_floats, p.tolist()
+
+
+class _Lane:
+    """One lane: its clock, step control, last accepted point and events.
+
+    The point is kept as lists of floats ``y`` and ``f`` with the field
+    norm ``norm`` there; ``prev`` is the accepted point before it, as
+    (t, y, f, norm), or None at the start.
+    """
+
+    __slots__ = ("index", "t", "h", "rejected", "nonfinite", "steps", "y", "f", "norm",
+                 "prev", "events")
+
+    def __init__(self, index: int, y: list, f: list, norm) -> None:
+        self.index = index
+        self.t = 0.0
+        self.h = 0.0
+        self.rejected = self.nonfinite = False
+        self.steps = 0
+        self.y, self.f, self.norm = y, f, norm
+        self.prev = None
+        self.events: list[Event] = []
+
+    def failure(self) -> Optional[Exception]:
+        """The error that stops the lane when its next step underflows, else None."""
+        if self.h >= _MIN_STEP * max(1.0, abs(self.t)):
+            return None
+        if self.nonfinite:
+            return NumericalBlowup(f"state became non-finite near t = {self.t:.6g}")
+        return StiffnessFailure(f"step size underflowed to {self.h:.3e} at t = {self.t:.6g}")
+
+    def control(self, e: Optional[float], max_step: float, t_end: float) -> Optional[float]:
+        """Step control after a step of error norm e (None: not finite).
+
+        Returns the step's end time when it is accepted, else None.  The
+        next step size is capped at ``max_step`` and at the horizon, from
+        that end time or, after a rejection, from the lane's time.
+        """
+        t = self.t
+        if e is None:
+            self.nonfinite = self.rejected = True
+            self.h = min(self.h * 0.25, max_step, t_end - t)
+            return None
+        if e > 1.0:
+            self.nonfinite = False
+            self.rejected = True
+            self.h = min(self.h * max(0.2, 0.9 * e ** -0.2), max_step, t_end - t)
+            return None
+        factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+        if self.rejected:
+            factor = min(factor, 1.0)
+        self.rejected = self.nonfinite = False
+        t1 = t + self.h
+        self.h = min(self.h * factor, max_step, t_end - t1)
+        return t1
+
+
+class _Run:
+    """What the lanes of one run share, and the events every lane watches.
+
+    ``start`` and ``end_step`` handle a lane at its start and at each
+    accepted step on lists of floats, lone or in lockstep alike; the
+    results go to ``out``, one LaneEnd or error per lane.
+    """
+
+    def __init__(self, rhs, p, opts: IntegrationOptions, n_state: int,
+                 events: Optional[EventConfig], norm_bound, n_lanes: int) -> None:
+        events = events if events is not None else EventConfig()
+        self.rhs, self.p, self.n = rhs, p, n_state
+        self.field, self.ps = _float_field(rhs, p)
+        self.t_end, self.max_step = opts.t_max, opts.max_step
+        self.abs_tol, self.rel_tol = opts.abs_tol, opts.rel_tol
+        self.constraints = events.constraints
+        self.sep = None if events.sep_target is None else np.asarray(events.sep_target, dtype=float)
+        self.sep_floats = None if self.sep is None else self.sep.tolist()
+        self.sep_radius = events.sep_radius
+        self.min_threshold = events.norm_min_threshold
+        self.stop_at_min = events.stop_at_min
+        self.locate = events.locate_crossings
+        self.watch_norm = self.sep is not None or self.min_threshold is not None
+        self.norm_bound = norm_bound
+        self.out: list = [None] * n_lanes
+
+    def lone_margins(self, y: list) -> list:
+        """Margins at one state, one per constraint."""
+        if not self.constraints:
+            return []
+        x = np.array(y[: self.n])
+        return [c.value(x, self.p) for c in self.constraints]
+
+    def lane_margins(self, y: np.ndarray) -> list:
+        """Margins of each lane of an (m, K) batch, one tuple per lane."""
+        if not self.constraints:
+            return [()] * y.shape[1]
+        x = y[: self.n]
+        return list(zip(*(c.value(x, self.p).tolist() for c in self.constraints)))
+
+    def record(self, lane: _Lane, t_ev: float, kind: EventKind, y_ev, info: dict) -> None:
+        lane.events.append(Event(t_ev, kind, np.array(y_ev[: self.n], dtype=float), info))
+
+    def finish(self, lane: _Lane) -> None:
+        ordered = sorted(lane.events, key=lambda ev: ev.time)
+        self.out[lane.index] = LaneEnd(lane.t, np.array(lane.y, dtype=float), lane.steps,
+                                       tuple(ordered))
+
+    def start(self, index: int, y: list, f: list, vals) -> Optional[_Lane]:
+        """The lane starting at (y, f) with margins vals, or None if its start ends it.
+
+        A non-finite field fails the lane.  A start on or outside the
+        boundary (a hit of the most violated constraint) or inside the
+        SEP ball ends the run there, with no step taken.
+        """
+        n = self.n
+        if not all(map(math.isfinite, f)):
+            self.out[index] = NumericalBlowup(
+                f"vector field is not finite at the initial state {np.array(y[:n])}"
+            )
+            return None
+        lane = _Lane(index, y, f, _norm(f[:n]) if self.watch_norm else None)
+        if vals:
+            k = vals.index(min(vals))
+            if vals[k] <= 0.0:
+                self.record(lane, 0.0, EventKind.CONSTRAINT_CROSSING, y,
+                            {"constraint": self.constraints[k].name})
+                self.finish(lane)
+                return None
+        if self.sep is not None and _distance(y, self.sep_floats) <= self.sep_radius:
+            self.record(lane, 0.0, EventKind.CONVERGED_TO_SEP, y, {"distance": 0.0})
+            self.finish(lane)
+            return None
+        return lane
+
+    def end_step(self, lane: _Lane, t1: float, y1: list, f1: list, norm, dist, vals) -> bool:
+        """Watch the lane's accepted step to (t1, y1, f1) and move the lane there.
+
+        ``norm`` is the field norm at y1 (None unless watched), ``dist``
+        its distance from the SEP target (None without one) and ``vals``
+        its margins.  Returns True when the step ends the lane: a
+        crossing, a recorded minimum that ``stop_at_min`` stops at,
+        entry into the SEP ball, or the horizon.
+        """
+        n, p, field, ps = self.n, self.p, self.field, self.ps
+        terminal = False
+        crossed = [k for k, v in enumerate(vals) if v <= 0.0]
+        if crossed:
+            if self.locate:
+                # Each margin that went non-positive is bisected on its
+                # own; the earliest root decides, and the step ends there.
+                roots = {
+                    k: _refine_crossing(
+                        lambda y_q, c=self.constraints[k]: c.value(y_q[:n], p),
+                        _EVENT_REFINE_TOL, lane.t, lane.y, lane.f, t1, y1, f1,
+                    )
+                    for k in crossed
+                }
+                k = min(roots, key=lambda j: roots[j][0])
+                t1, y_root = roots[k]
+                y1 = y_root.tolist()
+                f1 = field(y1, ps)
+                if self.watch_norm:
+                    norm = _norm(f1[:n])
+            else:
+                # The step end decides, as a start does: the most
+                # violated margin names the crossing.
+                k = min(crossed, key=lambda j: vals[j])
+            self.record(lane, t1, EventKind.CONSTRAINT_CROSSING, y1,
+                        {"constraint": self.constraints[k].name})
+            terminal = True
+
+        prev = lane.prev
+        if (
+            self.min_threshold is not None and prev is not None
+            and lane.norm < prev[3] and lane.norm < norm
+        ):
+            # A discrete minimum of the field norm at the lane's point.
+            window = (prev, (lane.t, lane.y, lane.f, lane.norm), (t1, y1, f1, norm))
+            if (
+                self.norm_bound is None
+                or _norm_floor(window, *self.norm_bound, p, n)
+                <= self.min_threshold + _FLOOR_MARGIN * (1.0 + lane.norm)
+            ):
+                t_star, v_star = _refine_norm_min(
+                    lambda t_q: _norm(field(_window_state(window, t_q).tolist(), ps)[:n]),
+                    prev[0], t1, _EVENT_REFINE_TOL,
+                )
+                if v_star <= self.min_threshold:
+                    self.record(lane, t_star, EventKind.FIELD_NORM_LOCAL_MIN,
+                                _window_state(window, t_star), {"f_norm": v_star})
+                    if (
+                        self.stop_at_min is not None and not terminal
+                        and self.stop_at_min(lane.events[-1].state,
+                                             np.array(y1[:n], dtype=float))
+                    ):
+                        terminal = True
+
+        if self.sep is not None and not terminal:
+            if dist <= self.sep_radius and norm < lane.norm:
+                self.record(lane, t1, EventKind.CONVERGED_TO_SEP, y1, {"distance": dist})
+                terminal = True
+
+        lane.prev = (lane.t, lane.y, lane.f, lane.norm)
+        lane.t, lane.y, lane.f, lane.norm = t1, y1, f1, norm
+        lane.steps += 1
+        return terminal or t1 >= self.t_end
+
+
+def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
+    """Step one lane alone on lists of floats until it ends or fails.
+
+    ``rows``, when given, collects each accepted point (t, y, f).
+    """
+    field, ps, n = run.field, run.ps, run.n
+    max_step, t_end = run.max_step, run.t_end
+    abs_tol, rel_tol = run.abs_tol, run.rel_tol
+    sep, watch_norm = run.sep_floats, run.watch_norm
+    while True:
+        failure = lane.failure()
+        if failure is not None:
+            run.out[lane.index] = failure
+            return
+        y_new, f_new, err = _float_step(field, ps, lane.y, lane.f, lane.h)
+        t1 = lane.control(_lone_error_norm(lane.y, y_new, err, abs_tol, rel_tol), max_step, t_end)
+        if t1 is None:
+            continue
+        ended = run.end_step(
+            lane, t1, y_new, f_new,
+            _norm(f_new[:n]) if watch_norm else None,
+            _distance(y_new, sep) if sep is not None else None,
+            run.lone_margins(y_new),
+        )
+        if rows is not None:
+            rows.append((lane.t, lane.y, lane.f))
+        if ended:
+            run.finish(lane)
+            return
+
+
+def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Optional[_Lane]:
+    """Step the lanes, the columns of (m, K) batches y and f, in lockstep.
+
+    Runs while two or more lanes live; returns the last live lane, if
+    any, for ``_step_lone`` to finish.
+    """
+    n, rhs, p = run.n, run.rhs, run.p
+    max_step, t_end = run.max_step, run.t_end
+    abs_tol, rel_tol = run.abs_tol, run.rel_tol
+    sep = None if run.sep is None else run.sep[:, None]
+    # A lane whose step crosses no limit, enters no SEP ball, ends before
+    # the horizon and leaves no discrete field-norm minimum just moves on,
+    # as ``end_step`` would move it; ``end_step`` watches every other lane.
+    minima, radius = run.min_threshold is not None, run.sep_radius
+    while len(lanes) > 1:
+        h = np.array([lane.h for lane in lanes])
+        short = h < _MIN_STEP * np.maximum(1.0, np.abs([lane.t for lane in lanes]))
+        if short.any():
+            for a in np.flatnonzero(short).tolist():
+                run.out[lanes[a].index] = lanes[a].failure()
+            live = np.flatnonzero(~short).tolist()
+            lanes, y, f = [lanes[a] for a in live], y[:, live], f[:, live]
+            continue
+
+        y_new, f_new, err = _dp_step(rhs, p, y, f, h)
+        acc, t_acc = [], []
+        for a, (lane, e) in enumerate(zip(lanes, _error_norms(y, y_new, err, abs_tol, rel_tol))):
+            t1 = lane.control(e, max_step, t_end)
+            if t1 is not None:
+                acc.append(a)
+                t_acc.append(t1)
+        if not acc:
+            continue
+
+        full = len(acc) == len(lanes)
+        ys = y_new if full else y_new[:, acc]
+        fs = f_new if full else f_new[:, acc]
+        count = len(acc)
+        norms = _norm_lanes(fs[:n]) if run.watch_norm else [None] * count
+        dists = _norm_lanes(ys[:n] - sep) if sep is not None else [None] * count
+        ended = set()
+        for a, t1, y1, f1, norm, dist, vals in zip(
+            acc, t_acc, ys.T.tolist(), fs.T.tolist(), norms, dists, run.lane_margins(ys)
+        ):
+            lane = lanes[a]
+            prev = lane.prev
+            if (
+                t1 < t_end and (not vals or min(vals) > 0.0)
+                and (dist is None or dist > radius)
+                and not (minima and prev is not None and lane.norm < prev[3] and lane.norm < norm)
+            ):
+                lane.prev = (lane.t, lane.y, lane.f, lane.norm)
+                lane.t, lane.y, lane.f, lane.norm = t1, y1, f1, norm
+                lane.steps += 1
+            elif run.end_step(lane, t1, y1, f1, norm, dist, vals):
+                run.finish(lane)
+                ended.add(a)
+        if full:
+            y, f = ys, fs
+        else:
+            y[:, acc], f[:, acc] = ys, fs
+        if ended:
+            keep = [a for a in range(len(lanes)) if a not in ended]
+            lanes, y, f = [lanes[a] for a in keep], y[:, keep], f[:, keep]
+    return lanes[0] if lanes else None
 
 
 def _engine(
     rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
     events: Optional[EventConfig], p: np.ndarray, norm_bound=None, rows=None,
 ) -> list:
-    """Lockstep adaptive loop over the rows (lanes) of ``y0``.
+    """Adaptive loop over the rows (lanes) of ``y0``, in lockstep.
 
     ``rhs(y, p)`` maps a state of shape (m,) to its derivative, and a
     column batch of shape (m, K) to shape (m, K); ``p`` also goes to the
@@ -484,260 +826,41 @@ def _engine(
     so every result stays the same bit for bit.  Returns one LaneEnd per
     lane, or the NumericalBlowup or StiffnessFailure that stopped it.
     ``rows``, given only to a one-lane run, is a list that collects the
-    lane's accepted points (t, y, f), its start included.  An iteration
-    with one live lane steps it with ``_lone_dp_step`` on one stage
-    buffer, made once per run.
+    lane's accepted points (t, y, f), its start included.
     """
-    y = np.array(y0, dtype=float)
-    n_lanes = len(y)
-    t_end, max_step = opts.t_max, opts.max_step
-    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
-    constraints = events.constraints if events is not None else ()
-    sep = events.sep_target if events is not None else None
-    min_threshold = events.norm_min_threshold if events is not None else None
-    stop_at_min = events.stop_at_min if events is not None else None
-    locate = events.locate_crossings if events is not None else True
-    watch_norm = sep is not None or min_threshold is not None
-
-    def lanes_rhs(z, q):
-        return rhs(z.T, q).T
-
-    def field(z):
-        # A lone lane is evaluated as one state, which is cheaper than a
-        # batch of one.
-        return rhs(z[0], p)[None] if len(z) == 1 else lanes_rhs(z, p)
-
-    def margins(z):
-        # One list of lane margins per constraint; a lone lane may come as
-        # a list of its one state.
-        if len(z) == 1:
-            x = z[0][:n_state]
-            return [[c.value(x, p)] for c in constraints]
-        x = z[:, :n_state].T
-        return [c.value(x, p).tolist() for c in constraints]
-
-    out: list = [None] * n_lanes
-    lane_events: list[list[Event]] = [[] for _ in range(n_lanes)]
-
-    def record(lane: int, t_ev: float, kind: EventKind, y_ev: np.ndarray, info: dict) -> None:
-        lane_events[lane].append(Event(t_ev, kind, y_ev[:n_state].copy(), info))
-
-    def finish(lane: int, t_ev: float, y_ev: np.ndarray, n_steps: int) -> None:
-        ordered = sorted(lane_events[lane], key=lambda ev: ev.time)
-        out[lane] = LaneEnd(t_ev, y_ev.copy(), n_steps, tuple(ordered))
-
-    f = field(y)
-    if rows is not None:
-        rows.append((0.0, y[0], f[0]))
-
-    ids = list(range(n_lanes))
-    if not _all_finite(f):
-        ok = np.isfinite(f).all(axis=1)
-        for j in np.flatnonzero(~ok).tolist():
-            out[j] = NumericalBlowup(
-                f"vector field is not finite at the initial state {y[j, :n_state]}"
-            )
-        ids = np.flatnonzero(ok).tolist()
-        y, f = y[ids], f[ids]
-
-    # A run ends at its start on or outside the boundary (as a hit of the
-    # most violated constraint) or inside the SEP ball, and takes no step.
-    done = set()
-    if constraints and ids:
-        vals = margins(y)
-        for a, j in enumerate(ids):
-            lane_vals = [v[a] for v in vals]
-            k = lane_vals.index(min(lane_vals))
-            if lane_vals[k] <= 0.0:
-                record(j, 0.0, EventKind.CONSTRAINT_CROSSING, y[a],
-                       {"constraint": constraints[k].name})
-                done.add(a)
-    norm_prev = _norm_rows(f[:, :n_state]) if watch_norm and ids else [None] * len(ids)
-    if sep is not None and ids:
-        for a, dist in enumerate(_norm_rows(y[:, :n_state] - sep)):
-            if a not in done and dist <= events.sep_radius:
-                record(ids[a], 0.0, EventKind.CONVERGED_TO_SEP, y[a], {"distance": 0.0})
-                done.add(a)
-    for a in done:
-        finish(ids[a], 0.0, y[a], 0)
-    if done:
-        keep = [a for a in range(len(ids)) if a not in done]
-        ids, norm_prev = [ids[a] for a in keep], [norm_prev[a] for a in keep]
-        y, f = y[keep], f[keep]
-        done = set()
-
-    L = len(ids)
-    t = [0.0] * L
-    h = _initial_steps(field, y, f, opts, t_end) if L else []
-    just_rejected = [False] * L
-    nonfinite_reject = [False] * L
-    steps = [0] * L
-    # Rolling window of each lane's last accepted points for minima detection.
-    windows = [[(0.0, y[a], f[a], norm_prev[a])] if min_threshold is not None else None
-               for a in range(L)]
-    # The stage buffer of a lone lane and the views of its first i + 1 stages.
-    stages = np.empty((7, y.shape[1]))
-    firsts = [stages[: i + 1] for i in range(6)]
-
-    while ids:
-        for a in range(len(ids)):
-            if a in done:
-                continue
-            h[a] = min(h[a], max_step, t_end - t[a])
-            if h[a] < 4e-14 * max(1.0, abs(t[a])):
-                if nonfinite_reject[a]:
-                    err = NumericalBlowup(f"state became non-finite near t = {t[a]:.6g}")
-                else:
-                    err = StiffnessFailure(f"step size underflowed to {h[a]:.3e} at t = {t[a]:.6g}")
-                out[ids[a]] = err
-                done.add(a)
-        if done:
-            # Drop the lanes that ended or failed.
-            keep = [a for a in range(len(ids)) if a not in done]
-            ids, t, h, just_rejected, nonfinite_reject, steps, norm_prev, windows = (
-                [col[a] for a in keep]
-                for col in (ids, t, h, just_rejected, nonfinite_reject, steps, norm_prev, windows)
-            )
-            done = set()
-            if not ids:
-                break
-            y, f = y[keep], f[keep]
-        L = len(ids)
-
-        if L == 1:
-            # A lone lane steps as one state and keeps its bookkeeping on
-            # floats and 1-D arrays: the same operations, without numpy's
-            # overhead on a batch of one.  Its y and f are then lists of
-            # that one state.
-            y_new, f_new, err = _lone_dp_step(rhs, p, y[0], f[0], h[0], stages, firsts)
-            e = _lone_error_norm(y[0], y_new, err, abs_tol, rel_tol)
-            finite, err_norm = (None, [e]) if e is not None else ([False], [math.inf])
-        else:
-            y_new, f_new, err = _dp_step(lanes_rhs, p, y, f, np.array(h)[:, None])
-            if _all_finite(y_new) and _all_finite(err):
-                finite = None
-                err_norm = _rms_rows(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
-            else:
-                mask = np.isfinite(y_new).all(axis=1) & np.isfinite(err).all(axis=1)
-                finite = mask.tolist()
-                err_norm = [math.inf] * L
-                sub = np.flatnonzero(mask)
-                if sub.size:
-                    scale = abs_tol + rel_tol * np.maximum(np.abs(y[sub]), np.abs(y_new[sub]))
-                    for a, e in zip(sub.tolist(), _rms_rows(err[sub] / scale)):
-                        err_norm[a] = e
-
-        acc = []
-        t_step = []
-        for a in range(L):
-            if finite is not None and not finite[a]:
-                nonfinite_reject[a] = True
-                just_rejected[a] = True
-                h[a] *= 0.25
-                continue
-            e = err_norm[a]
-            if e > 1.0:
-                nonfinite_reject[a] = False
-                just_rejected[a] = True
-                h[a] *= max(0.2, 0.9 * e ** -0.2)
-                continue
-            factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
-            if just_rejected[a]:
-                factor = min(factor, 1.0)
-            just_rejected[a] = False
-            nonfinite_reject[a] = False
-            acc.append(a)
-            t_step.append(t[a] + h[a])
-            h[a] *= factor
-        if not acc:
-            continue
-
-        full = len(acc) == L
-        if L == 1:
-            ys, fs = [y_new], [f_new]
-            norms = [_norm(f_new[:n_state])] if watch_norm else [None]
-            dists = [_norm(y_new[:n_state] - sep)] if sep is not None else None
-        else:
-            ys = y_new if full else y_new[acc]
-            fs = f_new if full else f_new[acc]
-            norms = _norm_rows(fs[:, :n_state]) if watch_norm else [None] * len(acc)
-            dists = _norm_rows(ys[:, :n_state] - sep) if sep is not None else None
-        vals = margins(ys) if constraints else ()
-        for i, a in enumerate(acc):
-            lane = ids[a]
-            t1 = t_step[i]
-            terminal = False
-            crossed = [k for k, v in enumerate(vals) if v[i] <= 0.0]
-            if crossed:
-                if locate:
-                    # Each margin that went non-positive is bisected on its
-                    # own; the earliest root decides, and the step ends there.
-                    roots = {
-                        k: _refine_crossing(
-                            lambda y_q, c=constraints[k]: c.value(y_q[:n_state], p),
-                            _EVENT_REFINE_TOL, t[a], y[a], f[a], t1, ys[i], fs[i],
-                        )
-                        for k in crossed
-                    }
-                    k = min(roots, key=lambda j: roots[j][0])
-                    t1, ys[i] = roots[k]
-                    fs[i] = rhs(ys[i], p)
-                    if watch_norm:
-                        norms[i] = _norm(fs[i][:n_state])
-                else:
-                    # The step end decides, as a start does: the most
-                    # violated margin names the crossing.
-                    k = min(crossed, key=lambda j: vals[j][i])
-                record(lane, t1, EventKind.CONSTRAINT_CROSSING, ys[i],
-                       {"constraint": constraints[k].name})
-                terminal = True
-
-            if min_threshold is not None:
-                window = windows[a]
-                window.append((t1, ys[i], fs[i], norms[i]))
-                if len(window) > 3:
-                    window.pop(0)
-                if len(window) == 3:
-                    (t_a, _, _, n_a), (_, _, _, n_b), (t_c, _, _, n_c) = window
-                    if n_b < n_a and n_b < n_c and (
-                        norm_bound is None
-                        or _norm_floor(window, *norm_bound, p, n_state)
-                        <= min_threshold + _FLOOR_MARGIN * (1.0 + n_b)
-                    ):
-                        t_star, v_star = _refine_norm_min(
-                            lambda t_q: _norm(rhs(_window_state(window, t_q), p)[:n_state]),
-                            t_a, t_c, _EVENT_REFINE_TOL,
-                        )
-                        if v_star <= min_threshold:
-                            record(lane, t_star, EventKind.FIELD_NORM_LOCAL_MIN,
-                                   _window_state(window, t_star), {"f_norm": v_star})
-                            if (
-                                stop_at_min is not None and not terminal
-                                and stop_at_min(lane_events[lane][-1].state, ys[i][:n_state])
-                            ):
-                                terminal = True
-
-            if sep is not None and not terminal:
-                if dists[i] <= events.sep_radius and norms[i] < norm_prev[a]:
-                    record(lane, t1, EventKind.CONVERGED_TO_SEP, ys[i], {"distance": dists[i]})
-                    terminal = True
-
-            t[a] = t1
-            steps[a] += 1
-            norm_prev[a] = norms[i]
-            if terminal or t1 >= t_end:
-                finish(lane, t1, ys[i], steps[a])
-                done.add(a)
-
+    y0 = np.asarray(y0, dtype=float)
+    run = _Run(rhs, p, opts, n_state, events, norm_bound, len(y0))
+    if len(y0) == 1:
+        y = y0[0].tolist()
+        f = run.field(y, run.ps)
         if rows is not None:
-            rows.append((t[0], ys[0], fs[0]))
-        if full:
-            y, f = ys, fs
-        else:
-            y, f = y.copy(), f.copy()
-            y[acc], f[acc] = ys, fs
+            rows.append((0.0, y, f))
+        lane = run.start(0, y, f, run.lone_margins(y))
+        if lane is not None:
+            # The batch estimate on the lane as one column, its field on floats.
+            (lane.h,) = _initial_steps(
+                lambda z: np.array(run.field(z[:, 0].tolist(), run.ps))[:, None],
+                np.array(y)[:, None], np.array(f)[:, None], opts, opts.t_max,
+            )
+            _step_lone(run, lane, rows)
+        return run.out
 
-    return out
+    y = np.ascontiguousarray(y0.T)
+    f = rhs(y, p)
+    lanes, cols = [], []
+    for j, (y_j, f_j, vals) in enumerate(zip(y.T.tolist(), f.T.tolist(), run.lane_margins(y))):
+        lane = run.start(j, y_j, f_j, vals)
+        if lane is not None:
+            lanes.append(lane)
+            cols.append(j)
+    if lanes:
+        y, f = y[:, cols], f[:, cols]
+        for lane, h in zip(lanes, _initial_steps(lambda z: rhs(z, p), y, f, opts, opts.t_max)):
+            lane.h = h
+        last = _step_lockstep(run, lanes, y, f)
+        if last is not None:
+            _step_lone(run, last, None)
+    return run.out
 
 
 def _stack(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

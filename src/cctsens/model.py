@@ -414,15 +414,19 @@ _SMIB_PARAM_NAMES = ("Pm", "M", "delta_max", "omega_max")
 def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
 
+    def on_floats(xs: list, ps: list) -> list:
+        # One state on floats: the same IEEE operations in the same order
+        # as a column batch, and math.sin rounds as np.sin does (a test
+        # re-checks that), at a fraction of numpy's per-scalar cost.
+        angle, speed = xs
+        return [speed, (ps[0] - b * math.sin(angle) - d * speed) / ps[1]]
+
     def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
-            # One state on floats: the same IEEE operations in the same
-            # order, and math.sin rounds as np.sin does (a test re-checks
-            # that), at a fraction of numpy's per-scalar cost.
-            angle, speed = x.tolist()
-            pm, inertia = p.tolist()[:2]
-            return np.array([speed, (pm - b * math.sin(angle) - d * speed) / inertia])
+            return np.array(on_floats(x.tolist(), p.tolist()))
         return np.array([x[1], (p[0] - b * np.sin(x[0]) - d * x[1]) / p[1]])
+
+    f.on_floats = on_floats
 
     def jac_x(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.array(
@@ -528,7 +532,7 @@ def _on_floats(fn, x, p):
     try:
         return fn(xs, ps)
     except ZeroDivisionError:
-        return fn(x, p)
+        return fn(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
 
 
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
@@ -539,10 +543,18 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     column batch of shape (n, K).  Otherwise it is a matrix and g
     returns a float array of ``shape``, or ``shape + (K,)`` for a batch;
     constant entries are broadcast over the batch.  One state is
-    evaluated on floats (``_on_floats``).
+    evaluated on floats (``_on_floats``); a vector's g also has the
+    one-state float entry ``g.on_floats(xs, ps)``, lists of floats in
+    and out, which the integrator steps a lone lane with.
+
+    DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
+    Hessian, is taken as 0: its value wherever the expression is twice
+    differentiable.  numpy has no such function.
     """
     import sympy as sp
 
+    if expr.has(sp.DiracDelta):
+        expr = expr.replace(sp.DiracDelta, lambda *args: sp.S.Zero)
     if shape is None:
         fn = sp.lambdify(args, expr, modules="numpy", printer=_power_printer())
 
@@ -564,6 +576,8 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
         entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
         return np.array(entries, dtype=float).reshape(shape + lanes)
 
+    if flat:
+        matrix.on_floats = lambda xs, ps: list(map(float, _on_floats(fn, xs, ps)))
     return matrix
 
 

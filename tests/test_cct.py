@@ -937,10 +937,11 @@ class TestBatchedBisection:
         # A late path point falls in the clearing-feasibility band: the
         # batch must report it as the first unstable verdict, as the
         # one-lane loop does.
-        result = compute_cct(*_BATCH_CASES["defect1"][0])
+        args = _BATCH_CASES["defect1"][0]
+        result = compute_cct(*args)
         assert result.mode is InstabilityMode.POST_FAULT_CROSSING
         assert result.T == 0.0 and result.iterations == 14
-        assert result.t_cl == 0.9209495218760333
+        assert result.t_cl == _plain_cct(*args).t_cl
 
     def test_iteration_cap_raises_as_the_one_lane_loop(self):
         system, p, _ = _BATCH_CASES["speed-1e-2"][0]

@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from cctsens import NoEquilibriumFound, SmibParams, compute_cct, smib_system
-from cctsens.cli import load_config, main
+from cctsens import CctOptions, NoEquilibriumFound, SmibParams, compute_cct, smib_system
+from cctsens.cli import build_system, load_config, main
+from cctsens.validate import fd_cct_slope
 
 _D = 0.5
 
@@ -439,6 +440,43 @@ class TestExpressionSystems:
         exact = -(0.1 / _D) * math.log(1.0 - _D * 0.7 / 0.65)
         assert doc["mode"] == 1
         assert doc["t_cl"] == pytest.approx(exact, rel=1e-6)
+
+    def test_sens_with_an_abs_margin(self, tmp_path):
+        # The bench's swing twin with its speed limit on |omega|: the
+        # margin's Hessian holds DiracDelta(omega), which numpy cannot
+        # evaluate, yet a speed-limit graze reads that Hessian.
+        limits = {"angle_limit": "delta_max - delta", "speed_limit": "omega_max - Abs(omega)"}
+        swing = ["omega", "(Pm - sin(delta) - 0.5*omega)/M"]
+        system = {
+            "kind": "expressions",
+            "state": ["delta", "omega"],
+            "params": ["Pm", "M", "delta_max", "omega_max"],
+            "phases": {
+                "pre": {"f": swing, "h": limits},
+                "fault": {"f": ["omega", "(Pm - 0.5*omega)/M"], "h": limits},
+                "post": {"f": swing, "h": limits},
+            },
+            "p0": [0.5, 0.3, 50.0, 1.2],
+        }
+        path = write_config(tmp_path, {
+            "system": system, "sens_params": system["params"],
+            "tolerances": {"bisection_tol": 1e-4},
+        })
+        out = tmp_path / "out"
+        assert main(["sens", "--config", str(path), "--out", str(out)]) == 0
+        _, header, rows = read_csv(out / "sensitivity.csv")
+        table = {row.split(",")[0]: dict(zip(header, row.split(","))) for row in rows}
+        assert {r["mode"] for r in table.values()} == {"2"}
+        cfg = load_config(path)
+        built, fd_opts = build_system(cfg), CctOptions(bisection_tol=1e-6)
+        for k, name in enumerate(system["params"]):
+            slope = float(table[name]["dtcl_dp"])
+            fd = fd_cct_slope(built, cfg.p0, k, eps=1e-3, opts=fd_opts)
+            if fd == 0.0:
+                # An inactive limit: compare absolutely, as A5 does.
+                assert abs(slope) <= 5e-3, name
+            else:
+                assert abs(slope - fd) <= 0.05 * abs(fd), name
 
     def test_p0_length_checked(self, tmp_path):
         path = write_config(tmp_path, {"system": {

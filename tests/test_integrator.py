@@ -686,44 +686,62 @@ _BENCH_TWIN = system_from_expressions(
 )
 
 
+def _replaying(stages, lane=None):
+    """A field that returns the given stages in turn and records its inputs.
+
+    ``stages`` has shape (7, m, K); the field hands out stages 1 to 6 as
+    a column batch, or as lists of floats of one ``lane``.
+    """
+    calls = []
+
+    def field(x, *_):
+        calls.append(np.array(x, dtype=float))
+        k = stages[len(calls)]
+        return k if lane is None else k[:, lane].tolist()
+
+    return field, calls
+
+
 @pytest.mark.bit_identity
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13])
-def test_stage_dot_equals_the_stacked_matmul(width):
-    # A lone lane sums its stages with ndarray.dot on a (7, m) buffer, a
-    # batch with one np.matmul over its (K, 7, m) stages.  Both are BLAS
-    # products, which may fuse multiply-adds; they must round alike.
+def test_float_stage_sums_equal_the_stage_major_reduce(width):
+    # Stages of random sign and of sizes 1e-3 to 1e3: every stage state,
+    # end state and error vector that _float_step sums on floats equals
+    # its lane's column of _dp_step's stage-major batch.
     rng = np.random.default_rng(width)
-    size = (40, 7, width)
+    lanes = 40
+    size = (7, width, lanes)
     k = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size=size)
-    lone = np.empty((7, width))
-    rows = [(integrator._A[i], i + 1) for i in range(6)] + [(integrator._E, 7)]
-    for row, stages in rows:
-        batch = np.matmul(row, k[:, :stages])
-        for a in range(len(k)):
-            lone[...] = k[a]
-            assert np.array_equal(row.dot(lone[:stages]), batch[a]), (stages, a)
+    y = rng.normal(size=(width, lanes))
+    h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
+    batch_field, batch_calls = _replaying(k)
+    batch = integrator._dp_step(batch_field, _P0, y, k[0], h)
+    for a in range(lanes):
+        field, calls = _replaying(k, a)
+        lone = integrator._float_step(field, None, y[:, a].tolist(), k[0][:, a].tolist(), float(h[a]))
+        for got, want in zip(calls, batch_calls):
+            assert np.array_equal(got, want[:, a]), a
+        for got, want in zip(lone, batch):
+            assert np.array_equal(got, want[:, a]), a
 
 
 @pytest.mark.bit_identity
 @pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
 def test_lone_step_equals_the_batch_rows(system):
+    # The float kernel on the field's one-state float entry equals every
+    # lane of the stage-major batch on its column batches.
     rhs = system.phases[Phase.POST_FAULT].f
-
-    def lanes_rhs(z, q):
-        return rhs(z.T, q).T
-
+    field, ps = integrator._float_field(rhs, _P0)
     rng = np.random.default_rng(11)
-    k = np.empty((7, 2))
-    firsts = [k[: i + 1] for i in range(6)]
-    for lanes in range(2, 41):
-        y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2))
+    for lanes in (1, 3, 64):
+        y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2)).T.copy()
         h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
-        f = lanes_rhs(y, _P0)
-        batch = integrator._dp_step(lanes_rhs, _P0, y, f, h[:, None])
+        f = rhs(y, _P0)
+        batch = integrator._dp_step(rhs, _P0, y, f, h)
         for a in range(lanes):
-            lone = integrator._lone_dp_step(rhs, _P0, y[a], f[a], float(h[a]), k, firsts)
+            lone = integrator._float_step(field, ps, y[:, a].tolist(), f[:, a].tolist(), float(h[a]))
             for got, want in zip(lone, batch):
-                assert np.array_equal(got, want[a]), (lanes, a)
+                assert np.array_equal(got, want[:, a]), (lanes, a)
 
 
 # Finite floats of every size: zeros, subnormals and values near 1e+-300
@@ -741,8 +759,8 @@ _TOLS = st.sampled_from([(1e-10, 1e-8), (1e-12, 1e-10), (1e-6, 1e-3), (1.0, 0.0)
 @settings(max_examples=400, deadline=None)
 @given(st.data(), st.integers(1, 13), _TOLS)
 def test_lone_error_norm_equals_the_batch_row(data, width, tols):
-    # Three lanes' (y, y_new, err) rows of one width: each lane's norm on
-    # its own equals its row of the batch's _rms_rows, bit for bit.
+    # Three lanes' (y, y_new, err) of one width: each lane's norm on its
+    # own equals its column of the batch's _error_norms, bit for bit.
     abs_tol, rel_tol = tols
     y, y_new, err = (
         np.array(data.draw(st.lists(st.lists(_ANY_FLOAT, min_size=width, max_size=width),
@@ -750,21 +768,38 @@ def test_lone_error_norm_equals_the_batch_row(data, width, tols):
         for _ in range(3)
     )
     with np.errstate(over="ignore"):
-        batch = integrator._rms_rows(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
+        batch = integrator._error_norms(y.T, y_new.T, err.T, abs_tol, rel_tol)
         for a in range(3):
             lone = integrator._lone_error_norm(y[a], y_new[a], err[a], abs_tol, rel_tol)
             assert lone == batch[a]
 
 
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("width", [1, 7, 8, 13])
+@pytest.mark.parametrize("lanes", [1, 2, 3, 64])
+def test_lane_norms_equal_the_float_norms(width, lanes):
+    # Each lane's norm and root mean square in a batch equal those of
+    # the lane on its own, summed left to right on floats, in either
+    # memory layout of the batch.
+    v = np.random.default_rng(width * lanes).normal(size=(width, lanes))
+    for batch in (v, np.asfortranarray(v)):
+        norms, rms = integrator._norm_lanes(batch), integrator._rms_lanes(batch)
+        for a, column in enumerate(v.T.tolist()):
+            assert norms[a] == integrator._norm(column)
+            assert rms[a] == integrator._lone_error_norm([0.0] * width, [0.0] * width, column, 1.0, 0.0)
+
+
 @pytest.mark.parametrize("width", range(1, 14))
 def test_lone_error_norm_sums_on_floats_below_eight_entries(monkeypatch, width):
+    # A lone lane's error norm is summed on floats at every width: the
+    # batch sums its rows left to right too, eight or more of them alike.
     calls = []
-    rms_rows = integrator._rms_rows
-    monkeypatch.setattr(integrator, "_rms_rows", lambda v: calls.append(v.shape) or rms_rows(v))
+    rms_lanes = integrator._rms_lanes
+    monkeypatch.setattr(integrator, "_rms_lanes", lambda v: calls.append(v.shape) or rms_lanes(v))
     rng = np.random.default_rng(width)
-    y, y_new, err = rng.normal(size=(3, width))
+    y, y_new, err = rng.normal(size=(3, width)).tolist()
     integrator._lone_error_norm(y, y_new, err, 1e-10, 1e-8)
-    assert calls == ([] if width < 8 else [(1, width)])
+    assert calls == []
 
 
 def test_lone_error_norm_is_none_when_not_finite():
@@ -803,9 +838,10 @@ def _chain(width):
 @pytest.mark.bit_identity
 @pytest.mark.parametrize("width", [7, 8])
 def test_lanes_equal_their_one_lane_runs_on_both_sides_of_the_float_sum(width):
-    # Seven states sum a lone lane's error norm on floats, eight take
-    # numpy.  In each batch of three, one lane outlives the other two and
-    # finishes alone, so the run switches to the lone-lane step mid-run.
+    # From eight states on, numpy would sum a reduce over the states
+    # pairwise in some layouts.  In each batch of three, one lane outlives
+    # the other two and finishes alone, so the run switches to the
+    # lone-lane step mid-run.
     system = _chain(width)
     p = np.array([0.3, 1.0])
     ev = EventConfig(
@@ -842,6 +878,56 @@ def test_lanes_equal_their_one_lane_runs_on_both_sides_of_the_float_sum(width):
                     if name == "blowup" else (StiffnessFailure, "underflowed")
                 )
                 assert type(lone) is error and says in str(lone)
+
+
+def _swing_chain(machines):
+    """``machines`` swing machines in a chain, each coupled to its neighbours by c.
+
+    Every angle at asin(Pm) with every speed 0 is an equilibrium; the
+    first machine's angle is limited by dmax.
+    """
+    states, f = [], []
+    for j in range(machines):
+        coupling = "".join(f" - c*sin(d{j} - d{i})" for i in (j - 1, j + 1) if 0 <= i < machines)
+        states += [f"d{j}", f"w{j}"]
+        f += [f"w{j}", f"(Pm - sin(d{j}){coupling} - 0.5*w{j})/M"]
+    return system_from_expressions(
+        states, ["Pm", "M", "c", "dmax"],
+        {ph: {"f": f, "h": {"angle_limit": "dmax - d0"}} for ph in ("pre", "fault", "post")},
+    )
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lanes_equal_their_one_lane_runs_on_eight_states(lanes):
+    # Four machines, eight states: numpy sums a reduce over eight or more
+    # states pairwise in some layouts and lane counts, so every sum over
+    # the states must be taken in one order.
+    system = _swing_chain(4)
+    p = np.array([0.5, 0.2, 0.5, 2.0])
+    sep = np.tile([math.asin(0.5), 0.0], 4)
+    ev = EventConfig(
+        constraints=system.phases[Phase.POST_FAULT].constraints,
+        sep_target=sep, sep_radius=0.05, norm_min_threshold=0.05,
+    )
+    starts = [sep.copy() for _ in range(3)]
+    starts[0][1] = 8.0   # the first machine swings past its angle limit
+    starts[1][3] = 0.5   # the second settles into the SEP ball
+    starts[2][5] = 4.0   # the third is still swinging at the horizon
+    # Every component off its equilibrium value, so no sum over the
+    # states is exact.
+    starts = np.array(starts[:lanes]) + np.random.default_rng(8).normal(scale=0.01, size=(lanes, 8))
+    opts = IntegrationOptions(t_max=3.0)
+    ends = integrate_lanes(system, Phase.POST_FAULT, starts, p, opts, ev)
+    singles = _one_lane_runs(system, starts, p, opts, ev)
+    for k, (lane, single) in enumerate(zip(ends, singles)):
+        assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
+    kinds = [[e.kind for e in end.events] for end in ends]
+    assert kinds[0][-1] is EventKind.CONSTRAINT_CROSSING
+    if lanes > 1:
+        assert kinds[1] == [EventKind.CONVERGED_TO_SEP]
+    if lanes > 2:
+        assert ends[2].final_time == opts.t_max > max(end.final_time for end in ends[:2])
 
 
 def test_lane_memory_does_not_grow_with_the_horizon():
