@@ -34,10 +34,13 @@ A lane whose state goes non-finite or whose step underflows stops with
 that error; the other lanes run on.
 
 A lone lane (a one-lane run, or the last live lane of a batch) steps
-on Python lists of floats (``_float_step``), calling the field through
-its one-state float entry ``on_floats`` when it has one.  A batch holds
-its lanes as the columns of (m, K) arrays and its stages stage-major,
-shape (7, m, K) (``_dp_step``).  Both sum in one explicit order:
+on Python lists of floats (``_float_step``) through one straight-line
+function per state width, generated once from ``_A`` and ``_E`` with
+every component a local and every weight an exact literal.  It calls
+the field, and reads the margins, through their one-state float
+entries ``on_floats`` when they have them.  A batch holds its lanes as
+the columns of (m, K) arrays and its stages stage-major, shape
+(7, m, K) (``_dp_step``).  Both sum in one explicit order:
 
 * each stage sum is ((a0 k0 + a1 k1) + ...) h + y, on floats per
   component and as ``np.add.reduce`` over the at most seven stage rows
@@ -60,7 +63,11 @@ alike (``model`` evaluates both with the same operations).
     Phi_p' = (df/dx) Phi_p + df/dp,   Phi_p(0) = 0
 
 as one augmented system, so the state and both sensitivity blocks share
-a single step-size control.
+a single step-size control.  Its field is generated once per (n,
+n_params) and runs on floats, on the float entries of the phase's field
+and Jacobians (or their array calls where it has none); each entry of
+J Phi_x and J Phi_p + J_p is summed left to right.  No matrix product
+is taken, so no result here depends on a BLAS build.
 """
 
 from __future__ import annotations
@@ -122,6 +129,8 @@ _HERMITE_SLOPE_WEIGHT = 4.0 / 27.0
 _FLOOR_MARGIN = 1e-9
 # A step shorter than this, relative to max(1, |t|), has underflowed.
 _MIN_STEP = 4e-14
+# Straight-line float code, one function per kind and width (``_generated``).
+_GENERATED: dict = {}
 
 
 @dataclass(frozen=True)
@@ -363,42 +372,97 @@ def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> li
     return steps
 
 
+def _generated(make_source, *widths):
+    """The function that ``make_source(*widths)`` defines, made once per widths.
+
+    Each source defines one function, named ``generated``.
+    """
+    key = (make_source, widths)
+    fn = _GENERATED.get(key)
+    if fn is None:
+        scope: dict = {}
+        exec(compile(make_source(*widths), f"<{make_source.__name__}{widths}>", "exec"), scope)
+        fn = _GENERATED[key] = scope["generated"]
+    return fn
+
+
+def _names(prefix: str, count: int) -> str:
+    return ", ".join(f"{prefix}{j}" for j in range(count))
+
+
+def _grid(prefix: str, rows: int, cols: int) -> str:
+    return ", ".join(f"{prefix}{i}_{j}" for i in range(rows) for j in range(cols))
+
+
+def _weighted(weights, stage_names, j: int) -> str:
+    """((w0 k0_j + w1 k1_j) + ...) as source, the weights as exact literals."""
+    return " + ".join(f"{w!r}*{k}{j}" for w, k in zip(weights, stage_names))
+
+
+def _step_source(m: int) -> str:
+    """Source of the Dormand-Prince step of a state of m components on floats.
+
+    Each component is a local, and every weight of ``_A`` and ``_E`` is
+    kept, zeros included: 0.0 k is not 0 when k is inf or NaN, and the
+    batch's reduce adds it too.
+    """
+    k = [f"k{i}_" for i in range(7)]
+    lines = [
+        "def generated(field, ps, y, f0, h):",
+        f"    [{_names('y', m)}] = y",
+        f"    [{_names(k[0], m)}] = f0",
+    ]
+    for i, row in enumerate(_A[:5]):
+        args = ", ".join(f"({_weighted(row, k, j)})*h + y{j}" for j in range(m))
+        lines.append(f"    [{_names(k[i + 1], m)}] = field([{args}], ps)")
+    y_new = ", ".join(f"({_weighted(_A[5], k, j)})*h + y{j}" for j in range(m))
+    err = ", ".join(f"({_weighted(_E, k, j)})*h" for j in range(m))
+    lines += [
+        f"    y_new = [{y_new}]",
+        "    f_new = field(y_new, ps)",
+        f"    [{_names(k[6], m)}] = f_new",
+        f"    return y_new, f_new, [{err}]",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _float_step(field, ps: list, y: list, f0: list, h: float):
     """One Dormand-Prince step of one state on floats; returns (y_new, f_new, err).
 
-    ``field(xs, ps)`` maps a list of floats to its derivative as a list.  Each
-    stage sum is written out per component as ((a0 k0 + a1 k1) + ...)
-    h + y, and the error as (e0 k0 + ... + e6 k6) h: the products and
-    sums, in their order, that ``_dp_step`` takes over a batch.
+    ``field(xs, ps)`` maps a list of floats to its derivative as a list.
+    The step is one straight-line function per state width, generated
+    once (``_step_source``).  Each stage sum is written out per
+    component as ((a0 k0 + a1 k1) + ...) h + y, and the error as
+    (e0 k0 + ... + e6 k6) h: the products and sums, in their order, that
+    ``_dp_step`` takes over a batch.  ``_step_lone`` looks the function
+    up once per run.
     """
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), (a50, a51, a52, a53, a54), (
-        b0, b1, b2, b3, b4, b5,
-    ) = _A
-    e0, e1, e2, e3, e4, e5, e6 = _E
-    k0 = f0
-    k1 = field([a10 * u0 * h + v for u0, v in zip(k0, y)], ps)
-    k2 = field([(a20 * u0 + a21 * u1) * h + v for u0, u1, v in zip(k0, k1, y)], ps)
-    k3 = field([
-        (a30 * u0 + a31 * u1 + a32 * u2) * h + v for u0, u1, u2, v in zip(k0, k1, k2, y)
-    ], ps)
-    k4 = field([
-        (a40 * u0 + a41 * u1 + a42 * u2 + a43 * u3) * h + v
-        for u0, u1, u2, u3, v in zip(k0, k1, k2, k3, y)
-    ], ps)
-    k5 = field([
-        (a50 * u0 + a51 * u1 + a52 * u2 + a53 * u3 + a54 * u4) * h + v
-        for u0, u1, u2, u3, u4, v in zip(k0, k1, k2, k3, k4, y)
-    ], ps)
-    y_new = [
-        (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4 * u4 + b5 * u5) * h + v
-        for u0, u1, u2, u3, u4, u5, v in zip(k0, k1, k2, k3, k4, k5, y)
-    ]
-    k6 = field(y_new, ps)
-    err = [
-        (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6) * h
-        for u0, u1, u2, u3, u4, u5, u6 in zip(k0, k1, k2, k3, k4, k5, k6)
-    ]
-    return y_new, k6, err
+    return _generated(_step_source, len(y))(field, ps, y, f0, h)
+
+
+def _variational_source(n: int, n_p: int) -> str:
+    """Source of ``generated(f, jac_x, jac_p)``, the augmented field on floats.
+
+    It takes the float entries of a phase's field and Jacobians (the
+    Jacobians row-major and flat) and returns ``field(ys, ps)`` of
+    ys = [x, Phi_x, Phi_p], both blocks row-major.  Each entry of
+    J Phi_x and J Phi_p + J_p is summed left to right over k.
+    """
+    def product(i: int, phi: str, j: int) -> str:
+        return " + ".join(f"j{i}_{k}*{phi}{k}_{j}" for k in range(n))
+
+    entries = [product(i, "u", j) for i in range(n) for j in range(n)]
+    entries += [f"{product(i, 'v', j)} + q{i}_{j}" for i in range(n) for j in range(n_p)]
+    return "\n".join([
+        "def generated(f, jac_x, jac_p):",
+        "    def field(ys, ps):",
+        f"        xs = ys[:{n}]",
+        f"        [{_grid('j', n, n)}] = jac_x(xs, ps)",
+        f"        [{_grid('q', n, n_p)}] = jac_p(xs, ps)",
+        f"        [{_grid('u', n, n)}, {_grid('v', n, n_p)}] = ys[{n}:]",
+        f"        return f(xs, ps) + [{', '.join(entries)}]",
+        "    return field",
+    ]) + "\n"
 
 
 def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h: np.ndarray):
@@ -492,18 +556,18 @@ def _window_state(window, t_q: float) -> np.ndarray:
     raise AssertionError("query left the interpolation window")
 
 
-def _float_field(rhs, p: np.ndarray):
-    """The field at one state on floats: ``(field, ps)`` with field(xs, ps) a list.
+def _float_field(fn, p: np.ndarray):
+    """A field or Jacobian at one state on floats: fn(xs, ps) as a flat list.
 
-    The field's one-state float entry ``rhs.on_floats(xs, ps)`` is used,
-    with ps the parameters as floats, when it has one; a field without
-    it (the augmented field of the variational equations, or a wrapper
-    around a model's field) takes its array call at p.
+    xs and ps are the state and the parameters as lists of floats.  The
+    one-state float entry ``fn.on_floats`` is used when fn has one; a
+    callable without it (a wrapper around a model's callable) takes its
+    array call at p, a matrix flattened row-major.
     """
-    on_floats = getattr(rhs, "on_floats", None)
+    on_floats = getattr(fn, "on_floats", None)
     if on_floats is None:
-        return (lambda xs, ps: rhs(np.array(xs), p).tolist()), None
-    return on_floats, p.tolist()
+        return lambda xs, ps: np.asarray(fn(np.array(xs), p), dtype=float).ravel().tolist()
+    return on_floats
 
 
 class _Lane:
@@ -573,10 +637,12 @@ class _Run:
                  events: Optional[EventConfig], norm_bound, n_lanes: int) -> None:
         events = events if events is not None else EventConfig()
         self.rhs, self.p, self.n = rhs, p, n_state
-        self.field, self.ps = _float_field(rhs, p)
+        self.field, self.ps = _float_field(rhs, p), p.tolist()
         self.t_end, self.max_step = opts.t_max, opts.max_step
         self.abs_tol, self.rel_tol = opts.abs_tol, opts.rel_tol
         self.constraints = events.constraints
+        margins = [getattr(c.value, "on_floats", None) for c in self.constraints]
+        self.float_margins = None if None in margins else margins
         self.sep = None if events.sep_target is None else np.asarray(events.sep_target, dtype=float)
         self.sep_floats = None if self.sep is None else self.sep.tolist()
         self.sep_radius = events.sep_radius
@@ -588,9 +654,10 @@ class _Run:
         self.out: list = [None] * n_lanes
 
     def lone_margins(self, y: list) -> list:
-        """Margins at one state, one per constraint."""
-        if not self.constraints:
-            return []
+        """Margins at one state, one per constraint, on floats when each has a float entry."""
+        if self.float_margins is not None:
+            xs = y[: self.n]
+            return [value(xs, self.ps) for value in self.float_margins]
         x = np.array(y[: self.n])
         return [c.value(x, self.p) for c in self.constraints]
 
@@ -716,6 +783,7 @@ def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
     ``rows``, when given, collects each accepted point (t, y, f).
     """
     field, ps, n = run.field, run.ps, run.n
+    step = _generated(_step_source, len(lane.y))
     max_step, t_end = run.max_step, run.t_end
     abs_tol, rel_tol = run.abs_tol, run.rel_tol
     sep, watch_norm = run.sep_floats, run.watch_norm
@@ -724,7 +792,7 @@ def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
         if failure is not None:
             run.out[lane.index] = failure
             return
-        y_new, f_new, err = _float_step(field, ps, lane.y, lane.f, lane.h)
+        y_new, f_new, err = step(field, ps, lane.y, lane.f, lane.h)
         t1 = lane.control(_lone_error_norm(lane.y, y_new, err, abs_tol, rel_tol), max_step, t_end)
         if t1 is None:
             continue
@@ -940,21 +1008,15 @@ def integrate_with_sensitivities(
     n = system.n
     n_p = system.n_params
     nx = n * n
-
-    def rhs(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        x = y[:n]
-        phi_x = y[n : n + nx].reshape(n, n)
-        phi_p = y[n + nx :].reshape(n, n_p)
-        jx = dyn.jac_x(x, p)
-        out = np.empty_like(y)
-        out[:n] = dyn.f(x, p)
-        out[n : n + nx] = (jx @ phi_x).ravel()
-        out[n + nx :] = (jx @ phi_p + dyn.jac_p(x, p)).ravel()
-        return out
+    field = _generated(_variational_source, n, n_p)(
+        *(_float_field(fn, p) for fn in (dyn.f, dyn.jac_x, dyn.jac_p))
+    )
+    # The run has one lane, so the engine calls the field only on floats.
+    field.on_floats = field
 
     y0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n_p)])
     rows: list = []
-    (end,) = _engine(rhs, y0[None], opts, n, None, p, rows=rows)
+    (end,) = _engine(field, y0[None], opts, n, None, p, rows=rows)
     if isinstance(end, Exception):
         raise end
     times, states, derivs = _stack(rows)

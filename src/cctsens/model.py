@@ -102,6 +102,12 @@ class Constraint:
     ``grad_x``/``grad_p`` return the row of first derivatives.  The
     Hessian callables may be None: only the constraint that a mode-2
     result names needs second derivatives, for its graze conditions.
+
+    ``value`` may carry an optional one-state float entry,
+    ``value.on_floats(xs, ps) -> float``, with the state and parameters
+    as lists of floats; it must equal ``value`` at that state bit for
+    bit.  A lone lane whose constraints all have one reads its margins
+    through it.
     """
 
     name: str
@@ -126,6 +132,14 @@ class PhaseDynamics:
     ``smib_system`` codes it by hand; ``system_from_expressions`` builds
     it by interval arithmetic and leaves it None where that finds no
     bound.
+
+    ``f``, ``jac_x`` and ``jac_p`` may each carry an optional one-state
+    float entry ``on_floats(xs, ps)``: the state and parameters as lists
+    of floats in, a list of floats out (a Jacobian's entries row-major
+    and flat), equal bit for bit to the array call at that state.  A
+    lone lane steps through the field's, and the variational equations
+    run on all three.  A callable without one is called on arrays.
+    Both constructors attach them.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -428,16 +442,23 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
 
     f.on_floats = on_floats
 
+    # The Jacobians row-major and flat; the same code takes an array
+    # state or lists of floats.
+    def jac_x_flat(x, p) -> list:
+        return [0.0, 1.0, -b * math.cos(x[0]) / p[1], -d / p[1]]
+
+    def jac_p_flat(x, p) -> list:
+        f2 = (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]
+        return [0.0, 0.0, 0.0, 0.0, 1.0 / p[1], -f2 / p[1], 0.0, 0.0]
+
     def jac_x(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.array(
-            [[0.0, 1.0], [-b * math.cos(x[0]) / p[1], -d / p[1]]]
-        )
+        return np.array(jac_x_flat(x, p)).reshape(2, 2)
 
     def jac_p(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        f2 = (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]
-        return np.array(
-            [[0.0, 0.0, 0.0, 0.0], [1.0 / p[1], -f2 / p[1], 0.0, 0.0]]
-        )
+        return np.array(jac_p_flat(x, p)).reshape(2, 4)
+
+    jac_x.on_floats = jac_x_flat
+    jac_p.on_floats = jac_p_flat
 
     def jac_lipschitz(p: np.ndarray) -> float:
         # Only the entry -b cos(delta) / M varies, by at most |b| / M per
@@ -453,23 +474,29 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
 def _smib_constraints() -> tuple[Constraint, ...]:
     zero_xx = np.zeros((2, 2))
     zero_xp = np.zeros((2, 4))
-    angle = Constraint(
-        name="angle_limit",
-        value=lambda x, p: p[2] - x[0],
-        grad_x=lambda x, p: np.array([-1.0, 0.0]),
-        grad_p=lambda x, p: np.array([0.0, 0.0, 1.0, 0.0]),
-        hess_xx=lambda x, p: zero_xx,
-        hess_xp=lambda x, p: zero_xp,
-    )
-    speed = Constraint(
-        name="speed_limit",
-        value=lambda x, p: p[3] - x[1],
-        grad_x=lambda x, p: np.array([0.0, -1.0]),
-        grad_p=lambda x, p: np.array([0.0, 0.0, 0.0, 1.0]),
-        hess_xx=lambda x, p: zero_xx,
-        hess_xp=lambda x, p: zero_xp,
-    )
-    return (angle, speed)
+
+    def limit(name: str, j: int) -> Constraint:
+        # h = p[2 + j] - x[j], the limit on state j.
+        grad_x = [0.0, 0.0]
+        grad_x[j] = -1.0
+        grad_p = [0.0, 0.0, 0.0, 0.0]
+        grad_p[2 + j] = 1.0
+
+        def value(x, p):
+            return p[2 + j] - x[j]
+
+        # Lists of floats take the same subtraction as arrays.
+        value.on_floats = value
+        return Constraint(
+            name=name,
+            value=value,
+            grad_x=lambda x, p: np.array(grad_x),
+            grad_p=lambda x, p: np.array(grad_p),
+            hess_xx=lambda x, p: zero_xx,
+            hess_xp=lambda x, p: zero_xp,
+        )
+
+    return (limit("angle_limit", 0), limit("speed_limit", 1))
 
 
 def smib_system(params: SmibParams) -> ConstrainedSystem:
@@ -543,9 +570,10 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     column batch of shape (n, K).  Otherwise it is a matrix and g
     returns a float array of ``shape``, or ``shape + (K,)`` for a batch;
     constant entries are broadcast over the batch.  One state is
-    evaluated on floats (``_on_floats``); a vector's g also has the
-    one-state float entry ``g.on_floats(xs, ps)``, lists of floats in
-    and out, which the integrator steps a lone lane with.
+    evaluated on floats (``_on_floats``), and g also has the one-state
+    float entry ``g.on_floats(xs, ps)``: lists of floats in, and a float
+    out, or a matrix's entries row-major as a flat list of floats.  The
+    integrator steps a lone lane with those.
 
     DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
     Hessian, is taken as 0: its value wherever the expression is twice
@@ -563,6 +591,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
                 return float(_on_floats(fn, x, p))
             return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
 
+        scalar.on_floats = lambda xs, ps: float(_on_floats(fn, xs, ps))
         return scalar
     fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
     # The entries of a vector already come in its shape.
@@ -576,8 +605,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
         entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
         return np.array(entries, dtype=float).reshape(shape + lanes)
 
-    if flat:
-        matrix.on_floats = lambda xs, ps: list(map(float, _on_floats(fn, xs, ps)))
+    matrix.on_floats = lambda xs, ps: list(map(float, _on_floats(fn, xs, ps)))
     return matrix
 
 

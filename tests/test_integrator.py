@@ -703,17 +703,21 @@ def _replaying(stages, lane=None):
 
 
 @pytest.mark.bit_identity
-@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13])
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13, 14])
 def test_float_stage_sums_equal_the_stage_major_reduce(width):
     # Stages of random sign and of sizes 1e-3 to 1e3: every stage state,
     # end state and error vector that _float_step sums on floats equals
-    # its lane's column of _dp_step's stage-major batch.
+    # its lane's column of _dp_step's stage-major batch.  Width 14 is the
+    # machine model's variational system: 2 + 4 + 8 entries.  Every
+    # fourth lane has y = 0 and h = 1, so its stage states are the sums
+    # themselves: an ulp that ``* h + y`` would round away still shows.
     rng = np.random.default_rng(width)
     lanes = 40
     size = (7, width, lanes)
     k = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size=size)
     y = rng.normal(size=(width, lanes))
     h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
+    y[:, ::4], h[::4] = 0.0, 1.0
     batch_field, batch_calls = _replaying(k)
     batch = integrator._dp_step(batch_field, _P0, y, k[0], h)
     for a in range(lanes):
@@ -731,7 +735,7 @@ def test_lone_step_equals_the_batch_rows(system):
     # The float kernel on the field's one-state float entry equals every
     # lane of the stage-major batch on its column batches.
     rhs = system.phases[Phase.POST_FAULT].f
-    field, ps = integrator._float_field(rhs, _P0)
+    field, ps = integrator._float_field(rhs, _P0), _P0.tolist()
     rng = np.random.default_rng(11)
     for lanes in (1, 3, 64):
         y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2)).T.copy()
@@ -928,6 +932,52 @@ def test_lanes_equal_their_one_lane_runs_on_eight_states(lanes):
         assert kinds[1] == [EventKind.CONVERGED_TO_SEP]
     if lanes > 2:
         assert ends[2].final_time == opts.t_max > max(end.final_time for end in ends[:2])
+
+
+def _without_float_entries(system):
+    """The system with its field, Jacobians and margins wrapped in plain functions.
+
+    The wrappers have no ``on_floats`` entry, as the benchmark's counting
+    wrappers have none, so every one-state call goes through the arrays.
+    """
+    def plain(fn):
+        return lambda x, p: fn(x, p)
+
+    return replace(system, phases={
+        ph: replace(dyn, f=plain(dyn.f), jac_x=plain(dyn.jac_x), jac_p=plain(dyn.jac_p),
+                    constraints=tuple(replace(c, value=plain(c.value)) for c in dyn.constraints))
+        for ph, dyn in system.phases.items()
+    })
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("system, p, starts", [
+    (_SYS, _P0, [[0.52, 0.0], [1.2, 1.0]]),
+    (_BENCH_TWIN, _P0, [[0.52, 0.0], [1.2, 1.0]]),
+    (_swing_chain(4), np.array([0.5, 0.2, 0.5, 2.0]),
+     [np.tile([math.asin(0.5), 0.0], 4) + np.linspace(-0.3, 0.4, 8)]),
+], ids=["machine", "expressions", "eight-states"])
+def test_runs_do_not_depend_on_the_float_entries(system, p, starts):
+    # The variational equations run on the phase's float entries, or on
+    # its array calls when it has none, and so do a lone lane's field and
+    # margins.  Times, states, Phi_x, Phi_p and events agree bit for bit
+    # either way.
+    plain = _without_float_entries(system)
+    assert not hasattr(plain.phases[Phase.POST_FAULT].jac_x, "on_floats")
+    opts = IntegrationOptions(t_max=2.0)
+    for phase in (Phase.FAULT_ON, Phase.POST_FAULT):
+        ev = EventConfig(constraints=system.phases[phase].constraints)
+        ev_plain = EventConfig(constraints=plain.phases[phase].constraints)
+        for x0 in starts:
+            traj, bundle = integrate_with_sensitivities(system, phase, x0, p, opts)
+            traj_plain, bundle_plain = integrate_with_sensitivities(plain, phase, x0, p, opts)
+            assert len(traj.times) > 5
+            assert _same_run(traj, traj_plain)
+            for a, b in ((bundle.times, bundle_plain.times), (bundle.phi_x, bundle_plain.phi_x),
+                         (bundle.phi_p, bundle_plain.phi_p)):
+                assert a.tobytes() == b.tobytes()
+            assert _same_run(integrate(system, phase, x0, p, opts, ev),
+                             integrate(plain, phase, x0, p, opts, ev_plain))
 
 
 def test_lane_memory_does_not_grow_with_the_horizon():

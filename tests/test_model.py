@@ -416,6 +416,33 @@ def test_one_state_on_floats_equals_the_column_batch():
             assert np.array_equal(g(xs[:, k], p), batch[..., k])
 
 
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).ravel().tobytes()
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
+def test_float_entries_equal_the_array_calls(system):
+    # The one-state float entries that a lone lane and the variational
+    # equations run on equal the array calls, entry for entry and sign
+    # of zero included: the field, both Jacobians (row-major and flat)
+    # and every margin, in every phase.
+    rng = np.random.default_rng(2000)
+    xs = rng.uniform([-4.0, -8.0], [4.0, 8.0], size=(2000, 2))
+    for p in (_P0, np.array([-0.3, 0.05, 1.0, -2.0])):
+        ps = p.tolist()
+        for dyn in system.phases.values():
+            for g in (dyn.f, dyn.jac_x, dyn.jac_p):
+                for x in xs:
+                    got = g.on_floats(x.tolist(), ps)
+                    assert type(got) is list and all(type(v) is float for v in got)
+                    assert _same_bits(got, g(x, p)), (g, x)
+            for c in dyn.constraints:
+                for x in xs:
+                    got = c.value.on_floats(x.tolist(), ps)
+                    assert type(got) is float and _same_bits(got, c.value(x, p)), (c.name, x)
+
+
 def test_division_by_zero_at_one_state_gives_the_batch_column():
     # Python floats raise where numpy divides by zero; such a state is
     # evaluated on numpy scalars and gives inf or nan as the batch does.
