@@ -424,14 +424,16 @@ def _window_edges(spec: GridSpec, n_params: int) -> tuple[Constraint, ...]:
     """The grid window's edges as margins, non-positive only strictly outside.
 
     Each bound is moved out by one ulp, so a point exactly on an edge
-    counts as inside the closed window.
+    counts as inside the closed window.  Each margin is its own float
+    entry: lists of floats take the same subtraction as arrays.
     """
-    x1_lo, x1_hi = np.nextafter(spec.x1_min, -np.inf), np.nextafter(spec.x1_max, np.inf)
-    x2_lo, x2_hi = np.nextafter(spec.x2_min, -np.inf), np.nextafter(spec.x2_max, np.inf)
+    x1_lo, x1_hi = math.nextafter(spec.x1_min, -math.inf), math.nextafter(spec.x1_max, math.inf)
+    x2_lo, x2_hi = math.nextafter(spec.x2_min, -math.inf), math.nextafter(spec.x2_max, math.inf)
     grad_p = np.zeros(n_params)
 
     def edge(name, value, grad_x):
         grad_x = np.array(grad_x)
+        value.on_floats = value
         return Constraint(name, value, lambda x, q: grad_x, lambda x, q: grad_p)
 
     return (
@@ -440,6 +442,18 @@ def _window_edges(spec: GridSpec, n_params: int) -> tuple[Constraint, ...]:
         edge("x2_min", lambda x, q: x[1] - x2_lo, [0.0, 1.0]),
         edge("x2_max", lambda x, q: x2_hi - x[1], [0.0, -1.0]),
     )
+
+
+def _negated(fn):
+    """-fn, with the negated float entry when fn has one (negation is exact)."""
+
+    def negated(x, q):
+        return -np.asarray(fn(x, q))
+
+    on_floats = getattr(fn, "on_floats", None)
+    if on_floats is not None:
+        negated.on_floats = lambda xs, ps: [-v for v in on_floats(xs, ps)]
+    return negated
 
 
 def _manifold_samples(system, p, x_saddle, spec, opts):
@@ -453,16 +467,13 @@ def _manifold_samples(system, p, x_saddle, spec, opts):
     retried at shorter horizons.
     """
     dyn = system.phases[Phase.POST_FAULT]
-
+    reversed_dyn = replace(
+        dyn, f=_negated(dyn.f), jac_x=_negated(dyn.jac_x), jac_p=_negated(dyn.jac_p)
+    )
     reversed_system = ConstrainedSystem(
         n=system.n,
         param_names=system.param_names,
-        phases={
-            ph: replace(dyn, f=lambda x, q: -np.asarray(dyn.f(x, q)),
-                        jac_x=lambda x, q: -np.asarray(dyn.jac_x(x, q)),
-                        jac_p=lambda x, q: -np.asarray(dyn.jac_p(x, q)))
-            for ph in Phase
-        },
+        phases={ph: reversed_dyn for ph in Phase},
     )
     events = EventConfig(constraints=_window_edges(spec, system.n_params), locate_crossings=False)
     for horizon in (6.0, 2.5, 1.0, 0.4):

@@ -21,11 +21,7 @@ Instability at the critical time takes one of three forms:
 
 Bisection maintains a bracket [t_lo, t_hi] with a stable verdict at
 t_lo and an unstable one at t_hi; clearing states are interpolated
-from a single sustained-fault trajectory.  While t_hi is the
-fault-boundary hit, every midpoint so far was stable, so the midpoints
-ahead are known: they run as the lanes of one lockstep batch, whose
-verdicts serve up to the first unstable one.  From there each step
-runs one lane.
+from a single sustained-fault trajectory.
 """
 
 from __future__ import annotations
@@ -387,15 +383,6 @@ def compute_cct(
     until some clearing state goes unstable.  Stable-at-zero and an
     unstable upper bound in hand, plain bisection narrows the bracket
     to ``bisection_tol``.
-
-    Below a hit, the path of all-stable midpoints (mode 1, where each
-    step halves [t_lo, hit]) is classified up front as one
-    ``classify_post_faults`` batch.  Bisection reads its verdicts in
-    order, raises the error of a lane it reaches, and goes back to
-    one-lane ``classify_post_fault`` after the first unstable verdict;
-    later lanes are never read.  Each lane equals its one-lane run bit
-    for bit, so the result does not depend on the batch; when the batch
-    call itself raises, every step runs one lane.
     """
     if opts is None:
         opts = CctOptions()
@@ -436,23 +423,6 @@ def compute_cct(
         )
     hi_is_hit = hit_time is not None
 
-    # The all-stable path below a hit, classified as one batch.
-    path, lo = [], 0.0
-    while hi_is_hit and t_hi - lo > opts.bisection_tol and len(path) < opts.max_iterations:
-        lo = 0.5 * (lo + t_hi)
-        path.append(lo)
-    walk: list = []
-    if path:
-        try:
-            walk = classify_post_faults(
-                system, p, np.array([state_at(fault_traj, t) for t in path]),
-                x_sep_post, h_ref, opts,
-            )
-        except Exception:
-            # A lane past the first unstable verdict may have raised; such
-            # a lane must not decide the outcome, so every step runs alone.
-            walk = []
-
     t_lo = 0.0
     history = [(t_lo, t_hi)]
     iterations = 0
@@ -463,13 +433,8 @@ def compute_cct(
                 f"{iterations} bisection steps"
             )
         t_mid = 0.5 * (t_lo + t_hi)
-        if hi_is_hit and iterations < len(walk):
-            cls_mid = walk[iterations]
-            if isinstance(cls_mid, Exception):
-                raise cls_mid
-        else:
-            x_mid = state_at(fault_traj, t_mid)
-            cls_mid = classify_post_fault(system, p, x_mid, x_sep_post, h_ref, opts)
+        x_mid = state_at(fault_traj, t_mid)
+        cls_mid = classify_post_fault(system, p, x_mid, x_sep_post, h_ref, opts)
         if cls_mid.stable:
             t_lo = t_mid
         else:

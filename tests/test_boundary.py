@@ -704,6 +704,41 @@ class TestManifolds:
         assert np.array_equal(unrefined.classes, refined.classes)
 
 
+    @pytest.mark.bit_identity
+    @pytest.mark.parametrize("case", ["leaving", "damped"])
+    def test_samples_equal_those_without_float_entries(self, case, monkeypatch):
+        system, p, spec = {
+            "leaving": (_SYS, _P, GridSpec(-0.5, 2.5, -2.0, 2.0, n1=16, n2=12)),
+            "damped": (_DAMPED, _DAMPED_P, GridSpec(-2.0, 2.0, -2.0, 2.0, n1=16, n2=12)),
+        }[case]
+        grid = sample_stability_region(system, p, spec, opts=_MANIFOLD_OPTS)
+        saddles = [bp.x for bp in grid.semi_saddles]
+        assert saddles
+        dyn = system.phases[Phase.POST_FAULT]
+        edges = boundary._window_edges
+        assert all(hasattr(fn, "on_floats") for fn in (dyn.f, dyn.jac_x, dyn.jac_p))
+        assert all(hasattr(c.value, "on_floats") for c in edges(spec, system.n_params))
+        floats = [
+            boundary._manifold_samples(system, p, x, spec, _MANIFOLD_OPTS) for x in saddles
+        ]
+
+        # Plain wrappers carry no float entry, so every call takes arrays.
+        def plain(fn):
+            return lambda *args: fn(*args)
+
+        plain_dyn = replace(dyn, f=plain(dyn.f), jac_x=plain(dyn.jac_x), jac_p=plain(dyn.jac_p))
+        stripped = replace(system, phases={**system.phases, Phase.POST_FAULT: plain_dyn})
+        monkeypatch.setattr(
+            boundary, "_window_edges",
+            lambda *args: tuple(replace(c, value=plain(c.value)) for c in edges(*args)),
+        )
+        arrays = [
+            boundary._manifold_samples(stripped, p, x, spec, _MANIFOLD_OPTS) for x in saddles
+        ]
+        for a, b in zip(floats, arrays):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_stability_region_seeks_no_crossing_root(monkeypatch):
     """Cells and manifolds read only whether a limit was crossed."""
     calls = []

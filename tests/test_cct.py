@@ -906,20 +906,24 @@ _BATCH_CASES = {
 
 
 def _lane_counts(monkeypatch, plant=None):
-    """Lane count of every classify_post_faults call; ``plant`` edits a batch's output."""
+    """Lane count of every classify_post_faults call, in call order.
+
+    ``plant(k, out)``, when given, edits the output of the k-th call
+    (from 0) and returns it.
+    """
     real, counts = cct_mod.classify_post_faults, []
 
     def recording(system, p, x_cls, *args):
         counts.append(len(x_cls))
         out = real(system, p, x_cls, *args)
-        return out if plant is None or len(x_cls) == 1 else plant(out)
+        return out if plant is None else plant(len(counts) - 1, out)
 
     monkeypatch.setattr(cct_mod, "classify_post_faults", recording)
     return counts
 
 
 class TestBatchedBisection:
-    """The all-stable path below a fault hit runs as one lane batch.
+    """Bisection below a fault hit runs one lane per midpoint.
 
     The plain loop over one-lane verdicts is the oracle: every result
     field must match it bit for bit.
@@ -934,9 +938,8 @@ class TestBatchedBisection:
         _same_fields(result, _plain_cct(*args))
 
     def test_defect1_repro_keeps_its_result(self):
-        # A late path point falls in the clearing-feasibility band: the
-        # batch must report it as the first unstable verdict, as the
-        # one-lane loop does.
+        # A late midpoint falls in the clearing-feasibility band: it must
+        # be the first unstable verdict, as in the one-lane loop.
         args = _BATCH_CASES["defect1"][0]
         result = compute_cct(*args)
         assert result.mode is InstabilityMode.POST_FAULT_CROSSING
@@ -952,48 +955,29 @@ class TestBatchedBisection:
             compute_cct(system, p, opts)
         assert str(got.value) == str(want.value)
 
-    def test_mode1_makes_no_one_lane_bisection_verdicts(self, monkeypatch):
-        system, p, opts = _BATCH_CASES["speed-1e-4"][0]
+    @pytest.mark.parametrize("case", ["speed-1e-4", "graze-mode2"])
+    def test_bisection_below_a_hit_runs_one_lane_per_step(self, case, monkeypatch):
+        system, p, opts = _BATCH_CASES[case][0]
         counts = _lane_counts(monkeypatch)
         result = compute_cct(system, p, opts)
-        # The instant-clearing check, then the whole bisection in one batch.
-        assert result.mode is InstabilityMode.FAULT_BOUNDARY
-        assert counts == [1, result.iterations] and result.iterations > 1
+        # The instant-clearing check, then one verdict per bisection step.
+        assert result.fault_hit_time is not None and result.iterations > 1
+        assert counts == [1] * (1 + result.iterations)
 
-    def test_error_after_the_first_unstable_lane_is_ignored(self, monkeypatch):
-        system, p, opts = _BATCH_CASES["graze-mode2"][0]
-
-        def plant(out):
-            k = next(k for k, cls in enumerate(out) if not cls.stable)
-            assert k + 1 < len(out)
-            out[k + 1] = InconclusiveRun("planted past the first unstable lane")
-            return out
-
-        _lane_counts(monkeypatch, plant)
-        _same_fields(compute_cct(system, p, opts), _plain_cct(system, p, opts))
-
-    def test_error_on_the_walk_is_raised(self, monkeypatch):
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_error_at_a_midpoint_is_raised(self, k, monkeypatch):
         system, p, opts = _BATCH_CASES["speed-1e-2"][0]
+        planted = InconclusiveRun(f"planted at midpoint {k}")
 
-        def plant(out):
-            out[1] = InconclusiveRun("planted on the walk")
-            return out
-
-        _lane_counts(monkeypatch, plant)
-        with pytest.raises(InconclusiveRun, match="planted on the walk"):
-            compute_cct(system, p, opts)
-
-    @pytest.mark.parametrize("case", ["speed-1e-4", "graze-mode2"])
-    def test_raising_batch_falls_back_to_one_lane(self, case, monkeypatch):
-        system, p, opts = _BATCH_CASES[case][0]
-
-        def plant(out):
-            raise RuntimeError("batch failed")
+        def plant(call, out):
+            # Call 0 is the instant-clearing check; call k the k-th midpoint.
+            return [planted] if call == k else out
 
         counts = _lane_counts(monkeypatch, plant)
-        result = compute_cct(system, p, opts)
-        assert counts == [1, result.iterations] + [1] * result.iterations
-        _same_fields(result, _plain_cct(system, p, opts))
+        with pytest.raises(InconclusiveRun) as got:
+            compute_cct(system, p, opts)
+        assert got.value is planted
+        assert counts == [1] * (1 + k)
 
 
 class TestOptionsValidation:
