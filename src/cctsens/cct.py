@@ -189,7 +189,8 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
     every limit and within the loose radius of x*, so the full run would
     cross no limit and never reach the SEP ball: its verdict is
     "unstable at the first capture" either way.  Each sink's radius is
-    computed once per predicate.
+    computed once per predicate, and ``_post_fault_events`` keeps one
+    predicate per operating point.
     """
     loose = _LOOSE_FACTOR * opts.sep_radius
     radii: dict = {}
@@ -211,6 +212,43 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
         return radius is not None and float(np.linalg.norm(x_end - res.x)) <= radius
 
     return stop
+
+
+# The last operating point's post-fault events: (system, key, EventConfig).
+_last_events: Optional[tuple] = None
+
+
+def _post_fault_events(system, p: np.ndarray, x_sep_post, opts: CctOptions) -> EventConfig:
+    """The ``EventConfig`` that ``classify_post_faults`` watches at one operating point.
+
+    Every verdict of a bisection asks for the same events, so the last
+    one is kept, keyed on the system's identity (a system is not changed
+    after it is built) and on the values of the rest: the certified ball
+    and each competing sink's radius are computed once per operating
+    point.
+    """
+    global _last_events
+    x_sep_post = np.asarray(x_sep_post, dtype=float)
+    key = (p.shape, p.tobytes(), x_sep_post.shape, x_sep_post.tobytes(), opts.sep_radius,
+           opts.field_norm_threshold)
+    if _last_events is not None and _last_events[0] is system and _last_events[1] == key:
+        return _last_events[2]
+    # Copies, so that no caller's later change to its arrays reaches the kept events.
+    p, x_sep_post = p.copy(), x_sep_post.copy()
+    radius = _attraction_radius(system, p, x_sep_post, opts.sep_radius)
+    ball = opts.sep_radius if radius is None else radius
+    events = EventConfig(
+        constraints=system.phases[Phase.POST_FAULT].constraints,
+        sep_target=x_sep_post,
+        sep_radius=ball,
+        norm_min_threshold=opts.field_norm_threshold,
+        stop_at_min=(
+            None if system.phases[Phase.POST_FAULT].lipschitz_bound(p) is None
+            else _sink_stop(system, p, x_sep_post, ball, opts)
+        ),
+    )
+    _last_events = (system, key, events)
+    return events
 
 
 def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
@@ -288,6 +326,8 @@ def classify_post_faults(
     cross a limit or reach the SEP ball, so its verdict is already
     fixed.  Convergence beats captures seen on the way; a run that ends
     far from the SEP with no crossing and no capture is inconclusive.
+    The certified balls are computed once per operating point
+    (``_post_fault_events``), not once per call.
 
     Returns, per state, its PostFaultClassification or the
     NumericalBlowup, StiffnessFailure or InconclusiveRun that the
@@ -312,20 +352,9 @@ def classify_post_faults(
     if not run:
         return out
 
-    radius = _attraction_radius(system, p, x_sep_post, opts.sep_radius)
-    ball = opts.sep_radius if radius is None else radius
-    events = EventConfig(
-        constraints=constraints,
-        sep_target=x_sep_post,
-        sep_radius=ball,
-        norm_min_threshold=opts.field_norm_threshold,
-        stop_at_min=(
-            None if system.phases[Phase.POST_FAULT].lipschitz_bound(p) is None
-            else _sink_stop(system, p, x_sep_post, ball, opts)
-        ),
-    )
     trajs = integrate_lanes(
-        system, Phase.POST_FAULT, x_cls[run], p, opts.integration, events
+        system, Phase.POST_FAULT, x_cls[run], p, opts.integration,
+        _post_fault_events(system, p, x_sep_post, opts),
     )
     for i, traj in zip(run, trajs):
         out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(

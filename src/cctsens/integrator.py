@@ -36,11 +36,19 @@ that error; the other lanes run on.
 A lone lane (a one-lane run, or the last live lane of a batch) steps
 on Python lists of floats (``_float_step``) through one straight-line
 function per state width, generated once from ``_A`` and ``_E`` with
-every component a local and every weight an exact literal.  It calls
-the field, and reads the margins, through their one-state float
-entries ``on_floats`` when they have them.  A batch holds its lanes as
-the columns of (m, K) arrays and its stages stage-major, shape
-(7, m, K) (``_dp_step``).  Both sum in one explicit order:
+every component a local and every weight an exact literal; it returns
+the step's error norm with the new state.  ``_step_lone`` keeps the
+lane's clock, step size and last two points in locals, and takes the
+field norm, the SEP distance and the margins at each step end on
+floats.  A quiet step (``_Run.quiet``: no crossing, no SEP ball, no
+field-norm minimum, not the horizon) just moves the lane on; only
+other steps go to ``_Run.end_step``, in a batch as for a lone lane.
+Both loops share the step-size rule (``_control``) and the quiet-step
+test.  The lone lane calls the field, and reads the margins, through
+their one-state float entries ``on_floats`` when they have them.  A
+batch holds its lanes as the columns of (m, K) arrays and its stages
+stage-major, shape (7, m, K) (``_dp_step``).  Both sum in one explicit
+order:
 
 * each stage sum is ((a0 k0 + a1 k1) + ...) h + y, on floats per
   component and as ``np.add.reduce`` over the at most seven stage rows
@@ -295,22 +303,6 @@ def _distance(y, target) -> float:
     return _norm([a - b for a, b in zip(y, target)])
 
 
-def _lone_error_norm(y, y_new, err, abs_tol: float, rel_tol: float) -> Optional[float]:
-    """Error norm of one lane's step, or None when y_new or err is not finite.
-
-    The root mean square of err / (abs_tol + rel_tol max(|y|, |y_new|)),
-    its squares added left to right on floats: ``_rms_lanes`` of the
-    lane's column in a batch, bit for bit.
-    """
-    if not (all(map(math.isfinite, y_new)) and all(map(math.isfinite, err))):
-        return None
-    total = 0.0
-    for e, a, b in zip(err, y, y_new):
-        q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-        total += q * q
-    return math.sqrt(total / len(err))
-
-
 def _row_sum(v: np.ndarray) -> np.ndarray:
     """Sum of the rows of v, added one at a time in order.
 
@@ -339,7 +331,12 @@ def _all_finite(v: np.ndarray) -> bool:
 
 
 def _error_norms(y, y_new, err, abs_tol: float, rel_tol: float) -> list:
-    """``_lone_error_norm`` of every lane of an (m, K) batch."""
+    """Error norm of each lane of an (m, K) step, or None where it is not finite.
+
+    The root mean square of err / (abs_tol + rel_tol max(|y|, |y_new|))
+    per lane, None for a lane with a component of y_new or err that is
+    not finite: what ``_error_norm_lines`` gives the lane on its own.
+    """
     if _all_finite(y_new) and _all_finite(err):
         return _rms_lanes(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
     ok = np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0)
@@ -399,45 +396,74 @@ def _weighted(weights, stage_names, j: int) -> str:
     return " + ".join(f"{w!r}*{k}{j}" for w, k in zip(weights, stage_names))
 
 
+def _error_norm_lines(m: int) -> list[str]:
+    """Source lines that set ``e`` to the error norm of a step of m components.
+
+    They read the components y0.. of the state, z0.. of the new state
+    and d0.. of the error vector, and ``abs_tol`` and ``rel_tol``.  e is
+    the root mean square of d / (abs_tol + rel_tol max(|y|, |z|)), its
+    squares added left to right, or None when a component of z or d is
+    not finite (1e999 reads as inf): ``_error_norms`` of the lane's
+    column in a batch, bit for bit.
+    """
+    finite = " and ".join(f"-1e999 < {v}{j} < 1e999" for v in "zd" for j in range(m))
+    lines = [f"    if {finite}:"]
+    for j in range(m):
+        lines += [
+            f"        a{j} = abs(y{j})",
+            f"        b{j} = abs(z{j})",
+            f"        q{j} = d{j} / (abs_tol + rel_tol*(a{j} if a{j} >= b{j} else b{j}))",
+        ]
+    squares = " + ".join(f"q{j}*q{j}" for j in range(m))
+    return lines + [f"        e = sqrt(({squares}) / {m})", "    else:", "        e = None"]
+
+
 def _step_source(m: int) -> str:
     """Source of the Dormand-Prince step of a state of m components on floats.
 
-    Each component is a local, and every weight of ``_A`` and ``_E`` is
-    kept, zeros included: 0.0 k is not 0 when k is inf or NaN, and the
-    batch's reduce adds it too.
+    ``generated(field, ps, y, f0, h, abs_tol, rel_tol)`` returns (y_new,
+    f_new, e): the new state, the field there and the step's error norm
+    (``_error_norm_lines``, None when not finite).  Each component is a
+    local, and every weight of ``_A`` and ``_E`` is kept, zeros
+    included: 0.0 k is not 0 when k is inf or NaN, and the batch's
+    reduce adds it too.
     """
     k = [f"k{i}_" for i in range(7)]
     lines = [
-        "def generated(field, ps, y, f0, h):",
+        "from math import sqrt",
+        "def generated(field, ps, y, f0, h, abs_tol, rel_tol):",
         f"    [{_names('y', m)}] = y",
         f"    [{_names(k[0], m)}] = f0",
     ]
     for i, row in enumerate(_A[:5]):
         args = ", ".join(f"({_weighted(row, k, j)})*h + y{j}" for j in range(m))
         lines.append(f"    [{_names(k[i + 1], m)}] = field([{args}], ps)")
-    y_new = ", ".join(f"({_weighted(_A[5], k, j)})*h + y{j}" for j in range(m))
-    err = ", ".join(f"({_weighted(_E, k, j)})*h" for j in range(m))
+    lines += [f"    z{j} = ({_weighted(_A[5], k, j)})*h + y{j}" for j in range(m)]
     lines += [
-        f"    y_new = [{y_new}]",
+        f"    y_new = [{_names('z', m)}]",
         "    f_new = field(y_new, ps)",
         f"    [{_names(k[6], m)}] = f_new",
-        f"    return y_new, f_new, [{err}]",
     ]
+    lines += [f"    d{j} = ({_weighted(_E, k, j)})*h" for j in range(m)]
+    lines += _error_norm_lines(m)
+    lines.append("    return y_new, f_new, e")
     return "\n".join(lines) + "\n"
 
 
-def _float_step(field, ps: list, y: list, f0: list, h: float):
-    """One Dormand-Prince step of one state on floats; returns (y_new, f_new, err).
+def _float_step(field, ps: list, y: list, f0: list, h: float, abs_tol: float, rel_tol: float):
+    """One Dormand-Prince step of one state on floats; returns (y_new, f_new, e).
 
-    ``field(xs, ps)`` maps a list of floats to its derivative as a list.
-    The step is one straight-line function per state width, generated
-    once (``_step_source``).  Each stage sum is written out per
-    component as ((a0 k0 + a1 k1) + ...) h + y, and the error as
+    ``field(xs, ps)`` maps a list of floats to its derivative as a list,
+    and e is the step's error norm, or None when y_new or the error is
+    not finite.  The step is one straight-line function per state
+    width, generated once (``_step_source``).  Each stage sum is written
+    out per component as ((a0 k0 + a1 k1) + ...) h + y, and the error as
     (e0 k0 + ... + e6 k6) h: the products and sums, in their order, that
-    ``_dp_step`` takes over a batch.  ``_step_lone`` looks the function
-    up once per run.
+    ``_dp_step`` takes over a batch, and e is what ``_error_norms``
+    gives the lane there.  ``_step_lone`` looks the function up once per
+    run.
     """
-    return _generated(_step_source, len(y))(field, ps, y, f0, h)
+    return _generated(_step_source, len(y))(field, ps, y, f0, h, abs_tol, rel_tol)
 
 
 def _variational_source(n: int, n_p: int) -> str:
@@ -570,12 +596,43 @@ def _float_field(fn, p: np.ndarray):
     return on_floats
 
 
+def _float_margin(value, p: np.ndarray):
+    """A margin at one state on floats: ``value.on_floats``, or its array call at p."""
+    on_floats = getattr(value, "on_floats", None)
+    if on_floats is None:
+        return lambda xs, ps: value(np.array(xs), p)
+    return on_floats
+
+
+def _control(e: Optional[float], t: float, h: float, rejected: bool, max_step: float,
+             t_end: float) -> tuple[Optional[float], float]:
+    """Step control after a step of size h from t with error norm e (None: not finite).
+
+    Returns (t1, h_next): t1 is the step's end time when it is accepted,
+    else None.  A step that is not finite shrinks the next one fourfold.
+    After an accepted step that followed a ``rejected`` one, the step
+    size does not grow.  The next step size is capped at ``max_step``
+    and at the horizon, from t1 or, after a rejection, from t.
+    """
+    if e is None:
+        return None, min(h * 0.25, max_step, t_end - t)
+    if e > 1.0:
+        return None, min(h * max(0.2, 0.9 * e ** -0.2), max_step, t_end - t)
+    factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
+    if rejected:
+        factor = min(factor, 1.0)
+    t1 = t + h
+    return t1, min(h * factor, max_step, t_end - t1)
+
+
 class _Lane:
     """One lane: its clock, step control, last accepted point and events.
 
     The point is kept as lists of floats ``y`` and ``f`` with the field
     norm ``norm`` there; ``prev`` is the accepted point before it, as
-    (t, y, f, norm), or None at the start.
+    (t, y, f, norm), or None at the start.  ``rejected`` and
+    ``nonfinite`` describe the lane's last step: not accepted, and not
+    finite.
     """
 
     __slots__ = ("index", "t", "h", "rejected", "nonfinite", "steps", "y", "f", "norm",
@@ -591,38 +648,14 @@ class _Lane:
         self.prev = None
         self.events: list[Event] = []
 
-    def failure(self) -> Optional[Exception]:
-        """The error that stops the lane when its next step underflows, else None."""
-        if self.h >= _MIN_STEP * max(1.0, abs(self.t)):
-            return None
+    def failure(self) -> Exception:
+        """The error that stops the lane, whose step size h has underflowed at t.
+
+        The step underflows when h < ``_MIN_STEP`` max(1, |t|).
+        """
         if self.nonfinite:
             return NumericalBlowup(f"state became non-finite near t = {self.t:.6g}")
         return StiffnessFailure(f"step size underflowed to {self.h:.3e} at t = {self.t:.6g}")
-
-    def control(self, e: Optional[float], max_step: float, t_end: float) -> Optional[float]:
-        """Step control after a step of error norm e (None: not finite).
-
-        Returns the step's end time when it is accepted, else None.  The
-        next step size is capped at ``max_step`` and at the horizon, from
-        that end time or, after a rejection, from the lane's time.
-        """
-        t = self.t
-        if e is None:
-            self.nonfinite = self.rejected = True
-            self.h = min(self.h * 0.25, max_step, t_end - t)
-            return None
-        if e > 1.0:
-            self.nonfinite = False
-            self.rejected = True
-            self.h = min(self.h * max(0.2, 0.9 * e ** -0.2), max_step, t_end - t)
-            return None
-        factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
-        if self.rejected:
-            factor = min(factor, 1.0)
-        self.rejected = self.nonfinite = False
-        t1 = t + self.h
-        self.h = min(self.h * factor, max_step, t_end - t1)
-        return t1
 
 
 class _Run:
@@ -641,25 +674,31 @@ class _Run:
         self.t_end, self.max_step = opts.t_max, opts.max_step
         self.abs_tol, self.rel_tol = opts.abs_tol, opts.rel_tol
         self.constraints = events.constraints
-        margins = [getattr(c.value, "on_floats", None) for c in self.constraints]
-        self.float_margins = None if None in margins else margins
+        self.float_margins = [_float_margin(c.value, p) for c in self.constraints]
         self.sep = None if events.sep_target is None else np.asarray(events.sep_target, dtype=float)
         self.sep_floats = None if self.sep is None else self.sep.tolist()
         self.sep_radius = events.sep_radius
         self.min_threshold = events.norm_min_threshold
+        self.minima = self.min_threshold is not None
         self.stop_at_min = events.stop_at_min
         self.locate = events.locate_crossings
-        self.watch_norm = self.sep is not None or self.min_threshold is not None
+        self.watch_norm = self.sep is not None or self.minima
         self.norm_bound = norm_bound
         self.out: list = [None] * n_lanes
 
-    def lone_margins(self, y: list) -> list:
-        """Margins at one state, one per constraint, on floats when each has a float entry."""
-        if self.float_margins is not None:
-            xs = y[: self.n]
-            return [value(xs, self.ps) for value in self.float_margins]
-        x = np.array(y[: self.n])
-        return [c.value(x, self.p) for c in self.constraints]
+    def quiet(self, t1: float, vals, dist, prev, norm, norm1) -> bool:
+        """True when ``end_step`` would just move the lane to the step end at t1.
+
+        The step ends before the horizon, its margins ``vals`` are all
+        positive, its distance ``dist`` from the SEP target (None without
+        one) is outside the ball, and the lane's field norm ``norm`` is no
+        discrete minimum between prev's and the step end's ``norm1``.
+        """
+        return (
+            t1 < self.t_end and (not vals or min(vals) > 0.0)
+            and (dist is None or dist > self.sep_radius)
+            and not (self.minima and prev is not None and norm < prev[3] and norm < norm1)
+        )
 
     def lane_margins(self, y: np.ndarray) -> list:
         """Margins of each lane of an (m, K) batch, one tuple per lane."""
@@ -741,10 +780,7 @@ class _Run:
             terminal = True
 
         prev = lane.prev
-        if (
-            self.min_threshold is not None and prev is not None
-            and lane.norm < prev[3] and lane.norm < norm
-        ):
+        if self.minima and prev is not None and lane.norm < prev[3] and lane.norm < norm:
             # A discrete minimum of the field norm at the lane's point.
             window = (prev, (lane.t, lane.y, lane.f, lane.norm), (t1, y1, f1, norm))
             if (
@@ -780,30 +816,59 @@ class _Run:
 def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
     """Step one lane alone on lists of floats until it ends or fails.
 
-    ``rows``, when given, collects each accepted point (t, y, f).
+    The lane's clock, step size, point, field norm, ``prev`` and step
+    count are locals.  A quiet step (``_Run.quiet``) moves them on; they
+    go back to ``lane`` only for ``end_step`` to watch a step, and when
+    the lane fails or ends.  The field norm, the SEP distance and the
+    margins at each step end are taken on floats here, as ``_norm``
+    sums squares.  ``rows``, when given, collects each accepted point
+    (t, y, f).
     """
     field, ps, n = run.field, run.ps, run.n
     step = _generated(_step_source, len(lane.y))
     max_step, t_end = run.max_step, run.t_end
     abs_tol, rel_tol = run.abs_tol, run.rel_tol
-    sep, watch_norm = run.sep_floats, run.watch_norm
+    margins, sep, watch_norm, quiet = run.float_margins, run.sep_floats, run.watch_norm, run.quiet
+    # The margins and the field norm read the first n components.
+    whole = len(lane.y) == n
+    t, h, y, f, norm, prev, steps = lane.t, lane.h, lane.y, lane.f, lane.norm, lane.prev, lane.steps
+    rejected, nonfinite = lane.rejected, lane.nonfinite
     while True:
-        failure = lane.failure()
-        if failure is not None:
-            run.out[lane.index] = failure
+        if h < _MIN_STEP * max(1.0, abs(t)):
+            lane.t, lane.h, lane.nonfinite = t, h, nonfinite
+            run.out[lane.index] = lane.failure()
             return
-        y_new, f_new, err = step(field, ps, lane.y, lane.f, lane.h)
-        t1 = lane.control(_lone_error_norm(lane.y, y_new, err, abs_tol, rel_tol), max_step, t_end)
-        if t1 is None:
+        y1, f1, e = step(field, ps, y, f, h, abs_tol, rel_tol)
+        t1, h = _control(e, t, h, rejected, max_step, t_end)
+        rejected = t1 is None
+        nonfinite = e is None
+        if rejected:
             continue
-        ended = run.end_step(
-            lane, t1, y_new, f_new,
-            _norm(f_new[:n]) if watch_norm else None,
-            _distance(y_new, sep) if sep is not None else None,
-            run.lone_margins(y_new),
-        )
+        x1 = y1 if whole else y1[:n]
+        norm1 = dist = None
+        if watch_norm:
+            total = 0.0
+            for v in f1 if whole else f1[:n]:
+                total += v * v
+            norm1 = math.sqrt(total)
+        if sep is not None:
+            total = 0.0
+            for a, b in zip(x1, sep):
+                d = a - b
+                total += d * d
+            dist = math.sqrt(total)
+        vals = [value(x1, ps) for value in margins]
+        if quiet(t1, vals, dist, prev, norm, norm1):
+            prev = (t, y, f, norm)
+            t, y, f, norm = t1, y1, f1, norm1
+            steps += 1
+            ended = False
+        else:
+            lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps = t, y, f, norm, prev, steps
+            ended = run.end_step(lane, t1, y1, f1, norm1, dist, vals)
+            t, y, f, norm, prev, steps = lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps
         if rows is not None:
-            rows.append((lane.t, lane.y, lane.f))
+            rows.append((t, y, f))
         if ended:
             run.finish(lane)
             return
@@ -819,10 +884,7 @@ def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Opti
     max_step, t_end = run.max_step, run.t_end
     abs_tol, rel_tol = run.abs_tol, run.rel_tol
     sep = None if run.sep is None else run.sep[:, None]
-    # A lane whose step crosses no limit, enters no SEP ball, ends before
-    # the horizon and leaves no discrete field-norm minimum just moves on,
-    # as ``end_step`` would move it; ``end_step`` watches every other lane.
-    minima, radius = run.min_threshold is not None, run.sep_radius
+    quiet = run.quiet
     while len(lanes) > 1:
         h = np.array([lane.h for lane in lanes])
         short = h < _MIN_STEP * np.maximum(1.0, np.abs([lane.t for lane in lanes]))
@@ -836,7 +898,8 @@ def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Opti
         y_new, f_new, err = _dp_step(rhs, p, y, f, h)
         acc, t_acc = [], []
         for a, (lane, e) in enumerate(zip(lanes, _error_norms(y, y_new, err, abs_tol, rel_tol))):
-            t1 = lane.control(e, max_step, t_end)
+            t1, lane.h = _control(e, lane.t, lane.h, lane.rejected, max_step, t_end)
+            lane.rejected, lane.nonfinite = t1 is None, e is None
             if t1 is not None:
                 acc.append(a)
                 t_acc.append(t1)
@@ -854,12 +917,7 @@ def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Opti
             acc, t_acc, ys.T.tolist(), fs.T.tolist(), norms, dists, run.lane_margins(ys)
         ):
             lane = lanes[a]
-            prev = lane.prev
-            if (
-                t1 < t_end and (not vals or min(vals) > 0.0)
-                and (dist is None or dist > radius)
-                and not (minima and prev is not None and lane.norm < prev[3] and lane.norm < norm)
-            ):
+            if quiet(t1, vals, dist, lane.prev, lane.norm, norm):
                 lane.prev = (lane.t, lane.y, lane.f, lane.norm)
                 lane.t, lane.y, lane.f, lane.norm = t1, y1, f1, norm
                 lane.steps += 1
@@ -903,7 +961,7 @@ def _engine(
         f = run.field(y, run.ps)
         if rows is not None:
             rows.append((0.0, y, f))
-        lane = run.start(0, y, f, run.lone_margins(y))
+        lane = run.start(0, y, f, [value(y[:n_state], run.ps) for value in run.float_margins])
         if lane is not None:
             # The batch estimate on the lane as one column, its field on floats.
             (lane.h,) = _initial_steps(

@@ -546,20 +546,9 @@ def _one_state(x) -> bool:
     return (x.ndim if type(x) is np.ndarray else np.ndim(x)) < 2
 
 
-def _on_floats(fn, x, p):
-    """Generated code ``fn`` at one state, given x and p as Python floats.
-
-    The code then runs the same IEEE operations, and the same numpy
-    ufunc loops (numpy.power, sin, ...), as on numpy scalars, at less
-    cost per operation.  Python raises on a division by zero where numpy
-    gives inf or nan; such a state is evaluated on numpy scalars.
-    """
-    xs = x.tolist() if type(x) is np.ndarray else x
-    ps = p.tolist() if type(p) is np.ndarray else p
-    try:
-        return fn(xs, ps)
-    except ZeroDivisionError:
-        return fn(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+def _floats(v):
+    """v as Python floats for generated code: an array's ``tolist``, else v itself."""
+    return v.tolist() if type(v) is np.ndarray else v
 
 
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
@@ -569,11 +558,11 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     float for a state of shape (n,) and an array of shape (K,) for a
     column batch of shape (n, K).  Otherwise it is a matrix and g
     returns a float array of ``shape``, or ``shape + (K,)`` for a batch;
-    constant entries are broadcast over the batch.  One state is
-    evaluated on floats (``_on_floats``), and g also has the one-state
+    constant entries are broadcast over the batch.  g has the one-state
     float entry ``g.on_floats(xs, ps)``: lists of floats in, and a float
     out, or a matrix's entries row-major as a flat list of floats.  The
-    integrator steps a lone lane with those.
+    integrator steps a lone lane with those, and g evaluates one state
+    through it.
 
     DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
     Hessian, is taken as 0: its value wherever the expression is twice
@@ -583,29 +572,46 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
 
     if expr.has(sp.DiracDelta):
         expr = expr.replace(sp.DiracDelta, lambda *args: sp.S.Zero)
+    # Generated code runs on Python floats the same IEEE operations, and
+    # the same numpy ufunc loops (numpy.power, sin, ...), as on numpy
+    # scalars, at less cost per operation.  Python raises on a division
+    # by zero where numpy gives inf or nan; such a state is evaluated on
+    # numpy scalars.
     if shape is None:
         fn = sp.lambdify(args, expr, modules="numpy", printer=_power_printer())
 
+        def scalar_on_floats(xs: list, ps: list) -> float:
+            try:
+                return float(fn(xs, ps))
+            except ZeroDivisionError:
+                return float(fn(np.array(xs, dtype=float), np.array(ps, dtype=float)))
+
         def scalar(x, p):
             if _one_state(x):
-                return float(_on_floats(fn, x, p))
+                return scalar_on_floats(_floats(x), _floats(p))
             return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
 
-        scalar.on_floats = lambda xs, ps: float(_on_floats(fn, xs, ps))
+        scalar.on_floats = scalar_on_floats
         return scalar
     fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
     # The entries of a vector already come in its shape.
     flat = len(shape) == 1
 
+    def matrix_on_floats(xs: list, ps: list) -> list:
+        try:
+            return list(map(float, fn(xs, ps)))
+        except ZeroDivisionError:
+            return list(map(float, fn(np.array(xs, dtype=float), np.array(ps, dtype=float))))
+
     def matrix(x, p):
         if _one_state(x):
-            out = np.array(_on_floats(fn, x, p), dtype=float)
+            out = np.array(matrix_on_floats(_floats(x), _floats(p)))
             return out if flat else out.reshape(shape)
         lanes = np.shape(x)[1:]
         entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
         return np.array(entries, dtype=float).reshape(shape + lanes)
 
-    matrix.on_floats = lambda xs, ps: list(map(float, _on_floats(fn, xs, ps)))
+    matrix.on_floats = matrix_on_floats
     return matrix
 
 

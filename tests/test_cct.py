@@ -614,6 +614,27 @@ class TestCertifiedRegion:
             assert [c.stable for c in verdicts] == [False, False, False, True, True]
         assert counts[0] == counts[1] < counts[2]
 
+    @pytest.mark.parametrize("params, t_max, mode", [
+        (_P1, 20.0, InstabilityMode.FAULT_BOUNDARY),
+        (_P3, 40.0, InstabilityMode.NO_RETURN),
+    ], ids=["mode1", "mode3"])
+    def test_certified_balls_are_computed_once_per_compute_cct(self, params, t_max, mode,
+                                                               monkeypatch):
+        # Every verdict of a bisection watches the same events, so the
+        # SEP's certified ball, and on a pole-slipping machine each
+        # competing sink's, are computed once per compute_cct, not once
+        # per verdict.
+        radius, centres = cct_mod._attraction_radius, []
+        monkeypatch.setattr(cct_mod, "_attraction_radius",
+                            lambda *args: centres.append(args[2].tobytes()) or radius(*args))
+        result = compute_cct(smib_system(params), params.p0,
+                             CctOptions(integration=IntegrationOptions(t_max=t_max)))
+        assert result.mode is mode and result.iterations > 3
+        assert centres[0] == result.x_sep_post.tobytes()
+        assert len(centres) == len(set(centres))
+        if mode is InstabilityMode.NO_RETURN:
+            assert len(centres) > 1
+
     def test_sink_stop_ends_only_inside_a_far_certified_sink(self):
         system = smib_system(_P3)
         opts = CctOptions()

@@ -656,21 +656,60 @@ def test_unlocated_crossings_end_at_the_step_that_crosses():
         assert root_hit.info == hit.info
 
 
+# A cubic spring: the field raises the state to a power, which one state
+# and a column batch must round alike.
+_DUFFING = system_from_expressions(
+    ["x1", "x2"], ["a"],
+    {ph: {"f": ["x2", "-a*x1**3 - 0.3*x2"]} for ph in ("pre", "fault", "post")},
+)
+
+
 @pytest.mark.bit_identity
 def test_lanes_equal_their_one_lane_runs_with_powers():
-    # A cubic spring: the field raises the state to a power, which one
-    # state and a column batch must round alike.
-    duffing = system_from_expressions(
-        ["x1", "x2"], ["a"],
-        {ph: {"f": ["x2", "-a*x1**3 - 0.3*x2"]} for ph in ("pre", "fault", "post")},
-    )
     p = np.array([1.0])
     starts = np.random.default_rng(0).uniform(-1.5, 1.5, size=(20, 2))
     opts = IntegrationOptions(t_max=5.0)
-    lanes = integrate_lanes(duffing, Phase.POST_FAULT, starts, p, opts)
+    lanes = integrate_lanes(_DUFFING, Phase.POST_FAULT, starts, p, opts)
     for k, (lane, x0) in enumerate(zip(lanes, starts)):
-        single = integrate(duffing, Phase.POST_FAULT, x0, p, opts)
+        single = integrate(_DUFFING, Phase.POST_FAULT, x0, p, opts)
         assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
+
+
+@pytest.mark.bit_identity
+def test_lanes_equal_their_one_lane_runs_at_the_step_control_edges(monkeypatch):
+    # Three lanes of the cubic spring.  The one at rest has error norm 0
+    # at every step, so its step size grows fivefold up to max_step, and
+    # its last step is cut at the horizon.  The one from (3, 0) has steps
+    # rejected and then accepted with an error norm that would let the
+    # step grow, which the rejection caps at 1.  Each lane of the batch,
+    # the last of which finishes alone, equals its one-lane run.
+    # Non-finite steps (NumericalBlowup), step underflow
+    # (StiffnessFailure) and a lone lane that outlives its batch to the
+    # horizon are in test_lanes_equal_their_one_lane_runs_on_both_sides_of_the_float_sum.
+    p = np.array([1.0])
+    starts = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.5]])
+    opts = IntegrationOptions(t_max=5.0)
+    lanes = integrate_lanes(_DUFFING, Phase.POST_FAULT, starts, p, opts)
+    control, seen = integrator._control, []
+
+    def recording(e, t, h, rejected, *args):
+        t1, h_next = control(e, t, h, rejected, *args)
+        seen[-1].append((e, h, rejected, t1, h_next))
+        return t1, h_next
+
+    monkeypatch.setattr(integrator, "_control", recording)
+    singles = []
+    for k, x0 in enumerate(starts):
+        seen.append([])
+        singles.append(integrate(_DUFFING, Phase.POST_FAULT, x0, p, opts))
+        assert _same_end(lanes[k], singles[k]), f"lane {k} differs from its one-lane run"
+    rest, stiff, _ = seen
+    assert all(e == 0.0 and t1 is not None for e, _, _, t1, _ in rest)
+    assert any(h_next == 5.0 * h for _, h, _, _, h_next in rest)
+    last = np.diff(singles[0].times)[-2:]
+    assert lanes[0].final_time == opts.t_max and last[1] < last[0] == opts.max_step
+    capped = [(e, h, h_next) for e, h, rejected, t1, h_next in stiff if rejected and t1 is not None]
+    assert any(0.9 * e ** -0.2 > 1.0 and h_next == h for e, h, h_next in capped)
 
 
 # The swing machine as the benchmark's ``study`` workload writes it
@@ -702,6 +741,10 @@ def _replaying(stages, lane=None):
     return field, calls
 
 
+# The tolerances a step's error norm is taken at: the defaults.
+_STEP_TOLS = (1e-10, 1e-8)
+
+
 @pytest.mark.bit_identity
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13, 14])
 def test_float_stage_sums_equal_the_stage_major_reduce(width):
@@ -711,6 +754,7 @@ def test_float_stage_sums_equal_the_stage_major_reduce(width):
     # machine model's variational system: 2 + 4 + 8 entries.  Every
     # fourth lane has y = 0 and h = 1, so its stage states are the sums
     # themselves: an ulp that ``* h + y`` would round away still shows.
+    # The error norm the step returns is the batch's for that lane.
     rng = np.random.default_rng(width)
     lanes = 40
     size = (7, width, lanes)
@@ -719,14 +763,17 @@ def test_float_stage_sums_equal_the_stage_major_reduce(width):
     h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
     y[:, ::4], h[::4] = 0.0, 1.0
     batch_field, batch_calls = _replaying(k)
-    batch = integrator._dp_step(batch_field, _P0, y, k[0], h)
+    y_new, f_new, err = integrator._dp_step(batch_field, _P0, y, k[0], h)
+    norms = integrator._error_norms(y, y_new, err, *_STEP_TOLS)
     for a in range(lanes):
         field, calls = _replaying(k, a)
-        lone = integrator._float_step(field, None, y[:, a].tolist(), k[0][:, a].tolist(), float(h[a]))
+        lone = integrator._float_step(
+            field, None, y[:, a].tolist(), k[0][:, a].tolist(), float(h[a]), *_STEP_TOLS
+        )
         for got, want in zip(calls, batch_calls):
             assert np.array_equal(got, want[:, a]), a
-        for got, want in zip(lone, batch):
-            assert np.array_equal(got, want[:, a]), a
+        assert np.array_equal(lone[0], y_new[:, a]) and np.array_equal(lone[1], f_new[:, a]), a
+        assert lone[2] == norms[a], a
 
 
 @pytest.mark.bit_identity
@@ -741,11 +788,15 @@ def test_lone_step_equals_the_batch_rows(system):
         y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2)).T.copy()
         h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
         f = rhs(y, _P0)
-        batch = integrator._dp_step(rhs, _P0, y, f, h)
+        y_new, f_new, err = integrator._dp_step(rhs, _P0, y, f, h)
+        norms = integrator._error_norms(y, y_new, err, *_STEP_TOLS)
         for a in range(lanes):
-            lone = integrator._float_step(field, ps, y[:, a].tolist(), f[:, a].tolist(), float(h[a]))
-            for got, want in zip(lone, batch):
-                assert np.array_equal(got, want[:, a]), (lanes, a)
+            lone = integrator._float_step(
+                field, ps, y[:, a].tolist(), f[:, a].tolist(), float(h[a]), *_STEP_TOLS
+            )
+            assert np.array_equal(lone[0], y_new[:, a]), (lanes, a)
+            assert np.array_equal(lone[1], f_new[:, a]), (lanes, a)
+            assert lone[2] == norms[a], (lanes, a)
 
 
 # Finite floats of every size: zeros, subnormals and values near 1e+-300
@@ -757,6 +808,26 @@ _ANY_FLOAT = st.one_of(
     st.floats(min_value=1e-301, max_value=1e-299),
 )
 _TOLS = st.sampled_from([(1e-10, 1e-8), (1e-12, 1e-10), (1e-6, 1e-3), (1.0, 0.0)])
+
+
+def _error_norm_source(m: int) -> str:
+    """A stand-alone function of the error-norm lines that the generated step inlines."""
+    return "\n".join([
+        "from math import sqrt",
+        "def generated(y, z, d, abs_tol, rel_tol):",
+        f"    [{integrator._names('y', m)}] = y",
+        f"    [{integrator._names('z', m)}] = z",
+        f"    [{integrator._names('d', m)}] = d",
+        *integrator._error_norm_lines(m),
+        "    return e",
+    ]) + "\n"
+
+
+def _generated_error_norm(y, y_new, err, abs_tol, rel_tol):
+    """The lone-lane error norm of one step, on lists of floats as the step has them."""
+    norm = integrator._generated(_error_norm_source, len(y))
+    return norm(list(map(float, y)), list(map(float, y_new)), list(map(float, err)),
+                abs_tol, rel_tol)
 
 
 @pytest.mark.bit_identity
@@ -773,9 +844,8 @@ def test_lone_error_norm_equals_the_batch_row(data, width, tols):
     )
     with np.errstate(over="ignore"):
         batch = integrator._error_norms(y.T, y_new.T, err.T, abs_tol, rel_tol)
-        for a in range(3):
-            lone = integrator._lone_error_norm(y[a], y_new[a], err[a], abs_tol, rel_tol)
-            assert lone == batch[a]
+    for a in range(3):
+        assert _generated_error_norm(y[a], y_new[a], err[a], abs_tol, rel_tol) == batch[a]
 
 
 @pytest.mark.bit_identity
@@ -790,27 +860,46 @@ def test_lane_norms_equal_the_float_norms(width, lanes):
         norms, rms = integrator._norm_lanes(batch), integrator._rms_lanes(batch)
         for a, column in enumerate(v.T.tolist()):
             assert norms[a] == integrator._norm(column)
-            assert rms[a] == integrator._lone_error_norm([0.0] * width, [0.0] * width, column, 1.0, 0.0)
+            assert rms[a] == _generated_error_norm([0.0] * width, [0.0] * width, column, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("width", range(1, 14))
 def test_lone_error_norm_sums_on_floats_below_eight_entries(monkeypatch, width):
-    # A lone lane's error norm is summed on floats at every width: the
-    # batch sums its rows left to right too, eight or more of them alike.
+    # A lone lane's error norm is summed left to right on floats inside
+    # the generated step at every width, with no batch helper: it equals
+    # the plain float loop over the step's error vector.  The batch sums
+    # its rows left to right too, eight or more of them alike.
     calls = []
     rms_lanes = integrator._rms_lanes
     monkeypatch.setattr(integrator, "_rms_lanes", lambda v: calls.append(v.shape) or rms_lanes(v))
     rng = np.random.default_rng(width)
-    y, y_new, err = rng.normal(size=(3, width)).tolist()
-    integrator._lone_error_norm(y, y_new, err, 1e-10, 1e-8)
+    k = rng.normal(size=(7, width, 1))
+    y = rng.normal(size=(width, 1))
+    field, _ = _replaying(k, 0)
+    _, _, e = integrator._float_step(
+        field, None, y[:, 0].tolist(), k[0][:, 0].tolist(), 0.1, *_STEP_TOLS
+    )
     assert calls == []
+    y_new, _, err = integrator._dp_step(_replaying(k)[0], None, y, k[0], np.array([0.1]))
+    abs_tol, rel_tol = _STEP_TOLS
+    total = 0.0
+    for d, a, b in zip(err[:, 0].tolist(), y[:, 0].tolist(), y_new[:, 0].tolist()):
+        q = d / (abs_tol + rel_tol * max(abs(a), abs(b)))
+        total += q * q
+    assert e == math.sqrt(total / width)
 
 
 def test_lone_error_norm_is_none_when_not_finite():
-    y, ok = np.zeros(3), np.ones(3)
-    for bad in (np.array([1.0, math.inf, 0.0]), np.array([math.nan, 0.0, 0.0])):
-        assert integrator._lone_error_norm(y, bad, ok, 1e-10, 1e-8) is None
-        assert integrator._lone_error_norm(y, ok, bad, 1e-10, 1e-8) is None
+    # A component of y_new or of the error that is inf or nan makes the
+    # norm None, in the stand-alone fragment and in the generated step.
+    y, ok = [0.0] * 3, [1.0] * 3
+    for bad in ([1.0, math.inf, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0, -math.inf]):
+        assert _generated_error_norm(y, bad, ok, *_STEP_TOLS) is None
+        assert _generated_error_norm(y, ok, bad, *_STEP_TOLS) is None
+        assert _generated_error_norm(y, ok, ok, *_STEP_TOLS) is not None
+    for bad in (math.inf, math.nan):
+        field = lambda xs, ps, bad=bad: [xs[0], bad, 0.0]
+        assert integrator._float_step(field, None, y, ok, 0.1, *_STEP_TOLS)[2] is None
 
 
 def _chain(width):

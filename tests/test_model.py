@@ -445,7 +445,8 @@ def test_float_entries_equal_the_array_calls(system):
 
 def test_division_by_zero_at_one_state_gives_the_batch_column():
     # Python floats raise where numpy divides by zero; such a state is
-    # evaluated on numpy scalars and gives inf or nan as the batch does.
+    # evaluated on numpy scalars and gives inf or nan as the batch does,
+    # through the array call and through the float entry alike.
     phases = _expression_phases(["a/x1", "x2/x1 - x1/x2"], {"m": "a - x2/x1"})
     dyn = system_from_expressions(["x1", "x2"], ["a"], phases).phases[Phase.POST_FAULT]
     p = np.array([1.0])
@@ -454,7 +455,12 @@ def test_division_by_zero_at_one_state_gives_the_batch_column():
         for g in _one_state_calls(dyn):
             batch = np.asarray(g(xs, p))
             for k in range(xs.shape[1]):
-                assert np.array_equal(g(xs[:, k], p), batch[..., k], equal_nan=True)
+                column = batch[..., k]
+                assert np.array_equal(g(xs[:, k], p), column, equal_nan=True)
+                got = g.on_floats(xs[:, k].tolist(), p.tolist())
+                assert type(got) is (float if column.ndim == 0 else list)
+                assert np.array_equal(got, column.ravel() if column.ndim else column,
+                                      equal_nan=True)
 
 
 # (system, parameter vectors, the bound expected at each).  The disk
