@@ -64,10 +64,12 @@ __all__ = [
     "CctOptions",
     "PostFaultClassification",
     "CriticalResult",
+    "OperatingPoint",
     "classify_post_fault",
     "classify_post_faults",
     "clearing_outcome",
     "compute_cct",
+    "operating_point",
 ]
 
 class InstabilityMode(IntEnum):
@@ -82,7 +84,6 @@ class CctOptions:
 
     integration: IntegrationOptions = IntegrationOptions()
     bisection_tol: float = 0.01
-    max_iterations: int = 100
     sep_radius: float = 1e-3
     clearing_feasibility_tol: float = 1e-5
     field_norm_threshold: float = 1e-3
@@ -93,8 +94,6 @@ class CctOptions:
     def __post_init__(self) -> None:
         if not (self.bisection_tol > 0.0 and math.isfinite(self.bisection_tol)):
             raise ValueError("bisection_tol must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
         if not (self.sep_radius > 0.0 and math.isfinite(self.sep_radius)):
             raise ValueError("sep_radius must be positive and finite")
         feasibility_tol = self.clearing_feasibility_tol
@@ -157,13 +156,32 @@ def _stable_equilibrium(system, phase, p, guess) -> np.ndarray:
     return res.x
 
 
-def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarray, float]:
-    """(x_sep_pre, x_sep_post, h_ref): both stable equilibria and the reference margin.
+@dataclass(frozen=True)
+class OperatingPoint:
+    """What every post-fault verdict at p reads; ``operating_point`` builds it.
+
+    Both stable equilibria, the reference margin ``h_ref`` (the
+    post-fault feasibility product at x_sep_pre) and the post-fault
+    ``events``: the SEP ball, certified when the phase allows, and the
+    ``_sink_stop`` for runs captured in a competing sink.
+    """
+
+    x_sep_pre: np.ndarray
+    x_sep_post: np.ndarray
+    h_ref: float
+    events: EventConfig
+
+
+def operating_point(system: ConstrainedSystem, p: np.ndarray, opts: CctOptions) -> OperatingPoint:
+    """Both SEPs, the reference margin and the post-fault events at p.
 
     The pre-fault SEP is sought from ``opts.sep_guess`` (the origin by
     default) and the post-fault SEP from it.  Raises NoFiniteCct unless
     every combined constraint is strictly positive at the pre-fault SEP.
+    The certified balls are computed once per point, which callers pass
+    to every verdict.
     """
+    p = np.array(p, dtype=float)  # a copy: the sink stop keeps it
     guess = (
         np.zeros(system.n) if opts.sep_guess is None
         else np.asarray(opts.sep_guess, dtype=float)
@@ -175,7 +193,22 @@ def _operating_point(system, p, opts: CctOptions) -> tuple[np.ndarray, np.ndarra
             "the pre-fault equilibrium is not strictly feasible; "
             "no positive clearing time exists"
         )
-    return x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p)
+    post = system.phases[Phase.POST_FAULT]
+    radius = _attraction_radius(system, p, x_sep_post, opts.sep_radius)
+    ball = opts.sep_radius if radius is None else radius
+    events = EventConfig(
+        constraints=post.constraints,
+        sep_target=x_sep_post,
+        sep_radius=ball,
+        norm_min_threshold=opts.field_norm_threshold,
+        stop_at_min=(
+            None if post.lipschitz_bound(p) is None
+            else _sink_stop(system, p, x_sep_post, ball, opts)
+        ),
+    )
+    return OperatingPoint(
+        x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p), events
+    )
 
 
 def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
@@ -189,8 +222,8 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
     every limit and within the loose radius of x*, so the full run would
     cross no limit and never reach the SEP ball: its verdict is
     "unstable at the first capture" either way.  Each sink's radius is
-    computed once per predicate, and ``_post_fault_events`` keeps one
-    predicate per operating point.
+    computed once per predicate, and ``operating_point`` makes one
+    predicate per point.
     """
     loose = _LOOSE_FACTOR * opts.sep_radius
     radii: dict = {}
@@ -212,43 +245,6 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
         return radius is not None and float(np.linalg.norm(x_end - res.x)) <= radius
 
     return stop
-
-
-# The last operating point's post-fault events: (system, key, EventConfig).
-_last_events: Optional[tuple] = None
-
-
-def _post_fault_events(system, p: np.ndarray, x_sep_post, opts: CctOptions) -> EventConfig:
-    """The ``EventConfig`` that ``classify_post_faults`` watches at one operating point.
-
-    Every verdict of a bisection asks for the same events, so the last
-    one is kept, keyed on the system's identity (a system is not changed
-    after it is built) and on the values of the rest: the certified ball
-    and each competing sink's radius are computed once per operating
-    point.
-    """
-    global _last_events
-    x_sep_post = np.asarray(x_sep_post, dtype=float)
-    key = (p.shape, p.tobytes(), x_sep_post.shape, x_sep_post.tobytes(), opts.sep_radius,
-           opts.field_norm_threshold)
-    if _last_events is not None and _last_events[0] is system and _last_events[1] == key:
-        return _last_events[2]
-    # Copies, so that no caller's later change to its arrays reaches the kept events.
-    p, x_sep_post = p.copy(), x_sep_post.copy()
-    radius = _attraction_radius(system, p, x_sep_post, opts.sep_radius)
-    ball = opts.sep_radius if radius is None else radius
-    events = EventConfig(
-        constraints=system.phases[Phase.POST_FAULT].constraints,
-        sep_target=x_sep_post,
-        sep_radius=ball,
-        norm_min_threshold=opts.field_norm_threshold,
-        stop_at_min=(
-            None if system.phases[Phase.POST_FAULT].lipschitz_bound(p) is None
-            else _sink_stop(system, p, x_sep_post, ball, opts)
-        ),
-    )
-    _last_events = (system, key, events)
-    return events
 
 
 def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
@@ -302,8 +298,7 @@ def classify_post_faults(
     system: ConstrainedSystem,
     p: np.ndarray,
     x_cls: np.ndarray,
-    x_sep_post: np.ndarray,
-    h_ref: float,
+    point: OperatingPoint,
     opts: CctOptions,
 ) -> list:
     """Stable/unstable verdict for the post-fault run from each clearing state.
@@ -315,19 +310,18 @@ def classify_post_faults(
     integration, each watched for a crossing of any post-fault
     constraint (immediate, t1 = 0, when the clearing state already
     violates one), for field-norm minima below ``field_norm_threshold``
-    away from the SEP, and for entry into the SEP ball: the ball of
-    ``_attraction_radius`` when the phase certifies one, else the ball
-    of ``sep_radius``.  The certified ball lies in a region of
-    attraction that no run leaves or crosses a limit in, so a run that
-    enters it is stable, whatever it recorded on the way.  A captured
-    run that enters the certified ball of the competing stable
-    equilibrium that captured it ends there (``_sink_stop``, set up
-    only when the phase's bound is finite at p): it could no longer
-    cross a limit or reach the SEP ball, so its verdict is already
-    fixed.  Convergence beats captures seen on the way; a run that ends
-    far from the SEP with no crossing and no capture is inconclusive.
-    The certified balls are computed once per operating point
-    (``_post_fault_events``), not once per call.
+    away from the SEP, and for entry into the SEP ball of ``point``:
+    the ball of ``_attraction_radius`` when the phase certifies one,
+    else the ball of ``sep_radius``.  The certified ball lies in a
+    region of attraction that no run leaves or crosses a limit in, so a
+    run that enters it is stable, whatever it recorded on the way.  A
+    captured run that enters the certified ball of the competing stable
+    equilibrium that captured it ends there (the point's
+    ``_sink_stop``): it could no longer cross a limit or reach the SEP
+    ball, so its verdict is already fixed.  Convergence beats captures
+    seen on the way; a run that ends far from the SEP with no crossing
+    and no capture is inconclusive.  ``point`` must come from
+    ``operating_point`` at this system, p and the tolerances of opts.
 
     Returns, per state, its PostFaultClassification or the
     NumericalBlowup, StiffnessFailure or InconclusiveRun that the
@@ -341,7 +335,8 @@ def classify_post_faults(
     run = []
     for i, x_cl in enumerate(x_cls):
         if constraints and (
-            eval_H(system, Phase.POST_FAULT, x_cl, p) / h_ref <= opts.clearing_feasibility_tol
+            eval_H(system, Phase.POST_FAULT, x_cl, p) / point.h_ref
+            <= opts.clearing_feasibility_tol
         ):
             label = min(constraints, key=lambda c: c.value(x_cl, p)).name
             out[i] = PostFaultClassification(
@@ -353,12 +348,11 @@ def classify_post_faults(
         return out
 
     trajs = integrate_lanes(
-        system, Phase.POST_FAULT, x_cls[run], p, opts.integration,
-        _post_fault_events(system, p, x_sep_post, opts),
+        system, Phase.POST_FAULT, x_cls[run], p, opts.integration, point.events
     )
     for i, traj in zip(run, trajs):
         out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(
-            traj, x_cls[i], x_sep_post, opts
+            traj, x_cls[i], point.x_sep_post, opts
         )
     return out
 
@@ -367,8 +361,7 @@ def classify_post_fault(
     system: ConstrainedSystem,
     p: np.ndarray,
     x_cl: np.ndarray,
-    x_sep_post: np.ndarray,
-    h_ref: float,
+    point: OperatingPoint,
     opts: CctOptions,
 ) -> PostFaultClassification:
     """Verdict for one clearing state: ``classify_post_faults`` with one lane.
@@ -377,7 +370,7 @@ def classify_post_fault(
     the batch returns in the state's place.
     """
     x_cl = np.asarray(x_cl, dtype=float)
-    (cls,) = classify_post_faults(system, p, x_cl[None], x_sep_post, h_ref, opts)
+    (cls,) = classify_post_faults(system, p, x_cl[None], point, opts)
     if isinstance(cls, Exception):
         raise cls
     return cls
@@ -411,14 +404,15 @@ def compute_cct(
     the unstable end of the bracket; otherwise the horizon is doubled
     until some clearing state goes unstable.  Stable-at-zero and an
     unstable upper bound in hand, plain bisection narrows the bracket
-    to ``bisection_tol``.
+    to ``bisection_tol``, or raises InconclusiveRun once no float lies
+    between its ends.  One ``operating_point`` serves every verdict.
     """
     if opts is None:
         opts = CctOptions()
     p = np.asarray(p, dtype=float)
-    x_sep_pre, x_sep_post, h_ref = _operating_point(system, p, opts)
+    point = operating_point(system, p, opts)
 
-    cls_zero = classify_post_fault(system, p, x_sep_pre, x_sep_post, h_ref, opts)
+    cls_zero = classify_post_fault(system, p, point.x_sep_pre, point, opts)
     if not cls_zero.stable:
         raise NoFiniteCct("instant clearing is already unstable")
 
@@ -429,7 +423,7 @@ def compute_cct(
     hit_time = hit_state = None
     hi_cls: Optional[PostFaultClassification] = None
     for run in range(opts.horizon_doublings + 2):
-        fault_traj = _run_fault(system, p, x_sep_pre, opts, horizon)
+        fault_traj = _run_fault(system, p, point.x_sep_pre, opts, horizon)
         crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
         if crossing is not None:
             t_hi = hit_time = crossing.time
@@ -438,9 +432,7 @@ def compute_cct(
             break
         if run > opts.horizon_doublings:
             break
-        cls_end = classify_post_fault(
-            system, p, fault_traj.final_state, x_sep_post, h_ref, opts
-        )
+        cls_end = classify_post_fault(system, p, fault_traj.final_state, point, opts)
         if not cls_end.stable:
             t_hi, hi_cls = fault_traj.final_time, cls_end
             break
@@ -456,14 +448,15 @@ def compute_cct(
     history = [(t_lo, t_hi)]
     iterations = 0
     while t_hi - t_lo > opts.bisection_tol:
-        if iterations >= opts.max_iterations:
-            raise InconclusiveRun(
-                f"bracket still {t_hi - t_lo:.3g} wide after "
-                f"{iterations} bisection steps"
-            )
         t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid in (t_lo, t_hi):
+            raise InconclusiveRun(
+                f"no float lies between the bracket ends {t_lo!r} and {t_hi!r} "
+                f"after {iterations} bisection steps; bisection_tol "
+                f"{opts.bisection_tol:.3g} is finer than their spacing"
+            )
         x_mid = state_at(fault_traj, t_mid)
-        cls_mid = classify_post_fault(system, p, x_mid, x_sep_post, h_ref, opts)
+        cls_mid = classify_post_fault(system, p, x_mid, point, opts)
         if cls_mid.stable:
             t_lo = t_mid
         else:
@@ -485,7 +478,7 @@ def compute_cct(
         )
         if t_lo > 0.0:
             lo_check = classify_post_fault(
-                system, p, state_at(fault_traj, t_lo), x_sep_post, h_ref, tight
+                system, p, state_at(fault_traj, t_lo), point, tight
             )
             if not lo_check.stable:
                 raise BracketCollapse(
@@ -494,7 +487,7 @@ def compute_cct(
                 )
         if not hi_is_hit:
             hi_check = classify_post_fault(
-                system, p, state_at(fault_traj, t_hi), x_sep_post, h_ref, tight
+                system, p, state_at(fault_traj, t_hi), point, tight
             )
             if hi_check.stable:
                 raise BracketCollapse(
@@ -529,11 +522,11 @@ def compute_cct(
         crossing_label=hi_cls.crossing_label,
         iterations=iterations,
         bracket_history=tuple(history),
-        x_sep_pre=x_sep_pre,
-        x_sep_post=x_sep_post,
+        x_sep_pre=point.x_sep_pre,
+        x_sep_post=point.x_sep_post,
         fault_hit_time=hit_time,
         fault_hit_state=hit_state,
-        h_ref=h_ref,
+        h_ref=point.h_ref,
     )
 
 
@@ -556,13 +549,11 @@ def clearing_outcome(
     if t_clear < 0.0:
         raise ValueError("t_clear must be non-negative")
     p = np.asarray(p, dtype=float)
-    x_sep_pre, x_sep_post, h_ref = _operating_point(system, p, opts)
+    point = operating_point(system, p, opts)
     if t_clear == 0.0:
-        return classify_post_fault(system, p, x_sep_pre, x_sep_post, h_ref, opts)
-    fault_traj = _run_fault(system, p, x_sep_pre, opts, t_clear)
+        return classify_post_fault(system, p, point.x_sep_pre, point, opts)
+    fault_traj = _run_fault(system, p, point.x_sep_pre, opts, t_clear)
     crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
     if crossing is not None and crossing.time < t_clear:
         return _hit_classification(crossing)
-    return classify_post_fault(
-        system, p, fault_traj.final_state, x_sep_post, h_ref, opts
-    )
+    return classify_post_fault(system, p, fault_traj.final_state, point, opts)

@@ -78,7 +78,7 @@ _INTEGRATION_KEYS = {f.name for f in dataclass_fields(IntegrationOptions)}
 _CCT_KEYS = {f.name for f in dataclass_fields(CctOptions)} - {
     "integration", "sep_guess", "reverify",
 }
-_INT_VALUED = {"max_iterations", "horizon_doublings"}
+_INT_VALUED = {"horizon_doublings"}
 _TOP_KEYS = {
     "system", "sens_params", "sweep", "grid", "tolerances",
     "out_dir", "quantities", "sep_guess", "reverify",
@@ -481,7 +481,7 @@ def _sweep_chunk(effective: dict, values: Sequence[float]) -> list:
     return out
 
 
-def cmd_sweep(cfg: RunConfig, verify: bool) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg.sweep_param is not None, 'the sweep subcommand needs a "sweep" block')
     name = cfg.param_names[cfg.sweep_param]
     header = "parameter,value,t_cl,mode"
@@ -518,7 +518,7 @@ def cmd_sweep(cfg: RunConfig, verify: bool) -> int:
     return 0
 
 
-def cmd_sr_grid(cfg: RunConfig, verify: bool) -> int:
+def cmd_sr_grid(cfg: RunConfig) -> int:
     _require(cfg.grid is not None, 'the sr-grid subcommand needs a "grid" block')
     system = build_system(cfg)
     # The grid has its own defaults; the configuration overrides only the
@@ -557,7 +557,7 @@ def cmd_sr_grid(cfg: RunConfig, verify: bool) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig, verify: bool) -> int:
+def cmd_validate(cfg: RunConfig) -> int:
     system = build_system(cfg)
     reports = oracle_suite(
         system, cfg.p0, cfg.opts,
@@ -596,27 +596,29 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--out", help="output directory (overrides the config)")
         cmd.add_argument(
-            "--verify", action="store_true",
-            help="attach independent oracle checks (cct and sens)",
-        )
-        cmd.add_argument(
             "--tol", action="append", metavar="KEY=VALUE",
             help="override one tolerance, repeatable",
         )
-        cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
+        if name in ("cct", "sens"):
+            cmd.add_argument(
+                "--verify", action="store_true", help="attach independent oracle checks",
+            )
+        if name in ("sweep", "sr-grid"):
+            cmd.add_argument("--jobs", type=int, default=1, help="worker processes")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.tol or (), args.out, args.jobs)
+        cfg = load_config(args.config, args.tol or (), args.out, getattr(args, "jobs", 1))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](cfg, args.verify)
+        command = _COMMANDS[args.command]
+        return command(cfg, args.verify) if "verify" in args else command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

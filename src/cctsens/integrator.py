@@ -298,6 +298,14 @@ def _norm(v) -> float:
     return math.sqrt(total)
 
 
+def _rms(v) -> float:
+    """Root mean square of a sequence of floats, its squares added left to right."""
+    total = 0.0
+    for x in v:
+        total += x * x
+    return math.sqrt(total / len(v))
+
+
 def _distance(y, target) -> float:
     """``_norm`` of y - target over the components of target."""
     return _norm([a - b for a, b in zip(y, target)])
@@ -349,24 +357,23 @@ def _error_norms(y, y_new, err, abs_tol: float, rel_tol: float) -> list:
     return norms
 
 
-def _initial_steps(field, y0, f0, opts: IntegrationOptions, t_span: float) -> list[float]:
-    """First step size of each lane of an (m, K) batch (Hairer, Norsett & Wanner's estimate)."""
-    scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d0 = _rms_lanes(y0 / scale)
-    d1 = _rms_lanes(f0 / scale)
-    h0 = [
-        min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b, t_span)
-        for a, b in zip(d0, d1)
-    ]
-    f1 = field(y0 + np.array(h0) * f0)
-    steps = []
-    for a, b, r, h in zip(d0, d1, _rms_lanes((f1 - f0) / scale), h0):
-        # h is 0 when the scaled field overflows; the lane then stops on
-        # step underflow.
-        d = max(b, r / h if h else math.inf)
-        h1 = max(1e-6, h * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
-        steps.append(min(100 * h, h1, opts.max_step, t_span))
-    return steps
+def _initial_step(field, ps: list, y: list, f0: list, opts: IntegrationOptions) -> float:
+    """First step size of a lane at y, field f0 (Hairer, Norsett & Wanner's estimate).
+
+    ``field(xs, ps)`` maps a list of floats to its derivative as a list.
+    """
+    abs_tol, rel_tol, t_span = opts.abs_tol, opts.rel_tol, opts.t_max
+    scale = [abs_tol + rel_tol * abs(v) for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
+    h = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, t_span)
+    f1 = field([v + h * g for v, g in zip(y, f0)], ps)
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)])
+    # h is 0 when the scaled field overflows; the lane then stops on
+    # step underflow.
+    d = max(d1, d2 / h if h else math.inf)
+    h1 = max(1e-6, h * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
+    return min(100 * h, h1, opts.max_step, t_span)
 
 
 def _generated(make_source, *widths):
@@ -669,10 +676,9 @@ class _Run:
     def __init__(self, rhs, p, opts: IntegrationOptions, n_state: int,
                  events: Optional[EventConfig], norm_bound, n_lanes: int) -> None:
         events = events if events is not None else EventConfig()
-        self.rhs, self.p, self.n = rhs, p, n_state
+        self.rhs, self.p, self.n, self.opts = rhs, p, n_state, opts
         self.field, self.ps = _float_field(rhs, p), p.tolist()
-        self.t_end, self.max_step = opts.t_max, opts.max_step
-        self.abs_tol, self.rel_tol = opts.abs_tol, opts.rel_tol
+        self.t_end = opts.t_max
         self.constraints = events.constraints
         self.float_margins = [_float_margin(c.value, p) for c in self.constraints]
         self.sep = None if events.sep_target is None else np.asarray(events.sep_target, dtype=float)
@@ -720,7 +726,8 @@ class _Run:
 
         A non-finite field fails the lane.  A start on or outside the
         boundary (a hit of the most violated constraint) or inside the
-        SEP ball ends the run there, with no step taken.
+        SEP ball ends the run there, with no step taken.  A lane that
+        steps gets its first step size from ``_initial_step``.
         """
         n = self.n
         if not all(map(math.isfinite, f)):
@@ -740,6 +747,7 @@ class _Run:
             self.record(lane, 0.0, EventKind.CONVERGED_TO_SEP, y, {"distance": 0.0})
             self.finish(lane)
             return None
+        lane.h = _initial_step(self.field, self.ps, y, f, self.opts)
         return lane
 
     def end_step(self, lane: _Lane, t1: float, y1: list, f1: list, norm, dist, vals) -> bool:
@@ -826,8 +834,8 @@ def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
     """
     field, ps, n = run.field, run.ps, run.n
     step = _generated(_step_source, len(lane.y))
-    max_step, t_end = run.max_step, run.t_end
-    abs_tol, rel_tol = run.abs_tol, run.rel_tol
+    opts, t_end = run.opts, run.t_end
+    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol
     margins, sep, watch_norm, quiet = run.float_margins, run.sep_floats, run.watch_norm, run.quiet
     # The margins and the field norm read the first n components.
     whole = len(lane.y) == n
@@ -881,8 +889,8 @@ def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Opti
     any, for ``_step_lone`` to finish.
     """
     n, rhs, p = run.n, run.rhs, run.p
-    max_step, t_end = run.max_step, run.t_end
-    abs_tol, rel_tol = run.abs_tol, run.rel_tol
+    opts, t_end = run.opts, run.t_end
+    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol
     sep = None if run.sep is None else run.sep[:, None]
     quiet = run.quiet
     while len(lanes) > 1:
@@ -963,11 +971,6 @@ def _engine(
             rows.append((0.0, y, f))
         lane = run.start(0, y, f, [value(y[:n_state], run.ps) for value in run.float_margins])
         if lane is not None:
-            # The batch estimate on the lane as one column, its field on floats.
-            (lane.h,) = _initial_steps(
-                lambda z: np.array(run.field(z[:, 0].tolist(), run.ps))[:, None],
-                np.array(y)[:, None], np.array(f)[:, None], opts, opts.t_max,
-            )
             _step_lone(run, lane, rows)
         return run.out
 
@@ -980,10 +983,7 @@ def _engine(
             lanes.append(lane)
             cols.append(j)
     if lanes:
-        y, f = y[:, cols], f[:, cols]
-        for lane, h in zip(lanes, _initial_steps(lambda z: rhs(z, p), y, f, opts, opts.t_max)):
-            lane.h = h
-        last = _step_lockstep(run, lanes, y, f)
+        last = _step_lockstep(run, lanes, y[:, cols], f[:, cols])
         if last is not None:
             _step_lone(run, last, None)
     return run.out

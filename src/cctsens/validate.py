@@ -29,11 +29,11 @@ import numpy as np
 from .cct import (
     CctOptions,
     InstabilityMode,
-    _operating_point,
     _run_fault,
     classify_post_fault,  # not called here; bench/spans.py patches this import site
     classify_post_faults,
     compute_cct,
+    operating_point,
 )
 from .errors import ModeChangedAcrossStep, NoFiniteCct, UnsupportedMode
 from .integrator import (
@@ -214,7 +214,7 @@ def fd_trajectory_sensitivity(
     return phi_x, phi_p_col
 
 
-def _classify_blocks(system, p, traj, times, x_sep, h_ref, opts, full):
+def _classify_blocks(system, p, traj, times, point, opts, full):
     """Stable flag of clearing at each of ``times``, in ascending blocks.
 
     Stops after the first unstable point unless ``full``.  A lane's error
@@ -225,7 +225,7 @@ def _classify_blocks(system, p, traj, times, x_sep, h_ref, opts, full):
     stable = []
     for start in range(0, len(times), _SCAN_BLOCK):
         states = [state_at(traj, t) for t in times[start : start + _SCAN_BLOCK]]
-        for cls in classify_post_faults(system, p, states, x_sep, h_ref, opts):
+        for cls in classify_post_faults(system, p, states, point, opts):
             if isinstance(cls, Exception):
                 raise cls
             stable.append(cls.stable)
@@ -248,15 +248,16 @@ def scan_cct(
     the faulted trajectory leaves the feasible region is unstable
     without further simulation, which also bounds the grid.  Raises
     NoFiniteCct when every grid point up to the horizon is stable.
-    Every grid point is classified with ``verify_monotone``.
+    Every grid point is classified with ``verify_monotone``.  One
+    ``operating_point`` serves every grid point.
     """
-    if step <= 0.0:
-        raise ValueError(f"scan step must be positive, got {step}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"scan step must be positive and finite, got {step}")
     if opts is None:
         opts = CctOptions()
     p = np.asarray(p, dtype=float)
-    x_sep_pre, x_sep_post, h_ref = _operating_point(system, p, opts)
-    traj = _run_fault(system, p, x_sep_pre, opts, opts.integration.t_max)
+    point = operating_point(system, p, opts)
+    traj = _run_fault(system, p, point.x_sep_pre, opts, opts.integration.t_max)
     hit = traj.first_event(EventKind.CONSTRAINT_CROSSING)
 
     if hit is not None:
@@ -264,9 +265,7 @@ def scan_cct(
     else:
         n_interior = math.floor(traj.final_time / step)
     times = [step * (j + 1) for j in range(n_interior)]
-    stable = _classify_blocks(
-        system, p, traj, times, x_sep_post, h_ref, opts, verify_monotone
-    )
+    stable = _classify_blocks(system, p, traj, times, point, opts, verify_monotone)
 
     first_unstable = next((j for j, ok in enumerate(stable) if not ok), None)
     if first_unstable is not None:

@@ -36,6 +36,7 @@ from cctsens import (
     eval_H,
     integrate,
     integrate_lanes,
+    operating_point,
     smib_system,
     system_from_expressions,
 )
@@ -216,10 +217,13 @@ class TestClassifyPostFault:
     _SYS = smib_system(_P2)
     _SEP = np.array([math.asin(0.5), 0.0])
     _H_REF = (1.6 - math.asin(0.5)) * 0.9
+    _POINT = operating_point(_SYS, _P2.p0, CctOptions())
+    _SYS3 = smib_system(_P3)
+    _POINT3 = operating_point(_SYS3, _P3.p0, CctOptions())
 
     def test_infeasible_clearing_short_circuits(self):
         x = np.array([2.0, 0.0])
-        cls = classify_post_fault(self._SYS, _P2.p0, x, self._SEP, self._H_REF, CctOptions())
+        cls = classify_post_fault(self._SYS, _P2.p0, x, self._POINT, CctOptions())
         assert not cls.stable
         assert cls.t1 == 0.0 and cls.T == 0.0
         assert cls.crossing_label == "angle_limit"
@@ -227,17 +231,14 @@ class TestClassifyPostFault:
 
     def test_barely_feasible_clearing_counts_as_on_boundary(self):
         x = np.array([1.6 - 1e-9, 0.5])
-        cls = classify_post_fault(
-            self._SYS, _P2.p0, x, self._SEP, self._H_REF, CctOptions()
-        )
+        cls = classify_post_fault(self._SYS, _P2.p0, x, self._POINT, CctOptions())
         assert not cls.stable and cls.t1 == 0.0
         assert 0.0 < eval_H(self._SYS, Phase.POST_FAULT, x, _P2.p0) / self._H_REF < 1e-5
 
     def test_small_perturbation_converges(self, monkeypatch):
         runs = _recorded_runs(monkeypatch)
         cls = classify_post_fault(
-            self._SYS, _P2.p0, self._SEP + [0.2, 0.1], self._SEP, self._H_REF,
-            CctOptions(),
+            self._SYS, _P2.p0, self._SEP + [0.2, 0.1], self._POINT, CctOptions()
         )
         assert cls.stable and _entered_the_ball(runs)
         assert cls.t1 == math.inf and math.isinf(cls.T)
@@ -245,19 +246,15 @@ class TestClassifyPostFault:
     def test_capture_ignored_when_run_recovers(self, monkeypatch):
         # At rest just inside the saddle the run slides back to the
         # SEP; field-norm dips near the SEP are part of convergence.
-        sys3 = smib_system(_P3)
         runs = _recorded_runs(monkeypatch)
         cls = classify_post_fault(
-            sys3, _P3.p0, np.array([2.55, 0.0]), self._SEP,
-            (50.0 - math.asin(0.5)) * 50.0, CctOptions(),
+            self._SYS3, _P3.p0, np.array([2.55, 0.0]), self._POINT3, CctOptions()
         )
         assert cls.stable and _entered_the_ball(runs)
 
     def test_escape_captured_at_competing_equilibrium(self):
-        sys3 = smib_system(_P3)
         cls = classify_post_fault(
-            sys3, _P3.p0, np.array([2.7, 0.0]), self._SEP,
-            (50.0 - math.asin(0.5)) * 50.0, CctOptions(),
+            self._SYS3, _P3.p0, np.array([2.7, 0.0]), self._POINT3, CctOptions()
         )
         assert not cls.stable
         assert cls.T == cls.t2 < math.inf
@@ -267,11 +264,9 @@ class TestClassifyPostFault:
     def _saddle_return_verdicts(self, t_maxes):
         # The run stalls at the saddle (a capture near t = 4.5) and enters
         # the SEP's certified ball near t = 16.9.
-        sys3 = smib_system(_P3)
-        h_ref = (50.0 - math.asin(0.5)) * 50.0
         return [
             classify_post_fault(
-                sys3, _P3.p0, np.array([0.0, 5.52713]), self._SEP, h_ref,
+                self._SYS3, _P3.p0, np.array([0.0, 5.52713]), self._POINT3,
                 CctOptions(integration=IntegrationOptions(t_max=t_max)),
             ).stable
             for t_max in t_maxes
@@ -291,15 +286,11 @@ class TestClassifyPostFault:
     def test_short_horizon_is_inconclusive(self):
         opts = CctOptions(integration=IntegrationOptions(t_max=0.2))
         with pytest.raises(InconclusiveRun):
-            classify_post_fault(
-                self._SYS, _P2.p0, np.array([1.2, 0.6]), self._SEP,
-                self._H_REF, opts,
-            )
+            classify_post_fault(self._SYS, _P2.p0, np.array([1.2, 0.6]), self._POINT, opts)
 
     @pytest.mark.bit_identity
     def test_lanes_equal_their_one_lane_verdicts(self):
-        sys3 = smib_system(_P3)
-        h_ref = (50.0 - math.asin(0.5)) * 50.0
+        sys3, point = self._SYS3, self._POINT3
         # Captures come after t = 14; t_max = 16 leaves the start nearest
         # the saddle still wandering.
         opts = replace(_OPTS3, integration=IntegrationOptions(t_max=16.0))
@@ -310,11 +301,11 @@ class TestClassifyPostFault:
             [2.62, 0.0],             # inconclusive at t_max
             [2.7, 0.0],              # captured away from the SEP
         ])
-        batch = classify_post_faults(sys3, _P3.p0, starts, self._SEP, h_ref, opts)
+        batch = classify_post_faults(sys3, _P3.p0, starts, point, opts)
         assert len(batch) == len(starts)
         for x, got in zip(starts, batch):
             try:
-                want = classify_post_fault(sys3, _P3.p0, x, self._SEP, h_ref, opts)
+                want = classify_post_fault(sys3, _P3.p0, x, point, opts)
             except InconclusiveRun as exc:
                 want = exc
             assert type(got) is type(want)
@@ -336,9 +327,7 @@ class TestClassifyPostFault:
             for c in batch
         ]
         assert kinds == ["stable", "band", "crossing", "error", "capture"]
-        assert classify_post_faults(
-            sys3, _P3.p0, np.empty((0, 2)), self._SEP, h_ref, opts
-        ) == []
+        assert classify_post_faults(sys3, _P3.p0, np.empty((0, 2)), point, opts) == []
 
 
 def _without_bound(system):
@@ -403,8 +392,7 @@ def _entered_the_ball(runs):
 def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
     """Verdicts of classify_post_faults and the run of each lane."""
     runs = _recorded_runs(monkeypatch)
-    _, x_sep, h_ref = cct_mod._operating_point(system, p, opts)
-    out = classify_post_faults(system, p, xs, x_sep, h_ref, opts)
+    out = classify_post_faults(system, p, xs, operating_point(system, p, opts), opts)
     monkeypatch.undo()
     return out, runs
 
@@ -460,8 +448,9 @@ class TestCertifiedRegion:
             assert sum(fast_steps[k] for k in stable) < sum(full_steps[k] for k in stable), params
             # Every certified-stable verdict holds for a run without the
             # bound to t_max 200.
-            _, x_sep, h_ref = cct_mod._operating_point(system, params.p0, CctOptions())
-            long = classify_post_faults(_without_bound(system), params.p0, xs[stable], x_sep, h_ref, _LONG)
+            unbounded = _without_bound(system)
+            point = operating_point(unbounded, params.p0, _LONG)
+            long = classify_post_faults(unbounded, params.p0, xs[stable], point, _LONG)
             assert all(c.stable for c in long), params
             # Captured runs that ended in a competing sink's certified ball
             # take fewer steps; every other unstable run takes the same.
@@ -516,13 +505,15 @@ class TestCertifiedRegion:
         # The expression twin has the bound too, so it takes the same path.
         x_cl = np.array([[0.0, 5.52713]])
         for system in (smib_system(_P3), _smib_twin()):
-            _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
+            point = operating_point(system, _P3.p0, CctOptions())
             for t_max in (20.0, 30.0):
                 opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
-                (fast,) = classify_post_faults(system, _P3.p0, x_cl, x_sep, h_ref, opts)
+                (fast,) = classify_post_faults(system, _P3.p0, x_cl, point, opts)
                 assert fast.stable and 4.0 < fast.t2 < 5.0
+            unbounded = _without_bound(system)
             (full,) = classify_post_faults(
-                _without_bound(system), _P3.p0, x_cl, x_sep, h_ref, CctOptions()
+                unbounded, _P3.p0, x_cl, operating_point(unbounded, _P3.p0, CctOptions()),
+                CctOptions(),
             )
             assert not full.stable and full.T == full.t2 and 4.0 < full.t2 < 5.0
 
@@ -532,9 +523,13 @@ class TestCertifiedRegion:
         # without the bound to t_max 200 does.
         system = smib_system(_P3)
         xs = np.stack([np.zeros(31), np.linspace(5.52710, 5.52716, 31)], axis=1)
-        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
-        fast = classify_post_faults(system, _P3.p0, xs, x_sep, h_ref, CctOptions())
-        full = classify_post_faults(_without_bound(system), _P3.p0, xs, x_sep, h_ref, _LONG)
+        unbounded = _without_bound(system)
+        fast = classify_post_faults(
+            system, _P3.p0, xs, operating_point(system, _P3.p0, CctOptions()), CctOptions()
+        )
+        full = classify_post_faults(
+            unbounded, _P3.p0, xs, operating_point(unbounded, _P3.p0, _LONG), _LONG
+        )
         assert [c.stable for c in fast] == [c.stable for c in full]
         assert {c.stable for c in fast} == {True, False}
 
@@ -554,8 +549,8 @@ class TestCertifiedRegion:
 
         monkeypatch.setattr(cct_mod, "classify_post_faults", counting_batch)
         monkeypatch.setattr(cct_mod, "integrate_lanes", counting_lanes)
-        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, CctOptions())
-        cct_mod.classify_post_faults(system, _P3.p0, self._SLIPS, x_sep, h_ref, CctOptions())
+        point = operating_point(system, _P3.p0, CctOptions())
+        cct_mod.classify_post_faults(system, _P3.p0, self._SLIPS, point, CctOptions())
         compute_cct(system, _P3.p0)
         assert len(calls) > 1 and all(c == 1 for c in calls)
 
@@ -601,14 +596,14 @@ class TestCertifiedRegion:
         post = replace(system.phases[Phase.POST_FAULT], jac_lipschitz=lambda p: math.inf)
         infinite = replace(system, phases={**system.phases, Phase.POST_FAULT: post})
         opts = CctOptions(integration=IntegrationOptions(t_max=40.0))
-        _, x_sep, h_ref = cct_mod._operating_point(system, _P3.p0, opts)
         find, counts = cct_mod.find_equilibrium, []
         for s in (infinite, _without_bound(system), system):
+            point = operating_point(s, _P3.p0, opts)
             calls = []
             monkeypatch.setattr(
                 cct_mod, "find_equilibrium", lambda *args: calls.append(args) or find(*args)
             )
-            verdicts = classify_post_faults(s, _P3.p0, self._SLIPS, x_sep, h_ref, opts)
+            verdicts = classify_post_faults(s, _P3.p0, self._SLIPS, point, opts)
             monkeypatch.undo()
             counts.append(len(calls))
             assert [c.stable for c in verdicts] == [False, False, False, True, True]
@@ -638,7 +633,7 @@ class TestCertifiedRegion:
     def test_sink_stop_ends_only_inside_a_far_certified_sink(self):
         system = smib_system(_P3)
         opts = CctOptions()
-        _, x_sep, _ = cct_mod._operating_point(system, _P3.p0, opts)
+        x_sep = operating_point(system, _P3.p0, opts).x_sep_post
         saddle = np.array([math.pi - x_sep[0], 0.0])
         sink = x_sep + [2.0 * math.pi, 0.0]
         radius = _attraction_radius(system, _P3.p0, sink, opts.sep_radius)
@@ -667,7 +662,7 @@ class TestCertifiedRegion:
         system = smib_system(params)
         p = params.p0
         sep_radius = CctOptions().sep_radius
-        _, x_sep, _ = cct_mod._operating_point(system, p, CctOptions())
+        x_sep = operating_point(system, p, CctOptions()).x_sep_post
         radius = _attraction_radius(system, p, x_sep, sep_radius)
         assert radius is not None and radius >= sep_radius
         dyn = system.phases[Phase.POST_FAULT]
@@ -703,7 +698,7 @@ class TestCertifiedRegion:
 
     def test_no_region_without_a_bound(self):
         system = _without_bound(smib_system(_P2))
-        _, x_sep, _ = cct_mod._operating_point(system, _P2.p0, CctOptions())
+        x_sep = operating_point(system, _P2.p0, CctOptions()).x_sep_post
         assert _attraction_radius(system, _P2.p0, x_sep, 1e-3) is None
 
     def test_no_region_smaller_than_the_ball(self):
@@ -837,8 +832,8 @@ class TestFailurePaths:
     def test_reverify_detects_flaky_classification(self, monkeypatch):
         real = cct_mod.classify_post_fault
 
-        def flaky(system, p, x_cl, x_sep_post, h_ref, opts):
-            out = real(system, p, x_cl, x_sep_post, h_ref, opts)
+        def flaky(system, p, x_cl, point, opts):
+            out = real(system, p, x_cl, point, opts)
             if opts.integration.rel_tol < 1e-9:
                 return replace(out, stable=True)
             return out
@@ -851,8 +846,9 @@ class TestFailurePaths:
 def _plain_cct(system, p, opts=CctOptions()):
     """compute_cct with every bisection verdict from one-lane classify_post_fault."""
     p = np.asarray(p, dtype=float)
-    x_pre, x_post, h_ref = cct_mod._operating_point(system, p, opts)
-    if not classify_post_fault(system, p, x_pre, x_post, h_ref, opts).stable:
+    point = operating_point(system, p, opts)
+    x_pre = point.x_sep_pre
+    if not classify_post_fault(system, p, x_pre, point, opts).stable:
         raise NoFiniteCct("instant clearing is already unstable")
     horizon = opts.integration.t_max
     hit_time = hit_state = hi_cls = None
@@ -866,7 +862,7 @@ def _plain_cct(system, p, opts=CctOptions()):
             break
         if run > opts.horizon_doublings:
             break
-        cls_end = classify_post_fault(system, p, fault.final_state, x_post, h_ref, opts)
+        cls_end = classify_post_fault(system, p, fault.final_state, point, opts)
         if not cls_end.stable:
             t_hi, hi_cls = fault.final_time, cls_end
             break
@@ -875,15 +871,14 @@ def _plain_cct(system, p, opts=CctOptions()):
     hi_is_hit = hit_time is not None
     t_lo, history, iterations = 0.0, [(0.0, t_hi)], 0
     while t_hi - t_lo > opts.bisection_tol:
-        if iterations >= opts.max_iterations:
-            raise InconclusiveRun(
-                f"bracket still {t_hi - t_lo:.3g} wide after "
-                f"{iterations} bisection steps"
-            )
         t_mid = 0.5 * (t_lo + t_hi)
-        cls_mid = classify_post_fault(
-            system, p, cct_mod.state_at(fault, t_mid), x_post, h_ref, opts
-        )
+        if t_mid in (t_lo, t_hi):
+            raise InconclusiveRun(
+                f"no float lies between the bracket ends {t_lo!r} and {t_hi!r} "
+                f"after {iterations} bisection steps; bisection_tol "
+                f"{opts.bisection_tol:.3g} is finer than their spacing"
+            )
+        cls_mid = classify_post_fault(system, p, cct_mod.state_at(fault, t_mid), point, opts)
         if cls_mid.stable:
             t_lo = t_mid
         else:
@@ -904,8 +899,8 @@ def _plain_cct(system, p, opts=CctOptions()):
         t_cl=t_cl, mode=mode, t_lo=t_lo, t_hi=t_hi, x_cr=x_cr, x_T=x_T, T=T,
         t1=hi_cls.t1, t2=hi_cls.t2, crossing_label=hi_cls.crossing_label,
         iterations=iterations, bracket_history=tuple(history),
-        x_sep_pre=x_pre, x_sep_post=x_post, fault_hit_time=hit_time,
-        fault_hit_state=hit_state, h_ref=h_ref,
+        x_sep_pre=x_pre, x_sep_post=point.x_sep_post, fault_hit_time=hit_time,
+        fault_hit_state=hit_state, h_ref=point.h_ref,
     )
 
 
@@ -967,14 +962,25 @@ class TestBatchedBisection:
         assert result.T == 0.0 and result.iterations == 14
         assert result.t_cl == _plain_cct(*args).t_cl
 
-    def test_iteration_cap_raises_as_the_one_lane_loop(self):
+    def test_unsplittable_bracket_raises_as_the_one_lane_loop(self):
         system, p, _ = _BATCH_CASES["speed-1e-2"][0]
-        opts = CctOptions(max_iterations=3)
+        opts = CctOptions(bisection_tol=1e-300)
         with pytest.raises(InconclusiveRun) as want:
             _plain_cct(system, p, opts)
         with pytest.raises(InconclusiveRun) as got:
             compute_cct(system, p, opts)
         assert str(got.value) == str(want.value)
+
+    def test_unsplittable_bracket_raises_within_60_verdicts(self, monkeypatch):
+        # At this tolerance the bracket is one ulp wide after about 53
+        # halvings; the search must stop there, not go on splitting a
+        # bracket whose midpoint is one of its ends.
+        real, verdicts = cct_mod.classify_post_fault, []
+        monkeypatch.setattr(cct_mod, "classify_post_fault",
+                            lambda *args: verdicts.append(args) or real(*args))
+        with pytest.raises(InconclusiveRun, match="no float lies between"):
+            compute_cct(smib_system(_GRAZE1), _GRAZE1.p0, CctOptions(bisection_tol=1e-300))
+        assert 50 < len(verdicts) <= 60
 
     @pytest.mark.parametrize("case", ["speed-1e-4", "graze-mode2"])
     def test_bisection_below_a_hit_runs_one_lane_per_step(self, case, monkeypatch):
@@ -1005,7 +1011,7 @@ class TestOptionsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"bisection_tol": 0.0},
         {"bisection_tol": math.inf},
-        {"max_iterations": 0},
+        {"bisection_tol": math.nan},
         {"sep_radius": 0.0},
         {"sep_radius": math.nan},
         {"sep_radius": math.inf},

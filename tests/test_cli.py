@@ -62,6 +62,23 @@ class TestConfig:
             assert main(["cct", "--config", str(path), "--tol", key]) == 2
         assert main(["cct", "--config", str(path), "--tol", "oops"]) == 2
 
+    def test_iteration_cap_key_is_a_config_error(self, tmp_path, capsys):
+        # The bisection stops on its own once no float lies between the
+        # bracket ends, so there is no cap to set.
+        path = write_config(tmp_path, {**_BASE, "tolerances": {"max_iterations": 3}})
+        assert main(["cct", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "max_iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [command, "--verify"] for command in ("sweep", "sr-grid", "validate")
+    ] + [[command, "--jobs", "2"] for command in ("cct", "sens", "validate")])
+    def test_flag_a_command_does_not_read_exits_2(self, tmp_path, argv):
+        path = write_config(tmp_path, _BASE)
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], "--config", str(path), "--out", str(tmp_path / "o"), *argv[1:]])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key", [
         f"{name}={value}"
         for name in ("sep_radius", "field_norm_threshold", "clearing_feasibility_tol")

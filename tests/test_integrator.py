@@ -889,6 +889,59 @@ def test_lone_error_norm_sums_on_floats_below_eight_entries(monkeypatch, width):
     assert e == math.sqrt(total / width)
 
 
+def _batch_initial_steps(field, y0, f0, opts, t_span):
+    """First step size of each lane of an (m, K) batch: the oracle of ``integrator._initial_step``.
+
+    ``field`` maps an (m, K) batch to its derivative.
+    """
+    scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
+    d0 = integrator._rms_lanes(y0 / scale)
+    d1 = integrator._rms_lanes(f0 / scale)
+    h0 = [
+        min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b, t_span)
+        for a, b in zip(d0, d1)
+    ]
+    f1 = field(y0 + np.array(h0) * f0)
+    steps = []
+    for a, b, r, h in zip(d0, d1, integrator._rms_lanes((f1 - f0) / scale), h0):
+        d = max(b, r / h if h else math.inf)
+        h1 = max(1e-6, h * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
+        steps.append(min(100 * h, h1, opts.max_step, t_span))
+    return steps
+
+
+def _cubic_ring(z):
+    """A field that reads alike on the rows of a batch and on a list of floats."""
+    m = len(z)
+    return [z[(i + 1) % m] - 0.5 * z[i] + 0.1 * z[i] * z[i] * z[i] for i in range(m)]
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 13])
+@pytest.mark.parametrize("opts", [
+    IntegrationOptions(), IntegrationOptions(rel_tol=1e-3, abs_tol=1e-6, t_max=0.5, max_step=0.1),
+    IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12, max_step=math.inf),
+])
+def test_initial_step_equals_the_batch_estimate(width, opts):
+    # Random states at three scales, then two edge lanes: at the origin
+    # the field is zero (the floor of 1e-6), and a field of 1e300
+    # overflows when scaled, so the first guess h is 0 and so is the step.
+    rng = np.random.default_rng(width)
+    y = rng.normal(size=(width, 8)) * np.repeat([1e-7, 1.0, 1e3], [3, 3, 2])
+    y[:, 6] = 0.0
+    f = np.array(_cubic_ring(y))
+    f[:, 7] = 1e300
+    with np.errstate(over="ignore"):
+        batch = _batch_initial_steps(lambda z: np.array(_cubic_ring(z)), y, f, opts, opts.t_max)
+    for a in range(y.shape[1]):
+        lone = integrator._initial_step(
+            lambda xs, ps: _cubic_ring(xs), None, y[:, a].tolist(), f[:, a].tolist(), opts
+        )
+        assert lone == batch[a], a
+    assert batch[6] == 1e-6 and batch[7] == 0.0
+    assert all(0.0 < h <= opts.max_step for h in batch[:6])
+
+
 def test_lone_error_norm_is_none_when_not_finite():
     # A component of y_new or of the error that is inf or nan makes the
     # norm None, in the stand-alone fragment and in the generated step.

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cctsens.cct as cct_mod
 import cctsens.validate as validate_mod
 from cctsens import (
     CctOptions,
@@ -179,10 +180,29 @@ class TestScanCct:
         with pytest.raises(ValueError):
             scan_cct(_SYS1, _P1.p0, 0.0)
 
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="positive and finite"):
+            scan_cct(_SYS1, _P1.p0, step)
+
+    def test_certified_ball_is_computed_once_per_scan(self, monkeypatch):
+        # Every block of a scan watches the same events, so the SEP's
+        # certified ball is computed once per scan, not once per block.
+        x_sep = cct_mod.operating_point(_SYS1, _P1.p0, CctOptions()).x_sep_post
+        radius, centres = cct_mod._attraction_radius, []
+        monkeypatch.setattr(cct_mod, "_attraction_radius",
+                            lambda *args: centres.append(args[2].tobytes()) or radius(*args))
+        real, blocks = validate_mod.classify_post_faults, []
+        monkeypatch.setattr("cctsens.validate.classify_post_faults",
+                            lambda *args: blocks.append(args) or real(*args))
+        scan_cct(_SYS1, _P1.p0, 0.002)
+        assert len(blocks) > 1
+        assert centres == [x_sep.tobytes()]
+
     def test_non_monotone_pattern_is_reported(self, monkeypatch):
         pattern = iter([True, False, True, True, True])
 
-        def fake_classify(system, p, x_cls, x_sep, h_ref, opts):
+        def fake_classify(system, p, x_cls, point, opts):
             return [PostFaultClassification(stable=next(pattern)) for _ in x_cls]
 
         monkeypatch.setattr("cctsens.validate.classify_post_faults", fake_classify)
@@ -196,7 +216,7 @@ class TestScanCct:
         def failing_at(bad):
             seen = []
 
-            def fake_classify(system, p, x_cls, x_sep, h_ref, opts):
+            def fake_classify(system, p, x_cls, point, opts):
                 out = []
                 for _ in x_cls:
                     j = len(seen)
@@ -228,9 +248,9 @@ class TestScanCct:
         real = validate_mod.classify_post_faults
         counts = [0]
 
-        def counting(system, p, x_cls, x_sep, h_ref, opts):
+        def counting(system, p, x_cls, point, opts):
             counts[0] += len(x_cls)
-            return real(system, p, x_cls, x_sep, h_ref, opts)
+            return real(system, p, x_cls, point, opts)
 
         monkeypatch.setattr("cctsens.validate.classify_post_faults", counting)
         scan_cct(system, params.p0, 0.05)
