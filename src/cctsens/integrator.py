@@ -10,8 +10,8 @@ assumed.
 Three kinds of events can be watched while integrating:
 
 * exits from the feasible region: each constraint margin is evaluated
-  at every step end, and the earliest root among the margins that went
-  non-positive is localized by bisection of that margin on the
+  at every step end, and the earliest root among the margins that are
+  no longer positive (NaN included) is localized by bisection of that margin on the
   interpolated state down to ``_EVENT_REFINE_TOL``.  Watching each
   margin, not their product, also sees a step that crosses an even
   number of margins at once.  A run that reads only whether a limit
@@ -34,19 +34,22 @@ A lane whose state goes non-finite or whose step underflows stops with
 that error; the other lanes run on.
 
 A lone lane (a one-lane run, or the last live lane of a batch) steps
-on Python lists of floats (``_float_step``) through one straight-line
-function per state width, generated once from ``_A`` and ``_E`` with
-every component a local and every weight an exact literal; it returns
-the step's error norm with the new state.  ``_step_lone`` keeps the
-lane's clock, step size and last two points in locals, and takes the
-field norm, the SEP distance and the margins at each step end on
-floats.  A quiet step (``_Run.quiet``: no crossing, no SEP ball, no
-field-norm minimum, not the horizon) just moves the lane on; only
-other steps go to ``_Run.end_step``, in a batch as for a lone lane.
-Both loops share the step-size rule (``_control``) and the quiet-step
-test.  The lone lane calls the field, and reads the margins, through
-their one-state float entries ``on_floats`` when they have them.  A
-batch holds its lanes as the columns of (m, K) arrays and its stages
+on Python floats in one straight-line loop (``_step_lone``), generated
+once per state width and per source records of the field and margins
+(``_loop_source``), with every component a local and every weight of
+``_A`` and ``_E`` an exact literal.  Where the field's one-state float
+entry carries a source record (``model._Source``; both constructors
+attach one), each stage evaluates the field's expressions in place,
+with no call and no list; so do the margins at each step end, beside
+the field norm and the SEP distance.  A field or margin without a
+record is called through its float entry ``on_floats``, or its array
+call: the field through ``_float_step``, one generated step per width
+that returns the new state, the field there and the error norm.  A
+quiet step (``_Run.quiet``: no crossing, no SEP ball, no field-norm
+minimum, not the horizon) just moves the loop's locals on; only other
+steps go to ``_Run.end_step``, in a batch as for a lone lane.  Both
+loops share the step-size rule (``_control``) and the quiet-step test.
+A batch holds its lanes as the columns of (m, K) arrays and its stages
 stage-major, shape (7, m, K) (``_dp_step``).  Both sum in one explicit
 order:
 
@@ -80,6 +83,7 @@ is taken, so no result here depends on a BLAS build.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -178,8 +182,9 @@ class EventConfig:
     """What to watch for during a run.
 
     A run ends with a CONSTRAINT_CROSSING event as soon as one of
-    ``constraints`` is non-positive: at the start, or at the earliest
-    root inside a step.  The event info names that constraint.  With
+    ``constraints`` is not positive (a NaN margin, outside its limit's
+    domain, is not): at the start, or at the earliest root inside a
+    step.  The event info names that constraint.  With
     ``locate_crossings`` False the root is not sought: the run ends at
     the end of the step where a margin went non-positive, and the event
     (at that step end) names the most violated margin, as at the start.
@@ -376,16 +381,16 @@ def _initial_step(field, ps: list, y: list, f0: list, opts: IntegrationOptions) 
     return min(100 * h, h1, opts.max_step, t_span)
 
 
-def _generated(make_source, *widths):
-    """The function that ``make_source(*widths)`` defines, made once per widths.
+def _generated(make_source, *args):
+    """The function that ``make_source(*args)`` defines, made once per args.
 
     Each source defines one function, named ``generated``.
     """
-    key = (make_source, widths)
+    key = (make_source, args)
     fn = _GENERATED.get(key)
     if fn is None:
         scope: dict = {}
-        exec(compile(make_source(*widths), f"<{make_source.__name__}{widths}>", "exec"), scope)
+        exec(compile(make_source(*args), f"<{make_source.__name__}>", "exec"), scope)
         fn = _GENERATED[key] = scope["generated"]
     return fn
 
@@ -425,36 +430,49 @@ def _error_norm_lines(m: int) -> list[str]:
     return lines + [f"        e = sqrt(({squares}) / {m})", "    else:", "        e = None"]
 
 
-def _step_source(m: int) -> str:
-    """Source of the Dormand-Prince step of a state of m components on floats.
+def _stage_lines(m: int, components=None) -> list[str]:
+    """Source lines of one Dormand-Prince step of m components on floats.
 
-    ``generated(field, ps, y, f0, h, abs_tol, rel_tol)`` returns (y_new,
-    f_new, e): the new state, the field there and the step's error norm
-    (``_error_norm_lines``, None when not finite).  Each component is a
-    local, and every weight of ``_A`` and ``_E`` is kept, zeros
-    included: 0.0 k is not 0 when k is inf or NaN, and the batch's
-    reduce adds it too.
+    They read the state y0.., its field k0_0.., the step size h and the
+    tolerances, and set the stages k1_0.. to k6_0.., the new state
+    z0.., the error vector d0.. and its norm ``e`` (``_error_norm_lines``,
+    None when not finite).  Each stage calls ``field(xs, ps)`` on a list
+    of the stage state, or, given the field's ``components`` as
+    expressions on ``_x0``.., evaluates them in place with the stage
+    state in ``_x0``...  Each component is a local, and every weight of
+    ``_A`` and ``_E`` is kept, zeros included: 0.0 k is not 0 when k is
+    inf or NaN, and the batch's reduce adds it too.
     """
     k = [f"k{i}_" for i in range(7)]
-    lines = [
+    lines = []
+    for i, row in enumerate(_A, start=1):
+        sums = [f"({_weighted(row, k, j)})*h + y{j}" for j in range(m)]
+        if i == len(_A):
+            lines += [f"z{j} = {s}" for j, s in enumerate(sums)]
+            sums = [f"z{j}" for j in range(m)]
+        if components is None:
+            lines.append(f"[{_names(k[i], m)}] = field([{', '.join(sums)}], ps)")
+        else:
+            lines += [f"_x{j} = {s}" for j, s in enumerate(sums)]
+            lines += [f"{k[i]}{j} = {c}" for j, c in enumerate(components)]
+    lines += [f"d{j} = ({_weighted(_E, k, j)})*h" for j in range(m)]
+    return lines + [line[4:] for line in _error_norm_lines(m)]
+
+
+def _step_source(m: int) -> str:
+    """Source of ``generated(field, ps, y, f0, h, abs_tol, rel_tol)`` -> (y_new, f_new, e).
+
+    The step of ``_stage_lines`` through ``field``: the new state, the
+    field there and the step's error norm.
+    """
+    return "\n".join([
         "from math import sqrt",
         "def generated(field, ps, y, f0, h, abs_tol, rel_tol):",
         f"    [{_names('y', m)}] = y",
-        f"    [{_names(k[0], m)}] = f0",
-    ]
-    for i, row in enumerate(_A[:5]):
-        args = ", ".join(f"({_weighted(row, k, j)})*h + y{j}" for j in range(m))
-        lines.append(f"    [{_names(k[i + 1], m)}] = field([{args}], ps)")
-    lines += [f"    z{j} = ({_weighted(_A[5], k, j)})*h + y{j}" for j in range(m)]
-    lines += [
-        f"    y_new = [{_names('z', m)}]",
-        "    f_new = field(y_new, ps)",
-        f"    [{_names(k[6], m)}] = f_new",
-    ]
-    lines += [f"    d{j} = ({_weighted(_E, k, j)})*h" for j in range(m)]
-    lines += _error_norm_lines(m)
-    lines.append("    return y_new, f_new, e")
-    return "\n".join(lines) + "\n"
+        f"    [{_names('k0_', m)}] = f0",
+        *("    " + line for line in _stage_lines(m)),
+        f"    return [{_names('z', m)}], [{_names('k6_', m)}], e",
+    ]) + "\n"
 
 
 def _float_step(field, ps: list, y: list, f0: list, h: float, abs_tol: float, rel_tol: float):
@@ -467,8 +485,8 @@ def _float_step(field, ps: list, y: list, f0: list, h: float, abs_tol: float, re
     out per component as ((a0 k0 + a1 k1) + ...) h + y, and the error as
     (e0 k0 + ... + e6 k6) h: the products and sums, in their order, that
     ``_dp_step`` takes over a batch, and e is what ``_error_norms``
-    gives the lane there.  ``_step_lone`` looks the function up once per
-    run.
+    gives the lane there.  The lone-lane loop takes a step through it
+    when its in-place field raised ZeroDivisionError.
     """
     return _generated(_step_source, len(y))(field, ps, y, f0, h, abs_tol, rel_tol)
 
@@ -611,6 +629,15 @@ def _float_margin(value, p: np.ndarray):
     return on_floats
 
 
+def _most_violated(vals, crossed: list) -> int:
+    """Which of the ``crossed`` margins (``vals[k]`` not > 0) names a crossing at one state.
+
+    The least margin, the first of equals; a NaN margin, which left its
+    limit's domain, comes before any number.
+    """
+    return min(crossed, key=lambda k: vals[k] if vals[k] <= 0.0 else -math.inf)
+
+
 def _control(e: Optional[float], t: float, h: float, rejected: bool, max_step: float,
              t_end: float) -> tuple[Optional[float], float]:
     """Step control after a step of size h from t with error norm e (None: not finite).
@@ -696,12 +723,13 @@ class _Run:
         """True when ``end_step`` would just move the lane to the step end at t1.
 
         The step ends before the horizon, its margins ``vals`` are all
-        positive, its distance ``dist`` from the SEP target (None without
-        one) is outside the ball, and the lane's field norm ``norm`` is no
-        discrete minimum between prev's and the step end's ``norm1``.
+        positive (a NaN margin is not), its distance ``dist`` from the SEP
+        target (None without one) is outside the ball, and the lane's
+        field norm ``norm`` is no discrete minimum between prev's and the
+        step end's ``norm1``.
         """
         return (
-            t1 < self.t_end and (not vals or min(vals) > 0.0)
+            t1 < self.t_end and not [v for v in vals if not v > 0.0]
             and (dist is None or dist > self.sep_radius)
             and not (self.minima and prev is not None and norm < prev[3] and norm < norm1)
         )
@@ -736,13 +764,12 @@ class _Run:
             )
             return None
         lane = _Lane(index, y, f, _norm(f[:n]) if self.watch_norm else None)
-        if vals:
-            k = vals.index(min(vals))
-            if vals[k] <= 0.0:
-                self.record(lane, 0.0, EventKind.CONSTRAINT_CROSSING, y,
-                            {"constraint": self.constraints[k].name})
-                self.finish(lane)
-                return None
+        crossed = [k for k, v in enumerate(vals) if not v > 0.0]
+        if crossed:
+            self.record(lane, 0.0, EventKind.CONSTRAINT_CROSSING, y,
+                        {"constraint": self.constraints[_most_violated(vals, crossed)].name})
+            self.finish(lane)
+            return None
         if self.sep is not None and _distance(y, self.sep_floats) <= self.sep_radius:
             self.record(lane, 0.0, EventKind.CONVERGED_TO_SEP, y, {"distance": 0.0})
             self.finish(lane)
@@ -761,7 +788,7 @@ class _Run:
         """
         n, p, field, ps = self.n, self.p, self.field, self.ps
         terminal = False
-        crossed = [k for k, v in enumerate(vals) if v <= 0.0]
+        crossed = [k for k, v in enumerate(vals) if not v > 0.0]
         if crossed:
             if self.locate:
                 # Each margin that went non-positive is bisected on its
@@ -782,7 +809,7 @@ class _Run:
             else:
                 # The step end decides, as a start does: the most
                 # violated margin names the crossing.
-                k = min(crossed, key=lambda j: vals[j])
+                k = _most_violated(vals, crossed)
             self.record(lane, t1, EventKind.CONSTRAINT_CROSSING, y1,
                         {"constraint": self.constraints[k].name})
             terminal = True
@@ -821,65 +848,173 @@ class _Run:
         return terminal or t1 >= self.t_end
 
 
-def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
-    """Step one lane alone on lists of floats until it ends or fails.
+def _record(entry):
+    """(key, values) of a float entry's source record (``model._Source``).
 
-    The lane's clock, step size, point, field norm, ``prev`` and step
-    count are locals.  A quiet step (``_Run.quiet``) moves them on; they
-    go back to ``lane`` only for ``end_step`` to watch a step, and when
-    the lane fails or ends.  The field norm, the SEP distance and the
-    margins at each step end are taken on floats here, as ``_norm``
-    sums squares.  ``rows``, when given, collects each accepted point
+    The key is the record without its namespace's values, which the
+    loop takes as locals; (None, ()) when the entry has no record.
+    """
+    source = getattr(entry, "_source", None)
+    source = None if source is None else source()
+    if source is None:
+        return None, ()
+    key = (source.states, source.params, source.components, tuple(source.namespace))
+    return key, tuple(source.namespace.values())
+
+
+def _inlined(shape, prefix: str) -> list[str]:
+    """The components of a source record as expressions on the loop's locals.
+
+    State j becomes ``_x{j}``, parameter j ``_p{j}`` and namespace name
+    i ``{prefix}{i}``.  Names are renamed on the syntax tree, which
+    keeps every operation and its order (re-printing through sympy would
+    re-sort sums and products by name).  No name of the loop's own
+    starts with an underscore, so none can be shadowed.
+    """
+    states, params, components, names = shape
+    to = {name: f"{prefix}{i}" for i, name in enumerate(names)}
+    to.update((name, f"_p{j}") for j, name in enumerate(params))
+    to.update((name, f"_x{j}") for j, name in enumerate(states))
+    out = []
+    for text in components:
+        tree = ast.parse(text, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                node.id = to[node.id]
+        out.append(ast.unparse(tree))
+    return out
+
+
+def _loop_source(m: int, n: int, field, margins) -> str:
+    """Source of the lone-lane loop for a state of m components, n of them the system's.
+
+    ``field`` and each of ``margins`` are the ``_record`` keys of the
+    run's float field and margins, or None.  ``generated(run, lane, rows,
+    float_step, control, min_step, consts)`` steps the lane until it
+    ends or fails, as ``_step_lone`` describes; ``consts`` holds the
+    values of the records' namespaces, field first.
+
+    Each step is ``_stage_lines``, as ``_float_step`` takes it.  With a
+    record of the field, each stage evaluates its components in place;
+    a ZeroDivisionError there (Python raises where numpy gives inf or
+    nan) redoes the step through ``float_step`` and the field's float
+    entry, which falls back to numpy.  Without one, each stage calls the
+    field.  A margin with a record is evaluated in place, and called on
+    a ZeroDivisionError; one without is called.
+    """
+    records = [s for s in (field, *margins) if s is not None]
+    values = [] if field is None else [f"_f{i}" for i in range(len(field[3]))]
+    for a, s in enumerate(margins):
+        values += [] if s is None else [f"_m{a}_{i}" for i in range(len(s[3]))]
+    lines = [
+        "from math import sqrt",
+        "def generated(run, lane, rows, float_step, control, min_step, consts):",
+        "    field, ps, margins = run.field, run.ps, run.float_margins",
+        "    opts, t_end = run.opts, run.t_end",
+        "    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol",
+        "    sep, watch_norm, quiet, end_step = run.sep_floats, run.watch_norm, run.quiet, run.end_step",
+    ]
+    if records:
+        lines.append(f"    [{_names('_p', max(len(s[1]) for s in records))}] = ps")
+    if values:
+        lines.append(f"    [{', '.join(values)}] = consts")
+    lines += [
+        "    if sep is not None:",
+        f"        [{_names('s', n)}] = sep",
+        "    t, h, y, f, norm, prev, steps = lane.t, lane.h, lane.y, lane.f, lane.norm, lane.prev, lane.steps",
+        "    rejected, nonfinite = lane.rejected, lane.nonfinite",
+        "    while True:",
+        "        if h < min_step * max(1.0, abs(t)):",
+        "            lane.t, lane.h, lane.nonfinite = t, h, nonfinite",
+        "            run.out[lane.index] = lane.failure()",
+        "            return",
+        f"        [{_names('y', m)}] = y",
+        f"        [{_names('k0_', m)}] = f",
+    ]
+    if field is None:
+        lines += [" " * 8 + line for line in _stage_lines(m)]
+    else:
+        lines += [
+            "        try:",
+            *(" " * 12 + line for line in _stage_lines(m, _inlined(field, "_f"))),
+            "        except ZeroDivisionError:",
+            "            y_new, f_new, e = float_step(field, ps, y, f, h, abs_tol, rel_tol)",
+            f"            [{_names('z', m)}] = y_new",
+            f"            [{_names('k6_', m)}] = f_new",
+        ]
+    lines += [
+        "        t1, h = control(e, t, h, rejected, max_step, t_end)",
+        "        rejected = t1 is None",
+        "        nonfinite = e is None",
+        "        if rejected:",
+        "            continue",
+        f"        y_new = [{_names('z', m)}]",
+        f"        f_new = [{_names('k6_', m)}]",
+        f"        norm1 = sqrt({' + '.join(f'k6_{j}*k6_{j}' for j in range(n))}) if watch_norm else None",
+        "        if sep is None:",
+        "            dist = None",
+        "        else:",
+        *(f"            u{j} = z{j} - s{j}" for j in range(n)),
+        f"            dist = sqrt({' + '.join(f'u{j}*u{j}' for j in range(n))})",
+    ]
+    if margins:
+        # The margins read the first n components.
+        lines.append(f"        x1 = y_new{'' if m == n else f'[:{n}]'}")
+        lines += [f"        _x{j} = z{j}" for j in range(n)]
+    for a, s in enumerate(margins):
+        called = f"v{a} = margins[{a}](x1, ps)"
+        if s is None:
+            lines.append(" " * 8 + called)
+        else:
+            lines += ["        try:", f"            v{a} = {_inlined(s, f'_m{a}_')[0]}",
+                      "        except ZeroDivisionError:", " " * 12 + called]
+    lines += [
+        f"        vals = [{_names('v', len(margins))}]",
+        "        if quiet(t1, vals, dist, prev, norm, norm1):",
+        "            prev = (t, y, f, norm)",
+        "            t, y, f, norm = t1, y_new, f_new, norm1",
+        "            steps += 1",
+        "            ended = False",
+        "        else:",
+        "            lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps = t, y, f, norm, prev, steps",
+        "            ended = end_step(lane, t1, y_new, f_new, norm1, dist, vals)",
+        "            t, y, f, norm, prev, steps = lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps",
+        "        if rows is not None:",
+        "            rows.append((t, y, f))",
+        "        if ended:",
+        "            run.finish(lane)",
+        "            return",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
+    """Step one lane alone on floats until it ends or fails.
+
+    The loop is generated once per (state width, n, the source records
+    of the field and of each margin) by ``_loop_source``; the records'
+    namespace values (a machine's coupling and damping, numpy's
+    functions) come in as locals, so their values never change the
+    compiled code.  The lane's clock, step size, point, field norm,
+    ``prev`` and step count are locals.  Each stage evaluates the
+    field's components in place, with no call and no list, and the
+    field norm, the SEP distance and the margins at each step end are
+    taken inline on floats, as ``_norm`` sums squares.  A field or
+    margin without a record is called through its float entry.  Every
+    step goes to ``_control``; a quiet step (``_Run.quiet``) moves the
+    locals on, and only other steps go back to ``lane`` for
+    ``end_step``.  ``rows``, when given, collects each accepted point
     (t, y, f).
     """
-    field, ps, n = run.field, run.ps, run.n
-    step = _generated(_step_source, len(lane.y))
-    opts, t_end = run.opts, run.t_end
-    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol
-    margins, sep, watch_norm, quiet = run.float_margins, run.sep_floats, run.watch_norm, run.quiet
-    # The margins and the field norm read the first n components.
-    whole = len(lane.y) == n
-    t, h, y, f, norm, prev, steps = lane.t, lane.h, lane.y, lane.f, lane.norm, lane.prev, lane.steps
-    rejected, nonfinite = lane.rejected, lane.nonfinite
-    while True:
-        if h < _MIN_STEP * max(1.0, abs(t)):
-            lane.t, lane.h, lane.nonfinite = t, h, nonfinite
-            run.out[lane.index] = lane.failure()
-            return
-        y1, f1, e = step(field, ps, y, f, h, abs_tol, rel_tol)
-        t1, h = _control(e, t, h, rejected, max_step, t_end)
-        rejected = t1 is None
-        nonfinite = e is None
-        if rejected:
-            continue
-        x1 = y1 if whole else y1[:n]
-        norm1 = dist = None
-        if watch_norm:
-            total = 0.0
-            for v in f1 if whole else f1[:n]:
-                total += v * v
-            norm1 = math.sqrt(total)
-        if sep is not None:
-            total = 0.0
-            for a, b in zip(x1, sep):
-                d = a - b
-                total += d * d
-            dist = math.sqrt(total)
-        vals = [value(x1, ps) for value in margins]
-        if quiet(t1, vals, dist, prev, norm, norm1):
-            prev = (t, y, f, norm)
-            t, y, f, norm = t1, y1, f1, norm1
-            steps += 1
-            ended = False
-        else:
-            lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps = t, y, f, norm, prev, steps
-            ended = run.end_step(lane, t1, y1, f1, norm1, dist, vals)
-            t, y, f, norm, prev, steps = lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps
-        if rows is not None:
-            rows.append((t, y, f))
-        if ended:
-            run.finish(lane)
-            return
+    m = len(lane.y)
+    field, consts = _record(run.field)
+    margins = []
+    for value in run.float_margins:
+        key, values = _record(value)
+        margins.append(key)
+        consts += values
+    loop = _generated(_loop_source, m, run.n, field, tuple(margins))
+    loop(run, lane, rows, _float_step, _control, _MIN_STEP, list(consts))
 
 
 def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Optional[_Lane]:

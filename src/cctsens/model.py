@@ -96,6 +96,25 @@ class EquilibriumClass(Enum):
 
 
 @dataclass(frozen=True)
+class _Source:
+    """What a one-state float entry computes, as Python expressions.
+
+    Each of ``components`` (one per entry of the result; one for a
+    margin) reads state j by the name ``states[j]``, parameter j by
+    ``params[j]`` and every other name from ``namespace``, in that order
+    of precedence, and evaluates, operation for operation, as the entry
+    does.  A float entry carries its record behind a zero-argument
+    ``_source()``, which may build it at first use; None means the entry
+    has none.
+    """
+
+    states: tuple[str, ...]
+    params: tuple[str, ...]
+    components: tuple[str, ...]
+    namespace: dict
+
+
+@dataclass(frozen=True)
 class Constraint:
     """One scalar inequality h(x, p) > 0.
 
@@ -106,8 +125,10 @@ class Constraint:
     ``value`` may carry an optional one-state float entry,
     ``value.on_floats(xs, ps) -> float``, with the state and parameters
     as lists of floats; it must equal ``value`` at that state bit for
-    bit.  A lone lane whose constraints all have one reads its margins
-    through it.
+    bit.  A lone lane reads the margin through it.  Both constructors
+    give that entry a private source record (``_Source``, through its
+    ``_source()``), from which the lone-lane loop evaluates the margin
+    in place, with no call; an entry without one is called.
     """
 
     name: str
@@ -139,7 +160,10 @@ class PhaseDynamics:
     and flat), equal bit for bit to the array call at that state.  A
     lone lane steps through the field's, and the variational equations
     run on all three.  A callable without one is called on arrays.
-    Both constructors attach them.
+    Both constructors attach them, and give the float entry of ``f`` a
+    private source record (``_Source``, through its ``_source()``): the
+    lone-lane loop evaluates the field's components in place from it,
+    at every stage of a step, and calls an entry without one.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -423,6 +447,7 @@ class SmibParams:
 
 
 _SMIB_PARAM_NAMES = ("Pm", "M", "delta_max", "omega_max")
+_SMIB_STATE_NAMES = ("delta", "omega")
 
 
 def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
@@ -440,6 +465,13 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
             return np.array(on_floats(x.tolist(), p.tolist()))
         return np.array([x[1], (p[0] - b * np.sin(x[0]) - d * x[1]) / p[1]])
 
+    # on_floats written out.  The coupling and damping are names, not
+    # literals, so every machine shares one source and one compiled loop.
+    source = _Source(
+        _SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, ("omega", "(Pm - b*sin(delta) - d*omega)/M"),
+        {"sin": math.sin, "b": b, "d": d},
+    )
+    on_floats._source = lambda: source
     f.on_floats = on_floats
 
     # The Jacobians row-major and flat; the same code takes an array
@@ -487,6 +519,9 @@ def _smib_constraints() -> tuple[Constraint, ...]:
 
         # Lists of floats take the same subtraction as arrays.
         value.on_floats = value
+        source = _Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES,
+                         (f"{_SMIB_PARAM_NAMES[2 + j]} - {_SMIB_STATE_NAMES[j]}",), {})
+        value._source = lambda: source
         return Constraint(
             name=name,
             value=value,
@@ -551,6 +586,57 @@ def _floats(v):
     return v.tolist() if type(v) is np.ndarray else v
 
 
+def _lambdified_source(fn) -> Optional[_Source]:
+    """The ``_Source`` of the float entry that calls the lambdified fn, or None.
+
+    It is read from fn's own source text, which lambdify writes as
+
+        def _lambdifygenerated(xs, ps):
+            [<state names>] = xs
+            [<parameter names>] = ps
+            return <expression, or a list of them>
+
+    and each component is that expression wrapped in ``float(...)``, as
+    the entry converts it.  Names are taken from the text, and every
+    other name resolves as fn resolves it: in fn's globals, then the
+    builtins.  None when the text is not of that form, or an expression
+    binds names of its own (a lambda, a comprehension).
+    """
+    import ast
+    import builtins
+    import inspect
+
+    try:
+        (func,) = ast.parse(inspect.getsource(fn)).body
+        *unpacks, ret = func.body
+        states, params = (tuple(t.id for t in u.targets[0].elts) for u in unpacks)
+        args = [u.value.id for u in unpacks]
+    except (OSError, TypeError, SyntaxError, ValueError, AttributeError):
+        return None
+    if args != [a.arg for a in func.args.args] or not isinstance(ret, ast.Return):
+        return None
+    exprs = ret.value.elts if isinstance(ret.value, ast.List) else [ret.value]
+    # A Sum prints as a generator expression, whose own names the loop
+    # could not rename.
+    binders = (ast.Lambda, ast.comprehension, ast.NamedExpr)
+    if any(isinstance(node, binders) for e in exprs for node in ast.walk(e)):
+        return None
+    local = set(states) | set(params)
+    namespace = {}
+    for node in (node for e in exprs for node in ast.walk(e)):
+        if isinstance(node, ast.Name) and node.id not in local | namespace.keys():
+            scope = fn.__globals__ if node.id in fn.__globals__ else vars(builtins)
+            if node.id not in scope:
+                return None
+            namespace[node.id] = scope[node.id]
+    wrap = "float"
+    while wrap in local or wrap in namespace:
+        wrap = "_" + wrap
+    namespace[wrap] = float
+    components = tuple(f"{wrap}({ast.unparse(e)})" for e in exprs)
+    return _Source(states, params, components, namespace)
+
+
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
@@ -562,7 +648,9 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     float entry ``g.on_floats(xs, ps)``: lists of floats in, and a float
     out, or a matrix's entries row-major as a flat list of floats.  The
     integrator steps a lone lane with those, and g evaluates one state
-    through it.
+    through it.  The float entry's ``_source()`` reads its record from
+    the lambdified function's text at first use (``_lambdified_source``),
+    so building a system does not pay for it.
 
     DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
     Hessian, is taken as 0: its value wherever the expression is twice
@@ -591,6 +679,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
                 return scalar_on_floats(_floats(x), _floats(p))
             return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
 
+        scalar_on_floats._source = cache(lambda: _lambdified_source(fn))
         scalar.on_floats = scalar_on_floats
         return scalar
     fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
@@ -611,6 +700,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
         entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
         return np.array(entries, dtype=float).reshape(shape + lanes)
 
+    matrix_on_floats._source = cache(lambda: _lambdified_source(fn))
     matrix.on_floats = matrix_on_floats
     return matrix
 

@@ -7,8 +7,9 @@ failure modes.
 """
 
 import math
+import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cctsens import integrator
+from cctsens.cct import CctOptions, compute_cct
 from cctsens.errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
 from cctsens.integrator import (
     EventConfig,
@@ -33,6 +35,7 @@ from cctsens.model import (
     smib_system,
     system_from_expressions,
 )
+from cctsens.sensitivity import cct_sensitivity
 
 _PARAMS = SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5)
 _SYS = smib_system(_PARAMS)
@@ -271,6 +274,43 @@ def test_step_crossing_two_margins_reports_the_first():
     assert traj.events[0].info["constraint"] == "hx"
     assert abs(traj.events[0].time - 1.0) <= 1e-8
     assert traj.final_time == traj.events[0].time
+
+
+def _swing_with_limit(limit):
+    return system_from_expressions(
+        ["delta", "omega"], ["Pm", "M"],
+        {ph: {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": {"lim": limit}}
+         for ph in ("pre", "fault", "post")},
+    )
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("locate", [True, False])
+def test_a_margin_that_is_nan_past_its_limit_is_crossed(locate):
+    # sqrt(1.2 - delta) is NaN past the limit, not negative.  A step end
+    # there crosses it as 1.2 - delta <= 0 does: at the same root, or at
+    # the same step end when crossings are not located.  A start past it
+    # is a crossing at t = 0.  Lanes equal their one-lane runs.
+    p, opts = np.array([0.5, 0.3]), IntegrationOptions(t_max=3.0)
+    starts = np.array([[0.5, 3.0], [1.0, 2.0], [1.3, 0.0]])
+    runs = {}
+    with np.errstate(invalid="ignore"):
+        for limit in ("sqrt(1.2 - delta)", "1.2 - delta"):
+            system = _swing_with_limit(limit)
+            ev = EventConfig(constraints=system.phases[Phase.POST_FAULT].constraints,
+                             locate_crossings=locate)
+            runs[limit] = singles = _one_lane_runs(system, starts, p, opts, ev)
+            lanes = integrate_lanes(system, Phase.POST_FAULT, starts, p, opts, ev)
+            for k, (lane, single) in enumerate(zip(lanes, singles)):
+                assert _same_end(lane, single), f"{limit}: lane {k} differs from its one-lane run"
+    for nan_run, linear_run in zip(runs["sqrt(1.2 - delta)"], runs["1.2 - delta"]):
+        (event,) = nan_run.events
+        assert event.kind is EventKind.CONSTRAINT_CROSSING and event.info["constraint"] == "lim"
+        assert abs(event.time - linear_run.events[0].time) <= 1e-9
+        assert nan_run.final_time == event.time
+    assert runs["sqrt(1.2 - delta)"][2].final_time == 0.0
+    if locate:
+        assert abs(runs["sqrt(1.2 - delta)"][0].events[0].time - 0.3099) < 1e-4
 
 
 def test_infeasible_start_is_an_immediate_crossing():
@@ -1120,6 +1160,134 @@ def test_runs_do_not_depend_on_the_float_entries(system, p, starts):
                 assert a.tobytes() == b.tobytes()
             assert _same_run(integrate(system, phase, x0, p, opts, ev),
                              integrate(plain, phase, x0, p, opts, ev_plain))
+
+
+# Eight states and four parameters named as the generated lone-lane
+# loop names its own locals and helpers.  "float" as a parameter also
+# shadows the conversion the expression entries wrap each component in.
+_SHADOWING = system_from_expressions(
+    ["t", "h", "e", "y0", "z0", "q0", "k1_0", "ps"], ["sqrt", "min", "float", "field"],
+    {ph: {"f": ["h", "-sqrt*t - min*h + field*e", "y0", "-e - min*y0 + 0.1*sin(t)",
+                "q0", "-z0 - float*q0", "ps", "-k1_0 - min*ps + 0.2*cos(z0)"],
+          "h": {"t_limit": "float + 1 - t", "decay": "exp(-e) - 0.2"}}
+     for ph in ("pre", "fault", "post")},
+)
+
+
+@pytest.mark.bit_identity
+def test_names_that_shadow_the_loop_run_as_the_array_calls():
+    # The loop evaluates the field and margins from their source records
+    # on locals of its own; the plain wrappers have none and are called.
+    # A run that crosses a limit, one that records field-norm minima and
+    # converges, and one that reaches the horizon agree bit for bit, and
+    # the batch's lanes equal their one-lane runs.
+    system, p = _SHADOWING, np.array([1.0, 0.3, 0.5, 0.2])
+    plain = _without_float_entries(system)
+    post = system.phases[Phase.POST_FAULT]
+    assert integrator._record(post.f.on_floats)[0] is not None
+    assert all(integrator._record(c.value.on_floats)[0] is not None for c in post.constraints)
+    opts = IntegrationOptions(t_max=6.0)
+    starts = np.array([[1.0, 2.0, 0.2, 0.0, 0.5, 0.0, 0.3, 0.0],
+                       [0.1, 0.0, 0.05, 0.0, 0.1, 0.0, 0.25, 0.0],
+                       [0.8, -0.5, 1.5, 0.2, -0.9, 0.1, 0.9, -0.1]])
+    sep = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.0])
+    ends = []
+    for s in (system, plain):
+        ev = EventConfig(constraints=s.phases[Phase.POST_FAULT].constraints,
+                         sep_target=sep, sep_radius=0.05, norm_min_threshold=0.5)
+        runs = [integrate(s, Phase.POST_FAULT, x0, p, opts, ev) for x0 in starts]
+        lanes = integrate_lanes(s, Phase.POST_FAULT, starts, p, opts, ev)
+        assert all(_same_end(lane, run) for lane, run in zip(lanes, runs))
+        ends.append(runs)
+    for run, plain_run in zip(*ends):
+        assert len(run.times) > 5 and _same_run(run, plain_run)
+    kinds = {ev.kind for run in ends[0] for ev in run.events}
+    assert kinds == set(EventKind)
+
+
+def test_every_machine_shares_one_compiled_loop():
+    # The coupling and damping are namespace values, passed to the loop
+    # as locals: machines and phases that differ only in them share the
+    # source, and so one compiled loop.
+    systems = [smib_system(_PARAMS), smib_system(replace(_PARAMS, damping=0.1, coupling_pre=2.0,
+                                                          coupling_post=2.0))]
+    keys, values = zip(*(integrator._record(s.phases[ph].f.on_floats)
+                         for s in systems for ph in Phase))
+    # Four pairs (coupling, damping): each machine's faulted phase and
+    # its pre- and post-fault phases.
+    assert len(set(keys)) == 1 and len(set(values)) == 4
+    margins = {integrator._record(c.value.on_floats)
+               for s in systems for c in s.phases[Phase.POST_FAULT].constraints}
+    assert len(margins) == 2
+
+
+def test_an_expression_that_binds_names_is_called():
+    # lambdify prints a Sum as a generator expression, whose own names
+    # the loop could not rename: the field has no record and is called.
+    system = system_from_expressions(
+        ["x", "v"], ["a"],
+        {ph: {"f": ["v", "-Sum(x**k, (k, 1, 3)) - a*v"], "h": {"limit": "2 - x"}}
+         for ph in ("pre", "fault", "post")},
+    )
+    post = system.phases[Phase.POST_FAULT]
+    assert integrator._record(post.f.on_floats)[0] is None
+    assert integrator._record(post.constraints[0].value.on_floats)[0] is not None
+    ev = EventConfig(constraints=post.constraints)
+    runs = [integrate(s, Phase.POST_FAULT, np.array([0.5, 0.0]), np.array([0.4]),
+                      IntegrationOptions(t_max=3.0), ev)
+            for s in (system, _without_float_entries(system))]
+    assert len(runs[0].times) > 5 and _same_run(*runs)
+
+
+@pytest.mark.bit_identity
+def test_a_stage_that_divides_by_zero_on_floats_takes_the_call_path():
+    # With a = 0.2 h0 + x0, the first stage state of the first step has
+    # x - a = 0.0: Python raises ZeroDivisionError where numpy gives inf.
+    # The loop redoes that step through the field's float entry, which
+    # falls back to numpy; the inf rejects the step, and the run goes on
+    # to the limit before the pole, as without float entries.
+    system = system_from_expressions(
+        ["x", "w"], ["a"],
+        {ph: {"f": ["1", "2/(x - a)"], "h": {"limit": "100.002 - x"}}
+         for ph in ("pre", "fault", "post")},
+    )
+    opts = IntegrationOptions(rel_tol=1e-3, abs_tol=1e-3, t_max=1.0, max_step=0.02)
+    x0, a = np.array([100.0, 100.0]), (0.2 * 1.0) * 0.02 + 100.0
+    dyn = system.phases[Phase.POST_FAULT]
+    entry, calls = dyn.f.on_floats, []
+
+    def counted(xs, ps):
+        calls.append(list(xs))
+        return entry(xs, ps)
+
+    counted._source = entry._source
+    field = lambda x, p: dyn.f(x, p)  # noqa: E731
+    field.on_floats = counted
+    counting = replace(system, phases={ph: replace(d, f=field) for ph, d in system.phases.items()})
+    assert integrator._initial_step(entry, [a], x0.tolist(), entry(x0.tolist(), [a]), opts) == 0.02
+    ev = EventConfig(constraints=dyn.constraints)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        runs = [integrate(s, Phase.POST_FAULT, x0, np.array([a]), opts, ev)
+                for s in (counting, _without_float_entries(system))]
+    assert any(xs[0] == a for xs in calls[2:])
+    assert _same_run(*runs)
+    assert runs[0].events[0].kind is EventKind.CONSTRAINT_CROSSING and len(runs[0].times) > 2
+
+
+@pytest.mark.bit_identity
+@pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
+@pytest.mark.parametrize("p", [_P0, np.array([0.65, 0.1, 2.0, 0.7])], ids=["mode2", "mode1"])
+def test_critical_times_and_slopes_do_not_depend_on_the_float_entries(system, p):
+    # compute_cct then cct_sensitivity: every field of the result and
+    # every slope agree with and without float entries, bit for bit.
+    out = []
+    for s in (system, _without_float_entries(system)):
+        result = compute_cct(s, p, CctOptions())
+        out.append((result, cct_sensitivity(s, p, result)))
+    for a, b in zip(*out):
+        for field in fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert pickle.dumps(x) == pickle.dumps(y), field.name
 
 
 def test_lane_memory_does_not_grow_with_the_horizon():
