@@ -244,13 +244,13 @@ def classify_grid_points(
 ) -> list[CellClass]:
     """STABLE, HITS_BOUNDARY or DIVERGES verdict for each row of ``x0s``.
 
-    All points run as lanes of one lockstep integration of the
-    post-fault phase.  A start with any post-fault constraint
-    non-positive hits the boundary at t = 0; otherwise the run decides:
-    a crossing of any constraint, entry into the SEP ball, or neither.
-    Only whether a lane crossed is read, so a crossing ends its lane at
-    that step end, unrefined.  A lane whose state blows up or whose
-    step underflows diverges.
+    All points run as the lanes of one ``integrate_lanes`` run of the
+    post-fault phase, one after another.  A start with any post-fault
+    constraint non-positive hits the boundary at t = 0; otherwise the
+    run decides: a crossing of any constraint, entry into the SEP ball,
+    or neither.  Only whether a lane crossed is read, so a crossing ends
+    its lane at that step end, unrefined.  A lane whose state blows up
+    or whose step underflows diverges.
 
     The SEP ball is the ball of ``_attraction_radius`` when the phase
     certifies one, else the ball of ``sep_radius``; ``sep_radius`` thus
@@ -296,7 +296,7 @@ def classify_grid_point(
 
 
 def _classify_rows(factory, factory_args, p, spec, opts, sep_radius, x_sep, rows):
-    """Classes of the given grid rows, all cells in one lockstep run."""
+    """Classes of the given grid rows, all cells in one ``classify_grid_points`` run."""
     system = factory(*factory_args)
     rows = list(rows)
     starts = np.column_stack([np.repeat(spec.x1[rows], spec.n2), np.tile(spec.x2, len(rows))])
@@ -508,13 +508,13 @@ def sample_stability_region(
     A point is STABLE when its trajectory converges to the post-fault
     SEP without leaving the feasible region, HITS_BOUNDARY when some
     constraint reaches zero first (or the point starts infeasible),
-    DIVERGES otherwise.  All cells run as lanes of one lockstep
-    integration (``classify_grid_points``), which ends a run in the
+    DIVERGES otherwise.  All cells run as the lanes of one
+    ``classify_grid_points`` run, which ends a run in the
     certified ball of the SEP's region of attraction when the phase has
     a ``jac_lipschitz`` bound; ``sep_radius`` sets the fallback ball, the
     smallest certified ball and the region's reach, 100 x ``sep_radius``.
     ``jobs > 1`` deals the rows to worker processes, row i to worker
-    i % jobs, each running its rows as one lockstep integration;
+    i % jobs, each running its rows as one ``classify_grid_points`` run;
     ``system_factory`` must then be a picklable (callable, args) pair
     that rebuilds the system.  Every lane equals its one-lane run, so
     the classes do not depend on ``jobs``.  Raises NoEquilibriumFound

@@ -306,8 +306,8 @@ def classify_post_faults(
     A clearing state within ``clearing_feasibility_tol`` of the boundary
     (normalised feasibility product at or below it) is unstable with
     t1 = 0, labelled with its smallest constraint, and needs no
-    integration.  The other states run as lanes of one lockstep
-    integration, each watched for a crossing of any post-fault
+    integration.  The other states run as the lanes of one
+    ``integrate_lanes`` run, each watched for a crossing of any post-fault
     constraint (immediate, t1 = 0, when the clearing state already
     violates one), for field-norm minima below ``field_norm_threshold``
     away from the SEP, and for entry into the SEP ball of ``point``:
@@ -367,7 +367,7 @@ def classify_post_fault(
     """Verdict for one clearing state: ``classify_post_faults`` with one lane.
 
     Raises the NumericalBlowup, StiffnessFailure or InconclusiveRun that
-    the batch returns in the state's place.
+    ``classify_post_faults`` returns in the state's place.
     """
     x_cl = np.asarray(x_cl, dtype=float)
     (cls,) = classify_post_faults(system, p, x_cl[None], point, opts)

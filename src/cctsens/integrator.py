@@ -25,48 +25,33 @@ Three kinds of events can be watched while integrating:
   bound, a minimum whose certified floor (``_norm_floor``) lies above
   the recording threshold is not refined: it could not be recorded.
 
-One engine runs K starts ("lanes") in lockstep: every iteration takes
-one Dormand-Prince step of every live lane with its own step size, and
-each lane keeps its own time, step control, events and end.
+One engine runs K starts ("lanes") one after another: each lane keeps
+its own time, step control, events and end, and what the lanes of a run
+share (the field, the events, the generated loop) is set up once.
 ``integrate_lanes`` returns only where each lane ended (a ``LaneEnd``);
 ``integrate`` is the one-lane run and also keeps its accepted points.
 A lane whose state goes non-finite or whose step underflows stops with
-that error; the other lanes run on.
+that error; the other lanes run on.  A lane is stepped by the same code
+whatever else runs beside it, so it equals its one-lane run bit for bit.
 
-A lone lane (a one-lane run, or the last live lane of a batch) steps
-on Python floats in one straight-line loop (``_step_lone``), generated
-once per state width and per source records of the field and margins
-(``_loop_source``), with every component a local and every weight of
-``_A`` and ``_E`` an exact literal.  Where the field's one-state float
-entry carries a source record (``model._Source``; both constructors
-attach one), each stage evaluates the field's expressions in place,
-with no call and no list; so do the margins at each step end, beside
-the field norm and the SEP distance.  A field or margin without a
-record is called through its float entry ``on_floats``, or its array
-call: the field through ``_float_step``, one generated step per width
-that returns the new state, the field there and the error norm.  A
-quiet step (``_Run.quiet``: no crossing, no SEP ball, no field-norm
-minimum, not the horizon) just moves the loop's locals on; only other
-steps go to ``_Run.end_step``, in a batch as for a lone lane.  Both
-loops share the step-size rule (``_control``) and the quiet-step test.
-A batch holds its lanes as the columns of (m, K) arrays and its stages
-stage-major, shape (7, m, K) (``_dp_step``).  Both sum in one explicit
-order:
-
-* each stage sum is ((a0 k0 + a1 k1) + ...) h + y, on floats per
-  component and as ``np.add.reduce`` over the at most seven stage rows
-  in a batch, which numpy adds in order;
-* error norms, field norms and SEP distances add the squares of the
-  components left to right, on floats and row by row in a batch (a
-  reduce over eight or more components would sum them pairwise in some
-  layouts and lane counts).
-
-Every other operation is one elementwise IEEE operation, which rounds
-the same on a float as in numpy, and step control is on floats for
-every lane.  So each lane's end, step count and events equal its
-one-lane run's, bit for bit, because of IEEE arithmetic and not of a
-BLAS build.  The field's float entry and its column batch must round
-alike (``model`` evaluates both with the same operations).
+A lane steps on Python floats in one straight-line loop
+(``_step_lone``), generated once per state width and per source records
+of the field and margins (``_loop_source``), with every component a
+local and every weight of ``_A`` and ``_E`` an exact literal.  Where the
+field's one-state float entry carries a source record
+(``model._Source``; both constructors attach one), each stage evaluates
+the field's expressions in place, with no call and no list; so do the
+margins at each step end, beside the field norm and the SEP distance.
+A field or margin without a record is called through its float entry
+``on_floats``, or its array call: the field through ``_float_step``,
+one generated step per width that returns the new state, the field
+there and the error norm.  The step-size rule and the quiet-step test
+(no crossing, no SEP ball, no field-norm minimum, not the horizon) are
+written into the loop; a quiet step just moves the loop's locals on,
+and only other steps go to ``_Run.end_step``.  Each stage sum is
+((a0 k0 + a1 k1) + ...) h + y per component, and error norms, field
+norms and SEP distances add the squares of the components left to
+right.
 
 ``integrate_with_sensitivities`` integrates the variational equations
 
@@ -121,10 +106,6 @@ _A = (
 # the derivative at the accepted point.  _E is the difference between
 # the fifth- and fourth-order weights.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# The same rows as (i, 1, 1) columns, which weight the first i stages of
-# a stage-major (7, m, K) batch.
-_A_COLS = tuple(np.array(row)[:, None, None] for row in _A)
-_E_COL = np.array(_E)[:, None, None]
 
 _MAX_EVENT_BISECTIONS = 60
 # Time resolution of crossing roots and field-norm minima.
@@ -199,9 +180,9 @@ class EventConfig:
     that step (both of shape (n,)); True ends the lane at that step end
     unless the step already ended it.  The caller vouches that nothing
     the rest of the run could record would change what it reads from
-    the run.  Reaching the horizon is not an event.  In a lockstep run
-    every lane watches the same events and records its own; one lane's
-    event ends that lane only.
+    the run.  Reaching the horizon is not an event.  In a run of many
+    lanes every lane watches the same events and records its own; one
+    lane's event ends that lane only.
     """
 
     constraints: tuple[Constraint, ...] = ()
@@ -247,7 +228,7 @@ class Trajectory(_EventLog):
 
 @dataclass(frozen=True)
 class LaneEnd(_EventLog):
-    """Where one lane of a lockstep run ended, after ``steps`` accepted steps."""
+    """Where one lane of ``integrate_lanes`` ended, after ``steps`` accepted steps."""
 
     final_time: float
     final_state: np.ndarray
@@ -316,52 +297,6 @@ def _distance(y, target) -> float:
     return _norm([a - b for a, b in zip(y, target)])
 
 
-def _row_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of the rows of v, added one at a time in order.
-
-    ``np.add.reduce`` over eight or more rows sums them pairwise in some
-    memory layouts and lane counts (an (8, 1) column, a C-ordered row).
-    """
-    total = v[0]
-    for row in v[1:]:
-        total = total + row
-    return total
-
-
-def _rms_lanes(v: np.ndarray) -> list[float]:
-    """Root mean square of each lane (column) of an (m, K) batch."""
-    return np.sqrt(_row_sum(v * v) / len(v)).tolist()
-
-
-def _norm_lanes(v: np.ndarray) -> list[float]:
-    """Euclidean norm of each lane (column) of an (m, K) batch, as ``_norm``."""
-    return np.sqrt(_row_sum(v * v)).tolist()
-
-
-def _all_finite(v: np.ndarray) -> bool:
-    # count_nonzero is a plain C call; ndarray.all goes through Python.
-    return np.count_nonzero(np.isfinite(v)) == v.size
-
-
-def _error_norms(y, y_new, err, abs_tol: float, rel_tol: float) -> list:
-    """Error norm of each lane of an (m, K) step, or None where it is not finite.
-
-    The root mean square of err / (abs_tol + rel_tol max(|y|, |y_new|))
-    per lane, None for a lane with a component of y_new or err that is
-    not finite: what ``_error_norm_lines`` gives the lane on its own.
-    """
-    if _all_finite(y_new) and _all_finite(err):
-        return _rms_lanes(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
-    ok = np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0)
-    norms = [None] * len(ok)
-    sub = np.flatnonzero(ok)
-    if sub.size:
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y[:, sub]), np.abs(y_new[:, sub]))
-        for a, e in zip(sub.tolist(), _rms_lanes(err[:, sub] / scale)):
-            norms[a] = e
-    return norms
-
-
 def _initial_step(field, ps: list, y: list, f0: list, opts: IntegrationOptions) -> float:
     """First step size of a lane at y, field f0 (Hairer, Norsett & Wanner's estimate).
 
@@ -415,8 +350,7 @@ def _error_norm_lines(m: int) -> list[str]:
     and d0.. of the error vector, and ``abs_tol`` and ``rel_tol``.  e is
     the root mean square of d / (abs_tol + rel_tol max(|y|, |z|)), its
     squares added left to right, or None when a component of z or d is
-    not finite (1e999 reads as inf): ``_error_norms`` of the lane's
-    column in a batch, bit for bit.
+    not finite (1e999 reads as inf).
     """
     finite = " and ".join(f"-1e999 < {v}{j} < 1e999" for v in "zd" for j in range(m))
     lines = [f"    if {finite}:"]
@@ -441,7 +375,7 @@ def _stage_lines(m: int, components=None) -> list[str]:
     expressions on ``_x0``.., evaluates them in place with the stage
     state in ``_x0``...  Each component is a local, and every weight of
     ``_A`` and ``_E`` is kept, zeros included: 0.0 k is not 0 when k is
-    inf or NaN, and the batch's reduce adds it too.
+    inf or NaN.
     """
     k = [f"k{i}_" for i in range(7)]
     lines = []
@@ -483,9 +417,7 @@ def _float_step(field, ps: list, y: list, f0: list, h: float, abs_tol: float, re
     not finite.  The step is one straight-line function per state
     width, generated once (``_step_source``).  Each stage sum is written
     out per component as ((a0 k0 + a1 k1) + ...) h + y, and the error as
-    (e0 k0 + ... + e6 k6) h: the products and sums, in their order, that
-    ``_dp_step`` takes over a batch, and e is what ``_error_norms``
-    gives the lane there.  The lone-lane loop takes a step through it
+    (e0 k0 + ... + e6 k6) h.  The lone-lane loop takes a step through it
     when its in-place field raised ZeroDivisionError.
     """
     return _generated(_step_source, len(y))(field, ps, y, f0, h, abs_tol, rel_tol)
@@ -514,24 +446,6 @@ def _variational_source(n: int, n_p: int) -> str:
         f"        return f(xs, ps) + [{', '.join(entries)}]",
         "    return field",
     ]) + "\n"
-
-
-def _dp_step(rhs, p, y: np.ndarray, f0: np.ndarray, h: np.ndarray):
-    """One Dormand-Prince step of K lanes; returns (y_new, f_new, error_vector).
-
-    ``y`` and ``f0`` are column batches of shape (m, K), ``h`` the (K,)
-    step sizes, and ``rhs(y, p)`` takes a column batch.  The stages are
-    stage-major, shape (7, m, K), so each stage sum is np.add.reduce over
-    at most seven rows, which numpy adds in order: the sums of
-    ``_float_step``, lane by lane.
-    """
-    k = np.empty((7,) + y.shape)
-    k[0] = f0
-    for i in range(5):
-        k[i + 1] = rhs(np.add.reduce(_A_COLS[i] * k[: i + 1], axis=0) * h + y, p)
-    y_new = np.add.reduce(_A_COLS[5] * k[:6], axis=0) * h + y
-    k[6] = rhs(y_new, p)
-    return y_new, k[6], np.add.reduce(_E_COL * k, axis=0) * h
 
 
 def _refine_crossing(margin, tol, t0, y0, f0, t1, y1, f1):
@@ -638,27 +552,6 @@ def _most_violated(vals, crossed: list) -> int:
     return min(crossed, key=lambda k: vals[k] if vals[k] <= 0.0 else -math.inf)
 
 
-def _control(e: Optional[float], t: float, h: float, rejected: bool, max_step: float,
-             t_end: float) -> tuple[Optional[float], float]:
-    """Step control after a step of size h from t with error norm e (None: not finite).
-
-    Returns (t1, h_next): t1 is the step's end time when it is accepted,
-    else None.  A step that is not finite shrinks the next one fourfold.
-    After an accepted step that followed a ``rejected`` one, the step
-    size does not grow.  The next step size is capped at ``max_step``
-    and at the horizon, from t1 or, after a rejection, from t.
-    """
-    if e is None:
-        return None, min(h * 0.25, max_step, t_end - t)
-    if e > 1.0:
-        return None, min(h * max(0.2, 0.9 * e ** -0.2), max_step, t_end - t)
-    factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))
-    if rejected:
-        factor = min(factor, 1.0)
-    t1 = t + h
-    return t1, min(h * factor, max_step, t_end - t1)
-
-
 class _Lane:
     """One lane: its clock, step control, last accepted point and events.
 
@@ -696,14 +589,16 @@ class _Run:
     """What the lanes of one run share, and the events every lane watches.
 
     ``start`` and ``end_step`` handle a lane at its start and at each
-    accepted step on lists of floats, lone or in lockstep alike; the
-    results go to ``out``, one LaneEnd or error per lane.
+    accepted step that is not quiet, on lists of floats; the results go
+    to ``out``, one LaneEnd or error per lane.  ``loop`` is the generated
+    loop and its namespace values, looked up once per run
+    (``_step_lone``).
     """
 
     def __init__(self, rhs, p, opts: IntegrationOptions, n_state: int,
                  events: Optional[EventConfig], norm_bound, n_lanes: int) -> None:
         events = events if events is not None else EventConfig()
-        self.rhs, self.p, self.n, self.opts = rhs, p, n_state, opts
+        self.p, self.n, self.opts = p, n_state, opts
         self.field, self.ps = _float_field(rhs, p), p.tolist()
         self.t_end = opts.t_max
         self.constraints = events.constraints
@@ -718,28 +613,7 @@ class _Run:
         self.watch_norm = self.sep is not None or self.minima
         self.norm_bound = norm_bound
         self.out: list = [None] * n_lanes
-
-    def quiet(self, t1: float, vals, dist, prev, norm, norm1) -> bool:
-        """True when ``end_step`` would just move the lane to the step end at t1.
-
-        The step ends before the horizon, its margins ``vals`` are all
-        positive (a NaN margin is not), its distance ``dist`` from the SEP
-        target (None without one) is outside the ball, and the lane's
-        field norm ``norm`` is no discrete minimum between prev's and the
-        step end's ``norm1``.
-        """
-        return (
-            t1 < self.t_end and not [v for v in vals if not v > 0.0]
-            and (dist is None or dist > self.sep_radius)
-            and not (self.minima and prev is not None and norm < prev[3] and norm < norm1)
-        )
-
-    def lane_margins(self, y: np.ndarray) -> list:
-        """Margins of each lane of an (m, K) batch, one tuple per lane."""
-        if not self.constraints:
-            return [()] * y.shape[1]
-        x = y[: self.n]
-        return list(zip(*(c.value(x, self.p).tolist() for c in self.constraints)))
+        self.loop = None
 
     def record(self, lane: _Lane, t_ev: float, kind: EventKind, y_ev, info: dict) -> None:
         lane.events.append(Event(t_ev, kind, np.array(y_ev[: self.n], dtype=float), info))
@@ -890,9 +764,9 @@ def _loop_source(m: int, n: int, field, margins) -> str:
 
     ``field`` and each of ``margins`` are the ``_record`` keys of the
     run's float field and margins, or None.  ``generated(run, lane, rows,
-    float_step, control, min_step, consts)`` steps the lane until it
-    ends or fails, as ``_step_lone`` describes; ``consts`` holds the
-    values of the records' namespaces, field first.
+    float_step, min_step, consts)`` steps the lane until it ends or
+    fails, as ``_step_lone`` describes; ``consts`` holds the values of
+    the records' namespaces, field first.
 
     Each step is ``_stage_lines``, as ``_float_step`` takes it.  With a
     record of the field, each stage evaluates its components in place;
@@ -901,6 +775,21 @@ def _loop_source(m: int, n: int, field, margins) -> str:
     entry, which falls back to numpy.  Without one, each stage calls the
     field.  A margin with a record is evaluated in place, and called on
     a ZeroDivisionError; one without is called.
+
+    The step-size rule follows each step of size h from t with error
+    norm e.  A step that is not finite (e None) is rejected and the
+    next one is a quarter of it; one with e > 1 is rejected and scaled
+    by max(0.2, 0.9 e^-0.2).  An accepted step scales the next by
+    min(5, max(0.2, 0.9 e^-0.2)), by 5 at e = 0, and by at most 1
+    right after a rejection.  The next step is capped at ``max_step``
+    and at the horizon, from the step's end or, after a rejection, from
+    t.  ``e ** -0.2`` is Python's power on floats.  An accepted step is
+    quiet when it ends before the horizon, every margin is ``> 0.0`` (a
+    NaN margin is not), its end lies outside the SEP ball, and the field
+    norm at the lane's point is no discrete minimum between the point
+    before and the step end: ``end_step`` would only move the lane on,
+    so the loop moves its locals on instead.  Only the other steps build
+    the margin list and go to ``end_step``.
     """
     records = [s for s in (field, *margins) if s is not None]
     values = [] if field is None else [f"_f{i}" for i in range(len(field[3]))]
@@ -908,11 +797,12 @@ def _loop_source(m: int, n: int, field, margins) -> str:
         values += [] if s is None else [f"_m{a}_{i}" for i in range(len(s[3]))]
     lines = [
         "from math import sqrt",
-        "def generated(run, lane, rows, float_step, control, min_step, consts):",
+        "def generated(run, lane, rows, float_step, min_step, consts):",
         "    field, ps, margins = run.field, run.ps, run.float_margins",
         "    opts, t_end = run.opts, run.t_end",
         "    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol",
-        "    sep, watch_norm, quiet, end_step = run.sep_floats, run.watch_norm, run.quiet, run.end_step",
+        "    sep, sep_radius, watch_norm, minima = run.sep_floats, run.sep_radius, run.watch_norm, run.minima",
+        "    end_step = run.end_step",
     ]
     if records:
         lines.append(f"    [{_names('_p', max(len(s[1]) for s in records))}] = ps")
@@ -943,11 +833,20 @@ def _loop_source(m: int, n: int, field, margins) -> str:
             f"            [{_names('k6_', m)}] = f_new",
         ]
     lines += [
-        "        t1, h = control(e, t, h, rejected, max_step, t_end)",
-        "        rejected = t1 is None",
-        "        nonfinite = e is None",
-        "        if rejected:",
+        "        if e is None:",
+        "            h = min(h * 0.25, max_step, t_end - t)",
+        "            rejected = nonfinite = True",
         "            continue",
+        "        if e > 1.0:",
+        "            h = min(h * max(0.2, 0.9 * e ** -0.2), max_step, t_end - t)",
+        "            rejected, nonfinite = True, False",
+        "            continue",
+        "        factor = 5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** -0.2))",
+        "        if rejected:",
+        "            factor = min(factor, 1.0)",
+        "        t1 = t + h",
+        "        h = min(h * factor, max_step, t_end - t1)",
+        "        rejected = nonfinite = False",
         f"        y_new = [{_names('z', m)}]",
         f"        f_new = [{_names('k6_', m)}]",
         f"        norm1 = sqrt({' + '.join(f'k6_{j}*k6_{j}' for j in range(n))}) if watch_norm else None",
@@ -968,17 +867,20 @@ def _loop_source(m: int, n: int, field, margins) -> str:
         else:
             lines += ["        try:", f"            v{a} = {_inlined(s, f'_m{a}_')[0]}",
                       "        except ZeroDivisionError:", " " * 12 + called]
+    positive = "".join(f" and v{a} > 0.0" for a in range(len(margins)))
     lines += [
-        f"        vals = [{_names('v', len(margins))}]",
-        "        if quiet(t1, vals, dist, prev, norm, norm1):",
+        f"        if (t1 < t_end{positive} and (dist is None or dist > sep_radius)",
+        "                and not (minima and prev is not None and norm < prev[3] and norm < norm1)):",
         "            prev = (t, y, f, norm)",
         "            t, y, f, norm = t1, y_new, f_new, norm1",
         "            steps += 1",
-        "            ended = False",
-        "        else:",
-        "            lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps = t, y, f, norm, prev, steps",
-        "            ended = end_step(lane, t1, y_new, f_new, norm1, dist, vals)",
-        "            t, y, f, norm, prev, steps = lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps",
+        "            if rows is not None:",
+        "                rows.append((t, y, f))",
+        "            continue",
+        f"        vals = [{_names('v', len(margins))}]",
+        "        lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps = t, y, f, norm, prev, steps",
+        "        ended = end_step(lane, t1, y_new, f_new, norm1, dist, vals)",
+        "        t, y, f, norm, prev, steps = lane.t, lane.y, lane.f, lane.norm, lane.prev, lane.steps",
         "        if rows is not None:",
         "            rows.append((t, y, f))",
         "        if ended:",
@@ -992,99 +894,41 @@ def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
     """Step one lane alone on floats until it ends or fails.
 
     The loop is generated once per (state width, n, the source records
-    of the field and of each margin) by ``_loop_source``; the records'
-    namespace values (a machine's coupling and damping, numpy's
-    functions) come in as locals, so their values never change the
-    compiled code.  The lane's clock, step size, point, field norm,
-    ``prev`` and step count are locals.  Each stage evaluates the
-    field's components in place, with no call and no list, and the
-    field norm, the SEP distance and the margins at each step end are
-    taken inline on floats, as ``_norm`` sums squares.  A field or
-    margin without a record is called through its float entry.  Every
-    step goes to ``_control``; a quiet step (``_Run.quiet``) moves the
-    locals on, and only other steps go back to ``lane`` for
-    ``end_step``.  ``rows``, when given, collects each accepted point
-    (t, y, f).
+    of the field and of each margin) by ``_loop_source``, and looked up
+    with the records' namespace values once per run (``run.loop``); the
+    values (a machine's coupling and damping, numpy's functions) come in
+    as locals, so they never change the compiled code.  The lane's
+    clock, step size, point, field norm, ``prev`` and step count are
+    locals.  Each stage evaluates the field's components in place, with
+    no call and no list, and the field norm, the SEP distance and the
+    margins at each step end are taken inline on floats, as ``_norm``
+    sums squares.  A field or margin without a record is called through
+    its float entry.  The step-size rule and the quiet-step test are
+    written into the loop; a quiet step moves the locals on, and only
+    other steps go back to ``lane`` for ``end_step``.  ``rows``, when
+    given, collects each accepted point (t, y, f).
     """
-    m = len(lane.y)
-    field, consts = _record(run.field)
-    margins = []
-    for value in run.float_margins:
-        key, values = _record(value)
-        margins.append(key)
-        consts += values
-    loop = _generated(_loop_source, m, run.n, field, tuple(margins))
-    loop(run, lane, rows, _float_step, _control, _MIN_STEP, list(consts))
-
-
-def _step_lockstep(run: _Run, lanes: list, y: np.ndarray, f: np.ndarray) -> Optional[_Lane]:
-    """Step the lanes, the columns of (m, K) batches y and f, in lockstep.
-
-    Runs while two or more lanes live; returns the last live lane, if
-    any, for ``_step_lone`` to finish.
-    """
-    n, rhs, p = run.n, run.rhs, run.p
-    opts, t_end = run.opts, run.t_end
-    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol
-    sep = None if run.sep is None else run.sep[:, None]
-    quiet = run.quiet
-    while len(lanes) > 1:
-        h = np.array([lane.h for lane in lanes])
-        short = h < _MIN_STEP * np.maximum(1.0, np.abs([lane.t for lane in lanes]))
-        if short.any():
-            for a in np.flatnonzero(short).tolist():
-                run.out[lanes[a].index] = lanes[a].failure()
-            live = np.flatnonzero(~short).tolist()
-            lanes, y, f = [lanes[a] for a in live], y[:, live], f[:, live]
-            continue
-
-        y_new, f_new, err = _dp_step(rhs, p, y, f, h)
-        acc, t_acc = [], []
-        for a, (lane, e) in enumerate(zip(lanes, _error_norms(y, y_new, err, abs_tol, rel_tol))):
-            t1, lane.h = _control(e, lane.t, lane.h, lane.rejected, max_step, t_end)
-            lane.rejected, lane.nonfinite = t1 is None, e is None
-            if t1 is not None:
-                acc.append(a)
-                t_acc.append(t1)
-        if not acc:
-            continue
-
-        full = len(acc) == len(lanes)
-        ys = y_new if full else y_new[:, acc]
-        fs = f_new if full else f_new[:, acc]
-        count = len(acc)
-        norms = _norm_lanes(fs[:n]) if run.watch_norm else [None] * count
-        dists = _norm_lanes(ys[:n] - sep) if sep is not None else [None] * count
-        ended = set()
-        for a, t1, y1, f1, norm, dist, vals in zip(
-            acc, t_acc, ys.T.tolist(), fs.T.tolist(), norms, dists, run.lane_margins(ys)
-        ):
-            lane = lanes[a]
-            if quiet(t1, vals, dist, lane.prev, lane.norm, norm):
-                lane.prev = (lane.t, lane.y, lane.f, lane.norm)
-                lane.t, lane.y, lane.f, lane.norm = t1, y1, f1, norm
-                lane.steps += 1
-            elif run.end_step(lane, t1, y1, f1, norm, dist, vals):
-                run.finish(lane)
-                ended.add(a)
-        if full:
-            y, f = ys, fs
-        else:
-            y[:, acc], f[:, acc] = ys, fs
-        if ended:
-            keep = [a for a in range(len(lanes)) if a not in ended]
-            lanes, y, f = [lanes[a] for a in keep], y[:, keep], f[:, keep]
-    return lanes[0] if lanes else None
+    if run.loop is None:
+        field, consts = _record(run.field)
+        margins = []
+        for value in run.float_margins:
+            key, values = _record(value)
+            margins.append(key)
+            consts += values
+        loop = _generated(_loop_source, len(lane.y), run.n, field, tuple(margins))
+        run.loop = loop, list(consts)
+    loop, consts = run.loop
+    loop(run, lane, rows, _float_step, _MIN_STEP, consts)
 
 
 def _engine(
     rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
     events: Optional[EventConfig], p: np.ndarray, norm_bound=None, rows=None,
 ) -> list:
-    """Adaptive loop over the rows (lanes) of ``y0``, in lockstep.
+    """Adaptive loop over the rows (lanes) of ``y0``, one lane after another.
 
-    ``rhs(y, p)`` maps a state of shape (m,) to its derivative, and a
-    column batch of shape (m, K) to shape (m, K); ``p`` also goes to the
+    ``rhs(y, p)`` maps a state of shape (m,) to its derivative, through
+    its float entry ``on_floats`` when it has one; ``p`` also goes to the
     watched constraints.  Each lane keeps its own time, step size,
     step-control flags and events, and ends on its own, so its result is
     what a run of that lane alone gives.  ``norm_bound`` is None or the
@@ -1099,28 +943,13 @@ def _engine(
     """
     y0 = np.asarray(y0, dtype=float)
     run = _Run(rhs, p, opts, n_state, events, norm_bound, len(y0))
-    if len(y0) == 1:
-        y = y0[0].tolist()
+    for index, y in enumerate(y0.tolist()):
         f = run.field(y, run.ps)
         if rows is not None:
             rows.append((0.0, y, f))
-        lane = run.start(0, y, f, [value(y[:n_state], run.ps) for value in run.float_margins])
+        lane = run.start(index, y, f, [value(y[:n_state], run.ps) for value in run.float_margins])
         if lane is not None:
             _step_lone(run, lane, rows)
-        return run.out
-
-    y = np.ascontiguousarray(y0.T)
-    f = rhs(y, p)
-    lanes, cols = [], []
-    for j, (y_j, f_j, vals) in enumerate(zip(y.T.tolist(), f.T.tolist(), run.lane_margins(y))):
-        lane = run.start(j, y_j, f_j, vals)
-        if lane is not None:
-            lanes.append(lane)
-            cols.append(j)
-    if lanes:
-        last = _step_lockstep(run, lanes, y[:, cols], f[:, cols])
-        if last is not None:
-            _step_lone(run, last, None)
     return run.out
 
 
@@ -1146,12 +975,14 @@ def integrate_lanes(
     opts: IntegrationOptions = IntegrationOptions(),
     events: Optional[EventConfig] = None,
 ) -> list:
-    """Integrate one phase from every row of ``x0s`` in one lockstep run.
+    """Integrate one phase from every row of ``x0s``, one lane after another, in one run.
 
     Returns a LaneEnd per start: its end time, end state, step count and
     events equal those of the run ``integrate`` gives that start, bit
     for bit.  A lane that stops with NumericalBlowup or StiffnessFailure
-    gets that error in its place; the other lanes run on.
+    gets that error in its place; the other lanes run on.  The run sets
+    up what its lanes share (the float field and margins, the events and
+    the generated loop) once.
     """
     x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2 or x0s.shape[1] != system.n:
@@ -1173,7 +1004,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate one phase from x0 over [0, t_max], watching for events.
 
-    This is the one-lane run of the lockstep engine.
+    This is the one-lane run of the engine behind ``integrate_lanes``,
+    which also keeps the accepted points.
     """
     x0, p = _check_dims(system, x0, p)
     dyn = system.phases[phase]
@@ -1204,7 +1036,7 @@ def integrate_with_sensitivities(
     field = _generated(_variational_source, n, n_p)(
         *(_float_field(fn, p) for fn in (dyn.f, dyn.jac_x, dyn.jac_p))
     )
-    # The run has one lane, so the engine calls the field only on floats.
+    # The engine calls the field through its float entry.
     field.on_floats = field
 
     y0 = np.concatenate([x0, np.eye(n).ravel(), np.zeros(n * n_p)])

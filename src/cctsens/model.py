@@ -450,6 +450,15 @@ _SMIB_PARAM_NAMES = ("Pm", "M", "delta_max", "omega_max")
 _SMIB_STATE_NAMES = ("delta", "omega")
 
 
+def _on_numpy(fn, xs, ps) -> list:
+    """fn(xs, ps) redone on numpy float64, as a list of floats.
+
+    A float entry calls it where Python raises ZeroDivisionError: numpy
+    gives inf or nan there, as on a column batch.
+    """
+    return list(map(float, fn(np.array(xs, dtype=float), np.array(ps, dtype=float))))
+
+
 def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
 
@@ -458,7 +467,10 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
         # as a column batch, and math.sin rounds as np.sin does (a test
         # re-checks that), at a fraction of numpy's per-scalar cost.
         angle, speed = xs
-        return [speed, (ps[0] - b * math.sin(angle) - d * speed) / ps[1]]
+        try:
+            return [speed, (ps[0] - b * math.sin(angle) - d * speed) / ps[1]]
+        except ZeroDivisionError:
+            return _on_numpy(on_floats, xs, ps)
 
     def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         if x.ndim == 1:
@@ -477,11 +489,17 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     # The Jacobians row-major and flat; the same code takes an array
     # state or lists of floats.
     def jac_x_flat(x, p) -> list:
-        return [0.0, 1.0, -b * math.cos(x[0]) / p[1], -d / p[1]]
+        try:
+            return [0.0, 1.0, -b * math.cos(x[0]) / p[1], -d / p[1]]
+        except ZeroDivisionError:
+            return _on_numpy(jac_x_flat, x, p)
 
     def jac_p_flat(x, p) -> list:
-        f2 = (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]
-        return [0.0, 0.0, 0.0, 0.0, 1.0 / p[1], -f2 / p[1], 0.0, 0.0]
+        try:
+            f2 = (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]
+            return [0.0, 0.0, 0.0, 0.0, 1.0 / p[1], -f2 / p[1], 0.0, 0.0]
+        except ZeroDivisionError:
+            return _on_numpy(jac_p_flat, x, p)
 
     def jac_x(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return np.array(jac_x_flat(x, p)).reshape(2, 2)
@@ -555,9 +573,9 @@ def _power_printer():
     """numpy code printer that writes a**b as numpy.power(a, b).
 
     ``**`` on a float or a numpy scalar rounds differently from the
-    array loop of a column batch; the ufunc runs one loop for both, so a
-    lane matches its one-state run bit for bit.  sqrt and 1/sqrt are
-    correctly rounded either way and stay as printed.
+    array loop of a column batch; the ufunc runs one loop for both, so
+    one state matches its column of a batch bit for bit.  sqrt and
+    1/sqrt are correctly rounded either way and stay as printed.
     """
     from sympy import S
     from sympy.printing.numpy import NumPyPrinter
@@ -690,7 +708,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
         try:
             return list(map(float, fn(xs, ps)))
         except ZeroDivisionError:
-            return list(map(float, fn(np.array(xs, dtype=float), np.array(ps, dtype=float))))
+            return _on_numpy(fn, xs, ps)
 
     def matrix(x, p):
         if _one_state(x):

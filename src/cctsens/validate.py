@@ -7,14 +7,13 @@ time itself from a uniform scan over clearing times.  None of it calls
 the variational machinery or the tangency formulas, so agreement is
 evidence rather than tautology.
 
-The scan deliberately walks clearing times in ascending order, in
-blocks of points whose post-fault runs are the lanes of one lockstep
-integration, and a partial scan stops after the block that holds the
-first unstable point.  Its premise, that instability is monotone in
-the clearing time, is unchanged and is exactly what it is used to
-check: with ``verify_monotone`` every grid point is classified and any
-stable point found above the first unstable one is reported as a
-warning instead of being absorbed into the answer.
+The scan deliberately walks clearing times in ascending order, one
+post-fault verdict at a time, and a partial scan stops at the first
+unstable point.  Its premise, that instability is monotone in the
+clearing time, is unchanged and is exactly what it is used to check:
+with ``verify_monotone`` every grid point is classified and any stable
+point found above the first unstable one is reported as a warning
+instead of being absorbed into the answer.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from .cct import (
     CctOptions,
     InstabilityMode,
     _run_fault,
-    classify_post_fault,  # not called here; bench/spans.py patches this import site
-    classify_post_faults,
+    classify_post_fault,
     compute_cct,
     operating_point,
 )
@@ -54,14 +52,6 @@ _FD_FLOW_OPTS = IntegrationOptions(rel_tol=1e-10, abs_tol=1e-12)
 # Pass bounds: relative error of a slope, absolute error of a flow derivative.
 _SLOPE_TOL = 0.05
 _PHI_TOL = 1e-3
-# Clearing points per lockstep run of a scan.  A larger block spreads the
-# per-step overhead over more lanes, but a scan that stops at its first
-# unstable point wastes the lanes of its block past that point.  Over 24
-# machine-model scans of about 80 points each on a 2-CPU Xeon, with stable
-# runs ending in the certified ball, blocks of 16, 32 and 64 took
-# 176-209, 167-213 and 292-336 ms per scan (136.8k, 147.0k and 204.3k
-# lane steps); 16 and 32 tie.
-_SCAN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -214,23 +204,18 @@ def fd_trajectory_sensitivity(
     return phi_x, phi_p_col
 
 
-def _classify_blocks(system, p, traj, times, point, opts, full):
-    """Stable flag of clearing at each of ``times``, in ascending blocks.
+def _classify_times(system, p, traj, times, point, opts, full):
+    """Stable flag of clearing at each of ``times``, one verdict at a time in order.
 
-    Stops after the first unstable point unless ``full``.  A lane's error
-    is raised in ascending order, where a point-by-point walk would meet
-    it; the lanes past the first unstable point of a partial scan are
-    never looked at.
+    Stops at the first unstable point unless ``full``, and raises the
+    first verdict's error it meets.
     """
     stable = []
-    for start in range(0, len(times), _SCAN_BLOCK):
-        states = [state_at(traj, t) for t in times[start : start + _SCAN_BLOCK]]
-        for cls in classify_post_faults(system, p, states, point, opts):
-            if isinstance(cls, Exception):
-                raise cls
-            stable.append(cls.stable)
-            if not (cls.stable or full):
-                return stable
+    for t in times:
+        ok = classify_post_fault(system, p, state_at(traj, t), point, opts).stable
+        stable.append(ok)
+        if not (ok or full):
+            break
     return stable
 
 
@@ -265,7 +250,7 @@ def scan_cct(
     else:
         n_interior = math.floor(traj.final_time / step)
     times = [step * (j + 1) for j in range(n_interior)]
-    stable = _classify_blocks(system, p, traj, times, point, opts, verify_monotone)
+    stable = _classify_times(system, p, traj, times, point, opts, verify_monotone)
 
     first_unstable = next((j for j, ok in enumerate(stable) if not ok), None)
     if first_unstable is not None:

@@ -316,6 +316,18 @@ class TestSweep:
         _, _, rows = read_csv(tmp_path / "graze-1" / "sweep.csv")
         assert [r.split(",")[3] for r in rows] == ["1", "1", "1", "2", "2"]
 
+    def test_sweep_from_zero_inertia_writes_the_error(self, tmp_path):
+        # M = 0 divides by zero in the machine's field on floats; the
+        # sweep fails as on the machine's expression twin, with
+        # error.json and exit code 1, not with a traceback.
+        doc = {"system": _SMIB, "sweep": {
+            "parameter": "M", "start": 0.0, "stop": 0.2, "count": 3,
+        }}
+        code, out = self._sweep_files(tmp_path, doc, 1, "massless")
+        assert code == 1 and not (out / "sweep.csv").exists()
+        error = json.loads((out / "error.json").read_text())["error"]
+        assert error["type"] == "NoEquilibriumFound"
+
     def test_lowest_failing_point_decides_the_error(self, tmp_path):
         # Pm = 1.05 and 1.5 leave no pre-fault equilibrium and fail with
         # different messages.  With two workers, 1.05 runs in the second

@@ -716,40 +716,34 @@ def test_lanes_equal_their_one_lane_runs_with_powers():
 
 
 @pytest.mark.bit_identity
-def test_lanes_equal_their_one_lane_runs_at_the_step_control_edges(monkeypatch):
+def test_lanes_equal_their_one_lane_runs_at_the_step_control_edges():
     # Three lanes of the cubic spring.  The one at rest has error norm 0
     # at every step, so its step size grows fivefold up to max_step, and
     # its last step is cut at the horizon.  The one from (3, 0) has steps
     # rejected and then accepted with an error norm that would let the
-    # step grow, which the rejection caps at 1.  Each lane of the batch,
-    # the last of which finishes alone, equals its one-lane run.
-    # Non-finite steps (NumericalBlowup), step underflow
-    # (StiffnessFailure) and a lone lane that outlives its batch to the
+    # step grow, which the rejection caps at 1: two accepted steps in a
+    # row of the same size, below max_step.  Each lane equals its
+    # one-lane run.  Non-finite steps (NumericalBlowup), step underflow
+    # (StiffnessFailure) and a lane that outlives the others to the
     # horizon are in test_lanes_equal_their_one_lane_runs_on_both_sides_of_the_float_sum.
     p = np.array([1.0])
     starts = np.array([[0.0, 0.0], [3.0, 0.0], [0.5, 0.5]])
     opts = IntegrationOptions(t_max=5.0)
     lanes = integrate_lanes(_DUFFING, Phase.POST_FAULT, starts, p, opts)
-    control, seen = integrator._control, []
-
-    def recording(e, t, h, rejected, *args):
-        t1, h_next = control(e, t, h, rejected, *args)
-        seen[-1].append((e, h, rejected, t1, h_next))
-        return t1, h_next
-
-    monkeypatch.setattr(integrator, "_control", recording)
-    singles = []
-    for k, x0 in enumerate(starts):
-        seen.append([])
-        singles.append(integrate(_DUFFING, Phase.POST_FAULT, x0, p, opts))
-        assert _same_end(lanes[k], singles[k]), f"lane {k} differs from its one-lane run"
-    rest, stiff, _ = seen
-    assert all(e == 0.0 and t1 is not None for e, _, _, t1, _ in rest)
-    assert any(h_next == 5.0 * h for _, h, _, _, h_next in rest)
-    last = np.diff(singles[0].times)[-2:]
-    assert lanes[0].final_time == opts.t_max and last[1] < last[0] == opts.max_step
-    capped = [(e, h, h_next) for e, h, rejected, t1, h_next in stiff if rejected and t1 is not None]
-    assert any(0.9 * e ** -0.2 > 1.0 and h_next == h for e, h, h_next in capped)
+    singles = [integrate(_DUFFING, Phase.POST_FAULT, x0, p, opts) for x0 in starts]
+    for k, (lane, single) in enumerate(zip(lanes, singles)):
+        assert _same_end(lane, single), f"lane {k} differs from its one-lane run"
+    rest = np.diff(singles[0].times)
+    growing = int(np.argmax(rest >= opts.max_step * (1.0 - 1e-12)))
+    assert growing > 3
+    assert rest[1 : growing + 1] == pytest.approx(np.minimum(5.0 * rest[:growing], opts.max_step),
+                                                  rel=1e-12)
+    assert lanes[0].final_time == opts.t_max and rest[-1] < rest[-2] == opts.max_step
+    stiff = np.diff(singles[1].times)
+    assert any(
+        a == pytest.approx(b, rel=1e-12) and a < 0.5 * opts.max_step
+        for a, b in zip(stiff, stiff[1:])
+    )
 
 
 # The swing machine as the benchmark's ``study`` workload writes it
@@ -785,12 +779,51 @@ def _replaying(stages, lane=None):
 _STEP_TOLS = (1e-10, 1e-8)
 
 
+def _stage_major_step(field, y, f0, h):
+    """One Dormand-Prince step of the columns of (m, K) batches y and f0: the oracle of the float step.
+
+    ``field`` maps a column batch to its derivative, and h holds the K
+    step sizes.  The stages are stage-major, shape (7, m, K), so each
+    stage sum is ``np.add.reduce`` over at most seven rows, which numpy
+    adds in order.  Returns (y_new, f_new, error vector).
+    """
+    k = np.empty((7,) + y.shape)
+    k[0] = f0
+    for i, row in enumerate(integrator._A):
+        total = np.add.reduce(np.array(row)[:, None, None] * k[: i + 1], axis=0) * h + y
+        if i < 5:
+            k[i + 1] = field(total)
+    k[6] = field(total)
+    return total, k[6], np.add.reduce(np.array(integrator._E)[:, None, None] * k, axis=0) * h
+
+
+def _column_squares(v):
+    """Sum of the squares of each column of v, added one row at a time."""
+    total = v[0] * v[0]
+    for row in v[1:]:
+        total = total + row * row
+    return total
+
+
+def _rms_columns(v):
+    """Root mean square of each column of v, as ``_column_squares`` adds them."""
+    return np.sqrt(_column_squares(v) / len(v)).tolist()
+
+
+def _error_norm_columns(y, y_new, err, abs_tol, rel_tol):
+    """Error norm of each column of an (m, K) step, None where y_new or err is not finite."""
+    finite = np.isfinite(y_new).all(axis=0) & np.isfinite(err).all(axis=0)
+    with np.errstate(all="ignore"):
+        rms = _rms_columns(err / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))))
+    return [e if ok else None for e, ok in zip(rms, finite)]
+
+
 @pytest.mark.bit_identity
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13, 14])
 def test_float_stage_sums_equal_the_stage_major_reduce(width):
     # Stages of random sign and of sizes 1e-3 to 1e3: every stage state,
     # end state and error vector that _float_step sums on floats equals
-    # its lane's column of _dp_step's stage-major batch.  Width 14 is the
+    # its lane's column of a stage-major numpy batch.  Width 14 is the
     # machine model's variational system: 2 + 4 + 8 entries.  Every
     # fourth lane has y = 0 and h = 1, so its stage states are the sums
     # themselves: an ulp that ``* h + y`` would round away still shows.
@@ -803,8 +836,8 @@ def test_float_stage_sums_equal_the_stage_major_reduce(width):
     h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
     y[:, ::4], h[::4] = 0.0, 1.0
     batch_field, batch_calls = _replaying(k)
-    y_new, f_new, err = integrator._dp_step(batch_field, _P0, y, k[0], h)
-    norms = integrator._error_norms(y, y_new, err, *_STEP_TOLS)
+    y_new, f_new, err = _stage_major_step(batch_field, y, k[0], h)
+    norms = _error_norm_columns(y, y_new, err, *_STEP_TOLS)
     for a in range(lanes):
         field, calls = _replaying(k, a)
         lone = integrator._float_step(
@@ -820,7 +853,7 @@ def test_float_stage_sums_equal_the_stage_major_reduce(width):
 @pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
 def test_lone_step_equals_the_batch_rows(system):
     # The float kernel on the field's one-state float entry equals every
-    # lane of the stage-major batch on its column batches.
+    # lane of the stage-major step on the field's column batches.
     rhs = system.phases[Phase.POST_FAULT].f
     field, ps = integrator._float_field(rhs, _P0), _P0.tolist()
     rng = np.random.default_rng(11)
@@ -828,8 +861,8 @@ def test_lone_step_equals_the_batch_rows(system):
         y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2)).T.copy()
         h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
         f = rhs(y, _P0)
-        y_new, f_new, err = integrator._dp_step(rhs, _P0, y, f, h)
-        norms = integrator._error_norms(y, y_new, err, *_STEP_TOLS)
+        y_new, f_new, err = _stage_major_step(lambda z: rhs(z, _P0), y, f, h)
+        norms = _error_norm_columns(y, y_new, err, *_STEP_TOLS)
         for a in range(lanes):
             lone = integrator._float_step(
                 field, ps, y[:, a].tolist(), f[:, a].tolist(), float(h[a]), *_STEP_TOLS
@@ -875,15 +908,14 @@ def _generated_error_norm(y, y_new, err, abs_tol, rel_tol):
 @given(st.data(), st.integers(1, 13), _TOLS)
 def test_lone_error_norm_equals_the_batch_row(data, width, tols):
     # Three lanes' (y, y_new, err) of one width: each lane's norm on its
-    # own equals its column of the batch's _error_norms, bit for bit.
+    # own equals its column's norm over the numpy batch, bit for bit.
     abs_tol, rel_tol = tols
     y, y_new, err = (
         np.array(data.draw(st.lists(st.lists(_ANY_FLOAT, min_size=width, max_size=width),
                                     min_size=3, max_size=3)))
         for _ in range(3)
     )
-    with np.errstate(over="ignore"):
-        batch = integrator._error_norms(y.T, y_new.T, err.T, abs_tol, rel_tol)
+    batch = _error_norm_columns(y.T, y_new.T, err.T, abs_tol, rel_tol)
     for a in range(3):
         assert _generated_error_norm(y[a], y_new[a], err[a], abs_tol, rel_tol) == batch[a]
 
@@ -892,39 +924,39 @@ def test_lone_error_norm_equals_the_batch_row(data, width, tols):
 @pytest.mark.parametrize("width", [1, 7, 8, 13])
 @pytest.mark.parametrize("lanes", [1, 2, 3, 64])
 def test_lane_norms_equal_the_float_norms(width, lanes):
-    # Each lane's norm and root mean square in a batch equal those of
-    # the lane on its own, summed left to right on floats, in either
-    # memory layout of the batch.
+    # The norm (``integrator._norm``) and the generated root mean square
+    # of each column, summed left to right on floats, equal numpy's over
+    # the columns of a batch in either memory layout, its squares added
+    # one row at a time.
     v = np.random.default_rng(width * lanes).normal(size=(width, lanes))
+    zeros = [0.0] * width
     for batch in (v, np.asfortranarray(v)):
-        norms, rms = integrator._norm_lanes(batch), integrator._rms_lanes(batch)
+        squares = _column_squares(batch).tolist()
         for a, column in enumerate(v.T.tolist()):
-            assert norms[a] == integrator._norm(column)
-            assert rms[a] == _generated_error_norm([0.0] * width, [0.0] * width, column, 1.0, 0.0)
+            assert integrator._norm(column) == math.sqrt(squares[a])
+            assert _generated_error_norm(zeros, zeros, column, 1.0, 0.0) == math.sqrt(squares[a] / width)
 
 
 @pytest.mark.parametrize("width", range(1, 14))
-def test_lone_error_norm_sums_on_floats_below_eight_entries(monkeypatch, width):
+def test_lone_error_norm_sums_on_floats_below_eight_entries(width):
     # A lone lane's error norm is summed left to right on floats inside
-    # the generated step at every width, with no batch helper: it equals
-    # the plain float loop over the step's error vector.  The batch sums
-    # its rows left to right too, eight or more of them alike.
-    calls = []
-    rms_lanes = integrator._rms_lanes
-    monkeypatch.setattr(integrator, "_rms_lanes", lambda v: calls.append(v.shape) or rms_lanes(v))
+    # the generated step at every width: it equals the plain float loop
+    # over the step's error vector, eight or more entries alike.
     rng = np.random.default_rng(width)
     k = rng.normal(size=(7, width, 1))
     y = rng.normal(size=(width, 1))
     field, _ = _replaying(k, 0)
-    _, _, e = integrator._float_step(
-        field, None, y[:, 0].tolist(), k[0][:, 0].tolist(), 0.1, *_STEP_TOLS
+    h = 0.1
+    y_new, _, e = integrator._float_step(
+        field, None, y[:, 0].tolist(), k[0][:, 0].tolist(), h, *_STEP_TOLS
     )
-    assert calls == []
-    y_new, _, err = integrator._dp_step(_replaying(k)[0], None, y, k[0], np.array([0.1]))
     abs_tol, rel_tol = _STEP_TOLS
     total = 0.0
-    for d, a, b in zip(err[:, 0].tolist(), y[:, 0].tolist(), y_new[:, 0].tolist()):
-        q = d / (abs_tol + rel_tol * max(abs(a), abs(b)))
+    for j, (a, b) in enumerate(zip(y[:, 0].tolist(), y_new)):
+        d = integrator._E[0] * float(k[0, j, 0])
+        for i in range(1, 7):
+            d = d + integrator._E[i] * float(k[i, j, 0])
+        q = d * h / (abs_tol + rel_tol * max(abs(a), abs(b)))
         total += q * q
     assert e == math.sqrt(total / width)
 
@@ -935,15 +967,15 @@ def _batch_initial_steps(field, y0, f0, opts, t_span):
     ``field`` maps an (m, K) batch to its derivative.
     """
     scale = opts.abs_tol + opts.rel_tol * np.abs(y0)
-    d0 = integrator._rms_lanes(y0 / scale)
-    d1 = integrator._rms_lanes(f0 / scale)
+    d0 = _rms_columns(y0 / scale)
+    d1 = _rms_columns(f0 / scale)
     h0 = [
         min(1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b, t_span)
         for a, b in zip(d0, d1)
     ]
     f1 = field(y0 + np.array(h0) * f0)
     steps = []
-    for a, b, r, h in zip(d0, d1, integrator._rms_lanes((f1 - f0) / scale), h0):
+    for a, b, r, h in zip(d0, d1, _rms_columns((f1 - f0) / scale), h0):
         d = max(b, r / h if h else math.inf)
         h1 = max(1e-6, h * 1e-3) if d <= 1e-15 else (0.01 / d) ** 0.2
         steps.append(min(100 * h, h1, opts.max_step, t_span))
@@ -1180,7 +1212,7 @@ def test_names_that_shadow_the_loop_run_as_the_array_calls():
     # on locals of its own; the plain wrappers have none and are called.
     # A run that crosses a limit, one that records field-norm minima and
     # converges, and one that reaches the horizon agree bit for bit, and
-    # the batch's lanes equal their one-lane runs.
+    # the lanes of one run equal their one-lane runs.
     system, p = _SHADOWING, np.array([1.0, 0.3, 0.5, 0.2])
     plain = _without_float_entries(system)
     post = system.phases[Phase.POST_FAULT]
@@ -1220,6 +1252,20 @@ def test_every_machine_shares_one_compiled_loop():
                for s in systems for c in s.phases[Phase.POST_FAULT].constraints}
     assert len(margins) == 2
 
+
+
+def test_a_run_looks_up_its_loop_once(monkeypatch):
+    # An integrate_lanes run of K starts reads the source records of its
+    # field and margins once, for all of its lanes, not once per lane.
+    post = _SYS.phases[Phase.POST_FAULT]
+    record, seen = integrator._record, []
+    monkeypatch.setattr(integrator, "_record", lambda entry: seen.append(entry) or record(entry))
+    starts = np.array([[0.52, 0.0], [0.6, 0.1], [1.2, 1.0], [0.3, -0.2]])
+    ev = EventConfig(constraints=post.constraints)
+    lanes = integrate_lanes(_SYS, Phase.POST_FAULT, starts, _P0, IntegrationOptions(t_max=2.0), ev)
+    assert all(lane.steps > 5 for lane in lanes)
+    assert seen.count(post.f.on_floats) == 1
+    assert len(seen) == 1 + len(post.constraints)
 
 def test_an_expression_that_binds_names_is_called():
     # lambdify prints a Sum as a generator expression, whose own names
@@ -1291,10 +1337,12 @@ def test_critical_times_and_slopes_do_not_depend_on_the_float_entries(system, p)
 
 
 def test_lane_memory_does_not_grow_with_the_horizon():
-    # A lockstep run keeps where each lane ended, not its accepted points:
-    # ten times the horizon, and more than three times the steps, leave
-    # the peak flat.
-    starts = np.column_stack([np.linspace(-0.5, 1.5, 64), np.linspace(1.0, -1.0, 64)])
+    # A run of many lanes keeps where each lane ended, not its accepted
+    # points: ten times the horizon, and more than three times the
+    # steps, leave the peak flat.  Lanes step one after another, and
+    # tracemalloc traces every float each step allocates, so eight lanes
+    # keep the traced runs short.
+    starts = np.column_stack([np.linspace(-0.5, 1.5, 8), np.linspace(1.0, -1.0, 8)])
 
     def peak(t_max):
         opts = IntegrationOptions(t_max=t_max)

@@ -12,12 +12,15 @@ import math
 import numpy as np
 import pytest
 
+from cctsens.cct import compute_cct
 from cctsens.errors import (
     ConfigError,
     DimensionMismatch,
     NoEquilibriumFound,
+    NumericalBlowup,
     SingularJacobian,
 )
+from cctsens.integrator import integrate, integrate_with_sensitivities
 from cctsens.model import (
     EquilibriumClass,
     Phase,
@@ -379,6 +382,27 @@ _BENCH_TWIN = system_from_expressions(
     },
 )
 
+
+@pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
+def test_zero_inertia_fails_as_the_twin_does(system):
+    # M = 0 divides by zero.  Python floats raise ZeroDivisionError where
+    # numpy gives inf or nan; the float entries of the machine, like the
+    # twin's, then redo the state on numpy, so both fail with the
+    # library's own errors.
+    p = np.array([0.5, 0.0, 1.6, 0.9])
+    x = [0.5, 0.0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for dyn in system.phases.values():
+            for entry in (dyn.f, dyn.jac_x, dyn.jac_p):
+                assert not all(map(math.isfinite, entry.on_floats(x, p.tolist())))
+                assert not np.isfinite(entry(np.array(x), p)).all()
+        with pytest.raises(NoEquilibriumFound):
+            compute_cct(system, p)
+        for phase in Phase:
+            with pytest.raises(NumericalBlowup):
+                integrate(system, phase, np.array(x), p)
+            with pytest.raises(NumericalBlowup):
+                integrate_with_sensitivities(system, phase, np.array(x), p)
 
 def _expression_phases(f, h=None):
     block = {"f": f, "h": h or {}}

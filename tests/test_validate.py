@@ -16,6 +16,7 @@ import cctsens.cct as cct_mod
 import cctsens.validate as validate_mod
 from cctsens import (
     CctOptions,
+    EventKind,
     InconclusiveRun,
     InstabilityMode,
     ModeChangedAcrossStep,
@@ -186,50 +187,46 @@ class TestScanCct:
             scan_cct(_SYS1, _P1.p0, step)
 
     def test_certified_ball_is_computed_once_per_scan(self, monkeypatch):
-        # Every block of a scan watches the same events, so the SEP's
-        # certified ball is computed once per scan, not once per block.
+        # Every verdict of a scan watches the same events, so the SEP's
+        # certified ball is computed once per scan, not once per verdict.
         x_sep = cct_mod.operating_point(_SYS1, _P1.p0, CctOptions()).x_sep_post
         radius, centres = cct_mod._attraction_radius, []
         monkeypatch.setattr(cct_mod, "_attraction_radius",
                             lambda *args: centres.append(args[2].tobytes()) or radius(*args))
-        real, blocks = validate_mod.classify_post_faults, []
-        monkeypatch.setattr("cctsens.validate.classify_post_faults",
-                            lambda *args: blocks.append(args) or real(*args))
+        real, verdicts = validate_mod.classify_post_fault, []
+        monkeypatch.setattr("cctsens.validate.classify_post_fault",
+                            lambda *args: verdicts.append(args) or real(*args))
         scan_cct(_SYS1, _P1.p0, 0.002)
-        assert len(blocks) > 1
+        assert len(verdicts) > 1
         assert centres == [x_sep.tobytes()]
 
     def test_non_monotone_pattern_is_reported(self, monkeypatch):
         pattern = iter([True, False, True, True, True])
 
-        def fake_classify(system, p, x_cls, point, opts):
-            return [PostFaultClassification(stable=next(pattern)) for _ in x_cls]
+        def fake_classify(system, p, x_cl, point, opts):
+            return PostFaultClassification(stable=next(pattern))
 
-        monkeypatch.setattr("cctsens.validate.classify_post_faults", fake_classify)
+        monkeypatch.setattr("cctsens.validate.classify_post_fault", fake_classify)
         with pytest.warns(RuntimeWarning, match="not monotone"):
             scanned = scan_cct(_SYS1, _P1.p0, 0.03, verify_monotone=True)
         assert scanned == pytest.approx(0.045)
 
     def test_lane_errors_surface_in_scan_order(self, monkeypatch):
-        # The five points at step 0.03 form one block: points 0 and 1
-        # recover, point 2 is the first unstable one, and one lane fails.
+        # The scan has five points at step 0.03: points 0 and 1 recover,
+        # point 2 is the first unstable one, and one verdict raises.
         def failing_at(bad):
             seen = []
 
-            def fake_classify(system, p, x_cls, point, opts):
-                out = []
-                for _ in x_cls:
-                    j = len(seen)
-                    seen.append(j)
-                    out.append(
-                        InconclusiveRun(f"lane {j}") if j == bad
-                        else PostFaultClassification(stable=j < 2)
-                    )
-                return out
+            def fake_classify(system, p, x_cl, point, opts):
+                j = len(seen)
+                seen.append(j)
+                if j == bad:
+                    raise InconclusiveRun(f"lane {j}")
+                return PostFaultClassification(stable=j < 2)
 
             return fake_classify
 
-        target = "cctsens.validate.classify_post_faults"
+        target = "cctsens.validate.classify_post_fault"
         monkeypatch.setattr(target, failing_at(3))
         assert scan_cct(_SYS1, _P1.p0, 0.03) == pytest.approx(0.075)
         monkeypatch.setattr(target, failing_at(1))
@@ -245,16 +242,39 @@ class TestScanCct:
         # unstable one.
         params = SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0)
         system = smib_system(params)
-        real = validate_mod.classify_post_faults
+        real = validate_mod.classify_post_fault
         counts = [0]
 
-        def counting(system, p, x_cls, point, opts):
-            counts[0] += len(x_cls)
-            return real(system, p, x_cls, point, opts)
+        def counting(system, p, x_cl, point, opts):
+            counts[0] += 1
+            return real(system, p, x_cl, point, opts)
 
-        monkeypatch.setattr("cctsens.validate.classify_post_faults", counting)
+        monkeypatch.setattr("cctsens.validate.classify_post_fault", counting)
         scan_cct(system, params.p0, 0.05)
-        assert counts[0] < 400
+        assert 0 < counts[0] < 400
+
+    def test_a_partial_scan_stops_at_its_first_unstable_verdict(self, monkeypatch):
+        # One verdict per point up to and including the first unstable
+        # one, and one per interior point of a full scan.
+        params = SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0)
+        system, p, step, opts = smib_system(params), params.p0, 0.2, CctOptions()
+        real, states = validate_mod.classify_post_fault, []
+
+        def counting(system, p, x_cl, point, opts):
+            states.append(x_cl)
+            return real(system, p, x_cl, point, opts)
+
+        monkeypatch.setattr("cctsens.validate.classify_post_fault", counting)
+        scanned = scan_cct(system, p, step, opts)
+        first_unstable = round(scanned / step - 0.5)
+        assert len(states) == first_unstable + 1
+        states.clear()
+        assert scan_cct(system, p, step, opts, verify_monotone=True) == scanned
+        point = cct_mod.operating_point(system, p, opts)
+        fault = cct_mod._run_fault(system, p, point.x_sep_pre, opts, opts.integration.t_max)
+        # The fault run reaches no limit, so the scan runs to its horizon.
+        assert fault.first_event(EventKind.CONSTRAINT_CROSSING) is None
+        assert len(states) == math.floor(fault.final_time / step) > first_unstable + 1
 
 
 class TestOracleSuite:
