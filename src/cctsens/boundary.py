@@ -20,7 +20,9 @@ phases (duplicate constraint names are kept once, from the post side)
 and samples stability regions of the post-fault system on a rectangular
 grid, annotating the constraint boundary with its point classification,
 refined semi-saddles, and backward-orbit samples through them.  Each
-constraint's samples are chained along its curve, and a semi-saddle is
+constraint's margin is evaluated once per grid node; its sign changes
+along the grid rows and columns, projected onto the constraint, are its
+samples.  They are chained along its curve, and a semi-saddle is
 refined wherever that constraint's drift changes sign between
 neighbours on the chain.  Each backward orbit runs only until it leaves
 the grid window: the window edges are watched as constraint margins, so
@@ -44,7 +46,14 @@ from .errors import (
     NumericalBlowup,
     StiffnessFailure,
 )
-from .integrator import EventConfig, EventKind, IntegrationOptions, integrate, integrate_lanes
+from .integrator import (
+    EventConfig,
+    EventKind,
+    IntegrationOptions,
+    _float_margin,
+    integrate,
+    integrate_lanes,
+)
 from .model import (
     ConstrainedSystem,
     Constraint,
@@ -187,6 +196,8 @@ class GridSpec:
     n2: int = 100
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.x1_min, self.x1_max, self.x2_min, self.x2_max))):
+            raise ValueError("grid window bounds must be finite")
         if not (self.x1_max > self.x1_min and self.x2_max > self.x2_min):
             raise ValueError("grid window is empty")
         if not all(isinstance(n, (int, np.integer)) for n in (self.n1, self.n2)):
@@ -336,23 +347,23 @@ def _project_to_constraint(c: Constraint, x: np.ndarray, p: np.ndarray) -> np.nd
 def _boundary_samples(system, p, spec, constraint: Constraint):
     """Feasible-boundary points of one constraint inside the closed window.
 
-    Projection onto the constraint can carry a sample across a window
-    edge; such samples are dropped.
+    The margin is evaluated once at each grid node, through its float
+    entry (``_float_margin``), and the sign changes along each row and
+    each column of that table are interpolated linearly.  Projection
+    onto the constraint can carry a sample across a window edge; such
+    samples are dropped.
     """
     others = [
         c for c in system.phases[Phase.POST_FAULT].constraints if c.name != constraint.name
     ]
     pts = []
     x1, x2 = spec.x1, spec.x2
-    # Each grid row and column is one column batch of the constraint.
-    for a in x1:
-        vals = constraint.value(np.array([np.full(len(x2), a), x2]), p)
-        for b_root in _scan_zero_crossings(vals, x2):
-            pts.append(np.array([a, b_root]))
-    for b in x2:
-        vals = constraint.value(np.array([x1, np.full(len(x1), b)]), p)
-        for a_root in _scan_zero_crossings(vals, x1):
-            pts.append(np.array([a_root, b]))
+    margin, ps = _float_margin(constraint.value, p), p.tolist()
+    table = np.array([[margin([a, b], ps) for b in x2.tolist()] for a in x1.tolist()], float)
+    for a, vals in zip(x1, table):
+        pts += [np.array([a, b_root]) for b_root in _scan_zero_crossings(vals, x2)]
+    for b, vals in zip(x2, table.T):
+        pts += [np.array([a_root, b]) for a_root in _scan_zero_crossings(vals, x1)]
     refined = []
     for x in pts:
         x = _project_to_constraint(constraint, x, p)

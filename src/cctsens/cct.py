@@ -66,7 +66,6 @@ __all__ = [
     "CriticalResult",
     "OperatingPoint",
     "classify_post_fault",
-    "classify_post_faults",
     "clearing_outcome",
     "compute_cct",
     "operating_point",
@@ -248,7 +247,7 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
 
 
 def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
-    """Verdict of one post-fault run, or the InconclusiveRun it ends in.
+    """Verdict of one post-fault run; raises InconclusiveRun if it has none.
 
     Convergence without a crossing is stable; otherwise the earlier of
     a crossing and a capture away from the SEP decides.  A run with
@@ -287,27 +286,27 @@ def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
     end_dist = float(np.linalg.norm(traj.final_state - x_sep_post))
     if end_dist <= loose:
         return PostFaultClassification(stable=True)
-    return InconclusiveRun(
+    raise InconclusiveRun(
         f"post-fault run from {x_cl} ended {end_dist:.3g} from the SEP at "
         f"t={traj.final_time:.3g} with no crossing, capture, or convergence; "
         "raise t_max or loosen thresholds"
     )
 
 
-def classify_post_faults(
+def classify_post_fault(
     system: ConstrainedSystem,
     p: np.ndarray,
-    x_cls: np.ndarray,
+    x_cl: np.ndarray,
     point: OperatingPoint,
     opts: CctOptions,
-) -> list:
-    """Stable/unstable verdict for the post-fault run from each clearing state.
+) -> PostFaultClassification:
+    """Stable/unstable verdict for the post-fault run from one clearing state.
 
     A clearing state within ``clearing_feasibility_tol`` of the boundary
     (normalised feasibility product at or below it) is unstable with
     t1 = 0, labelled with its smallest constraint, and needs no
-    integration.  The other states run as the lanes of one
-    ``integrate_lanes`` run, each watched for a crossing of any post-fault
+    integration.  Otherwise the state runs as the one lane of an
+    ``integrate_lanes`` run, watched for a crossing of any post-fault
     constraint (immediate, t1 = 0, when the clearing state already
     violates one), for field-norm minima below ``field_norm_threshold``
     away from the SEP, and for entry into the SEP ball of ``point``:
@@ -323,57 +322,25 @@ def classify_post_faults(
     and no capture is inconclusive.  ``point`` must come from
     ``operating_point`` at this system, p and the tolerances of opts.
 
-    Returns, per state, its PostFaultClassification or the
-    NumericalBlowup, StiffnessFailure or InconclusiveRun that the
-    one-state ``classify_post_fault`` would raise.
+    Raises NumericalBlowup, StiffnessFailure or InconclusiveRun.
     """
     p = np.asarray(p, dtype=float)
-    x_cls = np.asarray(x_cls, dtype=float)
-    constraints = system.phases[Phase.POST_FAULT].constraints
-
-    out: list = [None] * len(x_cls)
-    run = []
-    for i, x_cl in enumerate(x_cls):
-        if constraints and (
-            eval_H(system, Phase.POST_FAULT, x_cl, p) / point.h_ref
-            <= opts.clearing_feasibility_tol
-        ):
-            label = min(constraints, key=lambda c: c.value(x_cl, p)).name
-            out[i] = PostFaultClassification(
-                stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(), crossing_label=label,
-            )
-            continue
-        run.append(i)
-    if not run:
-        return out
-
-    trajs = integrate_lanes(
-        system, Phase.POST_FAULT, x_cls[run], p, opts.integration, point.events
-    )
-    for i, traj in zip(run, trajs):
-        out[i] = traj if isinstance(traj, Exception) else _post_fault_verdict(
-            traj, x_cls[i], point.x_sep_post, opts
-        )
-    return out
-
-
-def classify_post_fault(
-    system: ConstrainedSystem,
-    p: np.ndarray,
-    x_cl: np.ndarray,
-    point: OperatingPoint,
-    opts: CctOptions,
-) -> PostFaultClassification:
-    """Verdict for one clearing state: ``classify_post_faults`` with one lane.
-
-    Raises the NumericalBlowup, StiffnessFailure or InconclusiveRun that
-    ``classify_post_faults`` returns in the state's place.
-    """
     x_cl = np.asarray(x_cl, dtype=float)
-    (cls,) = classify_post_faults(system, p, x_cl[None], point, opts)
-    if isinstance(cls, Exception):
-        raise cls
-    return cls
+    constraints = system.phases[Phase.POST_FAULT].constraints
+    if constraints and (
+        eval_H(system, Phase.POST_FAULT, x_cl, p) / point.h_ref
+        <= opts.clearing_feasibility_tol
+    ):
+        label = min(constraints, key=lambda c: c.value(x_cl, p)).name
+        return PostFaultClassification(
+            stable=False, t1=0.0, T=0.0, x_T=x_cl.copy(), crossing_label=label,
+        )
+    (traj,) = integrate_lanes(
+        system, Phase.POST_FAULT, x_cl[None], p, opts.integration, point.events
+    )
+    if isinstance(traj, Exception):
+        raise traj
+    return _post_fault_verdict(traj, x_cl, point.x_sep_post, opts)
 
 
 def _run_fault(system, p, x0, opts: CctOptions, horizon: float) -> Trajectory:

@@ -260,7 +260,8 @@ def _parse_config(
         for key in ("parameter", "start", "stop", "count"):
             _require(key in sweep, f'sweep needs "{key}"')
         for key in ("start", "stop"):
-            _require(_is_number(sweep[key]), f"sweep {key} must be a number, got {sweep[key]!r}")
+            _require(_is_number(sweep[key]) and math.isfinite(sweep[key]),
+                     f"sweep {key} must be a finite number, got {sweep[key]!r}")
         sweep_param = resolve(sweep["parameter"])
         count = sweep["count"]
         _require(isinstance(count, int) and count >= 0,

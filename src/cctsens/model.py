@@ -122,7 +122,8 @@ class Constraint:
     Hessian callables may be None: only the constraint that a mode-2
     result names needs second derivatives, for its graze conditions.
 
-    ``value`` may carry an optional one-state float entry,
+    Each callable takes one state x of shape (n,) and the parameters p.
+    ``value`` may carry an optional float entry,
     ``value.on_floats(xs, ps) -> float``, with the state and parameters
     as lists of floats; it must equal ``value`` at that state bit for
     bit.  A lone lane reads the margin through it.  Both constructors
@@ -154,10 +155,11 @@ class PhaseDynamics:
     it by interval arithmetic and leaves it None where that finds no
     bound.
 
-    ``f``, ``jac_x`` and ``jac_p`` may each carry an optional one-state
-    float entry ``on_floats(xs, ps)``: the state and parameters as lists
-    of floats in, a list of floats out (a Jacobian's entries row-major
-    and flat), equal bit for bit to the array call at that state.  A
+    ``f``, ``jac_x`` and ``jac_p`` take one state x of shape (n,) and
+    the parameters p.  Each may carry an optional float entry
+    ``on_floats(xs, ps)``: the state and parameters as lists of floats
+    in, a list of floats out (a Jacobian's entries row-major and flat),
+    equal bit for bit to the array call at that state.  A
     lone lane steps through the field's, and the variational equations
     run on all three.  A callable without one is called on arrays.
     Both constructors attach them, and give the float entry of ``f`` a
@@ -426,7 +428,7 @@ class SmibParams:
             raise ValueError(f"inertia must be positive, got {self.inertia}")
         if self.damping < 0.0:
             raise ValueError(f"damping must be nonnegative, got {self.damping}")
-        for name in ("p_mech", "delta_max", "omega_max"):
+        for name in ("p_mech", "inertia", "delta_max", "omega_max", "damping", "coupling_pre"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -453,8 +455,8 @@ _SMIB_STATE_NAMES = ("delta", "omega")
 def _on_numpy(fn, xs, ps) -> list:
     """fn(xs, ps) redone on numpy float64, as a list of floats.
 
-    A float entry calls it where Python raises ZeroDivisionError: numpy
-    gives inf or nan there, as on a column batch.
+    A float entry calls it where Python raises ZeroDivisionError, so
+    that the state gives numpy's inf or nan instead of an error.
     """
     return list(map(float, fn(np.array(xs, dtype=float), np.array(ps, dtype=float))))
 
@@ -463,9 +465,7 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
 
     def on_floats(xs: list, ps: list) -> list:
-        # One state on floats: the same IEEE operations in the same order
-        # as a column batch, and math.sin rounds as np.sin does (a test
-        # re-checks that), at a fraction of numpy's per-scalar cost.
+        # On floats, at a fraction of numpy's per-scalar cost.
         angle, speed = xs
         try:
             return [speed, (ps[0] - b * math.sin(angle) - d * speed) / ps[1]]
@@ -473,9 +473,7 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
             return _on_numpy(on_floats, xs, ps)
 
     def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:
-            return np.array(on_floats(x.tolist(), p.tolist()))
-        return np.array([x[1], (p[0] - b * np.sin(x[0]) - d * x[1]) / p[1]])
+        return np.array(on_floats(x.tolist(), p.tolist()))
 
     # on_floats written out.  The coupling and damping are names, not
     # literals, so every machine shares one source and one compiled loop.
@@ -572,10 +570,10 @@ def smib_system(params: SmibParams) -> ConstrainedSystem:
 def _power_printer():
     """numpy code printer that writes a**b as numpy.power(a, b).
 
-    ``**`` on a float or a numpy scalar rounds differently from the
-    array loop of a column batch; the ufunc runs one loop for both, so
-    one state matches its column of a batch bit for bit.  sqrt and
-    1/sqrt are correctly rounded either way and stay as printed.
+    On floats, Python's ``**`` raises OverflowError (``1e200 ** 2``) or
+    returns a complex number (``(-8.0) ** (1/3)``); ``numpy.power``
+    returns inf or nan, which the integrator reads as a blow-up.  sqrt
+    and 1/sqrt stay as printed.
     """
     from sympy import S
     from sympy.printing.numpy import NumPyPrinter
@@ -588,15 +586,6 @@ def _power_printer():
 
     # The settings sympy.lambdify gives its own numpy printer.
     return PowerPrinter({"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True})
-
-
-def _one_state(x) -> bool:
-    """True unless x is a column batch (two or more dimensions).
-
-    An array's ``ndim`` is read directly, at a fraction of the cost of
-    ``np.ndim``.
-    """
-    return (x.ndim if type(x) is np.ndarray else np.ndim(x)) < 2
 
 
 def _floats(v):
@@ -658,17 +647,15 @@ def _lambdified_source(fn) -> Optional[_Source]:
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
-    With ``shape`` None the expression is scalar: g returns a Python
-    float for a state of shape (n,) and an array of shape (K,) for a
-    column batch of shape (n, K).  Otherwise it is a matrix and g
-    returns a float array of ``shape``, or ``shape + (K,)`` for a batch;
-    constant entries are broadcast over the batch.  g has the one-state
-    float entry ``g.on_floats(xs, ps)``: lists of floats in, and a float
-    out, or a matrix's entries row-major as a flat list of floats.  The
-    integrator steps a lone lane with those, and g evaluates one state
-    through it.  The float entry's ``_source()`` reads its record from
-    the lambdified function's text at first use (``_lambdified_source``),
-    so building a system does not pay for it.
+    g takes one state of shape (n,).  With ``shape`` None the expression
+    is scalar and g returns a Python float; otherwise it is a matrix and
+    g returns a float array of ``shape``.  g has the float entry
+    ``g.on_floats(xs, ps)``: lists of floats in, and a float out, or a
+    matrix's entries row-major as a flat list of floats.  The integrator
+    steps a lone lane with those, and g evaluates through it.  The float
+    entry's ``_source()`` reads its record from the lambdified function's
+    text at first use (``_lambdified_source``), so building a system
+    does not pay for it.
 
     DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
     Hessian, is taken as 0: its value wherever the expression is twice
@@ -693,9 +680,7 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
                 return float(fn(np.array(xs, dtype=float), np.array(ps, dtype=float)))
 
         def scalar(x, p):
-            if _one_state(x):
-                return scalar_on_floats(_floats(x), _floats(p))
-            return np.broadcast_to(np.asarray(fn(x, p), dtype=float), np.shape(x)[1:])
+            return scalar_on_floats(_floats(x), _floats(p))
 
         scalar_on_floats._source = cache(lambda: _lambdified_source(fn))
         scalar.on_floats = scalar_on_floats
@@ -711,12 +696,8 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
             return _on_numpy(fn, xs, ps)
 
     def matrix(x, p):
-        if _one_state(x):
-            out = np.array(matrix_on_floats(_floats(x), _floats(p)))
-            return out if flat else out.reshape(shape)
-        lanes = np.shape(x)[1:]
-        entries = [np.broadcast_to(v, lanes) for v in fn(x, p)]
-        return np.array(entries, dtype=float).reshape(shape + lanes)
+        out = np.array(matrix_on_floats(_floats(x), _floats(p)))
+        return out if flat else out.reshape(shape)
 
     matrix_on_floats._source = cache(lambda: _lambdified_source(fn))
     matrix.on_floats = matrix_on_floats

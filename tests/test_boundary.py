@@ -471,12 +471,12 @@ class TestStabilityRegionGrid:
         spec = GridSpec(x1_min=-1.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=16, n2=12)
         n_samples = 0
         for c in system.phases[Phase.POST_FAULT].constraints:
-            batched = _boundary_samples(system, p, spec, c)
+            samples = _boundary_samples(system, p, spec, c)
             reference = _pointwise_boundary_samples(system, p, spec, c)
-            assert len(batched) == len(reference)
-            for x, x_ref in zip(batched, reference):
+            assert len(samples) == len(reference)
+            for x, x_ref in zip(samples, reference):
                 np.testing.assert_array_equal(x, x_ref)
-            n_samples += len(batched)
+            n_samples += len(samples)
         assert n_samples
 
     def test_unstable_sep_guess_is_rejected(self):

@@ -26,11 +26,12 @@ from cctsens import (
     IntegrationOptions,
     NoEquilibriumFound,
     NoFiniteCct,
+    NumericalBlowup,
     Phase,
     SmibParams,
+    StiffnessFailure,
     cct_sensitivity,
     classify_post_fault,
-    classify_post_faults,
     clearing_outcome,
     compute_cct,
     eval_H,
@@ -301,33 +302,28 @@ class TestClassifyPostFault:
             [2.62, 0.0],             # inconclusive at t_max
             [2.7, 0.0],              # captured away from the SEP
         ])
-        batch = classify_post_faults(sys3, _P3.p0, starts, point, opts)
-        assert len(batch) == len(starts)
-        for x, got in zip(starts, batch):
-            try:
-                want = classify_post_fault(sys3, _P3.p0, x, point, opts)
-            except InconclusiveRun as exc:
-                want = exc
-            assert type(got) is type(want)
-            if isinstance(want, Exception):
-                assert str(got) == str(want)
-                continue
-            for field in fields(want):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                if isinstance(b, np.ndarray):
-                    assert np.array_equal(a, b), field.name
-                else:
-                    assert a == b, field.name
+        verdicts = _verdicts(sys3, _P3.p0, starts, point, opts)
         kinds = [
             "error" if isinstance(c, Exception)
             else "stable" if c.stable
             else "band" if c.t1 == 0.0
             else "crossing" if c.T == c.t1
             else "capture"
-            for c in batch
+            for c in verdicts
         ]
         assert kinds == ["stable", "band", "crossing", "error", "capture"]
-        assert classify_post_faults(sys3, _P3.p0, np.empty((0, 2)), point, opts) == []
+        # The lanes of one run of every start but the band's give each
+        # start its one-lane verdict.
+        run = [0, 2, 3, 4]
+        lanes = integrate_lanes(
+            sys3, Phase.POST_FAULT, starts[run], _P3.p0, opts.integration, point.events
+        )
+        for k, lane in zip(run, lanes):
+            try:
+                got = cct_mod._post_fault_verdict(lane, starts[k], point.x_sep_post, opts)
+            except InconclusiveRun as exc:
+                got = exc
+            assert _verdict_key(got) == _verdict_key(verdicts[k])
 
 
 def _without_bound(system):
@@ -389,10 +385,21 @@ def _entered_the_ball(runs):
     return runs[-1].first_event(EventKind.CONVERGED_TO_SEP) is not None
 
 
+def _verdicts(system, p, xs, point, opts):
+    """Each state's classify_post_fault verdict, or the error that state raises."""
+    out = []
+    for x in xs:
+        try:
+            out.append(cct_mod.classify_post_fault(system, p, x, point, opts))
+        except (NumericalBlowup, StiffnessFailure, InconclusiveRun) as exc:
+            out.append(exc)
+    return out
+
+
 def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
-    """Verdicts of classify_post_faults and the run of each lane."""
+    """Each state's verdict (``_verdicts``) and the run of each lane."""
     runs = _recorded_runs(monkeypatch)
-    out = classify_post_faults(system, p, xs, operating_point(system, p, opts), opts)
+    out = _verdicts(system, p, xs, operating_point(system, p, opts), opts)
     monkeypatch.undo()
     return out, runs
 
@@ -450,7 +457,7 @@ class TestCertifiedRegion:
             # bound to t_max 200.
             unbounded = _without_bound(system)
             point = operating_point(unbounded, params.p0, _LONG)
-            long = classify_post_faults(unbounded, params.p0, xs[stable], point, _LONG)
+            long = _verdicts(unbounded, params.p0, xs[stable], point, _LONG)
             assert all(c.stable for c in long), params
             # Captured runs that ended in a competing sink's certified ball
             # take fewer steps; every other unstable run takes the same.
@@ -503,15 +510,15 @@ class TestCertifiedRegion:
         # the bound it is stable at t_max 20 and 30; without it, it ends at
         # the horizon 20 after its capture and is unstable.
         # The expression twin has the bound too, so it takes the same path.
-        x_cl = np.array([[0.0, 5.52713]])
+        x_cl = np.array([0.0, 5.52713])
         for system in (smib_system(_P3), _smib_twin()):
             point = operating_point(system, _P3.p0, CctOptions())
             for t_max in (20.0, 30.0):
                 opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
-                (fast,) = classify_post_faults(system, _P3.p0, x_cl, point, opts)
+                fast = classify_post_fault(system, _P3.p0, x_cl, point, opts)
                 assert fast.stable and 4.0 < fast.t2 < 5.0
             unbounded = _without_bound(system)
-            (full,) = classify_post_faults(
+            full = classify_post_fault(
                 unbounded, _P3.p0, x_cl, operating_point(unbounded, _P3.p0, CctOptions()),
                 CctOptions(),
             )
@@ -524,35 +531,35 @@ class TestCertifiedRegion:
         system = smib_system(_P3)
         xs = np.stack([np.zeros(31), np.linspace(5.52710, 5.52716, 31)], axis=1)
         unbounded = _without_bound(system)
-        fast = classify_post_faults(
+        fast = _verdicts(
             system, _P3.p0, xs, operating_point(system, _P3.p0, CctOptions()), CctOptions()
         )
-        full = classify_post_faults(
+        full = _verdicts(
             unbounded, _P3.p0, xs, operating_point(unbounded, _P3.p0, _LONG), _LONG
         )
         assert [c.stable for c in fast] == [c.stable for c in full]
         assert {c.stable for c in fast} == {True, False}
 
-    def test_each_batch_integrates_once(self, monkeypatch):
+    def test_each_verdict_integrates_once(self, monkeypatch):
         # Among the _SLIPS starts, (0, 5.52713) enters the certified ball
         # after a capture.
         system = smib_system(_P3)
-        batch, lanes, calls = cct_mod.classify_post_faults, cct_mod.integrate_lanes, []
+        verdict, lanes, calls = cct_mod.classify_post_fault, cct_mod.integrate_lanes, []
 
-        def counting_batch(*args):
+        def counting_verdict(*args):
             calls.append(0)
-            return batch(*args)
+            return verdict(*args)
 
         def counting_lanes(*args, **kwargs):
             calls[-1] += 1
             return lanes(*args, **kwargs)
 
-        monkeypatch.setattr(cct_mod, "classify_post_faults", counting_batch)
+        monkeypatch.setattr(cct_mod, "classify_post_fault", counting_verdict)
         monkeypatch.setattr(cct_mod, "integrate_lanes", counting_lanes)
         point = operating_point(system, _P3.p0, CctOptions())
-        cct_mod.classify_post_faults(system, _P3.p0, self._SLIPS, point, CctOptions())
+        _verdicts(system, _P3.p0, self._SLIPS, point, CctOptions())
         compute_cct(system, _P3.p0)
-        assert len(calls) > 1 and all(c == 1 for c in calls)
+        assert len(calls) > len(self._SLIPS) and all(c == 1 for c in calls)
 
     # Starts on the _P3 machine: the first three pole-slip into
     # x_sep + (2 pi k, 0), the next stalls at the saddle and returns, the
@@ -575,14 +582,20 @@ class TestCertifiedRegion:
         assert not any(_ended_in_a_sink(traj, 40.0) for traj in fast_runs[3:])
 
     @pytest.mark.bit_identity
-    def test_pole_slipping_lanes_equal_their_one_lane_runs(self, monkeypatch):
+    def test_pole_slipping_lanes_equal_their_one_lane_runs(self):
+        # Lanes that end in a competing sink (the point's _sink_stop) equal
+        # the runs of their verdicts.
         system = smib_system(_P3)
         opts = CctOptions(integration=IntegrationOptions(t_max=40.0))
-        batch, batch_runs = _verdicts_and_runs(system, _P3.p0, self._SLIPS, monkeypatch, opts)
+        point = operating_point(system, _P3.p0, opts)
+        lanes = integrate_lanes(
+            system, Phase.POST_FAULT, self._SLIPS, _P3.p0, opts.integration, point.events
+        )
         for k, x in enumerate(self._SLIPS):
-            (one,), one_runs = _verdicts_and_runs(system, _P3.p0, x[None], monkeypatch, opts)
-            assert _verdict_key(one) == _verdict_key(batch[k])
-            a, b = one_runs[0], batch_runs[k]
+            (one,) = integrate_lanes(
+                system, Phase.POST_FAULT, x[None], _P3.p0, opts.integration, point.events
+            )
+            a, b = one, lanes[k]
             assert a.final_time == b.final_time and a.steps == b.steps
             assert np.array_equal(a.final_state, b.final_state)
             assert [(e.time, e.kind, e.state.tolist(), e.info) for e in a.events] == [
@@ -603,7 +616,7 @@ class TestCertifiedRegion:
             monkeypatch.setattr(
                 cct_mod, "find_equilibrium", lambda *args: calls.append(args) or find(*args)
             )
-            verdicts = classify_post_faults(s, _P3.p0, self._SLIPS, point, opts)
+            verdicts = _verdicts(s, _P3.p0, self._SLIPS, point, opts)
             monkeypatch.undo()
             counts.append(len(calls))
             assert [c.stable for c in verdicts] == [False, False, False, True, True]
@@ -731,9 +744,9 @@ def test_config_results_do_not_depend_on_the_bound(config):
     # comes from interval arithmetic.
     cfg = load_config(config, (), None, 1)
     system, twin = build_system(cfg), _smib_twin()
-    x = np.array([[0.3, -1.2], [0.7, 0.4]])
-    for phase in Phase:
-        assert np.allclose(twin.phases[phase].f(x, cfg.p0), system.phases[phase].f(x, cfg.p0))
+    for x in np.array([[0.3, 0.7], [-1.2, 0.4]]):
+        for phase in Phase:
+            assert np.allclose(twin.phases[phase].f(x, cfg.p0), system.phases[phase].f(x, cfg.p0))
     for s in (system, twin):
         results = [compute_cct(t, cfg.p0, cfg.opts) for t in (s, _without_bound(s))]
         _same_fields(*results)
@@ -922,19 +935,27 @@ _BATCH_CASES = {
 
 
 def _lane_counts(monkeypatch, plant=None):
-    """Lane count of every classify_post_faults call, in call order.
+    """Lanes integrated by every classify_post_fault call, in call order.
 
-    ``plant(k, out)``, when given, edits the output of the k-th call
-    (from 0) and returns it.
+    ``plant(k)``, when given, returns None or an error that the k-th call
+    (from 0) raises in place of its verdict.
     """
-    real, counts = cct_mod.classify_post_faults, []
+    real, lanes, counts = cct_mod.classify_post_fault, cct_mod.integrate_lanes, []
 
-    def recording(system, p, x_cls, *args):
-        counts.append(len(x_cls))
-        out = real(system, p, x_cls, *args)
-        return out if plant is None else plant(len(counts) - 1, out)
+    def recording(*args):
+        counts.append(0)
+        out = real(*args)
+        planted = None if plant is None else plant(len(counts) - 1)
+        if planted is not None:
+            raise planted
+        return out
 
-    monkeypatch.setattr(cct_mod, "classify_post_faults", recording)
+    def counting(system, phase, x0s, *args):
+        counts[-1] += len(x0s)
+        return lanes(system, phase, x0s, *args)
+
+    monkeypatch.setattr(cct_mod, "classify_post_fault", recording)
+    monkeypatch.setattr(cct_mod, "integrate_lanes", counting)
     return counts
 
 
@@ -996,9 +1017,9 @@ class TestBatchedBisection:
         system, p, opts = _BATCH_CASES["speed-1e-2"][0]
         planted = InconclusiveRun(f"planted at midpoint {k}")
 
-        def plant(call, out):
+        def plant(call):
             # Call 0 is the instant-clearing check; call k the k-th midpoint.
-            return [planted] if call == k else out
+            return planted if call == k else None
 
         counts = _lane_counts(monkeypatch, plant)
         with pytest.raises(InconclusiveRun) as got:

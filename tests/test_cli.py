@@ -91,6 +91,26 @@ class TestConfig:
         assert "config error:" in capsys.readouterr().err
         assert not (out / "error.json").exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        ("sr-grid", {"system": _SMIB, "grid": {
+            "x1_min": -math.inf, "x1_max": 2.5, "x2_min": -1.0, "x2_max": 1.0, "n1": 3, "n2": 3}}),
+        ("sr-grid", {"system": _SMIB, "grid": {
+            "x1_min": -0.5, "x1_max": 2.5, "x2_min": -1.0, "x2_max": math.inf, "n1": 3, "n2": 3}}),
+        ("sweep", {**_BASE, "sweep": {"parameter": "Pm", "start": math.nan, "stop": 0.7, "count": 2}}),
+        ("sweep", {**_BASE, "sweep": {"parameter": "Pm", "start": 0.6, "stop": math.inf, "count": 2}}),
+        ("cct", {**_BASE, "system": {**_SMIB, "inertia": math.inf}}),
+        ("cct", {**_BASE, "system": {**_SMIB, "damping": math.nan}}),
+        ("cct", {**_BASE, "system": {**_SMIB, "coupling_pre": math.inf, "coupling_post": math.inf}}),
+    ], ids=["grid-x1_min", "grid-x2_max", "sweep-start", "sweep-stop", "inertia", "damping",
+            "coupling"])
+    def test_non_finite_config_value_is_a_config_error(self, tmp_path, capsys, command, doc):
+        # JSON as Python reads it takes Infinity and NaN.
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "error.json").exists()
+
     def test_tolerance_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, _BASE)
         plain = load_config(path)

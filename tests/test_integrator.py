@@ -696,8 +696,7 @@ def test_unlocated_crossings_end_at_the_step_that_crosses():
         assert root_hit.info == hit.info
 
 
-# A cubic spring: the field raises the state to a power, which one state
-# and a column batch must round alike.
+# A cubic spring: the field raises the state to a power.
 _DUFFING = system_from_expressions(
     ["x1", "x2"], ["a"],
     {ph: {"f": ["x2", "-a*x1**3 - 0.3*x2"]} for ph in ("pre", "fault", "post")},
@@ -853,15 +852,20 @@ def test_float_stage_sums_equal_the_stage_major_reduce(width):
 @pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
 def test_lone_step_equals_the_batch_rows(system):
     # The float kernel on the field's one-state float entry equals every
-    # lane of the stage-major step on the field's column batches.
+    # lane of the stage-major step, whose field stacks the one-state
+    # array calls column by column.
     rhs = system.phases[Phase.POST_FAULT].f
     field, ps = integrator._float_field(rhs, _P0), _P0.tolist()
+
+    def columns(z):
+        return np.column_stack([rhs(z[:, a], _P0) for a in range(z.shape[1])])
+
     rng = np.random.default_rng(11)
     for lanes in (1, 3, 64):
         y = rng.uniform([-3.0, -5.0], [3.0, 5.0], size=(lanes, 2)).T.copy()
         h = 10.0 ** rng.uniform(-4.0, -0.6, size=lanes)
-        f = rhs(y, _P0)
-        y_new, f_new, err = _stage_major_step(lambda z: rhs(z, _P0), y, f, h)
+        f = columns(y)
+        y_new, f_new, err = _stage_major_step(columns, y, f, h)
         norms = _error_norm_columns(y, y_new, err, *_STEP_TOLS)
         for a in range(lanes):
             lone = integrator._float_step(

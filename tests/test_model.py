@@ -3,16 +3,19 @@
 Covers, in order: phase vector fields against hand-computed values,
 analytic Jacobians against central finite differences, equilibrium
 location and classification, the equilibrium parameter shift dx_s/dp,
-input validation, the expression-built twin of the swing model, and
-the interval-arithmetic Lipschitz bound of expression-built systems.
+input validation, the expression-built twin of the swing model, the
+one-state calls of a hand-built system, and the interval-arithmetic
+Lipschitz bound of expression-built systems.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cctsens.cct import compute_cct
+from cctsens.boundary import GridSpec, sample_stability_region
+from cctsens.cct import CctOptions, compute_cct
 from cctsens.errors import (
     ConfigError,
     DimensionMismatch,
@@ -21,6 +24,8 @@ from cctsens.errors import (
     SingularJacobian,
 )
 from cctsens.integrator import integrate, integrate_with_sensitivities
+from cctsens.sensitivity import cct_sensitivity
+from cctsens.validate import scan_cct
 from cctsens.model import (
     EquilibriumClass,
     Phase,
@@ -317,56 +322,6 @@ def test_expression_constraint_second_derivatives():
     assert np.allclose(c.hess_xp(x, p), [[-1.4], [0.0]], atol=1e-14)
 
 
-def test_expression_system_evaluates_column_batches():
-    """(n, K) states give (n, K) fields and (K,) margins; constants broadcast."""
-    phases = {
-        ph: {"f": ["x2", "0"], "h": {"lid": "1 - x1", "floor": "2"}}
-        for ph in ("pre", "fault", "post")
-    }
-    sys_ = system_from_expressions(["x1", "x2"], ["a"], phases)
-    dyn = sys_.phases[Phase.POST_FAULT]
-    p = np.array([1.0])
-    xs = np.array([[0.1, 0.5, 2.0], [-1.0, 0.0, 3.0]])
-    f = dyn.f(xs, p)
-    assert f.shape == (2, 3)
-    assert np.array_equal(f, [[-1.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
-    lid, floor = (c.value(xs, p) for c in dyn.constraints)
-    assert lid.shape == floor.shape == (3,)
-    assert np.array_equal(lid, [0.9, 0.5, -1.0]) and np.array_equal(floor, [2.0, 2.0, 2.0])
-    # One state still gives an (n,) field and float margins.
-    assert dyn.f(xs[:, 1], p).shape == (2,)
-    assert isinstance(dyn.constraints[0].value(xs[:, 1], p), float)
-    assert isinstance(dyn.constraints[1].value(xs[:, 1], p), float)
-
-
-@pytest.mark.bit_identity
-def test_machine_field_evaluates_column_batches():
-    # One state, evaluated on floats, equals its column of the batch bit
-    # for bit.
-    rng = np.random.default_rng(5)
-    xs = np.hstack([
-        [[0.2, 1.1, -0.4], [0.3, -0.7, 1.2]],
-        [rng.uniform(-10.0, 10.0, 2000), rng.uniform(-5.0, 5.0, 2000)],
-    ])
-    for phase in Phase:
-        f = _SYS.phases[phase].f(xs, _P0)
-        assert f.shape == xs.shape
-        for k in range(xs.shape[1]):
-            assert np.array_equal(f[:, k], eval_f(_SYS, phase, xs[:, k], _P0))
-    margins = [c.value(xs, _P0) for c in _SYS.phases[Phase.POST_FAULT].constraints]
-    assert all(m.shape == xs.shape[1:] for m in margins)
-
-
-@pytest.mark.bit_identity
-@pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 10.0, 1e3, 1e8])
-def test_math_sin_equals_numpy_sin(scale):
-    # One machine state takes math.sin and a column batch np.sin; lanes
-    # equal their one-lane runs only while the two round alike, which
-    # depends on the numpy build (its SIMD sin) and the C library.
-    x = np.random.default_rng(17).uniform(-scale, scale, 100_000)
-    assert np.array_equal(np.sin(x), [math.sin(v) for v in x.tolist()])
-
-
 # ── interval-arithmetic Lipschitz bounds ─────────────────────────────────────
 
 
@@ -409,15 +364,19 @@ def _expression_phases(f, h=None):
     return {ph: block for ph in ("pre", "fault", "post")}
 
 
-# Its one-state code holds numpy.power (from **), sqrt, exp and abs (from
-# Abs), and sign in the derivatives of Abs.
-_FLOAT_CASE = system_from_expressions(
-    ["x1", "x2"], ["a", "b"],
-    _expression_phases(
-        ["x2*sqrt(1 + x1**2)", "-a*x1**3 - b*exp(-x2**2)*Abs(x1)"],
-        {"bowl": "a - x1**2*exp(x2/4) - sqrt(2 + x2**2)", "cap": "Abs(b)*(1 + x1*x2) - x2**3/3"},
-    ),
-)
+def test_powers_on_floats_give_inf_or_nan():
+    # Python's ** raises OverflowError at 1e200 ** 2 and gives a complex
+    # number at (-8.0) ** (1/3); the generated code's numpy.power gives
+    # inf and nan, which a run reads as a blow-up.
+    phases = _expression_phases(["x1**2", "x2**(1/3)"], {"m": "a - x1**2"})
+    system = system_from_expressions(["x1", "x2"], ["a"], phases)
+    dyn, p = system.phases[Phase.POST_FAULT], np.array([1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = dyn.f.on_floats([1e200, -8.0], p.tolist())
+        assert f[0] == math.inf and math.isnan(f[1])
+        assert dyn.constraints[0].value(np.array([1e200, 0.0]), p) == -math.inf
+        with pytest.raises(NumericalBlowup):
+            integrate(system, Phase.POST_FAULT, np.array([0.5, -8.0]), p)
 
 
 def _one_state_calls(dyn):
@@ -425,19 +384,6 @@ def _one_state_calls(dyn):
     for c in dyn.constraints:
         calls += [c.value, c.grad_x, c.hess_xx, c.hess_xp]
     return calls
-
-
-@pytest.mark.bit_identity
-def test_one_state_on_floats_equals_the_column_batch():
-    # One state goes to the generated code as Python floats, a column
-    # batch as arrays: every entry must round alike.
-    dyn = _FLOAT_CASE.phases[Phase.POST_FAULT]
-    p = np.array([1.3, -0.7])
-    xs = np.random.default_rng(23).uniform(-3.0, 3.0, size=(2, 500))
-    for g in _one_state_calls(dyn):
-        batch = np.asarray(g(xs, p))
-        for k in range(xs.shape[1]):
-            assert np.array_equal(g(xs[:, k], p), batch[..., k])
 
 
 def _same_bits(a, b) -> bool:
@@ -467,24 +413,88 @@ def test_float_entries_equal_the_array_calls(system):
                     assert type(got) is float and _same_bits(got, c.value(x, p)), (c.name, x)
 
 
-def test_division_by_zero_at_one_state_gives_the_batch_column():
+def test_division_by_zero_at_one_state_gives_numpy_values():
     # Python floats raise where numpy divides by zero; such a state is
-    # evaluated on numpy scalars and gives inf or nan as the batch does,
-    # through the array call and through the float entry alike.
+    # evaluated on numpy scalars and gives inf or nan, through the array
+    # call and through the float entry alike.  The oracle is each
+    # derivative written out on numpy float64 scalars.
     phases = _expression_phases(["a/x1", "x2/x1 - x1/x2"], {"m": "a - x2/x1"})
     dyn = system_from_expressions(["x1", "x2"], ["a"], phases).phases[Phase.POST_FAULT]
     p = np.array([1.0])
-    xs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    a, zero = np.float64(1.0), np.float64(0.0)
+
+    def oracle(x1, x2):
+        return [
+            [a / x1, x2 / x1 - x1 / x2],  # f
+            [[-a / x1**2, zero], [-x2 / x1**2 - 1 / x2, 1 / x1 + x1 / x2**2]],  # jac_x
+            [[1 / x1], [zero]],  # jac_p
+            a - x2 / x1,  # value
+            [x2 / x1**2, -1 / x1],  # grad_x
+            [[-2 * x2 / x1**3, 1 / x1**2], [1 / x1**2, zero]],  # hess_xx
+            [[zero], [zero]],  # hess_xp
+        ]
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g in _one_state_calls(dyn):
-            batch = np.asarray(g(xs, p))
-            for k in range(xs.shape[1]):
-                column = batch[..., k]
-                assert np.array_equal(g(xs[:, k], p), column, equal_nan=True)
-                got = g.on_floats(xs[:, k].tolist(), p.tolist())
-                assert type(got) is (float if column.ndim == 0 else list)
-                assert np.array_equal(got, column.ravel() if column.ndim else column,
-                                      equal_nan=True)
+        for x in ([0.0, 1.0], [0.0, 0.0], [1.0, 0.0]):
+            wants = oracle(*map(np.float64, x))
+            for g, want in zip(_one_state_calls(dyn), wants):
+                want = np.array(want, dtype=float)
+                assert np.array_equal(g(np.array(x), p), want, equal_nan=True)
+                got = g.on_floats(x, p.tolist())
+                assert type(got) is (float if want.ndim == 0 else list)
+                assert np.array_equal(got, want.ravel() if want.ndim else want, equal_nan=True)
+
+
+def _one_state_only(fn, n: int):
+    """fn without a float entry, raising on any state not of shape (n,)."""
+
+    def one_state(x, p):
+        if np.shape(x) != (n,):
+            raise AssertionError(f"a state of shape {np.shape(x)}, not ({n},)")
+        return fn(x, p)
+
+    return one_state
+
+
+def _hand_built(system):
+    """``system`` as a hand-built one: one state per call, no float entries."""
+    one = lambda fn: None if fn is None else _one_state_only(fn, system.n)
+    entries = ("value", "grad_x", "grad_p", "hess_xx", "hess_xp")
+    phases = {
+        ph: replace(
+            dyn, f=one(dyn.f), jac_x=one(dyn.jac_x), jac_p=one(dyn.jac_p),
+            constraints=tuple(
+                replace(c, **{k: one(getattr(c, k)) for k in entries}) for c in dyn.constraints
+            ),
+        )
+        for ph, dyn in system.phases.items()
+    }
+    return replace(system, phases=phases)
+
+
+def test_hand_built_system_takes_one_state_per_call():
+    # Every callable of a hand-built system sees one state of shape (n,),
+    # through the critical time, its sensitivities (a fault hit and a
+    # graze), the dense scan and the stability-region grid with its
+    # boundary samples, semi-saddles and manifolds.  Each result equals
+    # the one from the float entries.
+    opts = CctOptions(bisection_tol=1e-3)
+    for params in (SmibParams(0.65, 0.1, 2.0, 0.7), SmibParams(0.5, 0.5, 1.6, 0.9)):
+        system, plain = _hand_built(smib_system(params)), smib_system(params)
+        result = compute_cct(system, params.p0, opts)
+        assert result.t_cl == compute_cct(plain, params.p0, opts).t_cl
+        assert np.array_equal(cct_sensitivity(system, params.p0, result).dt_cl,
+                              cct_sensitivity(plain, params.p0, result).dt_cl)
+    assert scan_cct(system, params.p0, 0.02) == scan_cct(plain, params.p0, 0.02)
+    spec = GridSpec(x1_min=-0.5, x1_max=2.5, x2_min=-2.0, x2_max=2.0, n1=8, n2=6)
+    grid = sample_stability_region(_hand_built(_SYS), _P0, spec)
+    want = sample_stability_region(_SYS, _P0, spec)
+    assert grid.semi_saddles and grid.manifolds
+    assert (grid.classes == want.classes).all()
+    for got, ref in ((grid.boundary_points, want.boundary_points),
+                     (grid.semi_saddles, want.semi_saddles)):
+        assert [b.x.tolist() for b in got] == [b.x.tolist() for b in ref]
+    assert all(np.array_equal(a, b) for a, b in zip(grid.manifolds, want.manifolds))
 
 
 # (system, parameter vectors, the bound expected at each).  The disk
