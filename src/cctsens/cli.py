@@ -159,6 +159,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
@@ -167,7 +171,7 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
 def _coerce_tol(key: str, value) -> object:
     try:
         return int(value) if key in _INT_VALUED else float(value)
-    except (TypeError, ValueError):
+    except (OverflowError, ValueError):
         raise ConfigError(f"tolerance {key!r} must be numeric, got {value!r}")
 
 
@@ -206,14 +210,20 @@ def _parse_config(
         _require(p0.size == len(names), "p0 must list one value per parameter")
         n_state = len(system_cfg["state"])
 
-    _require(isinstance(raw.get("tolerances", {}), dict), '"tolerances" must be an object')
-    tol = dict(raw.get("tolerances", {}))
+    tol = raw.get("tolerances", {})
+    _require(isinstance(tol, dict), '"tolerances" must be an object')
+    overrides = {}
     for item in tol_overrides:
         key, sep, value = item.partition("=")
         _require(bool(sep), f"--tol expects key=value, got {item!r}")
-        tol[key.strip()] = value
-    _check_keys(tol, _INTEGRATION_KEYS | _CCT_KEYS, "tolerance")
-    tol = {k: _coerce_tol(k, v) for k, v in tol.items()}
+        overrides[key.strip()] = value
+    _check_keys(tol.keys() | overrides.keys(), _INTEGRATION_KEYS | _CCT_KEYS, "tolerance")
+    # The file gives JSON numbers, --tol strings.
+    for key, value in tol.items():
+        _require(_is_count(value) if key in _INT_VALUED else _is_number(value),
+                 f"tolerance {key!r} must be {'an integer' if key in _INT_VALUED else 'a number'}"
+                 f", got {value!r}")
+    tol = {k: _coerce_tol(k, v) for k, v in {**tol, **overrides}.items()}
 
     sep_guess = raw.get("sep_guess")
     _require(
@@ -233,13 +243,14 @@ def _parse_config(
         )
         if sep_guess is not None:
             opts = replace(opts, sep_guess=np.asarray(sep_guess, dtype=float))
-        if raw.get("reverify"):
-            opts = replace(opts, reverify=True)
+        reverify = raw.get("reverify", False)
+        _require(isinstance(reverify, bool), f'"reverify" must be true or false, got {reverify!r}')
+        opts = replace(opts, reverify=reverify)
     except (CctError, ValueError) as exc:
         raise ConfigError(str(exc))
 
     def resolve(ref) -> int:
-        if isinstance(ref, int) and not isinstance(ref, bool):
+        if _is_count(ref):
             _require(0 <= ref < len(names), f"parameter index {ref} out of range")
             return ref
         _require(ref in names,
@@ -264,14 +275,16 @@ def _parse_config(
                      f"sweep {key} must be a finite number, got {sweep[key]!r}")
         sweep_param = resolve(sweep["parameter"])
         count = sweep["count"]
-        _require(isinstance(count, int) and count >= 0,
+        _require(_is_count(count) and count >= 0,
                  f"sweep count must be a non-negative integer, got {count!r}")
         if count:
             sweep_values = tuple(
                 float(v) for v in
                 np.linspace(float(sweep["start"]), float(sweep["stop"]), count)
             )
-        sweep_tangents = bool(sweep.get("tangents", False))
+        sweep_tangents = sweep.get("tangents", False)
+        _require(isinstance(sweep_tangents, bool),
+                 f'sweep "tangents" must be true or false, got {sweep_tangents!r}')
 
     grid = None
     if raw.get("grid") is not None:

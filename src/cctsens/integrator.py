@@ -34,24 +34,26 @@ A lane whose state goes non-finite or whose step underflows stops with
 that error; the other lanes run on.  A lane is stepped by the same code
 whatever else runs beside it, so it equals its one-lane run bit for bit.
 
-A lane steps on Python floats in one straight-line loop
-(``_step_lone``), generated once per state width and per source records
-of the field and margins (``_loop_source``), with every component a
-local and every weight of ``_A`` and ``_E`` an exact literal.  Where the
-field's one-state float entry carries a source record
-(``model._Source``; both constructors attach one), each stage evaluates
-the field's expressions in place, with no call and no list; so do the
-margins at each step end, beside the field norm and the SEP distance.
-A field or margin without a record is called through its float entry
-``on_floats``, or its array call: the field through ``_float_step``,
-one generated step per width that returns the new state, the field
-there and the error norm.  The step-size rule and the quiet-step test
-(no crossing, no SEP ball, no field-norm minimum, not the horizon) are
-written into the loop; a quiet step just moves the loop's locals on,
+The generated loop (``_loop_source``) is the only code that takes a
+step.  It steps a lane on Python floats, straight-line, and is made once
+per state width and per source records of the field and margins, with
+every component a local and every weight of ``_A`` and ``_E`` an exact
+literal.  Where the field's one-state float entry carries a source
+record (``model._Source``; both constructors attach one), each stage
+evaluates the field's expressions in place, with no call and no list;
+so do the margins at each step end, beside the field norm and the SEP
+distance.  A field or margin without a record, or whose expressions
+raise ZeroDivisionError, is called through its float entry
+``on_floats``, or its array call.  The step-size rule and the quiet-step
+test (no crossing, no SEP ball, no field-norm minimum, not the horizon)
+are written into the loop; a quiet step just moves the loop's locals on,
 and only other steps go to ``_Run.end_step``.  Each stage sum is
 ((a0 k0 + a1 k1) + ...) h + y per component, and error norms, field
 norms and SEP distances add the squares of the components left to
-right.
+right.  A margin is read only through its float entry (``_float_margin``,
+which falls back to the array call), at a lane's start, at step ends and
+in the bisection of a crossing alike; a float entry equals its array
+call bit for bit.
 
 ``integrate_with_sensitivities`` integrates the variational equations
 
@@ -253,7 +255,7 @@ class SensitivityBundle:
         return self.phi_p[-1]
 
 
-def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> np.ndarray:
+def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> list:
     """Cubic Hermite interpolant matching value and slope at both ends.
 
     Each component is summed on floats as ((a y0 + b f0) + c y1) + d f1,
@@ -261,7 +263,8 @@ def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> np.ndarray:
     and d = (s^3 - s^2) h for s = (t - t0) / h: the products and sums,
     in their order, of the same expression over whole arrays, at a
     fraction of its cost for a short state.  The ends y0, f0, y1, f1 are
-    sequences of floats, as the engine keeps its accepted points.
+    sequences of floats, as the engine keeps its accepted points, and
+    so is the result.
     """
     h = t1 - t0
     s = (t - t0) / h
@@ -271,9 +274,7 @@ def _hermite(t: float, t0: float, y0, f0, t1: float, y1, f1) -> np.ndarray:
     b = (s3 - 2 * s2 + s) * h
     c = -2 * s3 + 3 * s2
     d = (s3 - s2) * h
-    return np.array(
-        [a * u0 + b * v0 + c * u1 + d * v1 for u0, v0, u1, v1 in zip(y0, f0, y1, f1)]
-    )
+    return [a * u0 + b * v0 + c * u1 + d * v1 for u0, v0, u1, v1 in zip(y0, f0, y1, f1)]
 
 
 def _norm(v) -> float:
@@ -393,36 +394,6 @@ def _stage_lines(m: int, components=None) -> list[str]:
     return lines + [line[4:] for line in _error_norm_lines(m)]
 
 
-def _step_source(m: int) -> str:
-    """Source of ``generated(field, ps, y, f0, h, abs_tol, rel_tol)`` -> (y_new, f_new, e).
-
-    The step of ``_stage_lines`` through ``field``: the new state, the
-    field there and the step's error norm.
-    """
-    return "\n".join([
-        "from math import sqrt",
-        "def generated(field, ps, y, f0, h, abs_tol, rel_tol):",
-        f"    [{_names('y', m)}] = y",
-        f"    [{_names('k0_', m)}] = f0",
-        *("    " + line for line in _stage_lines(m)),
-        f"    return [{_names('z', m)}], [{_names('k6_', m)}], e",
-    ]) + "\n"
-
-
-def _float_step(field, ps: list, y: list, f0: list, h: float, abs_tol: float, rel_tol: float):
-    """One Dormand-Prince step of one state on floats; returns (y_new, f_new, e).
-
-    ``field(xs, ps)`` maps a list of floats to its derivative as a list,
-    and e is the step's error norm, or None when y_new or the error is
-    not finite.  The step is one straight-line function per state
-    width, generated once (``_step_source``).  Each stage sum is written
-    out per component as ((a0 k0 + a1 k1) + ...) h + y, and the error as
-    (e0 k0 + ... + e6 k6) h.  The lone-lane loop takes a step through it
-    when its in-place field raised ZeroDivisionError.
-    """
-    return _generated(_step_source, len(y))(field, ps, y, f0, h, abs_tol, rel_tol)
-
-
 def _variational_source(n: int, n_p: int) -> str:
     """Source of ``generated(f, jac_x, jac_p)``, the augmented field on floats.
 
@@ -513,7 +484,7 @@ def _norm_floor(window, jac_x, lip: float, p: np.ndarray, n_state: int) -> float
     return n_b - math.sqrt(float(np.sum(jac * jac))) * d - 0.5 * lip * d * d
 
 
-def _window_state(window, t_q: float) -> np.ndarray:
+def _window_state(window, t_q: float) -> list:
     """Interpolated state at t_q inside a window of accepted points."""
     for (ta, ya, fa, _), (tb, yb, fb, _) in zip(window, window[1:]):
         if ta <= t_q <= tb:
@@ -553,36 +524,24 @@ def _most_violated(vals, crossed: list) -> int:
 
 
 class _Lane:
-    """One lane: its clock, step control, last accepted point and events.
+    """One lane: its clock, first step size, last accepted point and events.
 
     The point is kept as lists of floats ``y`` and ``f`` with the field
     norm ``norm`` there; ``prev`` is the accepted point before it, as
-    (t, y, f, norm), or None at the start.  ``rejected`` and
-    ``nonfinite`` describe the lane's last step: not accepted, and not
-    finite.
+    (t, y, f, norm), or None at the start.  ``end_step`` reads and moves
+    these; the loop keeps its step control in its own locals.
     """
 
-    __slots__ = ("index", "t", "h", "rejected", "nonfinite", "steps", "y", "f", "norm",
-                 "prev", "events")
+    __slots__ = ("index", "t", "h", "steps", "y", "f", "norm", "prev", "events")
 
     def __init__(self, index: int, y: list, f: list, norm) -> None:
         self.index = index
         self.t = 0.0
         self.h = 0.0
-        self.rejected = self.nonfinite = False
         self.steps = 0
         self.y, self.f, self.norm = y, f, norm
         self.prev = None
         self.events: list[Event] = []
-
-    def failure(self) -> Exception:
-        """The error that stops the lane, whose step size h has underflowed at t.
-
-        The step underflows when h < ``_MIN_STEP`` max(1, |t|).
-        """
-        if self.nonfinite:
-            return NumericalBlowup(f"state became non-finite near t = {self.t:.6g}")
-        return StiffnessFailure(f"step size underflowed to {self.h:.3e} at t = {self.t:.6g}")
 
 
 class _Run:
@@ -590,9 +549,8 @@ class _Run:
 
     ``start`` and ``end_step`` handle a lane at its start and at each
     accepted step that is not quiet, on lists of floats; the results go
-    to ``out``, one LaneEnd or error per lane.  ``loop`` is the generated
-    loop and its namespace values, looked up once per run
-    (``_step_lone``).
+    to ``out``, one LaneEnd or error per lane.  Every margin is read
+    through its float entry (``float_margins``).
     """
 
     def __init__(self, rhs, p, opts: IntegrationOptions, n_state: int,
@@ -613,10 +571,20 @@ class _Run:
         self.watch_norm = self.sep is not None or self.minima
         self.norm_bound = norm_bound
         self.out: list = [None] * n_lanes
-        self.loop = None
 
     def record(self, lane: _Lane, t_ev: float, kind: EventKind, y_ev, info: dict) -> None:
         lane.events.append(Event(t_ev, kind, np.array(y_ev[: self.n], dtype=float), info))
+
+    def fail(self, lane: _Lane, t: float, h: float, nonfinite: bool) -> None:
+        """Stop the lane whose step size h has underflowed at t.
+
+        The step underflows when h < ``_MIN_STEP`` max(1, |t|); the lane
+        fails with NumericalBlowup when its last step was not finite.
+        """
+        if nonfinite:
+            self.out[lane.index] = NumericalBlowup(f"state became non-finite near t = {t:.6g}")
+        else:
+            self.out[lane.index] = StiffnessFailure(f"step size underflowed to {h:.3e} at t = {t:.6g}")
 
     def finish(self, lane: _Lane) -> None:
         ordered = sorted(lane.events, key=lambda ev: ev.time)
@@ -669,14 +637,13 @@ class _Run:
                 # own; the earliest root decides, and the step ends there.
                 roots = {
                     k: _refine_crossing(
-                        lambda y_q, c=self.constraints[k]: c.value(y_q[:n], p),
+                        lambda y_q, margin=self.float_margins[k]: margin(y_q[:n], ps),
                         _EVENT_REFINE_TOL, lane.t, lane.y, lane.f, t1, y1, f1,
                     )
                     for k in crossed
                 }
                 k = min(roots, key=lambda j: roots[j][0])
-                t1, y_root = roots[k]
-                y1 = y_root.tolist()
+                t1, y1 = roots[k]
                 f1 = field(y1, ps)
                 if self.watch_norm:
                     norm = _norm(f1[:n])
@@ -698,7 +665,7 @@ class _Run:
                 <= self.min_threshold + _FLOOR_MARGIN * (1.0 + lane.norm)
             ):
                 t_star, v_star = _refine_norm_min(
-                    lambda t_q: _norm(field(_window_state(window, t_q).tolist(), ps)[:n]),
+                    lambda t_q: _norm(field(_window_state(window, t_q), ps)[:n]),
                     prev[0], t1, _EVENT_REFINE_TOL,
                 )
                 if v_star <= self.min_threshold:
@@ -764,17 +731,23 @@ def _loop_source(m: int, n: int, field, margins) -> str:
 
     ``field`` and each of ``margins`` are the ``_record`` keys of the
     run's float field and margins, or None.  ``generated(run, lane, rows,
-    float_step, min_step, consts)`` steps the lane until it ends or
-    fails, as ``_step_lone`` describes; ``consts`` holds the values of
-    the records' namespaces, field first.
+    consts)`` steps the lane alone on floats until it ends or fails;
+    ``consts`` holds the values of the records' namespaces, field first
+    (a machine's coupling and damping, numpy's functions), which come in
+    as locals, so they never change the compiled code.  The lane's
+    clock, step size, point, field norm, ``prev``, step count and step
+    control are locals.  ``rows``, when given, collects each accepted
+    point (t, y, f).
 
-    Each step is ``_stage_lines``, as ``_float_step`` takes it.  With a
-    record of the field, each stage evaluates its components in place;
+    Each step is ``_stage_lines``.  With a record of the field, each
+    stage evaluates its components in place, with no call and no list;
     a ZeroDivisionError there (Python raises where numpy gives inf or
-    nan) redoes the step through ``float_step`` and the field's float
-    entry, which falls back to numpy.  Without one, each stage calls the
-    field.  A margin with a record is evaluated in place, and called on
-    a ZeroDivisionError; one without is called.
+    nan) redoes the step from y and k0 with the same lines calling the
+    field's float entry, which falls back to numpy.  Without one, each
+    stage calls the field.  The field norm, the SEP distance and the
+    margins at each step end are taken inline on floats, as ``_norm``
+    sums squares.  A margin with a record is evaluated in place, and
+    called on a ZeroDivisionError; one without is called.
 
     The step-size rule follows each step of size h from t with error
     norm e.  A step that is not finite (e None) is rejected and the
@@ -797,7 +770,7 @@ def _loop_source(m: int, n: int, field, margins) -> str:
         values += [] if s is None else [f"_m{a}_{i}" for i in range(len(s[3]))]
     lines = [
         "from math import sqrt",
-        "def generated(run, lane, rows, float_step, min_step, consts):",
+        "def generated(run, lane, rows, consts):",
         "    field, ps, margins = run.field, run.ps, run.float_margins",
         "    opts, t_end = run.opts, run.t_end",
         "    max_step, abs_tol, rel_tol = opts.max_step, opts.abs_tol, opts.rel_tol",
@@ -812,25 +785,23 @@ def _loop_source(m: int, n: int, field, margins) -> str:
         "    if sep is not None:",
         f"        [{_names('s', n)}] = sep",
         "    t, h, y, f, norm, prev, steps = lane.t, lane.h, lane.y, lane.f, lane.norm, lane.prev, lane.steps",
-        "    rejected, nonfinite = lane.rejected, lane.nonfinite",
+        "    rejected = nonfinite = False",
         "    while True:",
-        "        if h < min_step * max(1.0, abs(t)):",
-        "            lane.t, lane.h, lane.nonfinite = t, h, nonfinite",
-        "            run.out[lane.index] = lane.failure()",
+        f"        if h < {_MIN_STEP!r} * max(1.0, abs(t)):",
+        "            run.fail(lane, t, h, nonfinite)",
         "            return",
         f"        [{_names('y', m)}] = y",
         f"        [{_names('k0_', m)}] = f",
     ]
+    call_lines = _stage_lines(m)
     if field is None:
-        lines += [" " * 8 + line for line in _stage_lines(m)]
+        lines += [" " * 8 + line for line in call_lines]
     else:
         lines += [
             "        try:",
             *(" " * 12 + line for line in _stage_lines(m, _inlined(field, "_f"))),
             "        except ZeroDivisionError:",
-            "            y_new, f_new, e = float_step(field, ps, y, f, h, abs_tol, rel_tol)",
-            f"            [{_names('z', m)}] = y_new",
-            f"            [{_names('k6_', m)}] = f_new",
+            *(" " * 12 + line for line in call_lines),
         ]
     lines += [
         "        if e is None:",
@@ -890,37 +861,6 @@ def _loop_source(m: int, n: int, field, margins) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _step_lone(run: _Run, lane: _Lane, rows: Optional[list]) -> None:
-    """Step one lane alone on floats until it ends or fails.
-
-    The loop is generated once per (state width, n, the source records
-    of the field and of each margin) by ``_loop_source``, and looked up
-    with the records' namespace values once per run (``run.loop``); the
-    values (a machine's coupling and damping, numpy's functions) come in
-    as locals, so they never change the compiled code.  The lane's
-    clock, step size, point, field norm, ``prev`` and step count are
-    locals.  Each stage evaluates the field's components in place, with
-    no call and no list, and the field norm, the SEP distance and the
-    margins at each step end are taken inline on floats, as ``_norm``
-    sums squares.  A field or margin without a record is called through
-    its float entry.  The step-size rule and the quiet-step test are
-    written into the loop; a quiet step moves the locals on, and only
-    other steps go back to ``lane`` for ``end_step``.  ``rows``, when
-    given, collects each accepted point (t, y, f).
-    """
-    if run.loop is None:
-        field, consts = _record(run.field)
-        margins = []
-        for value in run.float_margins:
-            key, values = _record(value)
-            margins.append(key)
-            consts += values
-        loop = _generated(_loop_source, len(lane.y), run.n, field, tuple(margins))
-        run.loop = loop, list(consts)
-    loop, consts = run.loop
-    loop(run, lane, rows, _float_step, _MIN_STEP, consts)
-
-
 def _engine(
     rhs, y0: np.ndarray, opts: IntegrationOptions, n_state: int,
     events: Optional[EventConfig], p: np.ndarray, norm_bound=None, rows=None,
@@ -940,16 +880,28 @@ def _engine(
     lane, or the NumericalBlowup or StiffnessFailure that stopped it.
     ``rows``, given only to a one-lane run, is a list that collects the
     lane's accepted points (t, y, f), its start included.
+
+    Every lane that its start does not end steps through one generated
+    loop (``_loop_source``), looked up once per run, by state width and
+    by the source records of the field and of each margin.
     """
     y0 = np.asarray(y0, dtype=float)
     run = _Run(rhs, p, opts, n_state, events, norm_bound, len(y0))
+    field, consts = _record(run.field)
+    margins = []
+    for value in run.float_margins:
+        key, values = _record(value)
+        margins.append(key)
+        consts += values
+    loop = _generated(_loop_source, y0.shape[1], n_state, field, tuple(margins))
+    consts = list(consts)
     for index, y in enumerate(y0.tolist()):
         f = run.field(y, run.ps)
         if rows is not None:
             rows.append((0.0, y, f))
         lane = run.start(index, y, f, [value(y[:n_state], run.ps) for value in run.float_margins])
         if lane is not None:
-            _step_lone(run, lane, rows)
+            loop(run, lane, rows, consts)
     return run.out
 
 
@@ -1071,4 +1023,4 @@ def state_at(trajectory: Trajectory, t: float) -> np.ndarray:
         return trajectory.states[i + 1].copy()
     y0, y1 = trajectory.states[i : i + 2].tolist()
     f0, f1 = trajectory.derivs[i : i + 2].tolist()
-    return _hermite(t, float(times[i]), y0, f0, float(times[i + 1]), y1, f1)
+    return np.array(_hermite(t, float(times[i]), y0, f0, float(times[i + 1]), y1, f1))

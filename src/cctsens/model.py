@@ -802,6 +802,8 @@ def system_from_expressions(
     if len(params) < 1:
         raise ConfigError("at least one parameter is required")
     names = list(state) + list(params)
+    if not all(isinstance(s, str) for s in names):
+        raise ConfigError(f"state and parameter names must be strings, got {names}")
     if len(set(names)) != len(names):
         raise ConfigError(f"state/parameter names must be distinct, got {names}")
     xs = tuple(sp.Symbol(s, real=True) for s in state)
@@ -829,6 +831,8 @@ def system_from_expressions(
             block = phases[phase.value]
         except KeyError:
             raise ConfigError(f"missing phase {phase.value!r}") from None
+        if not isinstance(block, Mapping):
+            raise ConfigError(f"phase {phase.value!r} must be a mapping, got {block!r}")
         f_texts = block.get("f")
         if not isinstance(f_texts, (list, tuple)) or len(f_texts) != n:
             raise ConfigError(
@@ -840,8 +844,12 @@ def system_from_expressions(
         h_block = block.get("h", {})
         if isinstance(h_block, (list, tuple)):
             h_items = [(f"h{i + 1}", t) for i, t in enumerate(h_block)]
-        else:
+        elif isinstance(h_block, Mapping):
             h_items = list(h_block.items())
+        else:
+            raise ConfigError(
+                f"phase {phase.value!r} needs a mapping or a list under 'h', got {h_block!r}"
+            )
         constraints = []
         hessians = []
         for cname, text in h_items:

@@ -58,7 +58,8 @@ class TestConfig:
 
     def test_bad_tolerance_key_and_format(self, tmp_path):
         path = write_config(tmp_path, _BASE)
-        for key in ("nope=1", "first_step=0.1", "event_refine_tol=1e-9"):
+        for key in ("nope=1", "first_step=0.1", "event_refine_tol=1e-9",
+                    "horizon_doublings=2.5", "rel_tol=true"):
             assert main(["cct", "--config", str(path), "--tol", key]) == 2
         assert main(["cct", "--config", str(path), "--tol", "oops"]) == 2
 
@@ -111,6 +112,36 @@ class TestConfig:
         assert "config error:" in capsys.readouterr().err
         assert not (out / "error.json").exists()
 
+    @pytest.mark.parametrize("command, doc", [
+        ("sweep", {**_BASE, "sweep": {
+            "parameter": "Pm", "start": 0.6, "stop": 0.7, "count": 2, "tangents": "false"}}),
+        ("sweep", {**_BASE, "sweep": {
+            "parameter": "Pm", "start": 0.6, "stop": 0.7, "count": 2, "tangents": 1}}),
+        ("cct", {**_BASE, "reverify": "no"}),
+        ("cct", {**_BASE, "reverify": 0}),
+        ("sweep", {**_BASE, "sweep": {"parameter": "Pm", "start": 0.6, "stop": 0.7, "count": True}}),
+        ("cct", {**_BASE, "tolerances": {"horizon_doublings": 2.5}}),
+        ("cct", {**_BASE, "tolerances": {"horizon_doublings": 2.0}}),
+        ("cct", {**_BASE, "tolerances": {"horizon_doublings": True}}),
+        ("cct", {**_BASE, "tolerances": {"rel_tol": True}}),
+        ("cct", {**_BASE, "tolerances": {"bisection_tol": False}}),
+        ("cct", {**_BASE, "tolerances": {"bisection_tol": "0.01"}}),
+        ("cct", {**_BASE, "tolerances": {"t_max": None}}),
+    ], ids=[
+        "tangents-string", "tangents-int", "reverify-string", "reverify-int", "count-bool",
+        "horizon_doublings-fraction", "horizon_doublings-float", "horizon_doublings-bool",
+        "rel_tol-bool", "bisection_tol-bool", "bisection_tol-string", "t_max-null",
+    ])
+    def test_config_value_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, command,
+                                                              doc):
+        # Flags must be JSON booleans, counts integers and tolerances
+        # numbers, none of them a boolean standing in for a number.
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "error.json").exists()
+
     def test_tolerance_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, _BASE)
         plain = load_config(path)
@@ -150,6 +181,23 @@ class TestConfig:
         ("cct", {"system": {"kind": "expressions", "state": 2, "params": [], "phases": {}, "p0": []}}),
         ("cct", {"system": {"kind": "expressions", "state": [], "params": 1, "phases": {}, "p0": []}}),
         ("cct", {"system": {"kind": "expressions", "state": ["x1"], "params": ["a"], "phases": [1], "p0": [1.0]}}),
+        ("cct", {"system": {
+            "kind": "expressions", "state": [1, 2], "params": ["a"],
+            "phases": {ph: {"f": ["1", "1"]} for ph in ("pre", "fault", "post")}, "p0": [1.0],
+        }}),
+        ("cct", {"system": {
+            "kind": "expressions", "state": ["x1"], "params": [None],
+            "phases": {ph: {"f": ["-x1"]} for ph in ("pre", "fault", "post")}, "p0": [1.0],
+        }}),
+        ("cct", {"system": {
+            "kind": "expressions", "state": ["x1"], "params": ["a"],
+            "phases": {ph: {"f": ["-a*x1"], "h": "x1"} for ph in ("pre", "fault", "post")},
+            "p0": [1.0],
+        }}),
+        ("cct", {"system": {
+            "kind": "expressions", "state": ["x1"], "params": ["a"],
+            "phases": {ph: "-a*x1" for ph in ("pre", "fault", "post")}, "p0": [1.0],
+        }}),
         ("cct", {**_BASE, "out_dir": 5}),
         ("cct", {**_BASE, "sep_guess": [0.1, 0.0, 0.0]}),
         ("cct", {**_BASE, "sep_guess": [0.1]}),
@@ -164,7 +212,8 @@ class TestConfig:
     ], ids=[
         "sweep-start", "sweep-stop", "p0", "tolerances-string", "tolerances-list",
         "sens_params", "quantities", "grid-n1", "grid-n2",
-        "sweep-list", "grid-int", "state", "params", "phases", "out_dir",
+        "sweep-list", "grid-int", "state", "params", "phases", "state-names", "param-names",
+        "h-string", "phase-string", "out_dir",
         "sep_guess-long", "sep_guess-short", "sep_guess-scalar", "sep_guess-string",
         "sep_guess-nested", "sep_guess-expressions",
     ])

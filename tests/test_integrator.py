@@ -138,7 +138,7 @@ def test_hermite_equals_the_array_expression_bit_for_bit(width):
         y0, f0, y1, f1 = rng.normal(size=(4, width)) * rng.exponential(2.0, size=(4, 1))
         ends = [v.tolist() for v in (y0, f0, y1, f1)]
         for t in (t0, t1, float(rng.uniform(t0, t1))):
-            got = integrator._hermite(t, t0, ends[0], ends[1], t1, ends[2], ends[3])
+            got = np.array(integrator._hermite(t, t0, ends[0], ends[1], t1, ends[2], ends[3]))
             assert got.tobytes() == _array_hermite(t, t0, y0, f0, t1, y1, f1).tobytes()
 
 
@@ -401,7 +401,8 @@ def _windows(traj):
 def _pieces(window, count=40):
     """Dense interpolated states on both Hermite pieces of a window."""
     (t_a, *_), _, (t_c, *_) = window
-    return [integrator._window_state(window, t) for t in np.linspace(t_a, t_c, 2 * count + 1)]
+    return [np.array(integrator._window_state(window, t))
+            for t in np.linspace(t_a, t_c, 2 * count + 1)]
 
 
 def _floor_holds(window, field, jac_x, lip, p):
@@ -410,7 +411,7 @@ def _floor_holds(window, field, jac_x, lip, p):
     floor = integrator._norm_floor(window, jac_x, lip, p, len(y_b))
     d = integrator._excursion(window, len(y_b))
     _, v_star = integrator._refine_norm_min(
-        lambda t: float(np.linalg.norm(field(integrator._window_state(window, t), p))),
+        lambda t: float(np.linalg.norm(field(np.array(integrator._window_state(window, t)), p))),
         t_a, t_c, integrator._EVENT_REFINE_TOL,
     )
     dense = _pieces(window)
@@ -778,6 +779,27 @@ def _replaying(stages, lane=None):
 _STEP_TOLS = (1e-10, 1e-8)
 
 
+def _step_source(m: int) -> str:
+    """A stand-alone step of the stage lines that the generated loop inlines.
+
+    It calls ``field(xs, ps)`` at each stage, as the loop does for a
+    field with no source record, and returns (y_new, f_new, e).
+    """
+    return "\n".join([
+        "from math import sqrt",
+        "def generated(field, ps, y, f0, h, abs_tol, rel_tol):",
+        f"    [{integrator._names('y', m)}] = y",
+        f"    [{integrator._names('k0_', m)}] = f0",
+        *("    " + line for line in integrator._stage_lines(m)),
+        f"    return [{integrator._names('z', m)}], [{integrator._names('k6_', m)}], e",
+    ]) + "\n"
+
+
+def _float_step(field, ps, y, f0, h, abs_tol, rel_tol):
+    """One lone-lane step of y on floats, as the generated loop takes it: (y_new, f_new, e)."""
+    return integrator._generated(_step_source, len(y))(field, ps, y, f0, h, abs_tol, rel_tol)
+
+
 def _stage_major_step(field, y, f0, h):
     """One Dormand-Prince step of the columns of (m, K) batches y and f0: the oracle of the float step.
 
@@ -821,7 +843,7 @@ def _error_norm_columns(y, y_new, err, abs_tol, rel_tol):
 @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 13, 14])
 def test_float_stage_sums_equal_the_stage_major_reduce(width):
     # Stages of random sign and of sizes 1e-3 to 1e3: every stage state,
-    # end state and error vector that _float_step sums on floats equals
+    # end state and error vector that the float step sums equals
     # its lane's column of a stage-major numpy batch.  Width 14 is the
     # machine model's variational system: 2 + 4 + 8 entries.  Every
     # fourth lane has y = 0 and h = 1, so its stage states are the sums
@@ -839,7 +861,7 @@ def test_float_stage_sums_equal_the_stage_major_reduce(width):
     norms = _error_norm_columns(y, y_new, err, *_STEP_TOLS)
     for a in range(lanes):
         field, calls = _replaying(k, a)
-        lone = integrator._float_step(
+        lone = _float_step(
             field, None, y[:, a].tolist(), k[0][:, a].tolist(), float(h[a]), *_STEP_TOLS
         )
         for got, want in zip(calls, batch_calls):
@@ -868,7 +890,7 @@ def test_lone_step_equals_the_batch_rows(system):
         y_new, f_new, err = _stage_major_step(columns, y, f, h)
         norms = _error_norm_columns(y, y_new, err, *_STEP_TOLS)
         for a in range(lanes):
-            lone = integrator._float_step(
+            lone = _float_step(
                 field, ps, y[:, a].tolist(), f[:, a].tolist(), float(h[a]), *_STEP_TOLS
             )
             assert np.array_equal(lone[0], y_new[:, a]), (lanes, a)
@@ -951,7 +973,7 @@ def test_lone_error_norm_sums_on_floats_below_eight_entries(width):
     y = rng.normal(size=(width, 1))
     field, _ = _replaying(k, 0)
     h = 0.1
-    y_new, _, e = integrator._float_step(
+    y_new, _, e = _float_step(
         field, None, y[:, 0].tolist(), k[0][:, 0].tolist(), h, *_STEP_TOLS
     )
     abs_tol, rel_tol = _STEP_TOLS
@@ -1028,7 +1050,7 @@ def test_lone_error_norm_is_none_when_not_finite():
         assert _generated_error_norm(y, ok, ok, *_STEP_TOLS) is not None
     for bad in (math.inf, math.nan):
         field = lambda xs, ps, bad=bad: [xs[0], bad, 0.0]
-        assert integrator._float_step(field, None, y, ok, 0.1, *_STEP_TOLS)[2] is None
+        assert _float_step(field, None, y, ok, 0.1, *_STEP_TOLS)[2] is None
 
 
 def _chain(width):

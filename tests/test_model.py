@@ -328,14 +328,13 @@ def test_expression_constraint_second_derivatives():
 # The swing machine as the benchmark's ``study`` workload writes it
 # (EXPRESSION_SMIB in bench/workloads.py).
 _LIMITS = {"angle_limit": "delta_max - delta", "speed_limit": "omega_max - omega"}
-_BENCH_TWIN = system_from_expressions(
-    ["delta", "omega"], ["Pm", "M", "delta_max", "omega_max"],
-    {
-        "pre": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _LIMITS},
-        "fault": {"f": ["omega", "(Pm - 0.5*omega)/M"], "h": _LIMITS},
-        "post": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _LIMITS},
-    },
-)
+_TWIN_NAMES = (["delta", "omega"], ["Pm", "M", "delta_max", "omega_max"])
+_TWIN_PHASES = {
+    "pre": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _LIMITS},
+    "fault": {"f": ["omega", "(Pm - 0.5*omega)/M"], "h": _LIMITS},
+    "post": {"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M"], "h": _LIMITS},
+}
+_BENCH_TWIN = system_from_expressions(*_TWIN_NAMES, _TWIN_PHASES)
 
 
 @pytest.mark.parametrize("system", [_SYS, _BENCH_TWIN], ids=["machine", "expressions"])
@@ -411,6 +410,49 @@ def test_float_entries_equal_the_array_calls(system):
                 for x in xs:
                     got = c.value.on_floats(x.tolist(), ps)
                     assert type(got) is float and _same_bits(got, c.value(x, p)), (c.name, x)
+
+
+def _numpy_scalar_oracle(states, params, block):
+    """g(x, p): the field, both Jacobians (row-major) and the margins of one phase block.
+
+    The expressions are parsed, differentiated and lambdified here, apart
+    from the library's float entries, and g evaluates them on numpy
+    float64 scalars.  Only the printer is the library's: it writes
+    ``**`` as ``numpy.power``, the operation a float entry takes.
+    """
+    import sympy as sp
+    from cctsens.model import _power_printer
+
+    xs = [sp.Symbol(s, real=True) for s in states]
+    ps = [sp.Symbol(s, real=True) for s in params]
+    local = {str(s): s for s in xs + ps}
+    f = sp.Matrix([sp.sympify(t, locals=local) for t in block["f"]])
+    margins = [sp.sympify(t, locals=local) for t in block["h"].values()]
+    fn = sp.lambdify(xs + ps, [list(f), list(f.jacobian(xs)), list(f.jacobian(ps)), margins],
+                     modules="numpy", printer=_power_printer())
+    return lambda x, p: fn(*map(np.float64, [*x, *p]))
+
+
+@pytest.mark.bit_identity
+def test_expression_float_entries_equal_numpy_scalars():
+    # The float entries of an expression system against the same
+    # expressions on numpy float64 scalars, entry for entry and sign of
+    # zero included.  (Its array calls go through the float entries, so
+    # they are no oracle.)  Signed zeros in the state and parameters
+    # reach the signs of zero results.
+    rng = np.random.default_rng(2001)
+    xs = rng.uniform([-4.0, -8.0], [4.0, 8.0], size=(500, 2)).tolist()
+    xs += [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0]]
+    for p in (_P0.tolist(), [-0.3, 0.05, 1.0, -2.0], [-0.0, 1.0, 0.0, -0.0]):
+        for phase, dyn in _BENCH_TWIN.phases.items():
+            oracle = _numpy_scalar_oracle(*_TWIN_NAMES, _TWIN_PHASES[phase.value])
+            for x in xs:
+                f, jac_x, jac_p, margins = oracle(x, p)
+                for g, want in ((dyn.f, f), (dyn.jac_x, jac_x), (dyn.jac_p, jac_p)):
+                    assert _same_bits(g.on_floats(x, p), np.array(want, dtype=float)), (g, x, p)
+                for c, want in zip(dyn.constraints, margins):
+                    got = c.value.on_floats(x, p)
+                    assert _same_bits(got, np.float64(want)), (c.name, x, p)
 
 
 def test_division_by_zero_at_one_state_gives_numpy_values():
