@@ -54,6 +54,8 @@ from .cct import CctOptions, InstabilityMode, compute_cct
 from .errors import CctError, ConfigError
 from .integrator import EventConfig, IntegrationOptions, integrate
 from .model import (
+    _SMIB_PARAM_NAMES,
+    _SMIB_STATE_NAMES,
     ConstrainedSystem,
     Phase,
     SmibParams,
@@ -137,6 +139,7 @@ class RunConfig:
 
     effective: dict
     sha256: str
+    system_factory: tuple  # (builder, arguments) of the system, as validated
     param_names: tuple[str, ...]
     p0: np.ndarray
     sens_params: tuple[int, ...]
@@ -195,9 +198,8 @@ def _parse_config(
             params = SmibParams(**{k: v for k, v in system_cfg.items() if k != "kind"})
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad machine constants: {exc}")
-        p0 = params.p0
-        names = ("Pm", "M", "delta_max", "omega_max")
-        n_state = 2
+        factory = smib_system, (params,)
+        p0, names, n_state = params.p0, _SMIB_PARAM_NAMES, len(_SMIB_STATE_NAMES)
     else:
         _check_keys(system_cfg, _EXPR_KEYS, "system")
         for key, kind in (("state", list), ("params", list), ("phases", dict), ("p0", list)):
@@ -209,6 +211,7 @@ def _parse_config(
         p0 = np.asarray(system_cfg["p0"], dtype=float)
         _require(p0.size == len(names), "p0 must list one value per parameter")
         n_state = len(system_cfg["state"])
+        factory = system_from_expressions, tuple(system_cfg[k] for k in ("state", "params", "phases"))
 
     tol = raw.get("tolerances", {})
     _require(isinstance(tol, dict), '"tolerances" must be an object')
@@ -313,6 +316,7 @@ def _parse_config(
     return RunConfig(
         effective=effective,
         sha256=sha,
+        system_factory=factory,
         param_names=names,
         p0=p0,
         sens_params=sens_idx,
@@ -345,22 +349,11 @@ def load_config(
 
 
 def build_system(cfg: RunConfig) -> ConstrainedSystem:
-    system_cfg = cfg.effective["system"]
-    factory, args = _system_factory(cfg)
+    factory, args = cfg.system_factory
     try:
         return factory(*args)
     except (CctError, ValueError) as exc:
-        raise ConfigError(f"cannot build the {system_cfg['kind']} system: {exc}")
-
-
-def _system_factory(cfg: RunConfig):
-    system_cfg = cfg.effective["system"]
-    if system_cfg["kind"] == "smib":
-        params = SmibParams(**{k: v for k, v in system_cfg.items() if k != "kind"})
-        return smib_system, (params,)
-    return system_from_expressions, (
-        system_cfg["state"], system_cfg["params"], system_cfg["phases"],
-    )
+        raise ConfigError(f"cannot build the {cfg.effective['system']['kind']} system: {exc}")
 
 
 def _trajectory_rows(system, phase, traj, p, use_combined: bool) -> list[str]:
@@ -546,7 +539,7 @@ def cmd_sr_grid(cfg: RunConfig) -> int:
         kwargs["sep_guess"] = cfg.opts.sep_guess
     if cfg.jobs > 1:
         kwargs["jobs"] = cfg.jobs
-        kwargs["system_factory"] = _system_factory(cfg)
+        kwargs["system_factory"] = cfg.system_factory
     grid = sample_stability_region(system, cfg.p0, cfg.grid, **kwargs)
 
     spec = cfg.grid
@@ -626,10 +619,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.tol or (), args.out, getattr(args, "jobs", 1))
+        try:
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create the output directory {cfg.out_dir}: {exc}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         command = _COMMANDS[args.command]
         return command(cfg, args.verify) if "verify" in args else command(cfg)

@@ -1008,11 +1008,11 @@ def integrate_with_sensitivities(
 
 
 def state_at(trajectory: Trajectory, t: float) -> np.ndarray:
-    """State at time t by piecewise cubic Hermite interpolation."""
+    """State at time t by cubic Hermite interpolation; OutOfRange for a t (or NaN) off the span."""
     times = trajectory.times
     t0, t1 = float(times[0]), float(times[-1])
     slack = _SPAN_SLACK * max(1.0, abs(t0), abs(t1))
-    if t < t0 - slack or t > t1 + slack:
+    if not t0 - slack <= t <= t1 + slack:
         raise OutOfRange(f"t = {t} outside the trajectory span [{t0}, {t1}]")
     t = min(max(t, t0), t1)
     i = int(np.searchsorted(times, t, side="right")) - 1

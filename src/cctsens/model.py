@@ -63,6 +63,8 @@ __all__ = [
 
 # Newton iterations before giving up on an equilibrium.
 _NEWTON_MAX_ITER = 50
+# Residual norm |f(x, p)| at which Newton accepts an equilibrium.
+_NEWTON_TOL = 1e-10
 # Step-halving attempts per Newton iteration.
 _NEWTON_MAX_HALVINGS = 40
 # |Re(eigenvalue)| below this is treated as a zero real part.
@@ -263,13 +265,12 @@ def find_equilibrium(
     phase: Phase,
     p: np.ndarray,
     x_guess: np.ndarray,
-    tol: float = 1e-10,
 ) -> EquilibriumResult:
     """Solve f_phase(x, p) = 0 by damped Newton iteration.
 
     Steps are halved until the residual norm decreases (up to 40
     halvings).  Raises NoEquilibriumFound when the residual is still
-    above ``tol`` after 50 iterations and SingularJacobian when a
+    above 1e-10 after 50 iterations and SingularJacobian when a
     Newton system cannot be solved.
     """
     x, p = _check_dims(system, np.asarray(x_guess, dtype=float), p)
@@ -278,7 +279,7 @@ def find_equilibrium(
     r = np.asarray(dyn.f(x, p), dtype=float)
     rnorm = float(np.linalg.norm(r))
     for _ in range(_NEWTON_MAX_ITER):
-        if rnorm <= tol:
+        if rnorm <= _NEWTON_TOL:
             break
         jac = np.asarray(dyn.jac_x(x, p), dtype=float)
         try:
@@ -302,9 +303,9 @@ def find_equilibrium(
                 f"Newton stalled at residual {rnorm:.3e} (no descent direction)"
             )
         x, r, rnorm = x_new, r_new, rnorm_new
-    if rnorm > tol:
+    if rnorm > _NEWTON_TOL:
         raise NoEquilibriumFound(
-            f"no equilibrium within {_NEWTON_MAX_ITER} iterations; residual {rnorm:.3e} > {tol:.1e}"
+            f"no equilibrium within {_NEWTON_MAX_ITER} iterations; residual {rnorm:.3e} > {_NEWTON_TOL:.1e}"
         )
     jac = np.asarray(dyn.jac_x(x, p), dtype=float)
     eigs = np.linalg.eigvals(jac)
@@ -406,12 +407,13 @@ class SmibParams:
     State x = [delta, omega] (rotor angle, speed deviation).  Dynamics
 
         delta' = omega
-        omega' = (Pm - (EV/X) sin(delta) - D omega) / M
+        omega' = (Pm - b sin(delta) - D omega) / M
 
-    The electrical coupling EV/X takes a different value per phase; a
-    fault removes it entirely and clearing restores the pre-fault
-    value.  The varying parameter vector is p = [Pm, M, delta_max,
-    omega_max]; damping and the couplings are structural.
+    with the electrical coupling b = EV/X while the machine is connected:
+    the fault disconnects it (b = 0) and clearing restores the pre-fault
+    topology, so ``coupling`` is the value before the fault and after
+    clearing.  The varying parameter vector is p = [Pm, M, delta_max,
+    omega_max]; the damping D and the coupling are structural.
     """
 
     p_mech: float  # Pm, mechanical input power
@@ -419,28 +421,17 @@ class SmibParams:
     delta_max: float  # angle limit, h1 = delta_max - delta
     omega_max: float  # speed limit, h2 = omega_max - omega
     damping: float = 0.5  # D
-    coupling_pre: float = 1.0  # EV/X before the fault
-    coupling_fault: float = 0.0  # EV/X during the fault
-    coupling_post: float = 1.0  # EV/X after clearing
+    coupling: float = 1.0  # EV/X, the machine connected
 
     def __post_init__(self) -> None:
         if not self.inertia > 0.0:
             raise ValueError(f"inertia must be positive, got {self.inertia}")
         if self.damping < 0.0:
             raise ValueError(f"damping must be nonnegative, got {self.damping}")
-        for name in ("p_mech", "inertia", "delta_max", "omega_max", "damping", "coupling_pre"):
+        for name in ("p_mech", "inertia", "delta_max", "omega_max", "damping", "coupling"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if self.coupling_fault != 0.0:
-            raise ValueError(
-                f"the fault phase must disconnect the machine (coupling 0), got {self.coupling_fault}"
-            )
-        if self.coupling_pre != self.coupling_post:
-            raise ValueError(
-                "clearing must restore the pre-fault topology "
-                f"(coupling_pre {self.coupling_pre} != coupling_post {self.coupling_post})"
-            )
 
     @property
     def p0(self) -> np.ndarray:
@@ -461,6 +452,25 @@ def _on_numpy(fn, xs, ps) -> list:
     return list(map(float, fn(np.array(xs, dtype=float), np.array(ps, dtype=float))))
 
 
+def _floats(v):
+    """v as Python floats for a float entry: an array's ``tolist``, else v itself."""
+    return v.tolist() if type(v) is np.ndarray else v
+
+
+def _on_arrays(on_floats, shape: Optional[tuple[int, ...]] = None):
+    """The array call g(x, p) of a float entry ``on_floats(xs, ps)``, as ``g.on_floats``.
+
+    g evaluates the entry on ``_floats(x)`` and ``_floats(p)`` and returns
+    its float with ``shape`` None, else its flat list as an array of ``shape``.
+    """
+    def g(x, p):
+        out = on_floats(_floats(x), _floats(p))
+        return out if shape is None else np.array(out).reshape(shape)
+
+    g.on_floats = on_floats
+    return g
+
+
 def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
 
@@ -472,9 +482,6 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
         except ZeroDivisionError:
             return _on_numpy(on_floats, xs, ps)
 
-    def f(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.array(on_floats(x.tolist(), p.tolist()))
-
     # on_floats written out.  The coupling and damping are names, not
     # literals, so every machine shares one source and one compiled loop.
     source = _Source(
@@ -482,31 +489,20 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
         {"sin": math.sin, "b": b, "d": d},
     )
     on_floats._source = lambda: source
-    f.on_floats = on_floats
 
-    # The Jacobians row-major and flat; the same code takes an array
-    # state or lists of floats.
-    def jac_x_flat(x, p) -> list:
+    # The Jacobians row-major and flat.
+    def jac_x(x: list, p: list) -> list:
         try:
             return [0.0, 1.0, -b * math.cos(x[0]) / p[1], -d / p[1]]
         except ZeroDivisionError:
-            return _on_numpy(jac_x_flat, x, p)
+            return _on_numpy(jac_x, x, p)
 
-    def jac_p_flat(x, p) -> list:
+    def jac_p(x: list, p: list) -> list:
         try:
             f2 = (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]
             return [0.0, 0.0, 0.0, 0.0, 1.0 / p[1], -f2 / p[1], 0.0, 0.0]
         except ZeroDivisionError:
-            return _on_numpy(jac_p_flat, x, p)
-
-    def jac_x(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.array(jac_x_flat(x, p)).reshape(2, 2)
-
-    def jac_p(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return np.array(jac_p_flat(x, p)).reshape(2, 4)
-
-    jac_x.on_floats = jac_x_flat
-    jac_p.on_floats = jac_p_flat
+            return _on_numpy(jac_p, x, p)
 
     def jac_lipschitz(p: np.ndarray) -> float:
         # Only the entry -b cos(delta) / M varies, by at most |b| / M per
@@ -514,7 +510,8 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
         return abs(b) / p[1]
 
     return PhaseDynamics(
-        f=f, jac_x=jac_x, jac_p=jac_p, constraints=_smib_constraints(),
+        f=_on_arrays(on_floats, (2,)), jac_x=_on_arrays(jac_x, (2, 2)),
+        jac_p=_on_arrays(jac_p, (2, 4)), constraints=_smib_constraints(),
         jac_lipschitz=jac_lipschitz,
     )
 
@@ -551,14 +548,19 @@ def _smib_constraints() -> tuple[Constraint, ...]:
 
 
 def smib_system(params: SmibParams) -> ConstrainedSystem:
-    """Build the three-phase swing model; all phases share the limits."""
+    """Build the three-phase swing model; all phases share the limits.
+
+    Clearing restores the topology, so the pre- and post-fault phases are
+    one ``PhaseDynamics``, with the coupling; the fault phase has none.
+    """
+    connected = _smib_phase(params.coupling, params.damping)
     return ConstrainedSystem(
-        n=2,
+        n=len(_SMIB_STATE_NAMES),
         param_names=_SMIB_PARAM_NAMES,
         phases={
-            Phase.PRE_FAULT: _smib_phase(params.coupling_pre, params.damping),
-            Phase.FAULT_ON: _smib_phase(params.coupling_fault, params.damping),
-            Phase.POST_FAULT: _smib_phase(params.coupling_post, params.damping),
+            Phase.PRE_FAULT: connected,
+            Phase.FAULT_ON: _smib_phase(0.0, params.damping),
+            Phase.POST_FAULT: connected,
         },
     )
 
@@ -586,11 +588,6 @@ def _power_printer():
 
     # The settings sympy.lambdify gives its own numpy printer.
     return PowerPrinter({"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True})
-
-
-def _floats(v):
-    """v as Python floats for generated code: an array's ``tolist``, else v itself."""
-    return v.tolist() if type(v) is np.ndarray else v
 
 
 def _lambdified_source(fn) -> Optional[_Source]:
@@ -647,15 +644,15 @@ def _lambdified_source(fn) -> Optional[_Source]:
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     """Numpy callable g(x, p) of a sympy expression.
 
-    g takes one state of shape (n,).  With ``shape`` None the expression
-    is scalar and g returns a Python float; otherwise it is a matrix and
-    g returns a float array of ``shape``.  g has the float entry
-    ``g.on_floats(xs, ps)``: lists of floats in, and a float out, or a
-    matrix's entries row-major as a flat list of floats.  The integrator
-    steps a lone lane with those, and g evaluates through it.  The float
-    entry's ``_source()`` reads its record from the lambdified function's
-    text at first use (``_lambdified_source``), so building a system
-    does not pay for it.
+    The lambdified function is wrapped in a float entry
+    ``on_floats(xs, ps)``: lists of floats in, and a float out, or a
+    matrix's entries row-major as a flat list of floats.  g is that
+    entry's array call (``_on_arrays``): it takes one state of shape
+    (n,) and returns a Python float with ``shape`` None, else a float
+    array of ``shape``.  The integrator steps a lone lane through
+    ``g.on_floats``.  The entry's ``_source()`` reads its record from the
+    lambdified function's text at first use (``_lambdified_source``), so
+    building a system does not pay for it.
 
     DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
     Hessian, is taken as 0: its value wherever the expression is twice
@@ -673,35 +670,22 @@ def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
     if shape is None:
         fn = sp.lambdify(args, expr, modules="numpy", printer=_power_printer())
 
-        def scalar_on_floats(xs: list, ps: list) -> float:
+        def on_floats(xs: list, ps: list) -> float:
             try:
                 return float(fn(xs, ps))
             except ZeroDivisionError:
                 return float(fn(np.array(xs, dtype=float), np.array(ps, dtype=float)))
+    else:
+        fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
 
-        def scalar(x, p):
-            return scalar_on_floats(_floats(x), _floats(p))
+        def on_floats(xs: list, ps: list) -> list:
+            try:
+                return list(map(float, fn(xs, ps)))
+            except ZeroDivisionError:
+                return _on_numpy(fn, xs, ps)
 
-        scalar_on_floats._source = cache(lambda: _lambdified_source(fn))
-        scalar.on_floats = scalar_on_floats
-        return scalar
-    fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
-    # The entries of a vector already come in its shape.
-    flat = len(shape) == 1
-
-    def matrix_on_floats(xs: list, ps: list) -> list:
-        try:
-            return list(map(float, fn(xs, ps)))
-        except ZeroDivisionError:
-            return _on_numpy(fn, xs, ps)
-
-    def matrix(x, p):
-        out = np.array(matrix_on_floats(_floats(x), _floats(p)))
-        return out if flat else out.reshape(shape)
-
-    matrix_on_floats._source = cache(lambda: _lambdified_source(fn))
-    matrix.on_floats = matrix_on_floats
-    return matrix
+    on_floats._source = cache(lambda: _lambdified_source(fn))
+    return _on_arrays(on_floats, shape)
 
 
 def _interval_evaluated(expr) -> bool:

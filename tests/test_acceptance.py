@@ -40,6 +40,7 @@ from cctsens import (
     smib_system,
     system_from_expressions,
 )
+from cctsens import model
 from cctsens.cli import main as cli_main
 from cctsens.validate import fd_cct_slope, fd_trajectory_sensitivity
 
@@ -156,16 +157,15 @@ def test_a2_variational_vs_finite_differences():
             assert err <= 1e-6, f"composition error {err:.2e}"
 
 
-def test_a3_equilibrium_shift_closed_form():
+def test_a3_equilibrium_shift_closed_form(monkeypatch):
+    # The inertia column of the shift is proportional to the Newton
+    # residual, so the equilibrium is solved close to machine precision
+    # here.
+    monkeypatch.setattr(model, "_NEWTON_TOL", 1e-14)
     with _budget(1.0):
         for p_mech in (0.3, 0.5, 0.65, 0.8):
             params, system = _machine(p_mech, 0.1, 2.0, 0.7)
-            # The inertia column of the shift is proportional to the Newton
-            # residual, so the equilibrium is solved close to machine
-            # precision here.
-            x_s = find_equilibrium(
-                system, Phase.PRE_FAULT, params.p0, np.zeros(2), tol=1e-14
-            ).x
+            x_s = find_equilibrium(system, Phase.PRE_FAULT, params.p0, np.zeros(2)).x
             shift = sep_sensitivity(system, Phase.PRE_FAULT, params.p0, x_s)
             exact = 1.0 / math.cos(math.asin(p_mech))
             assert abs(shift[0, 0] - exact) <= 1e-8

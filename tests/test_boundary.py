@@ -532,6 +532,28 @@ def _sep_radius_classes(system, p, starts, x_sep, locate_crossings=True):
     return classes
 
 
+class TestDivergingCells:
+    def test_a_lane_that_fails_diverges(self):
+        # x' = x**2 - x runs off to infinity from x > 1: its step
+        # underflows from x = 2, and its field overflows at once from 1e200.
+        system = system_from_expressions(
+            ["x"], ["a"], {ph: {"f": ["-x + a*x**2"], "h": {"floor": "100 + x"}}
+                           for ph in ("pre", "fault", "post")},
+        )
+        starts = np.array([[2.0], [1e200], [0.5]])
+        with np.errstate(over="ignore"):
+            classes = classify_grid_points(system, np.array([1.0]), starts, np.zeros(1))
+        assert classes == [CellClass.DIVERGES, CellClass.DIVERGES, CellClass.STABLE]
+
+    def test_a_lane_that_neither_crosses_nor_converges_diverges(self):
+        # A t_max of 0.01 ends the run from (0, 0.5) far from both the
+        # SEP ball and the limits.
+        x_sep = find_equilibrium(_SYS, Phase.POST_FAULT, _P, np.zeros(2)).x
+        starts = np.array([[0.0, 0.5], x_sep, [0.0, 1.6]])
+        classes = classify_grid_points(_SYS, _P, starts, x_sep, replace(_GRID_OPTS, t_max=0.01))
+        assert classes == [CellClass.DIVERGES, CellClass.STABLE, CellClass.HITS_BOUNDARY]
+
+
 class TestCertifiedGridBall:
     """Grid lanes end in the certified ball of the SEP and at the step end
     past a limit, unrefined; neither changes a class."""

@@ -284,6 +284,20 @@ class TestClassifyPostFault:
         stable = self._saddle_return_verdicts((15.0, 30.0))
         assert stable[0] == stable[1]
 
+    @pytest.mark.parametrize("x_cl, error", [(2.0, StiffnessFailure), (1e200, NumericalBlowup)])
+    def test_a_lane_that_fails_raises_its_error(self, x_cl, error):
+        # x' = x**2 - x runs off to infinity from x > 1, with no limit in
+        # its way: its step underflows near t = ln 2 from x = 2, and its
+        # field overflows at once from 1e200.
+        system = system_from_expressions(
+            ["x"], ["a"], {ph: {"f": ["-x + a*x**2"], "h": {"floor": "100 + x"}}
+                           for ph in ("pre", "fault", "post")},
+        )
+        p = np.array([1.0])
+        point = operating_point(system, p, CctOptions())
+        with np.errstate(over="ignore"), pytest.raises(error):
+            classify_post_fault(system, p, np.array([x_cl]), point, CctOptions())
+
     def test_short_horizon_is_inconclusive(self):
         opts = CctOptions(integration=IntegrationOptions(t_max=0.2))
         with pytest.raises(InconclusiveRun):
@@ -665,8 +679,7 @@ class TestCertifiedRegion:
         assert not huge(near, near)
 
     @pytest.mark.parametrize("params", _REGION_MACHINES + [
-        SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9,
-                   coupling_pre=1.3, coupling_post=1.3),
+        SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9, coupling=1.3),
         # Limits close enough to the SEP that the margins shrink the region.
         SmibParams(p_mech=0.5, inertia=0.5, delta_max=0.55, omega_max=0.03),
         SmibParams(p_mech=0.5, inertia=0.1, delta_max=0.6, omega_max=0.02),
@@ -853,6 +866,19 @@ class TestFailurePaths:
 
         monkeypatch.setattr(cct_mod, "classify_post_fault", flaky)
         with pytest.raises(BracketCollapse):
+            compute_cct(smib_system(_P2), _P2.p0, CctOptions(reverify=True))
+
+    def test_reverify_detects_a_stable_end_that_turns_unstable(self, monkeypatch):
+        real = cct_mod.classify_post_fault
+
+        def flaky(system, p, x_cl, point, opts):
+            out = real(system, p, x_cl, point, opts)
+            if opts.integration.rel_tol < 1e-9:
+                return replace(out, stable=False)
+            return out
+
+        monkeypatch.setattr(cct_mod, "classify_post_fault", flaky)
+        with pytest.raises(BracketCollapse, match="t_lo=.* reclassified unstable"):
             compute_cct(smib_system(_P2), _P2.p0, CctOptions(reverify=True))
 
 

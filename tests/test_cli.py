@@ -101,7 +101,7 @@ class TestConfig:
         ("sweep", {**_BASE, "sweep": {"parameter": "Pm", "start": 0.6, "stop": math.inf, "count": 2}}),
         ("cct", {**_BASE, "system": {**_SMIB, "inertia": math.inf}}),
         ("cct", {**_BASE, "system": {**_SMIB, "damping": math.nan}}),
-        ("cct", {**_BASE, "system": {**_SMIB, "coupling_pre": math.inf, "coupling_post": math.inf}}),
+        ("cct", {**_BASE, "system": {**_SMIB, "coupling": math.inf}}),
     ], ids=["grid-x1_min", "grid-x2_max", "sweep-start", "sweep-stop", "inertia", "damping",
             "coupling"])
     def test_non_finite_config_value_is_a_config_error(self, tmp_path, capsys, command, doc):
@@ -141,6 +141,16 @@ class TestConfig:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (out / "error.json").exists()
+
+    def test_output_directory_that_cannot_be_made_is_a_config_error(self, tmp_path, capsys):
+        # A regular file where the directory should go: mkdir raised
+        # NotADirectoryError outside main's error handling.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        path = write_config(tmp_path, _BASE)
+        assert main(["cct", "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: cannot create the output directory {out}" in capsys.readouterr().err
 
     def test_tolerance_override_changes_hash(self, tmp_path):
         path = write_config(tmp_path, _BASE)
@@ -209,6 +219,10 @@ class TestConfig:
             "phases": {ph: {"f": ["-a*x1"]} for ph in ("pre", "fault", "post")},
             "p0": [1.0],
         }, "sep_guess": [0.0, 0.0]}),
+        # The machine has one coupling: the fault disconnects it and
+        # clearing restores it.
+        *(("cct", {**_BASE, "system": {**_SMIB, key: 1.0}})
+          for key in ("coupling_pre", "coupling_fault", "coupling_post")),
     ], ids=[
         "sweep-start", "sweep-stop", "p0", "tolerances-string", "tolerances-list",
         "sens_params", "quantities", "grid-n1", "grid-n2",
@@ -216,6 +230,7 @@ class TestConfig:
         "h-string", "phase-string", "out_dir",
         "sep_guess-long", "sep_guess-short", "sep_guess-scalar", "sep_guess-string",
         "sep_guess-nested", "sep_guess-expressions",
+        "coupling_pre", "coupling_fault", "coupling_post",
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, command, doc):
         out = tmp_path / "out"

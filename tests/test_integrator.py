@@ -114,6 +114,15 @@ def test_state_at_out_of_range():
         state_at(traj, -0.2)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_state_at_rejects_a_time_that_is_not_finite(t):
+    # NaN passes both ends of an open span test; it gave [nan, nan].
+    p = np.array([0.5, 0.3, 1.6, 0.9])
+    traj = integrate(_SYS, Phase.POST_FAULT, np.array([0.6, 0.2]), p, IntegrationOptions(t_max=1.0))
+    with pytest.raises(OutOfRange):
+        state_at(traj, t)
+
+
 def _array_hermite(t, t0, y0, f0, t1, y1, f1):
     """The interpolant as one expression over whole arrays: the oracle of ``_hermite``."""
     h = t1 - t0
@@ -425,8 +434,7 @@ def _floor_holds(window, field, jac_x, lip, p):
 @pytest.mark.parametrize("params", [
     SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5),
     SmibParams(p_mech=0.5, inertia=0.3, delta_max=50.0, omega_max=50.0),
-    SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9,
-               coupling_pre=1.3, coupling_post=1.3),
+    SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9, coupling=1.3),
 ])
 def test_norm_floor_holds_on_windows_of_real_runs(params):
     system = smib_system(params)
@@ -1267,8 +1275,7 @@ def test_every_machine_shares_one_compiled_loop():
     # The coupling and damping are namespace values, passed to the loop
     # as locals: machines and phases that differ only in them share the
     # source, and so one compiled loop.
-    systems = [smib_system(_PARAMS), smib_system(replace(_PARAMS, damping=0.1, coupling_pre=2.0,
-                                                          coupling_post=2.0))]
+    systems = [smib_system(_PARAMS), smib_system(replace(_PARAMS, damping=0.1, coupling=2.0))]
     keys, values = zip(*(integrator._record(s.phases[ph].f.on_floats)
                          for s in systems for ph in Phase))
     # Four pairs (coupling, damping): each machine's faulted phase and

@@ -129,7 +129,7 @@ def test_jacobian_lipschitz_bound_holds(coupling):
     # limits are linear, so their gradients need no bound.
     rng = np.random.default_rng(5)
     for inertia in (0.1, 0.5):
-        params = SmibParams(0.5, inertia, 2.0, 1.5, coupling_pre=coupling, coupling_post=coupling)
+        params = SmibParams(0.5, inertia, 2.0, 1.5, coupling=coupling)
         system = smib_system(params)
         p = params.p0
         for phase, dyn in system.phases.items():
@@ -246,7 +246,7 @@ def test_smib_params_validation():
     with pytest.raises(ValueError):
         SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5, damping=-0.1)
     with pytest.raises(ValueError):
-        SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5, coupling_fault=0.2)
+        SmibParams(p_mech=0.5, inertia=0.1, delta_max=2.0, omega_max=1.5, coupling=math.nan)
     with pytest.raises(ValueError):
         SmibParams(p_mech=0.5, inertia=0.1, delta_max=math.inf, omega_max=1.5)
 
