@@ -70,7 +70,6 @@ is taken, so no result here depends on a BLAS build.
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,7 +78,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalBlowup, OutOfRange, StiffnessFailure
-from .model import ConstrainedSystem, Constraint, Phase, PhaseDynamics, _check_dims
+from .model import ConstrainedSystem, Constraint, Phase, PhaseDynamics, _check_dims, _inlined
 
 __all__ = [
     "IntegrationOptions",
@@ -696,34 +695,7 @@ def _record(entry):
     loop takes as locals; (None, ()) when the entry has no record.
     """
     source = getattr(entry, "_source", None)
-    source = None if source is None else source()
-    if source is None:
-        return None, ()
-    key = (source.states, source.params, source.components, tuple(source.namespace))
-    return key, tuple(source.namespace.values())
-
-
-def _inlined(shape, prefix: str) -> list[str]:
-    """The components of a source record as expressions on the loop's locals.
-
-    State j becomes ``_x{j}``, parameter j ``_p{j}`` and namespace name
-    i ``{prefix}{i}``.  Names are renamed on the syntax tree, which
-    keeps every operation and its order (re-printing through sympy would
-    re-sort sums and products by name).  No name of the loop's own
-    starts with an underscore, so none can be shadowed.
-    """
-    states, params, components, names = shape
-    to = {name: f"{prefix}{i}" for i, name in enumerate(names)}
-    to.update((name, f"_p{j}") for j, name in enumerate(params))
-    to.update((name, f"_x{j}") for j, name in enumerate(states))
-    out = []
-    for text in components:
-        tree = ast.parse(text, mode="eval")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                node.id = to[node.id]
-        out.append(ast.unparse(tree))
-    return out
+    return (None, ()) if source is None else (source.key, tuple(source.namespace.values()))
 
 
 def _loop_source(m: int, n: int, field, margins) -> str:

@@ -18,8 +18,11 @@ Two constructors are provided:
 * ``smib_system`` builds the classic single-machine-infinite-bus swing
   model with angle and speed limits.  Derivatives are hand-coded.
 * ``system_from_expressions`` builds a system from strings, using
-  sympy to differentiate symbolically and lambdify to numpy callables,
-  and bounds the Jacobian's variation by interval arithmetic.
+  sympy to differentiate symbolically and to print numpy code, and
+  bounds the Jacobian's variation by interval arithmetic.
+
+Either way each float entry is compiled from its one definition, a
+source record (``_Source``), which the integrator's loop also inlines.
 
 The module also houses equilibrium location (damped Newton with
 eigenvalue classification), the equilibrium parameter sensitivity
@@ -30,6 +33,9 @@ runs end early.
 
 from __future__ import annotations
 
+import ast
+import builtins
+import importlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -104,16 +110,21 @@ class _Source:
     Each of ``components`` (one per entry of the result; one for a
     margin) reads state j by the name ``states[j]``, parameter j by
     ``params[j]`` and every other name from ``namespace``, in that order
-    of precedence, and evaluates, operation for operation, as the entry
-    does.  A float entry carries its record behind a zero-argument
-    ``_source()``, which may build it at first use; None means the entry
-    has none.
+    of precedence; a name that a comprehension in it binds (a Sum's
+    generator variable) is its own.  The record is the entry's only
+    definition: ``_entry`` compiles the entry from it and attaches it as
+    the entry's ``_source``.
     """
 
     states: tuple[str, ...]
     params: tuple[str, ...]
     components: tuple[str, ...]
     namespace: dict
+
+    @property
+    def key(self) -> tuple:
+        """The record without its namespace's values, which compiled code takes as names."""
+        return (self.states, self.params, self.components, tuple(self.namespace))
 
 
 @dataclass(frozen=True)
@@ -129,9 +140,9 @@ class Constraint:
     ``value.on_floats(xs, ps) -> float``, with the state and parameters
     as lists of floats; it must equal ``value`` at that state bit for
     bit.  A lone lane reads the margin through it.  Both constructors
-    give that entry a private source record (``_Source``, through its
-    ``_source()``), from which the lone-lane loop evaluates the margin
-    in place, with no call; an entry without one is called.
+    compile that entry from a private source record (``_Source``), its
+    ``_source``, from which the lone-lane loop evaluates the margin in
+    place, with no call; an entry without one is called.
     """
 
     name: str
@@ -164,10 +175,10 @@ class PhaseDynamics:
     equal bit for bit to the array call at that state.  A
     lone lane steps through the field's, and the variational equations
     run on all three.  A callable without one is called on arrays.
-    Both constructors attach them, and give the float entry of ``f`` a
-    private source record (``_Source``, through its ``_source()``): the
-    lone-lane loop evaluates the field's components in place from it,
-    at every stage of a step, and calls an entry without one.
+    Both constructors compile all three from private source records
+    (``_Source``), each entry's ``_source``: the lone-lane loop
+    evaluates the field's components in place from its record, at every
+    stage of a step, and calls an entry without one.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -443,108 +454,132 @@ _SMIB_PARAM_NAMES = ("Pm", "M", "delta_max", "omega_max")
 _SMIB_STATE_NAMES = ("delta", "omega")
 
 
-def _on_numpy(fn, xs, ps) -> list:
-    """fn(xs, ps) redone on numpy float64, as a list of floats.
-
-    A float entry calls it where Python raises ZeroDivisionError, so
-    that the state gives numpy's inf or nan instead of an error.
-    """
-    return list(map(float, fn(np.array(xs, dtype=float), np.array(ps, dtype=float))))
-
-
-def _floats(v):
-    """v as Python floats for a float entry: an array's ``tolist``, else v itself."""
-    return v.tolist() if type(v) is np.ndarray else v
-
-
 def _on_arrays(on_floats, shape: Optional[tuple[int, ...]] = None):
     """The array call g(x, p) of a float entry ``on_floats(xs, ps)``, as ``g.on_floats``.
 
-    g evaluates the entry on ``_floats(x)`` and ``_floats(p)`` and returns
-    its float with ``shape`` None, else its flat list as an array of ``shape``.
+    g evaluates the entry on x and p as floats (an array's ``tolist``)
+    and returns its float with ``shape`` None, else its flat list as an
+    array of ``shape``.
     """
     def g(x, p):
-        out = on_floats(_floats(x), _floats(p))
+        out = on_floats(x.tolist() if type(x) is np.ndarray else x,
+                        p.tolist() if type(p) is np.ndarray else p)
         return out if shape is None else np.array(out).reshape(shape)
 
     g.on_floats = on_floats
     return g
 
 
+def _inlined(key, prefix: str, state: str = "_x{}", param: str = "_p{}") -> list[str]:
+    """The components of a source record, by its ``key``, on names of their own.
+
+    State j becomes ``state.format(j)`` (``xs[j]`` in an entry),
+    parameter j ``param.format(j)``, namespace name i ``{prefix}{i}``,
+    and a name that a comprehension binds (a Sum's generator variable)
+    ``_b{i}`` inside it.  So no name of an expression shadows one of the
+    code around it, and a state or parameter that is no identifier
+    (``lambda``, ``v w``) is never written.  Renaming on the syntax tree
+    keeps every operation and its order (re-printing through sympy would
+    re-sort sums and products by name).
+    """
+    states, params, components, names = key
+    to = {name: f"{prefix}{i}" for i, name in enumerate(names)}
+    to.update((name, param.format(j)) for j, name in enumerate(params))
+    to.update((name, state.format(j)) for j, name in enumerate(states))
+
+    def rename(node, to):
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+            bound = {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+            to = {**to, **{name: f"_b{len(to) + i}" for i, name in enumerate(sorted(bound))}}
+        elif isinstance(node, ast.Name):
+            node.id = to.get(node.id, node.id)
+        for child in ast.iter_child_nodes(node):
+            rename(child, to)
+        return node
+
+    return [ast.unparse(rename(ast.parse(text, mode="eval"), to)) for text in components]
+
+
+# A record's float entry, and its code by record key and by whether it returns one float.
+_ENTRY = """def entry(xs, ps):
+    try:
+        return {out}
+    except ZeroDivisionError:
+        xs, ps = np.array(xs, dtype=float), np.array(ps, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return {floats}
+"""
+_COMPILED: dict = {}
+
+
+def _entry(source: _Source, shape: Optional[tuple[int, ...]] = None):
+    """The array call (``_on_arrays``) of the float entry compiled from ``source``.
+
+    The entry evaluates the ``_inlined`` components, with the
+    namespace's values as its globals: the one component with ``shape``
+    None, else a list.  Its ``_source`` is the record.  Its code is
+    compiled once per record key, so records that differ only in their
+    namespace's values (machines in coupling and damping) share it.
+    Where Python raises ZeroDivisionError, it evaluates the state again
+    on numpy float64 scalars, with the division warnings off, and
+    returns their floats: numpy's inf or nan.
+    """
+    key = (source.key, shape is None)
+    code = _COMPILED.get(key)
+    if code is None:
+        # Each state and parameter read by its index: cheaper than unpacking all.
+        exprs = _inlined(source.key, "_n", "xs[{}]", "ps[{}]")
+        form = "{}" if shape is None else "[{}]"
+        code = _COMPILED[key] = compile(_ENTRY.format(
+            out=form.format(", ".join(exprs)),
+            floats=form.format(", ".join(f"float({e})" for e in exprs)),
+        ), "<entry>", "exec")
+    scope = {"np": np, **{f"_n{i}": value for i, value in enumerate(source.namespace.values())}}
+    exec(code, scope)
+    scope["entry"]._source = source
+    return _on_arrays(scope["entry"], shape)
+
+
 def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
+    # The coupling and damping are names, not literals, so every machine
+    # shares one compiled entry of each kind and one compiled loop.
+    namespace = {"sin": math.sin, "cos": math.cos, "b": b, "d": d}
 
-    def on_floats(xs: list, ps: list) -> list:
-        # On floats, at a fraction of numpy's per-scalar cost.
-        angle, speed = xs
-        try:
-            return [speed, (ps[0] - b * math.sin(angle) - d * speed) / ps[1]]
-        except ZeroDivisionError:
-            return _on_numpy(on_floats, xs, ps)
-
-    # on_floats written out.  The coupling and damping are names, not
-    # literals, so every machine shares one source and one compiled loop.
-    source = _Source(
-        _SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, ("omega", "(Pm - b*sin(delta) - d*omega)/M"),
-        {"sin": math.sin, "b": b, "d": d},
-    )
-    on_floats._source = lambda: source
-
-    # The Jacobians row-major and flat.
-    def jac_x(x: list, p: list) -> list:
-        try:
-            return [0.0, 1.0, -b * math.cos(x[0]) / p[1], -d / p[1]]
-        except ZeroDivisionError:
-            return _on_numpy(jac_x, x, p)
-
-    def jac_p(x: list, p: list) -> list:
-        try:
-            f2 = (p[0] - b * math.sin(x[0]) - d * x[1]) / p[1]
-            return [0.0, 0.0, 0.0, 0.0, 1.0 / p[1], -f2 / p[1], 0.0, 0.0]
-        except ZeroDivisionError:
-            return _on_numpy(jac_p, x, p)
+    def entry(shape, *components):
+        return _entry(_Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, components, namespace), shape)
 
     def jac_lipschitz(p: np.ndarray) -> float:
         # Only the entry -b cos(delta) / M varies, by at most |b| / M per
         # unit of delta; the limits are linear.
         return abs(b) / p[1]
 
+    # The Jacobians row-major and flat.
     return PhaseDynamics(
-        f=_on_arrays(on_floats, (2,)), jac_x=_on_arrays(jac_x, (2, 2)),
-        jac_p=_on_arrays(jac_p, (2, 4)), constraints=_smib_constraints(),
-        jac_lipschitz=jac_lipschitz,
+        f=entry((2,), "omega", "(Pm - b*sin(delta) - d*omega)/M"),
+        jac_x=entry((2, 2), "0.0", "1.0", "-b*cos(delta)/M", "-d/M"),
+        jac_p=entry((2, 4), "0.0", "0.0", "0.0", "0.0",
+                    "1.0/M", "-((Pm - b*sin(delta) - d*omega)/M)/M", "0.0", "0.0"),
+        constraints=_SMIB_LIMITS, jac_lipschitz=jac_lipschitz,
     )
 
 
-def _smib_constraints() -> tuple[Constraint, ...]:
-    zero_xx = np.zeros((2, 2))
-    zero_xp = np.zeros((2, 4))
+def _smib_limit(name: str, j: int) -> Constraint:
+    """h = p[2 + j] - x[j], the limit on state j."""
+    grad_x = [-1.0 if i == j else 0.0 for i in range(2)]
+    grad_p = [1.0 if i == 2 + j else 0.0 for i in range(4)]
+    zero_xx, zero_xp = np.zeros((2, 2)), np.zeros((2, 4))
+    value = f"{_SMIB_PARAM_NAMES[2 + j]} - {_SMIB_STATE_NAMES[j]}"
+    return Constraint(name, _entry(_Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, (value,), {})),
+                      lambda x, p: np.array(grad_x), lambda x, p: np.array(grad_p),
+                      lambda x, p: zero_xx, lambda x, p: zero_xp)
 
-    def limit(name: str, j: int) -> Constraint:
-        # h = p[2 + j] - x[j], the limit on state j.
-        grad_x = [0.0, 0.0]
-        grad_x[j] = -1.0
-        grad_p = [0.0, 0.0, 0.0, 0.0]
-        grad_p[2 + j] = 1.0
 
-        def value(x, p):
-            return p[2 + j] - x[j]
-
-        # Lists of floats take the same subtraction as arrays.
-        value.on_floats = value
-        source = _Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES,
-                         (f"{_SMIB_PARAM_NAMES[2 + j]} - {_SMIB_STATE_NAMES[j]}",), {})
-        value._source = lambda: source
-        return Constraint(
-            name=name,
-            value=value,
-            grad_x=lambda x, p: np.array(grad_x),
-            grad_p=lambda x, p: np.array(grad_p),
-            hess_xx=lambda x, p: zero_xx,
-            hess_xp=lambda x, p: zero_xp,
-        )
-
-    return (limit("angle_limit", 0), limit("speed_limit", 1))
+# Every phase of every machine has these limits.  They, and the phase
+# built below, compile the machine's entries at import, so that forked
+# pool workers inherit the code.
+_SMIB_LIMITS = (_smib_limit("angle_limit", 0), _smib_limit("speed_limit", 1))
+_smib_phase(1.0, 0.5)
 
 
 def smib_system(params: SmibParams) -> ConstrainedSystem:
@@ -569,7 +604,7 @@ def smib_system(params: SmibParams) -> ConstrainedSystem:
 
 
 @cache
-def _power_printer():
+def _power_printer_type():
     """numpy code printer that writes a**b as numpy.power(a, b).
 
     On floats, Python's ``**`` raises OverflowError (``1e200 ** 2``) or
@@ -586,106 +621,67 @@ def _power_printer():
                 return super()._print_Pow(expr, rational)
             return f"{self._module_format('numpy.power')}({self._print(expr.base)}, {self._print(expr.exp)})"
 
-    # The settings sympy.lambdify gives its own numpy printer.
-    return PowerPrinter({"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True})
+    return PowerPrinter
 
 
-def _lambdified_source(fn) -> Optional[_Source]:
-    """The ``_Source`` of the float entry that calls the lambdified fn, or None.
+def _power_printer():
+    """A new power printer, with the settings sympy.lambdify gives its numpy printer."""
+    settings = {"fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True}
+    return _power_printer_type()(settings)
 
-    It is read from fn's own source text, which lambdify writes as
 
-        def _lambdifygenerated(xs, ps):
-            [<state names>] = xs
-            [<parameter names>] = ps
-            return <expression, or a list of them>
+def _resolved(name: str, module_imports):
+    """What ``name`` in printed code means, as in sympy.lambdify's namespace.
 
-    and each component is that expression wrapped in ``float(...)``, as
-    the entry converts it.  Names are taken from the text, and every
-    other name resolves as fn resolves it: in fn's globals, then the
-    builtins.  None when the text is not of that form, or an expression
-    binds names of its own (a lambda, a comprehension).
+    numpy first, then the names the printer took from other modules
+    (``functools.reduce`` for Max and Min, ``math.erf``), then the
+    builtins and ``builtins`` itself (a Sum's ``builtins.sum``).
     """
-    import ast
-    import builtins
-    import inspect
-
-    try:
-        (func,) = ast.parse(inspect.getsource(fn)).body
-        *unpacks, ret = func.body
-        states, params = (tuple(t.id for t in u.targets[0].elts) for u in unpacks)
-        args = [u.value.id for u in unpacks]
-    except (OSError, TypeError, SyntaxError, ValueError, AttributeError):
-        return None
-    if args != [a.arg for a in func.args.args] or not isinstance(ret, ast.Return):
-        return None
-    exprs = ret.value.elts if isinstance(ret.value, ast.List) else [ret.value]
-    # A Sum prints as a generator expression, whose own names the loop
-    # could not rename.
-    binders = (ast.Lambda, ast.comprehension, ast.NamedExpr)
-    if any(isinstance(node, binders) for e in exprs for node in ast.walk(e)):
-        return None
-    local = set(states) | set(params)
-    namespace = {}
-    for node in (node for e in exprs for node in ast.walk(e)):
-        if isinstance(node, ast.Name) and node.id not in local | namespace.keys():
-            scope = fn.__globals__ if node.id in fn.__globals__ else vars(builtins)
-            if node.id not in scope:
-                return None
-            namespace[node.id] = scope[node.id]
-    wrap = "float"
-    while wrap in local or wrap in namespace:
-        wrap = "_" + wrap
-    namespace[wrap] = float
-    components = tuple(f"{wrap}({ast.unparse(e)})" for e in exprs)
-    return _Source(states, params, components, namespace)
+    if name == "builtins":
+        return builtins
+    module = np if hasattr(np, name) else importlib.import_module(
+        next((m for m, names in module_imports.items() if name in names), "builtins"))
+    if not hasattr(module, name):
+        raise ConfigError(f"generated code uses {name!r}, which neither numpy nor Python defines")
+    return getattr(module, name)
 
 
 def _lambdify(args, expr, shape: Optional[tuple[int, ...]] = None):
-    """Numpy callable g(x, p) of a sympy expression.
+    """``_entry`` of a sympy expression: a float with ``shape`` None, else an array of ``shape``.
 
-    The lambdified function is wrapped in a float entry
-    ``on_floats(xs, ps)``: lists of floats in, and a float out, or a
-    matrix's entries row-major as a flat list of floats.  g is that
-    entry's array call (``_on_arrays``): it takes one state of shape
-    (n,) and returns a Python float with ``shape`` None, else a float
-    array of ``shape``.  The integrator steps a lone lane through
-    ``g.on_floats``.  The entry's ``_source()`` reads its record from the
-    lambdified function's text at first use (``_lambdified_source``), so
-    building a system does not pay for it.
-
+    The record's components are the power printer's code, each wrapped
+    in ``float(...)``: on floats it runs the IEEE operations and numpy
+    ufunc loops that it runs on numpy scalars, at less cost.  Its
+    namespace holds the ``_resolved`` names that code uses.  Raises
+    ConfigError where the code would call a state or parameter (a
+    parameter ``power``, and ``x**3`` printed as ``power(x, 3)``).
     DiracDelta, which differentiating Abs, sign or Heaviside leaves in a
     Hessian, is taken as 0: its value wherever the expression is twice
-    differentiable.  numpy has no such function.
+    differentiable; numpy has no such function.
     """
     import sympy as sp
 
     if expr.has(sp.DiracDelta):
         expr = expr.replace(sp.DiracDelta, lambda *args: sp.S.Zero)
-    # Generated code runs on Python floats the same IEEE operations, and
-    # the same numpy ufunc loops (numpy.power, sin, ...), as on numpy
-    # scalars, at less cost per operation.  Python raises on a division
-    # by zero where numpy gives inf or nan; such a state is evaluated on
-    # numpy scalars.
-    if shape is None:
-        fn = sp.lambdify(args, expr, modules="numpy", printer=_power_printer())
-
-        def on_floats(xs: list, ps: list) -> float:
-            try:
-                return float(fn(xs, ps))
-            except ZeroDivisionError:
-                return float(fn(np.array(xs, dtype=float), np.array(ps, dtype=float)))
-    else:
-        fn = sp.lambdify(args, list(sp.Matrix(expr)), modules="numpy", printer=_power_printer())
-
-        def on_floats(xs: list, ps: list) -> list:
-            try:
-                return list(map(float, fn(xs, ps)))
-            except ZeroDivisionError:
-                return _on_numpy(fn, xs, ps)
-
-    on_floats._source = cache(lambda: _lambdified_source(fn))
-    return _on_arrays(on_floats, shape)
+    printer = _power_printer()
+    texts = [printer.doprint(e) for e in ([expr] if shape is None else sp.Matrix(expr))]
+    states, params = (tuple(str(s) for s in group) for group in args)
+    local = set(states) | set(params)
+    # A Sum prints as builtins.sum over a range.
+    sums = ("builtins", "range") if expr.has(sp.Sum) else ()
+    clash = sorted(local & set(sums).union(*printer.module_imports.values()))
+    if clash:
+        raise ConfigError(f"generated code calls {clash}, which name states or parameters")
+    wrap = "float"
+    while wrap in local:
+        wrap = "_" + wrap
+    namespace = {wrap: float}
+    for text in texts:
+        nodes = [n for n in ast.walk(ast.parse(text, mode="eval")) if isinstance(n, ast.Name)]
+        bound = {n.id for n in nodes if isinstance(n.ctx, ast.Store)}
+        for name in (n.id for n in nodes if n.id not in local | bound | namespace.keys()):
+            namespace[name] = _resolved(name, printer.module_imports)
+    return _entry(_Source(states, params, tuple(f"{wrap}({t})" for t in texts), namespace), shape)
 
 
 def _interval_evaluated(expr) -> bool:
@@ -780,6 +776,7 @@ def system_from_expressions(
     Piecewise, ...); such a system certifies no region of attraction.
     """
     import sympy as sp
+    from sympy.core.function import AppliedUndef
 
     if len(state) < 1:
         raise ConfigError("at least one state variable is required")
@@ -802,11 +799,11 @@ def system_from_expressions(
             expr = sp.sympify(text, locals=dict(local))
         except (sp.SympifyError, SyntaxError, TypeError) as exc:
             raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
-        stray = expr.free_symbols - allowed
-        if stray:
-            raise ConfigError(
-                f"expression {text!r} uses unknown names {sorted(str(s) for s in stray)}"
-            )
+        # A function with no definition has no code, nor has its derivative.
+        unknown = {str(s) for s in expr.free_symbols - allowed}
+        unknown |= {str(f.func) for f in expr.atoms(AppliedUndef)}
+        if unknown:
+            raise ConfigError(f"expression {text!r} uses unknown names {sorted(unknown)}")
         return expr
 
     built: dict[Phase, PhaseDynamics] = {}

@@ -5,6 +5,8 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,7 +409,12 @@ class TestSweep:
         doc = {"system": _SMIB, "sweep": {
             "parameter": "M", "start": 0.0, "stop": 0.2, "count": 3,
         }}
-        code, out = self._sweep_files(tmp_path, doc, 1, "massless")
+        # The numpy fallback runs with its division warnings off: inf and
+        # nan are what it is there to give.
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out = self._sweep_files(tmp_path, doc, 1, "massless")
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
         assert code == 1 and not (out / "sweep.csv").exists()
         error = json.loads((out / "error.json").read_text())["error"]
         assert error["type"] == "NoEquilibriumFound"
@@ -590,6 +597,27 @@ class TestExpressionSystems:
                 assert abs(slope) <= 5e-3, name
             else:
                 assert abs(slope - fd) <= 0.05 * abs(fd), name
+
+    @pytest.mark.parametrize("edit, name", [
+        # An undefined function, whose derivative has no numpy code.
+        ({"f": ["omega", "(Pm - sin(delta) - 0.5*omega)/M + g(delta)"]}, "g"),
+        # A parameter named as a function the code calls: x**3 is power(x, 3).
+        ({"params": ["Pm", "M", "delta_max", "power"], "h": {"speed_limit": "power - omega**3"}},
+         "power"),
+    ], ids=["undefined", "shadowed"])
+    def test_a_function_the_code_cannot_call_is_a_config_error(self, tmp_path, capsys, edit, name):
+        doc = json.loads((Path(__file__).parents[1] / "configs" / "swing_expressions.json").read_text())
+        # sens_params names omega_max, which one edit renames.
+        del doc["sens_params"]
+        system = doc["system"]
+        system["params"] = edit.get("params", system["params"])
+        for block in system["phases"].values():
+            block.update((key, edit[key]) for key in ("f", "h") if key in edit)
+        out = tmp_path / "out"
+        assert main(["cct", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and repr(name) in err
+        assert not (out / "error.json").exists()
 
     def test_p0_length_checked(self, tmp_path):
         path = write_config(tmp_path, {"system": {

@@ -1301,15 +1301,16 @@ def test_a_run_looks_up_its_loop_once(monkeypatch):
     assert len(seen) == 1 + len(post.constraints)
 
 def test_an_expression_that_binds_names_is_called():
-    # lambdify prints a Sum as a generator expression, whose own names
-    # the loop could not rename: the field has no record and is called.
+    # A Sum prints as a generator expression, whose own names the
+    # renaming leaves alone: the field has a record, and the loop's run
+    # equals the run that calls the plain wrappers.
     system = system_from_expressions(
         ["x", "v"], ["a"],
         {ph: {"f": ["v", "-Sum(x**k, (k, 1, 3)) - a*v"], "h": {"limit": "2 - x"}}
          for ph in ("pre", "fault", "post")},
     )
     post = system.phases[Phase.POST_FAULT]
-    assert integrator._record(post.f.on_floats)[0] is None
+    assert integrator._record(post.f.on_floats)[0] is not None
     assert integrator._record(post.constraints[0].value.on_floats)[0] is not None
     ev = EventConfig(constraints=post.constraints)
     runs = [integrate(s, Phase.POST_FAULT, np.array([0.5, 0.0]), np.array([0.4]),

@@ -301,6 +301,18 @@ def test_expression_system_rejects_unknown_names():
         system_from_expressions(["x1", "x2"], ["a"], bad)
 
 
+@pytest.mark.parametrize("params, f, name", [
+    # An undefined function: its derivative has no numpy code.
+    (["Pm", "M"], "(Pm - sin(delta) - 0.5*omega)/M + g(delta)", "g"),
+    # A parameter named as a function the code calls: x**3 is power(x, 3).
+    (["power"], "-power*delta**3 - omega", "power"),
+], ids=["undefined", "shadowed"])
+def test_expression_system_rejects_functions_the_code_cannot_call(params, f, name):
+    phases = {ph: {"f": ["omega", f]} for ph in ("pre", "fault", "post")}
+    with pytest.raises(ConfigError, match=repr(name)):
+        system_from_expressions(["delta", "omega"], params, phases)
+
+
 def test_expression_system_requires_all_phases():
     with pytest.raises(ConfigError):
         system_from_expressions(["x"], ["a"], {"pre": {"f": ["-a * x"]}})
@@ -412,6 +424,37 @@ def test_float_entries_equal_the_array_calls(system):
                     assert type(got) is float and _same_bits(got, c.value(x, p)), (c.name, x)
 
 
+def _machine_formulas(b, d, x, p):
+    """The machine's field, Jacobians (row-major) and limits, written out by hand."""
+    angle, speed = x
+    f2 = (p[0] - b * math.sin(angle) - d * speed) / p[1]
+    return ([speed, f2], [0.0, 1.0, -b * math.cos(angle) / p[1], -d / p[1]],
+            [0.0, 0.0, 0.0, 0.0, 1.0 / p[1], -f2 / p[1], 0.0, 0.0], p[2] - angle, p[3] - speed)
+
+
+@pytest.mark.bit_identity
+def test_machine_float_entries_equal_the_written_formulas():
+    # The machine's float entries and array calls share their compiled
+    # code, so the oracle is the formulas written out above: the field,
+    # both Jacobians and both limits, bit for bit, in every phase.  At
+    # M = 0 the entries fall back to numpy float64 scalars, and so does
+    # the oracle.
+    rng = np.random.default_rng(2000)
+    xs = rng.uniform([-4.0, -8.0], [4.0, 8.0], size=(2000, 2)).tolist()
+    d = _PARAMS.damping
+    for ps in (_P0.tolist(), [-0.3, 0.05, 1.0, -2.0], [0.5, 0.0, 1.6, 0.9]):
+        for phase, dyn in _SYS.phases.items():
+            b = 0.0 if phase is Phase.FAULT_ON else _PARAMS.coupling
+            entries = (dyn.f, dyn.jac_x, dyn.jac_p, *(c.value for c in dyn.constraints))
+            for x in xs:
+                args = (x, ps) if ps[1] else (list(map(np.float64, x)), list(map(np.float64, ps)))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    wants = _machine_formulas(b, d, *args)
+                    gots = [entry.on_floats(x, ps) for entry in entries]
+                for got, want in zip(gots, wants):
+                    assert _same_bits(got, np.array(want, dtype=float)), (phase, x, ps)
+
+
 def _numpy_scalar_oracle(states, params, block):
     """g(x, p): the field, both Jacobians (row-major) and the margins of one phase block.
 
@@ -428,9 +471,22 @@ def _numpy_scalar_oracle(states, params, block):
     local = {str(s): s for s in xs + ps}
     f = sp.Matrix([sp.sympify(t, locals=local) for t in block["f"]])
     margins = [sp.sympify(t, locals=local) for t in block["h"].values()]
+    # The library takes DiracDelta, which numpy has no function for, as 0.
+    f = f.replace(sp.DiracDelta, lambda *args: sp.S.Zero)
     fn = sp.lambdify(xs + ps, [list(f), list(f.jacobian(xs)), list(f.jacobian(ps)), margins],
                      modules="numpy", printer=_power_printer())
     return lambda x, p: fn(*map(np.float64, [*x, *p]))
+
+
+# The swing twin with a function of each kind that the printer writes
+# out (Abs, Max, Min, exp, sqrt, atan, Heaviside, Piecewise, erf, Sum).
+_FUNCTION_PHASES = {ph: {
+    "f": ["omega", "(Pm - Max(sin(delta), -Abs(omega)/2) - Min(omega, M)*exp(-delta**2)"
+                   " + atan(omega)*erf(delta) - Sum(delta**k, (k, 1, 3))/100)/sqrt(M**2 + 1)"],
+    "h": {"angle_limit": "delta_max - Abs(delta)",
+          "speed_limit": "omega_max - Piecewise((omega, omega > 0), (-omega/2, True))",
+          "step": "1 - Heaviside(delta - delta_max)"},
+} for ph in ("pre", "fault", "post")}
 
 
 @pytest.mark.bit_identity
@@ -439,20 +495,29 @@ def test_expression_float_entries_equal_numpy_scalars():
     # expressions on numpy float64 scalars, entry for entry and sign of
     # zero included.  (Its array calls go through the float entries, so
     # they are no oracle.)  Signed zeros in the state and parameters
-    # reach the signs of zero results.
+    # reach the signs of zero results.  Three systems: the bench's twin,
+    # the twin with the functions above, and the twin with an unused
+    # parameter named as a Python keyword, which no code can name.
     rng = np.random.default_rng(2001)
     xs = rng.uniform([-4.0, -8.0], [4.0, 8.0], size=(500, 2)).tolist()
     xs += [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0]]
-    for p in (_P0.tolist(), [-0.3, 0.05, 1.0, -2.0], [-0.0, 1.0, 0.0, -0.0]):
-        for phase, dyn in _BENCH_TWIN.phases.items():
-            oracle = _numpy_scalar_oracle(*_TWIN_NAMES, _TWIN_PHASES[phase.value])
-            for x in xs:
-                f, jac_x, jac_p, margins = oracle(x, p)
-                for g, want in ((dyn.f, f), (dyn.jac_x, jac_x), (dyn.jac_p, jac_p)):
-                    assert _same_bits(g.on_floats(x, p), np.array(want, dtype=float)), (g, x, p)
-                for c, want in zip(dyn.constraints, margins):
-                    got = c.value.on_floats(x, p)
-                    assert _same_bits(got, np.float64(want)), (c.name, x, p)
+    states, twin_params = _TWIN_NAMES
+    for params, phases in ((twin_params, _TWIN_PHASES), (twin_params, _FUNCTION_PHASES),
+                           ([*twin_params, "lambda"], _TWIN_PHASES)):
+        system = system_from_expressions(states, params, phases)
+        for phase, dyn in system.phases.items():
+            oracle = _numpy_scalar_oracle(states, params, phases[phase.value])
+            for p in (_P0.tolist(), [-0.3, 0.05, 1.0, -2.0], [-0.0, 1.0, 0.0, -0.0]):
+                p = p + [0.25] * (len(params) - len(p))
+                for x in xs:
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        f, jac_x, jac_p, margins = oracle(x, p)
+                        gots = [g.on_floats(x, p) for g in (dyn.f, dyn.jac_x, dyn.jac_p)]
+                        values = [c.value.on_floats(x, p) for c in dyn.constraints]
+                    for got, want in zip(gots, (f, jac_x, jac_p)):
+                        assert _same_bits(got, np.array(want, dtype=float)), (phase, x, p)
+                    for c, got, want in zip(dyn.constraints, values, margins):
+                        assert _same_bits(got, np.float64(want)), (c.name, x, p)
 
 
 def test_division_by_zero_at_one_state_gives_numpy_values():
