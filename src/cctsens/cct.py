@@ -149,7 +149,7 @@ def _stable_equilibrium(system, phase, p, guess) -> np.ndarray:
     res = find_equilibrium(system, phase, p, guess)
     if res.classification is not EquilibriumClass.STABLE:
         raise NoEquilibriumFound(
-            f"{phase.value}-phase equilibrium near {np.asarray(guess)} is "
+            f"{phase.value}-phase equilibrium near {np.asarray(guess, dtype=float)} is "
             f"{res.classification.value}, not stable"
         )
     return res.x
@@ -157,34 +157,39 @@ def _stable_equilibrium(system, phase, p, guess) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """What every post-fault verdict at p reads; ``operating_point`` builds it.
+    """What every post-fault verdict reads; ``operating_point`` builds it.
 
-    Both stable equilibria, the reference margin ``h_ref`` (the
-    post-fault feasibility product at x_sep_pre) and the post-fault
-    ``events``: the SEP ball, certified when the phase allows, and the
-    ``_sink_stop`` for runs captured in a competing sink.
+    The system, p and options it was built from, both stable equilibria,
+    the reference margin ``h_ref`` (the post-fault feasibility product
+    at x_sep_pre) and the post-fault ``events``: the SEP ball, certified
+    when the phase allows, and the ``_sink_stop`` for runs captured in a
+    competing sink.  Only ``sep_guess``, ``sep_radius`` and
+    ``field_norm_threshold`` of opts shape them, so ``replace(point,
+    opts=...)`` with other integration tolerances is exact.
     """
 
+    system: ConstrainedSystem
+    p: np.ndarray
+    opts: CctOptions
     x_sep_pre: np.ndarray
     x_sep_post: np.ndarray
     h_ref: float
     events: EventConfig
 
 
-def operating_point(system: ConstrainedSystem, p: np.ndarray, opts: CctOptions) -> OperatingPoint:
-    """Both SEPs, the reference margin and the post-fault events at p.
+def operating_point(system: ConstrainedSystem, p: np.ndarray,
+                    opts: Optional[CctOptions] = None) -> OperatingPoint:
+    """The point of system at a copy of p under opts (default ``CctOptions()``).
 
     The pre-fault SEP is sought from ``opts.sep_guess`` (the origin by
     default) and the post-fault SEP from it.  Raises NoFiniteCct unless
     every combined constraint is strictly positive at the pre-fault SEP.
-    The certified balls are computed once per point, which callers pass
-    to every verdict.
+    The certified balls are computed once per point, for every verdict.
     """
-    p = np.array(p, dtype=float)  # a copy: the sink stop keeps it
-    guess = (
-        np.zeros(system.n) if opts.sep_guess is None
-        else np.asarray(opts.sep_guess, dtype=float)
-    )
+    if opts is None:
+        opts = CctOptions()
+    p = np.array(p, dtype=float)  # a copy: the point and its sink stop keep it
+    guess = np.zeros(system.n) if opts.sep_guess is None else opts.sep_guess
     x_sep_pre = _stable_equilibrium(system, Phase.PRE_FAULT, p, guess)
     x_sep_post = _stable_equilibrium(system, Phase.POST_FAULT, p, x_sep_pre)
     if not all(c.value(x_sep_pre, p) > 0.0 for c in combined_constraints(system)):
@@ -206,7 +211,8 @@ def operating_point(system: ConstrainedSystem, p: np.ndarray, opts: CctOptions) 
         ),
     )
     return OperatingPoint(
-        x_sep_pre, x_sep_post, eval_H(system, Phase.POST_FAULT, x_sep_pre, p), events
+        system, p, opts, x_sep_pre, x_sep_post,
+        eval_H(system, Phase.POST_FAULT, x_sep_pre, p), events,
     )
 
 
@@ -246,8 +252,8 @@ def _sink_stop(system, p, x_sep_post, ball: float, opts: CctOptions):
     return stop
 
 
-def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
-    """Verdict of one post-fault run; raises InconclusiveRun if it has none.
+def _post_fault_verdict(traj, x_cl, point: OperatingPoint):
+    """Verdict of one post-fault run at ``point``; raises InconclusiveRun if it has none.
 
     Convergence without a crossing is stable; otherwise the earlier of
     a crossing and a capture away from the SEP decides.  A run with
@@ -255,7 +261,7 @@ def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
     """
     crossing = traj.first_event(EventKind.CONSTRAINT_CROSSING)
     converged = traj.first_event(EventKind.CONVERGED_TO_SEP) is not None
-    loose = _LOOSE_FACTOR * opts.sep_radius
+    x_sep_post, loose = point.x_sep_post, _LOOSE_FACTOR * point.opts.sep_radius
     capture = next(
         (
             ev for ev in traj.events
@@ -293,38 +299,31 @@ def _post_fault_verdict(traj, x_cl, x_sep_post, opts: CctOptions):
     )
 
 
-def classify_post_fault(
-    system: ConstrainedSystem,
-    p: np.ndarray,
-    x_cl: np.ndarray,
-    point: OperatingPoint,
-    opts: CctOptions,
-) -> PostFaultClassification:
+def classify_post_fault(point: OperatingPoint, x_cl: np.ndarray) -> PostFaultClassification:
     """Stable/unstable verdict for the post-fault run from one clearing state.
 
-    A clearing state within ``clearing_feasibility_tol`` of the boundary
-    (normalised feasibility product at or below it) is unstable with
-    t1 = 0, labelled with its smallest constraint, and needs no
-    integration.  Otherwise the state runs as the one lane of an
-    ``integrate_lanes`` run, watched for a crossing of any post-fault
-    constraint (immediate, t1 = 0, when the clearing state already
-    violates one), for field-norm minima below ``field_norm_threshold``
-    away from the SEP, and for entry into the SEP ball of ``point``:
-    the ball of ``_attraction_radius`` when the phase certifies one,
-    else the ball of ``sep_radius``.  The certified ball lies in a
-    region of attraction that no run leaves or crosses a limit in, so a
-    run that enters it is stable, whatever it recorded on the way.  A
-    captured run that enters the certified ball of the competing stable
-    equilibrium that captured it ends there (the point's
-    ``_sink_stop``): it could no longer cross a limit or reach the SEP
-    ball, so its verdict is already fixed.  Convergence beats captures
-    seen on the way; a run that ends far from the SEP with no crossing
-    and no capture is inconclusive.  ``point`` must come from
-    ``operating_point`` at this system, p and the tolerances of opts.
+    The system, p and options are the point's.  A clearing state within
+    ``clearing_feasibility_tol`` of the boundary (normalised feasibility
+    product at or below it) is unstable with t1 = 0, labelled with its
+    smallest constraint, and needs no integration.  Otherwise the state
+    runs as the one lane of an ``integrate_lanes`` run, watched for a
+    crossing of any post-fault constraint (immediate, t1 = 0, when the
+    clearing state already violates one), for field-norm minima below
+    ``field_norm_threshold`` away from the SEP, and for entry into the
+    SEP ball of ``point``: the ball of ``_attraction_radius`` when the
+    phase certifies one, else the ball of ``sep_radius``.  The certified
+    ball lies in a region of attraction that no run leaves or crosses a
+    limit in, so a run that enters it is stable, whatever it recorded on
+    the way.  A captured run that enters the certified ball of the
+    competing stable equilibrium that captured it ends there (the
+    point's ``_sink_stop``): it could no longer cross a limit or reach
+    the SEP ball, so its verdict is already fixed.  Convergence beats
+    captures seen on the way; a run that ends far from the SEP with no
+    crossing and no capture is inconclusive.
 
     Raises NumericalBlowup, StiffnessFailure or InconclusiveRun.
     """
-    p = np.asarray(p, dtype=float)
+    system, p, opts = point.system, point.p, point.opts
     x_cl = np.asarray(x_cl, dtype=float)
     constraints = system.phases[Phase.POST_FAULT].constraints
     if constraints and (
@@ -340,14 +339,15 @@ def classify_post_fault(
     )
     if isinstance(traj, Exception):
         raise traj
-    return _post_fault_verdict(traj, x_cl, point.x_sep_post, opts)
+    return _post_fault_verdict(traj, x_cl, point)
 
 
-def _run_fault(system, p, x0, opts: CctOptions, horizon: float) -> Trajectory:
-    events = EventConfig(constraints=combined_constraints(system))
+def _run_fault(point: OperatingPoint, horizon: float) -> Trajectory:
+    """The sustained-fault run from the point's pre-fault SEP to ``horizon``."""
+    events = EventConfig(constraints=combined_constraints(point.system))
     return integrate(
-        system, Phase.FAULT_ON, x0, p,
-        replace(opts.integration, t_max=horizon), events,
+        point.system, Phase.FAULT_ON, point.x_sep_pre, point.p,
+        replace(point.opts.integration, t_max=horizon), events,
     )
 
 
@@ -374,12 +374,10 @@ def compute_cct(
     to ``bisection_tol``, or raises InconclusiveRun once no float lies
     between its ends.  One ``operating_point`` serves every verdict.
     """
-    if opts is None:
-        opts = CctOptions()
-    p = np.asarray(p, dtype=float)
     point = operating_point(system, p, opts)
+    opts = point.opts
 
-    cls_zero = classify_post_fault(system, p, point.x_sep_pre, point, opts)
+    cls_zero = classify_post_fault(point, point.x_sep_pre)
     if not cls_zero.stable:
         raise NoFiniteCct("instant clearing is already unstable")
 
@@ -390,7 +388,7 @@ def compute_cct(
     hit_time = hit_state = None
     hi_cls: Optional[PostFaultClassification] = None
     for run in range(opts.horizon_doublings + 2):
-        fault_traj = _run_fault(system, p, point.x_sep_pre, opts, horizon)
+        fault_traj = _run_fault(point, horizon)
         crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
         if crossing is not None:
             t_hi = hit_time = crossing.time
@@ -399,7 +397,7 @@ def compute_cct(
             break
         if run > opts.horizon_doublings:
             break
-        cls_end = classify_post_fault(system, p, fault_traj.final_state, point, opts)
+        cls_end = classify_post_fault(point, fault_traj.final_state)
         if not cls_end.stable:
             t_hi, hi_cls = fault_traj.final_time, cls_end
             break
@@ -423,7 +421,7 @@ def compute_cct(
                 f"{opts.bisection_tol:.3g} is finer than their spacing"
             )
         x_mid = state_at(fault_traj, t_mid)
-        cls_mid = classify_post_fault(system, p, x_mid, point, opts)
+        cls_mid = classify_post_fault(point, x_mid)
         if cls_mid.stable:
             t_lo = t_mid
         else:
@@ -434,28 +432,23 @@ def compute_cct(
         iterations += 1
 
     if opts.reverify:
-        tight = replace(
+        tight = replace(point, opts=replace(
             opts,
             integration=replace(
                 opts.integration,
                 rel_tol=opts.integration.rel_tol * 0.01,
                 abs_tol=opts.integration.abs_tol * 0.01,
             ),
-            reverify=False,
-        )
+        ))
         if t_lo > 0.0:
-            lo_check = classify_post_fault(
-                system, p, state_at(fault_traj, t_lo), point, tight
-            )
+            lo_check = classify_post_fault(tight, state_at(fault_traj, t_lo))
             if not lo_check.stable:
                 raise BracketCollapse(
                     f"t_lo={t_lo:.9g} reclassified unstable under tighter "
                     "integration tolerances"
                 )
         if not hi_is_hit:
-            hi_check = classify_post_fault(
-                system, p, state_at(fault_traj, t_hi), point, tight
-            )
+            hi_check = classify_post_fault(tight, state_at(fault_traj, t_hi))
             if hi_check.stable:
                 raise BracketCollapse(
                     f"t_hi={t_hi:.9g} reclassified stable under tighter "
@@ -506,21 +499,19 @@ def clearing_outcome(
     """Verdict for one specific clearing time, fault segment included.
 
     A fault segment that reaches the combined boundary before
-    ``t_clear`` makes the clearing unstable outright (t1 = 0 at the
-    hit state); otherwise the post-fault run from the interpolated
-    clearing state decides.  Raises NoFiniteCct when the pre-fault
-    equilibrium is not strictly feasible.
+    ``t_clear`` makes the clearing unstable outright (t1 = 0 at the hit
+    state); otherwise the post-fault run from the interpolated clearing
+    state decides.  Raises ValueError unless ``t_clear`` is finite and
+    non-negative, and NoFiniteCct when the pre-fault equilibrium is not
+    strictly feasible.
     """
-    if opts is None:
-        opts = CctOptions()
-    if t_clear < 0.0:
-        raise ValueError("t_clear must be non-negative")
-    p = np.asarray(p, dtype=float)
+    if not (t_clear >= 0.0 and math.isfinite(t_clear)):
+        raise ValueError(f"t_clear must be non-negative and finite, got {t_clear}")
     point = operating_point(system, p, opts)
     if t_clear == 0.0:
-        return classify_post_fault(system, p, point.x_sep_pre, point, opts)
-    fault_traj = _run_fault(system, p, point.x_sep_pre, opts, t_clear)
+        return classify_post_fault(point, point.x_sep_pre)
+    fault_traj = _run_fault(point, t_clear)
     crossing = fault_traj.first_event(EventKind.CONSTRAINT_CROSSING)
     if crossing is not None and crossing.time < t_clear:
         return _hit_classification(crossing)
-    return classify_post_fault(system, p, fault_traj.final_state, point, opts)
+    return classify_post_fault(point, fault_traj.final_state)

@@ -30,9 +30,10 @@ its own time, step control, events and end, and what the lanes of a run
 share (the field, the events, the generated loop) is set up once.
 ``integrate_lanes`` returns only where each lane ended (a ``LaneEnd``);
 ``integrate`` is the one-lane run and also keeps its accepted points.
-A lane whose state goes non-finite or whose step underflows stops with
-that error; the other lanes run on.  A lane is stepped by the same code
-whatever else runs beside it, so it equals its one-lane run bit for bit.
+A lane whose state goes non-finite, whose step underflows or that takes
+``_MAX_LANE_STEPS`` accepted steps stops with that error; the other lanes
+run on.  A lane is stepped by the same code whatever else runs beside
+it, so it equals its one-lane run bit for bit.
 
 The generated loop (``_loop_source``) is the only code that takes a
 step.  It steps a lane on Python floats, straight-line, and is made once
@@ -123,6 +124,9 @@ _HERMITE_SLOPE_WEIGHT = 4.0 / 27.0
 _FLOOR_MARGIN = 1e-9
 # A step shorter than this, relative to max(1, |t|), has underflowed.
 _MIN_STEP = 4e-14
+# Accepted steps after which a lane fails, far above the 1049 that any run of
+# the tests or the benchmark takes; a run onto a pole of the field takes millions.
+_MAX_LANE_STEPS = 200_000
 # Straight-line float code, one function per kind and width (``_generated``).
 _GENERATED: dict = {}
 
@@ -574,13 +578,15 @@ class _Run:
     def record(self, lane: _Lane, t_ev: float, kind: EventKind, y_ev, info: dict) -> None:
         lane.events.append(Event(t_ev, kind, np.array(y_ev[: self.n], dtype=float), info))
 
-    def fail(self, lane: _Lane, t: float, h: float, nonfinite: bool) -> None:
-        """Stop the lane whose step size h has underflowed at t.
+    def fail(self, lane: _Lane, t: float, h: float, nonfinite: bool, steps: int) -> None:
+        """Stop the lane at t: its step size h underflowed, or its ``steps`` reached the bound.
 
         The step underflows when h < ``_MIN_STEP`` max(1, |t|); the lane
         fails with NumericalBlowup when its last step was not finite.
         """
-        if nonfinite:
+        if steps >= _MAX_LANE_STEPS:
+            self.out[lane.index] = StiffnessFailure(f"{steps} accepted steps, the bound of a lane, at t = {t:.6g}")
+        elif nonfinite:
             self.out[lane.index] = NumericalBlowup(f"state became non-finite near t = {t:.6g}")
         else:
             self.out[lane.index] = StiffnessFailure(f"step size underflowed to {h:.3e} at t = {t:.6g}")
@@ -759,8 +765,8 @@ def _loop_source(m: int, n: int, field, margins) -> str:
         "    t, h, y, f, norm, prev, steps = lane.t, lane.h, lane.y, lane.f, lane.norm, lane.prev, lane.steps",
         "    rejected = nonfinite = False",
         "    while True:",
-        f"        if h < {_MIN_STEP!r} * max(1.0, abs(t)):",
-        "            run.fail(lane, t, h, nonfinite)",
+        f"        if h < {_MIN_STEP!r} * max(1.0, abs(t)) or steps >= {_MAX_LANE_STEPS}:",
+        "            run.fail(lane, t, h, nonfinite, steps)",
         "            return",
         f"        [{_names('y', m)}] = y",
         f"        [{_names('k0_', m)}] = f",

@@ -39,7 +39,7 @@ import importlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -540,14 +540,16 @@ def _entry(source: _Source, shape: Optional[tuple[int, ...]] = None):
     return _on_arrays(scope["entry"], shape)
 
 
+def _smib_entry(namespace: dict, shape, *components: str):
+    """``_entry`` of a machine record: ``components`` on its state and parameter names."""
+    return _entry(_Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, components, namespace), shape)
+
+
 def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
     b, d = float(coupling), float(damping)
     # The coupling and damping are names, not literals, so every machine
     # shares one compiled entry of each kind and one compiled loop.
-    namespace = {"sin": math.sin, "cos": math.cos, "b": b, "d": d}
-
-    def entry(shape, *components):
-        return _entry(_Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, components, namespace), shape)
+    entry = partial(_smib_entry, {"sin": math.sin, "cos": math.cos, "b": b, "d": d})
 
     def jac_lipschitz(p: np.ndarray) -> float:
         # Only the entry -b cos(delta) / M varies, by at most |b| / M per
@@ -565,14 +567,14 @@ def _smib_phase(coupling: float, damping: float) -> PhaseDynamics:
 
 
 def _smib_limit(name: str, j: int) -> Constraint:
-    """h = p[2 + j] - x[j], the limit on state j."""
-    grad_x = [-1.0 if i == j else 0.0 for i in range(2)]
-    grad_p = [1.0 if i == 2 + j else 0.0 for i in range(4)]
-    zero_xx, zero_xp = np.zeros((2, 2)), np.zeros((2, 4))
-    value = f"{_SMIB_PARAM_NAMES[2 + j]} - {_SMIB_STATE_NAMES[j]}"
-    return Constraint(name, _entry(_Source(_SMIB_STATE_NAMES, _SMIB_PARAM_NAMES, (value,), {})),
-                      lambda x, p: np.array(grad_x), lambda x, p: np.array(grad_p),
-                      lambda x, p: zero_xx, lambda x, p: zero_xp)
+    """h = p[2 + j] - x[j], the limit on state j; its derivatives are records too."""
+    entry = partial(_smib_entry, {})
+    return Constraint(
+        name, entry(None, f"{_SMIB_PARAM_NAMES[2 + j]} - {_SMIB_STATE_NAMES[j]}"),
+        entry((2,), *("-1.0" if i == j else "0.0" for i in range(2))),
+        entry((4,), *("1.0" if i == 2 + j else "0.0" for i in range(4))),
+        entry((2, 2), *["0.0"] * 4), entry((2, 4), *["0.0"] * 8),
+    )
 
 
 # Every phase of every machine has these limits.  They, and the phase

@@ -137,13 +137,16 @@ def fd_cct_slope(
     bracket noise stays well under the difference being measured.  The
     slope only exists while the instability mechanism is unchanged;
     if the two sides disagree on the mode the difference quotient
-    straddles a kink and ModeChangedAcrossStep is raised.
+    straddles a kink and ModeChangedAcrossStep is raised.  An ``eps``
+    that is not positive and finite raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     if not 0 <= k < p.size:
         raise IndexError(f"parameter index {k} out of range for {p.size} parameters")
     if eps is None:
         eps = _fd_step(p[k])
+    elif not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if opts is None:
         opts = CctOptions()
     if opts.bisection_tol > eps / 10.0:
@@ -204,15 +207,15 @@ def fd_trajectory_sensitivity(
     return phi_x, phi_p_col
 
 
-def _classify_times(system, p, traj, times, point, opts, full):
-    """Stable flag of clearing at each of ``times``, one verdict at a time in order.
+def _classify_times(point, traj, times, full):
+    """Stable flag of clearing at each of ``times``: one verdict at ``point`` each, in order.
 
     Stops at the first unstable point unless ``full``, and raises the
     first verdict's error it meets.
     """
     stable = []
     for t in times:
-        ok = classify_post_fault(system, p, state_at(traj, t), point, opts).stable
+        ok = classify_post_fault(point, state_at(traj, t)).stable
         stable.append(ok)
         if not (ok or full):
             break
@@ -238,11 +241,8 @@ def scan_cct(
     """
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError(f"scan step must be positive and finite, got {step}")
-    if opts is None:
-        opts = CctOptions()
-    p = np.asarray(p, dtype=float)
     point = operating_point(system, p, opts)
-    traj = _run_fault(system, p, point.x_sep_pre, opts, opts.integration.t_max)
+    traj = _run_fault(point, point.opts.integration.t_max)
     hit = traj.first_event(EventKind.CONSTRAINT_CROSSING)
 
     if hit is not None:
@@ -250,7 +250,7 @@ def scan_cct(
     else:
         n_interior = math.floor(traj.final_time / step)
     times = [step * (j + 1) for j in range(n_interior)]
-    stable = _classify_times(system, p, traj, times, point, opts, verify_monotone)
+    stable = _classify_times(point, traj, times, verify_monotone)
 
     first_unstable = next((j for j, ok in enumerate(stable) if not ok), None)
     if first_unstable is not None:

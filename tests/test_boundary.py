@@ -760,6 +760,22 @@ class TestManifolds:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_manifold_samples_retry_shorter_horizons_and_give_up_at_the_saddle():
+    # The reversed field of x1' = a + sqrt(x1 - 1) reaches x1 = 1, where a
+    # run fails, at t = 0.61 from x1 = 2 and at t = 0.16 from x1 = 1.2.  So
+    # from 2 only the last horizon, 0.4, ends first; from 1.2 none does.
+    system = system_from_expressions(
+        ["x1", "x2"], ["a"], {ph: {"f": ["a + sqrt(x1 - 1)", "0"]} for ph in ("pre", "fault", "post")}
+    )
+    spec, p = GridSpec(0.0, 3.0, -1.0, 1.0, 4, 4), np.array([1.0])
+    with np.errstate(invalid="ignore"):
+        far = boundary._manifold_samples(system, p, np.array([2.0, 0.0]), spec, _GRID_OPTS)
+        near = boundary._manifold_samples(system, p, np.array([1.2, 0.0]), spec, _GRID_OPTS)
+    assert len(far) == 5 and far[0][0] == pytest.approx(1.287, abs=1e-3)
+    assert far[-1].tolist() == [2.0, 0.0]
+    assert near.tolist() == [[1.2, 0.0]]
+
+
 def test_stability_region_seeks_no_crossing_root(monkeypatch):
     """Cells and manifolds read only whether a limit was crossed."""
     calls = []

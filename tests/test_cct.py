@@ -222,9 +222,15 @@ class TestClassifyPostFault:
     _SYS3 = smib_system(_P3)
     _POINT3 = operating_point(_SYS3, _P3.p0, CctOptions())
 
+    def test_the_point_carries_its_system_parameters_and_options(self):
+        p = _P2.p0
+        point = operating_point(self._SYS, p)
+        assert point.system is self._SYS and point.opts == CctOptions()
+        assert np.array_equal(point.p, p) and point.p is not p
+
     def test_infeasible_clearing_short_circuits(self):
         x = np.array([2.0, 0.0])
-        cls = classify_post_fault(self._SYS, _P2.p0, x, self._POINT, CctOptions())
+        cls = classify_post_fault(self._POINT, x)
         assert not cls.stable
         assert cls.t1 == 0.0 and cls.T == 0.0
         assert cls.crossing_label == "angle_limit"
@@ -232,15 +238,13 @@ class TestClassifyPostFault:
 
     def test_barely_feasible_clearing_counts_as_on_boundary(self):
         x = np.array([1.6 - 1e-9, 0.5])
-        cls = classify_post_fault(self._SYS, _P2.p0, x, self._POINT, CctOptions())
+        cls = classify_post_fault(self._POINT, x)
         assert not cls.stable and cls.t1 == 0.0
         assert 0.0 < eval_H(self._SYS, Phase.POST_FAULT, x, _P2.p0) / self._H_REF < 1e-5
 
     def test_small_perturbation_converges(self, monkeypatch):
         runs = _recorded_runs(monkeypatch)
-        cls = classify_post_fault(
-            self._SYS, _P2.p0, self._SEP + [0.2, 0.1], self._POINT, CctOptions()
-        )
+        cls = classify_post_fault(self._POINT, self._SEP + [0.2, 0.1])
         assert cls.stable and _entered_the_ball(runs)
         assert cls.t1 == math.inf and math.isinf(cls.T)
 
@@ -248,15 +252,11 @@ class TestClassifyPostFault:
         # At rest just inside the saddle the run slides back to the
         # SEP; field-norm dips near the SEP are part of convergence.
         runs = _recorded_runs(monkeypatch)
-        cls = classify_post_fault(
-            self._SYS3, _P3.p0, np.array([2.55, 0.0]), self._POINT3, CctOptions()
-        )
+        cls = classify_post_fault(self._POINT3, np.array([2.55, 0.0]))
         assert cls.stable and _entered_the_ball(runs)
 
     def test_escape_captured_at_competing_equilibrium(self):
-        cls = classify_post_fault(
-            self._SYS3, _P3.p0, np.array([2.7, 0.0]), self._POINT3, CctOptions()
-        )
+        cls = classify_post_fault(self._POINT3, np.array([2.7, 0.0]))
         assert not cls.stable
         assert cls.T == cls.t2 < math.inf
         assert cls.f_norm_min is not None and cls.f_norm_min <= 1e-3
@@ -267,8 +267,8 @@ class TestClassifyPostFault:
         # the SEP's certified ball near t = 16.9.
         return [
             classify_post_fault(
-                self._SYS3, _P3.p0, np.array([0.0, 5.52713]), self._POINT3,
-                CctOptions(integration=IntegrationOptions(t_max=t_max)),
+                replace(self._POINT3, opts=CctOptions(integration=IntegrationOptions(t_max=t_max))),
+                np.array([0.0, 5.52713]),
             ).stable
             for t_max in t_maxes
         ]
@@ -294,21 +294,21 @@ class TestClassifyPostFault:
                            for ph in ("pre", "fault", "post")},
         )
         p = np.array([1.0])
-        point = operating_point(system, p, CctOptions())
+        point = operating_point(system, p)
         with np.errstate(over="ignore"), pytest.raises(error):
-            classify_post_fault(system, p, np.array([x_cl]), point, CctOptions())
+            classify_post_fault(point, np.array([x_cl]))
 
     def test_short_horizon_is_inconclusive(self):
         opts = CctOptions(integration=IntegrationOptions(t_max=0.2))
         with pytest.raises(InconclusiveRun):
-            classify_post_fault(self._SYS, _P2.p0, np.array([1.2, 0.6]), self._POINT, opts)
+            classify_post_fault(replace(self._POINT, opts=opts), np.array([1.2, 0.6]))
 
     @pytest.mark.bit_identity
     def test_lanes_equal_their_one_lane_verdicts(self):
-        sys3, point = self._SYS3, self._POINT3
         # Captures come after t = 14; t_max = 16 leaves the start nearest
         # the saddle still wandering.
         opts = replace(_OPTS3, integration=IntegrationOptions(t_max=16.0))
+        sys3, point = self._SYS3, replace(self._POINT3, opts=opts)
         starts = np.array([
             self._SEP + [0.2, 0.1],  # converges
             [50.0 - 1e-9, 0.5],      # inside the band: t1 = 0, no run
@@ -316,7 +316,7 @@ class TestClassifyPostFault:
             [2.62, 0.0],             # inconclusive at t_max
             [2.7, 0.0],              # captured away from the SEP
         ])
-        verdicts = _verdicts(sys3, _P3.p0, starts, point, opts)
+        verdicts = _verdicts(point, starts)
         kinds = [
             "error" if isinstance(c, Exception)
             else "stable" if c.stable
@@ -334,7 +334,7 @@ class TestClassifyPostFault:
         )
         for k, lane in zip(run, lanes):
             try:
-                got = cct_mod._post_fault_verdict(lane, starts[k], point.x_sep_post, opts)
+                got = cct_mod._post_fault_verdict(lane, starts[k], point)
             except InconclusiveRun as exc:
                 got = exc
             assert _verdict_key(got) == _verdict_key(verdicts[k])
@@ -399,12 +399,12 @@ def _entered_the_ball(runs):
     return runs[-1].first_event(EventKind.CONVERGED_TO_SEP) is not None
 
 
-def _verdicts(system, p, xs, point, opts):
-    """Each state's classify_post_fault verdict, or the error that state raises."""
+def _verdicts(point, xs):
+    """Each state's classify_post_fault verdict at point, or the error that state raises."""
     out = []
     for x in xs:
         try:
-            out.append(cct_mod.classify_post_fault(system, p, x, point, opts))
+            out.append(cct_mod.classify_post_fault(point, x))
         except (NumericalBlowup, StiffnessFailure, InconclusiveRun) as exc:
             out.append(exc)
     return out
@@ -413,7 +413,7 @@ def _verdicts(system, p, xs, point, opts):
 def _verdicts_and_runs(system, p, xs, monkeypatch, opts=CctOptions()):
     """Each state's verdict (``_verdicts``) and the run of each lane."""
     runs = _recorded_runs(monkeypatch)
-    out = _verdicts(system, p, xs, operating_point(system, p, opts), opts)
+    out = _verdicts(operating_point(system, p, opts), xs)
     monkeypatch.undo()
     return out, runs
 
@@ -470,8 +470,7 @@ class TestCertifiedRegion:
             # Every certified-stable verdict holds for a run without the
             # bound to t_max 200.
             unbounded = _without_bound(system)
-            point = operating_point(unbounded, params.p0, _LONG)
-            long = _verdicts(unbounded, params.p0, xs[stable], point, _LONG)
+            long = _verdicts(operating_point(unbounded, params.p0, _LONG), xs[stable])
             assert all(c.stable for c in long), params
             # Captured runs that ended in a competing sink's certified ball
             # take fewer steps; every other unstable run takes the same.
@@ -526,16 +525,12 @@ class TestCertifiedRegion:
         # The expression twin has the bound too, so it takes the same path.
         x_cl = np.array([0.0, 5.52713])
         for system in (smib_system(_P3), _smib_twin()):
-            point = operating_point(system, _P3.p0, CctOptions())
+            point = operating_point(system, _P3.p0)
             for t_max in (20.0, 30.0):
                 opts = CctOptions(integration=IntegrationOptions(t_max=t_max))
-                fast = classify_post_fault(system, _P3.p0, x_cl, point, opts)
+                fast = classify_post_fault(replace(point, opts=opts), x_cl)
                 assert fast.stable and 4.0 < fast.t2 < 5.0
-            unbounded = _without_bound(system)
-            full = classify_post_fault(
-                unbounded, _P3.p0, x_cl, operating_point(unbounded, _P3.p0, CctOptions()),
-                CctOptions(),
-            )
+            full = classify_post_fault(operating_point(_without_bound(system), _P3.p0), x_cl)
             assert not full.stable and full.T == full.t2 and 4.0 < full.t2 < 5.0
 
     def test_verdicts_near_the_separatrix_agree_with_a_long_run(self):
@@ -545,12 +540,8 @@ class TestCertifiedRegion:
         system = smib_system(_P3)
         xs = np.stack([np.zeros(31), np.linspace(5.52710, 5.52716, 31)], axis=1)
         unbounded = _without_bound(system)
-        fast = _verdicts(
-            system, _P3.p0, xs, operating_point(system, _P3.p0, CctOptions()), CctOptions()
-        )
-        full = _verdicts(
-            unbounded, _P3.p0, xs, operating_point(unbounded, _P3.p0, _LONG), _LONG
-        )
+        fast = _verdicts(operating_point(system, _P3.p0), xs)
+        full = _verdicts(operating_point(unbounded, _P3.p0, _LONG), xs)
         assert [c.stable for c in fast] == [c.stable for c in full]
         assert {c.stable for c in fast} == {True, False}
 
@@ -570,8 +561,7 @@ class TestCertifiedRegion:
 
         monkeypatch.setattr(cct_mod, "classify_post_fault", counting_verdict)
         monkeypatch.setattr(cct_mod, "integrate_lanes", counting_lanes)
-        point = operating_point(system, _P3.p0, CctOptions())
-        _verdicts(system, _P3.p0, self._SLIPS, point, CctOptions())
+        _verdicts(operating_point(system, _P3.p0), self._SLIPS)
         compute_cct(system, _P3.p0)
         assert len(calls) > len(self._SLIPS) and all(c == 1 for c in calls)
 
@@ -630,7 +620,7 @@ class TestCertifiedRegion:
             monkeypatch.setattr(
                 cct_mod, "find_equilibrium", lambda *args: calls.append(args) or find(*args)
             )
-            verdicts = _verdicts(s, _P3.p0, self._SLIPS, point, opts)
+            verdicts = _verdicts(point, self._SLIPS)
             monkeypatch.undo()
             counts.append(len(calls))
             assert [c.stable for c in verdicts] == [False, False, False, True, True]
@@ -678,6 +668,16 @@ class TestCertifiedRegion:
         huge = cct_mod._sink_stop(system, _P3.p0, x_sep, 2.0 * math.pi, opts)
         assert not huge(near, near)
 
+    @pytest.mark.parametrize("field", ["a", "a + x**2"])
+    def test_sink_stop_ends_nothing_where_newton_fails(self, field):
+        # x' = a has a singular Jacobian everywhere, and Newton on
+        # x' = a + x**2 finds no descent: neither has an equilibrium.
+        system = system_from_expressions(
+            ["x"], ["a"], {ph: {"f": [field]} for ph in ("pre", "fault", "post")}
+        )
+        stop = cct_mod._sink_stop(system, np.array([1.0]), np.array([0.0]), 1e-3, CctOptions())
+        assert not stop(np.array([5.0]), np.array([5.0]))
+
     @pytest.mark.parametrize("params", _REGION_MACHINES + [
         SmibParams(p_mech=0.5, inertia=0.25, delta_max=1.6, omega_max=0.9, coupling=1.3),
         # Limits close enough to the SEP that the margins shrink the region.
@@ -721,6 +721,12 @@ class TestCertifiedRegion:
             assert np.max(np.linalg.norm(traj.states - x_sep, axis=1)) <= _LOOSE_FACTOR * sep_radius
             for con in dyn.constraints:
                 assert all(con.value(x, p) > 0.0 for x in traj.states)
+
+    def test_no_region_where_a_margin_is_not_positive_at_the_sep(self):
+        # The angle limit 0.4 lies below the SEP's angle asin 0.5.
+        params = SmibParams(p_mech=0.5, inertia=0.3, delta_max=0.4, omega_max=0.9)
+        x_sep = np.array([math.asin(0.5), 0.0])
+        assert _attraction_radius(smib_system(params), params.p0, x_sep, 1e-3) is None
 
     def test_no_region_without_a_bound(self):
         system = _without_bound(smib_system(_P2))
@@ -783,6 +789,11 @@ class TestClearingOutcome:
         with pytest.raises(ValueError):
             clearing_outcome(smib_system(_P2), _P2.p0, -0.1)
 
+    @pytest.mark.parametrize("t_clear", [math.nan, math.inf])
+    def test_clearing_time_that_is_not_finite_is_rejected(self, t_clear):
+        with pytest.raises(ValueError, match="t_clear must be non-negative and finite"):
+            clearing_outcome(smib_system(_P2), _P2.p0, t_clear)
+
     @pytest.mark.parametrize("t_clear", [0.0, 0.3])
     def test_operating_point_past_both_limits_has_no_clearing_time(self, t_clear):
         # Both margins are negative at the SEP, so their product is
@@ -823,6 +834,12 @@ class TestFailurePaths:
         with pytest.raises(NoFiniteCct, match="[Ii]nstant"):
             compute_cct(sys2, np.array([0.999]))
 
+    def test_unstable_pre_fault_equilibrium_is_rejected(self):
+        # Newton from the saddle's own coordinates stays at the saddle.
+        opts = CctOptions(sep_guess=np.array([math.pi - math.asin(0.5), 0.0]))
+        with pytest.raises(NoEquilibriumFound, match=r"pre-phase .* is unstable, not stable"):
+            compute_cct(smib_system(_P2), _P2.p0, opts)
+
     def test_missing_post_equilibrium(self):
         sys2 = system_from_expressions(
             state=["x1", "x2"], params=["a"],
@@ -858,9 +875,9 @@ class TestFailurePaths:
     def test_reverify_detects_flaky_classification(self, monkeypatch):
         real = cct_mod.classify_post_fault
 
-        def flaky(system, p, x_cl, point, opts):
-            out = real(system, p, x_cl, point, opts)
-            if opts.integration.rel_tol < 1e-9:
+        def flaky(point, x_cl):
+            out = real(point, x_cl)
+            if point.opts.integration.rel_tol < 1e-9:
                 return replace(out, stable=True)
             return out
 
@@ -871,9 +888,9 @@ class TestFailurePaths:
     def test_reverify_detects_a_stable_end_that_turns_unstable(self, monkeypatch):
         real = cct_mod.classify_post_fault
 
-        def flaky(system, p, x_cl, point, opts):
-            out = real(system, p, x_cl, point, opts)
-            if opts.integration.rel_tol < 1e-9:
+        def flaky(point, x_cl):
+            out = real(point, x_cl)
+            if point.opts.integration.rel_tol < 1e-9:
                 return replace(out, stable=False)
             return out
 
@@ -884,15 +901,14 @@ class TestFailurePaths:
 
 def _plain_cct(system, p, opts=CctOptions()):
     """compute_cct with every bisection verdict from one-lane classify_post_fault."""
-    p = np.asarray(p, dtype=float)
     point = operating_point(system, p, opts)
     x_pre = point.x_sep_pre
-    if not classify_post_fault(system, p, x_pre, point, opts).stable:
+    if not classify_post_fault(point, x_pre).stable:
         raise NoFiniteCct("instant clearing is already unstable")
     horizon = opts.integration.t_max
     hit_time = hit_state = hi_cls = None
     for run in range(opts.horizon_doublings + 2):
-        fault = cct_mod._run_fault(system, p, x_pre, opts, horizon)
+        fault = cct_mod._run_fault(point, horizon)
         crossing = fault.first_event(EventKind.CONSTRAINT_CROSSING)
         if crossing is not None:
             t_hi = hit_time = crossing.time
@@ -901,7 +917,7 @@ def _plain_cct(system, p, opts=CctOptions()):
             break
         if run > opts.horizon_doublings:
             break
-        cls_end = classify_post_fault(system, p, fault.final_state, point, opts)
+        cls_end = classify_post_fault(point, fault.final_state)
         if not cls_end.stable:
             t_hi, hi_cls = fault.final_time, cls_end
             break
@@ -917,7 +933,7 @@ def _plain_cct(system, p, opts=CctOptions()):
                 f"after {iterations} bisection steps; bisection_tol "
                 f"{opts.bisection_tol:.3g} is finer than their spacing"
             )
-        cls_mid = classify_post_fault(system, p, cct_mod.state_at(fault, t_mid), point, opts)
+        cls_mid = classify_post_fault(point, cct_mod.state_at(fault, t_mid))
         if cls_mid.stable:
             t_lo = t_mid
         else:

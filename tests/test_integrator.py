@@ -1412,6 +1412,21 @@ def test_finite_time_escape_raises_stiffness_failure():
         integrate(_GROW, Phase.PRE_FAULT, np.array([1.0]), np.array([1.0]), IntegrationOptions(t_max=2.0))
 
 
+def test_a_run_onto_a_pole_of_the_field_ends_at_the_step_bound():
+    # x' = -1/(x - 0.5) from x = 1 reaches its pole at t = 0.125.  There
+    # the run oscillates around x = 0.5 with steps far above the underflow
+    # floor (over 3 million accepted steps in the 0.0005 after the pole),
+    # until the bound on one lane's accepted steps ends it.
+    pole = system_from_expressions(
+        ["x"], ["a"],
+        {ph: {"f": ["-a/(x - 0.5)"], "h": {"m": "10 - x"}} for ph in ("pre", "fault", "post")},
+    )
+    opts = IntegrationOptions(rel_tol=1e-6, abs_tol=1e-9, t_max=1.0)
+    with pytest.raises(StiffnessFailure, match="accepted steps") as failure:
+        integrate(pole, Phase.POST_FAULT, np.array([1.0]), np.array([1.0]), opts)
+    assert f"{integrator._MAX_LANE_STEPS} accepted steps" in str(failure.value)
+
+
 def test_nonfinite_field_raises_blowup():
     with np.errstate(over="ignore"), pytest.raises(NumericalBlowup):
         integrate(_GROW, Phase.PRE_FAULT, np.array([1e200]), np.array([1.0]), IntegrationOptions(t_max=1.0))

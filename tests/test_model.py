@@ -424,6 +424,22 @@ def test_float_entries_equal_the_array_calls(system):
                     assert type(got) is float and _same_bits(got, c.value(x, p)), (c.name, x)
 
 
+def test_each_machine_returns_its_own_limit_derivatives():
+    # Writing into the derivatives one machine returns changes no other
+    # machine's, and every derivative is compiled from a source record.
+    x = np.array([0.3, 0.4])
+    one, other = (smib_system(replace(_PARAMS, inertia=m)) for m in (0.1, 0.2))
+    calls = ("grad_x", "grad_p", "hess_xx", "hess_xp")
+    for j, c in enumerate(one.phases[Phase.POST_FAULT].constraints):
+        for name in calls:
+            getattr(c, name)(x, _P0)[...] += 1.0
+        wants = (-np.eye(2)[j], np.eye(4)[2 + j], np.zeros((2, 2)), np.zeros((2, 4)))
+        twin = other.phases[Phase.POST_FAULT].constraints[j]
+        for name, want in zip(calls, wants):
+            assert np.array_equal(getattr(twin, name)(x, _P0), want), (c.name, name)
+        assert all(getattr(c, name).on_floats._source for name in calls), c.name
+
+
 def _machine_formulas(b, d, x, p):
     """The machine's field, Jacobians (row-major) and limits, written out by hand."""
     angle, speed = x

@@ -103,6 +103,11 @@ class TestFdCctSlope:
         with pytest.raises(IndexError):
             fd_cct_slope(_SYS1, _P1.p0, 7)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            fd_cct_slope(_SYS1, _P1.p0, 0, eps=eps)
+
 
 class TestFdTrajectorySensitivity:
     def test_identity_at_zero_time(self):
@@ -203,7 +208,7 @@ class TestScanCct:
     def test_non_monotone_pattern_is_reported(self, monkeypatch):
         pattern = iter([True, False, True, True, True])
 
-        def fake_classify(system, p, x_cl, point, opts):
+        def fake_classify(point, x_cl):
             return PostFaultClassification(stable=next(pattern))
 
         monkeypatch.setattr("cctsens.validate.classify_post_fault", fake_classify)
@@ -217,7 +222,7 @@ class TestScanCct:
         def failing_at(bad):
             seen = []
 
-            def fake_classify(system, p, x_cl, point, opts):
+            def fake_classify(point, x_cl):
                 j = len(seen)
                 seen.append(j)
                 if j == bad:
@@ -245,9 +250,9 @@ class TestScanCct:
         real = validate_mod.classify_post_fault
         counts = [0]
 
-        def counting(system, p, x_cl, point, opts):
+        def counting(point, x_cl):
             counts[0] += 1
-            return real(system, p, x_cl, point, opts)
+            return real(point, x_cl)
 
         monkeypatch.setattr("cctsens.validate.classify_post_fault", counting)
         scan_cct(system, params.p0, 0.05)
@@ -260,9 +265,9 @@ class TestScanCct:
         system, p, step, opts = smib_system(params), params.p0, 0.2, CctOptions()
         real, states = validate_mod.classify_post_fault, []
 
-        def counting(system, p, x_cl, point, opts):
+        def counting(point, x_cl):
             states.append(x_cl)
-            return real(system, p, x_cl, point, opts)
+            return real(point, x_cl)
 
         monkeypatch.setattr("cctsens.validate.classify_post_fault", counting)
         scanned = scan_cct(system, p, step, opts)
@@ -270,8 +275,7 @@ class TestScanCct:
         assert len(states) == first_unstable + 1
         states.clear()
         assert scan_cct(system, p, step, opts, verify_monotone=True) == scanned
-        point = cct_mod.operating_point(system, p, opts)
-        fault = cct_mod._run_fault(system, p, point.x_sep_pre, opts, opts.integration.t_max)
+        fault = cct_mod._run_fault(cct_mod.operating_point(system, p, opts), opts.integration.t_max)
         # The fault run reaches no limit, so the scan runs to its horizon.
         assert fault.first_event(EventKind.CONSTRAINT_CROSSING) is None
         assert len(states) == math.floor(fault.final_time / step) > first_unstable + 1
